@@ -14,7 +14,6 @@
 #include "cca/congestion_control.hpp"
 #include "exp/runner.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profiler.hpp"
 #include "sim/scheduler.hpp"
 
 namespace {
@@ -105,24 +104,6 @@ void BM_HistogramRecord(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HistogramRecord);
-
-// One PhaseProfiler span open+close per item: two steady_clock reads plus a
-// histogram record. This is the per-window cost the sharded engine pays per
-// (phase, lane) when a profiler is attached — it must stay far below a
-// window's worth of event work to hold the <2% telemetry budget. The Arg is
-// 1 for a live profiler, 0 for the detached (nullptr) span, whose cost must
-// be indistinguishable from an empty loop.
-void BM_ProfilerOverhead(benchmark::State& state) {
-  obs::PhaseProfiler prof(1);
-  const std::size_t phase = prof.register_phase("bench");
-  obs::PhaseProfiler* attached = state.range(0) != 0 ? &prof : nullptr;
-  for (auto _ : state) {
-    obs::PhaseProfiler::Span span(attached, phase, 0);
-    benchmark::DoNotOptimize(span);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProfilerOverhead)->Arg(0)->Arg(1);
 
 // Same churn with a capture too large for the inline buffer: exercises the
 // pooled-block fallback (the pre-swap engine heap-allocated every oversized
@@ -267,41 +248,6 @@ void BM_EndToEndCell(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EndToEndCell)->Unit(benchmark::kMillisecond);
-
-void BM_ShardedCell(benchmark::State& state) {
-  // The ISSUE's scaling cell: a many-flow paper cell run through the
-  // flow-sharded engine at Arg(0) shards (1 = the legacy single-threaded
-  // path). A short window of a high-flow-count 1G cell keeps one iteration
-  // in the hundreds of milliseconds while still giving every lane real
-  // work. Items = executed events, so items/s is comparable across shard
-  // counts; speedup is this benchmark at N shards vs Arg(1).
-  const auto shards = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    exp::ExperimentConfig cfg;
-    cfg.cca1 = cca::CcaKind::kCubic;
-    cfg.cca2 = cca::CcaKind::kBbrV1;
-    cfg.aqm = aqm::AqmKind::kFifo;
-    cfg.buffer_bdp = 1.0;
-    cfg.bottleneck_bps = 1e9;
-    cfg.total_flows = 40;
-    cfg.duration = sim::Time::seconds(2);
-    cfg.seed = 20240817;
-    cfg.shards = shards;
-    const auto res = exp::run_experiment(cfg);
-    state.SetItemsProcessed(state.items_processed() +
-                            static_cast<std::int64_t>(res.events_executed));
-  }
-}
-// Real time is the speedup headline (wall clock per cell); process CPU time
-// is what the perf gate compares — it sums all lanes' work, so it is stable
-// across core counts where main-thread CPU would be meaningless.
-BENCHMARK(BM_ShardedCell)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 void BM_ManyFlowCell(benchmark::State& state) {
   // The compact-state headline: Arg(0) finite CUBIC flows (constant total

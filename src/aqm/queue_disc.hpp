@@ -52,14 +52,14 @@ class QueueDisc {
   [[nodiscard]] const QueueStats& stats() const { return stats_; }
 
   /// Attach a flight recorder (null detaches). Virtual so decorators
-  /// (LossInjector, TBF) can forward to their inner qdisc.
+  /// (LossInjector) can forward to their inner qdisc.
   virtual void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
   [[nodiscard]] trace::Tracer* tracer() const { return tracer_; }
 
   /// Snapshot the discipline's full mutable state (queued packets and
   /// algorithm variables included). Implementations override both, call the
   /// base first (it serializes the counters), then append their own fields
-  /// in a fixed order. The decorators (LossInjector, TBF) forward to their
+  /// in a fixed order. Decorators (LossInjector) forward to their
   /// inner qdisc after their own state.
   virtual void save(sim::SnapshotWriter& w) const { w.put_pod(stats_); }
   virtual void load(sim::SnapshotReader& r) { r.get_pod(&stats_); }

@@ -17,10 +17,10 @@
 
 namespace elephant::exp {
 
-/// One single-shard experiment cell held open for stepping, snapshotting,
-/// and restoring — the substrate both run_experiment() (construct, run to
-/// the configured duration, finalize) and the model checker (src/mc: run a
-/// bounded chunk, snapshot, branch, restore, repeat) drive.
+/// One experiment cell held open for stepping, snapshotting, and restoring —
+/// the only cell runner: run_experiment() (construct, run to the configured
+/// duration, finalize) and the model checker (src/mc: run a bounded chunk,
+/// snapshot, branch, restore, repeat) both drive it.
 ///
 /// Construction replays the historical run_experiment() setup byte for
 /// byte: the same objects constructed in the same order with the same draws

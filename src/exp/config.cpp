@@ -87,7 +87,6 @@ std::string ExperimentConfig::id() const {
   }
   if (!fault_plan.empty()) out += "-fault" + fault_plan.signature();
   if (!workload.is_paper_default()) out += "-wl[" + workload.signature() + "]";
-  if (shards > 1) out += "-sh" + std::to_string(shards);
   if (episodes.enabled) {
     std::snprintf(buf, sizeof(buf), "-ep%g,%g,%g", episodes.window_s,
                   episodes.enter_jain, episodes.exit_jain);

@@ -57,15 +57,6 @@ struct ExperimentConfig {
   /// the cache identity via their signature.
   workload::WorkloadSpec workload{};
 
-  /// Worker shards for the in-cell parallel engine (see sim/sharded_engine).
-  /// 1 (the default) runs the historical single-threaded path bit-identically
-  /// to pre-sharding builds. N > 1 scatters the TCP endpoints over N worker
-  /// lanes plus a dedicated network lane for the bottleneck; results are
-  /// deterministic per shard count but not bit-identical across counts, so
-  /// the value is part of the cache identity (id() appends "-shN" only when
-  /// N > 1, preserving existing cache keys and manifests).
-  std::uint32_t shards = 1;
-
   /// Watchdog budgets (0 = unlimited): exceeding either aborts the run with
   /// exp::RunTimeout instead of hanging a sweep worker. Not part of the
   /// cache identity — a timed-out run never produces a cacheable result.

@@ -29,9 +29,6 @@ struct ExperimentConfig;
 /// Only elephant-class flows participate in the fairness window (the paper's
 /// object of study); mice and background aggregates would read as permanent
 /// "unfairness" against the elephants they are meant to contrast with.
-///
-/// Sharded runs call sample() from the window-boundary observer, where every
-/// lane is parked — the only point cross-lane flow state is safe to read.
 class EpisodeProbe {
  public:
   /// `faults` may be null (no fault plan). All references must outlive the

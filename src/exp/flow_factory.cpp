@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <utility>
 
 #include "trace/trace.hpp"
 
@@ -29,26 +28,12 @@ constexpr std::size_t kMaxFlows = 1u << 20;
 FlowFactory::FlowFactory(sim::Scheduler& sched, net::Dumbbell& net,
                          const ExperimentConfig& cfg, sim::Rng& cell_rng,
                          const obs::TcpMetrics* metrics)
-    : sched_(&sched), net_(&net), cfg_(cfg), metrics_(metrics) {
-  build(cell_rng);
-}
-
-FlowFactory::FlowFactory(FlowPlacer placer, const ExperimentConfig& cfg, sim::Rng& cell_rng)
-    : placer_(std::move(placer)), cfg_(cfg) {
-  build(cell_rng);
-}
-
-void FlowFactory::build(sim::Rng& cell_rng) {
+    : sched_(sched), net_(net), cfg_(cfg), metrics_(metrics) {
   if (cfg_.workload.is_paper_default()) {
     build_legacy(cell_rng);
   } else {
     build_workload();
   }
-}
-
-FlowSite FlowFactory::site_for(std::size_t flow_index, int side) {
-  if (placer_) return placer_(flow_index, side);
-  return FlowSite{sched_, &net_->client(side), &net_->server(side), metrics_};
 }
 
 void FlowFactory::build_legacy(sim::Rng& rng) {
@@ -62,9 +47,8 @@ void FlowFactory::build_legacy(sim::Rng& rng) {
     const cca::CcaKind kind = side == 0 ? cfg_.cca1 : cfg_.cca2;
     for (std::uint32_t i = 0; i < per_side[side]; ++i) {
       const net::FlowId flow = static_cast<net::FlowId>(flows_.size() + 1);
-      const FlowSite site = site_for(flows_.size(), side);
-      net::Host& client = *site.client;
-      net::Host& server = *site.server;
+      net::Host& client = net_.client(side);
+      net::Host& server = net_.server(side);
 
       cca::CcaParams cp;
       cp.mss_bytes = cfg_.mss;
@@ -84,18 +68,17 @@ void FlowFactory::build_legacy(sim::Rng& rng) {
       sc.start_time = sim::Time::seconds(0.5 * rng.next_double());
 
       tcp::TcpReceiver* receiver =
-          receivers_.emplace(*site.sched, server, client.id(), flow).second;
+          receivers_.emplace(sched_, server, client.id(), flow).second;
       tcp::TcpSender* sender =
-          senders_.emplace(*site.sched, client, sc, ccas_.make(kind, cp)).second;
+          senders_.emplace(sched_, client, sc, ccas_.make(kind, cp)).second;
       FlowInstance& inst = *flows_.emplace().second;
       inst.sender = sender;
       inst.receiver = receiver;
       inst.owner = this;
       inst.side = side;
       inst.start_time = sc.start_time;
-      inst.lane = site.sched;
       if (cfg_.tracer != nullptr) sender->set_tracer(cfg_.tracer);
-      if (site.metrics != nullptr) sender->set_metrics(site.metrics);
+      if (metrics_ != nullptr) sender->set_metrics(metrics_);
       sender->set_scoreboard_ledger(&scoreboard_ledger_);
       client.register_endpoint(flow, sender);
       server.register_endpoint(flow, receiver);
@@ -171,9 +154,8 @@ FlowInstance& FlowFactory::spawn(int ci, const workload::TrafficClass& tc, int s
                                  std::uint64_t cca_seed, std::uint64_t app_seed) {
   using workload::ClassKind;
   const net::FlowId flow = static_cast<net::FlowId>(flows_.size() + 1);
-  const FlowSite site = site_for(flows_.size(), side);
-  net::Host& client = *site.client;
-  net::Host& server = *site.server;
+  net::Host& client = net_.client(side);
+  net::Host& server = net_.server(side);
   const std::uint32_t agg = cfg_.effective_aggregation();
   const cca::CcaKind kind =
       tc.cca_from_pair ? (side == 0 ? cfg_.cca1 : cfg_.cca2) : tc.cca;
@@ -200,9 +182,9 @@ FlowInstance& FlowFactory::spawn(int ci, const workload::TrafficClass& tc, int s
   }
 
   tcp::TcpReceiver* receiver =
-      receivers_.emplace(*site.sched, server, client.id(), flow).second;
+      receivers_.emplace(sched_, server, client.id(), flow).second;
   tcp::TcpSender* sender =
-      senders_.emplace(*site.sched, client, sc, ccas_.make(kind, cp)).second;
+      senders_.emplace(sched_, client, sc, ccas_.make(kind, cp)).second;
   FlowInstance& inst = *flows_.emplace().second;
   inst.sender = sender;
   inst.receiver = receiver;
@@ -214,9 +196,8 @@ FlowInstance& FlowFactory::spawn(int ci, const workload::TrafficClass& tc, int s
   inst.transfer_bytes = bytes;
   inst.start_time = start;
   inst.app_rng = sim::Rng(app_seed);
-  inst.lane = site.sched;
   if (cfg_.tracer != nullptr) sender->set_tracer(cfg_.tracer);
-  if (site.metrics != nullptr) sender->set_metrics(site.metrics);
+  if (metrics_ != nullptr) sender->set_metrics(metrics_);
   sender->set_scoreboard_ledger(&scoreboard_ledger_);
   client.register_endpoint(flow, sender);
   server.register_endpoint(flow, receiver);
@@ -271,12 +252,13 @@ void FlowFactory::flow_complete_thunk(void* ctx) {
   const FlowInstance& f = *static_cast<FlowInstance*>(ctx);
   if (f.owner->cfg_.tracer == nullptr) return;
   trace::TraceRecord r;
-  r.t = f.lane->now();
+  const sim::Time now = f.owner->sched_.now();
+  r.t = now;
   r.type = trace::RecordType::kFlowEnd;
   r.flow = f.sender->config().flow;
   r.v0 = f.cls;
   r.v1 = static_cast<double>(f.transfer_bytes);
-  r.v2 = (f.lane->now() - f.start_time).sec();
+  r.v2 = (now - f.start_time).sec();
   f.owner->cfg_.tracer->record(r);
 }
 
@@ -284,9 +266,9 @@ void FlowFactory::app_idle_thunk(void* ctx) {
   auto* f = static_cast<FlowInstance*>(ctx);
   const workload::TrafficClass& tc = *f->traffic;
   const sim::Time think = sim::Time::seconds(exponential(f->app_rng, tc.off_mean.sec()));
-  // Think-time wakeups are flow events: they belong to the flow's lane. The
-  // one-pointer capture stays inside the scheduler callback's inline buffer.
-  f->lane->schedule_in(think, [f] {
+  // The one-pointer capture stays inside the scheduler callback's inline
+  // buffer.
+  f->owner->sched_.schedule_in(think, [f] {
     f->sender->offer_bytes(f->traffic->size.sample(f->app_rng));
   });
 }

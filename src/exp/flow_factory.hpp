@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "cca/arena.hpp"
@@ -37,24 +36,7 @@ struct FlowInstance {
   std::uint64_t transfer_bytes = 0;  ///< 0 = unbounded
   sim::Time start_time = sim::Time::zero();
   sim::Rng app_rng{1};  ///< on/off think-time and burst-size stream
-  sim::Scheduler* lane = nullptr;  ///< scheduler owning this flow's events
 };
-
-/// Where one flow's endpoints live: the lane scheduler its events run on,
-/// the hosts its sender/receiver attach to, and the (per-lane) TCP telemetry
-/// bundle. The single-threaded path places every flow on the cell scheduler
-/// and the dumbbell's paper hosts; a sharded run places flow i on worker
-/// lane i mod shards with that lane's private hosts.
-struct FlowSite {
-  sim::Scheduler* sched = nullptr;
-  net::Host* client = nullptr;
-  net::Host* server = nullptr;
-  const obs::TcpMetrics* metrics = nullptr;
-};
-
-/// Maps (flow index, side) to a FlowSite. Called once per flow during
-/// construction, in flow-index order, on a single thread.
-using FlowPlacer = std::function<FlowSite(std::size_t flow_index, int side)>;
 
 /// Instantiates every flow of an experiment cell from its WorkloadSpec.
 ///
@@ -83,14 +65,6 @@ class FlowFactory {
   /// spawned lazily by Poisson arrivals mid-run — and must outlive the run.
   FlowFactory(sim::Scheduler& sched, net::Dumbbell& net, const ExperimentConfig& cfg,
               sim::Rng& cell_rng, const obs::TcpMetrics* metrics = nullptr);
-
-  /// Sharded construction: endpoint placement is delegated to `placer`.
-  /// Flow construction order — and therefore every draw from `cell_rng` and
-  /// the class sub-streams — is identical to the single-lane constructor
-  /// regardless of how the placer scatters the flows, which is what makes a
-  /// fixed shard count bit-reproducible. Construction runs single-threaded
-  /// before the lanes start.
-  FlowFactory(FlowPlacer placer, const ExperimentConfig& cfg, sim::Rng& cell_rng);
 
   FlowFactory(const FlowFactory&) = delete;
   FlowFactory& operator=(const FlowFactory&) = delete;
@@ -131,21 +105,18 @@ class FlowFactory {
   void load(sim::SnapshotReader& r);
 
  private:
-  void build(sim::Rng& cell_rng);
   void build_legacy(sim::Rng& cell_rng);
   void build_workload();
   void build_class(int ci, const workload::TrafficClass& tc);
   FlowInstance& spawn(int ci, const workload::TrafficClass& tc, int side, sim::Time start,
                       std::uint64_t bytes, std::uint64_t cca_seed, std::uint64_t app_seed);
-  [[nodiscard]] FlowSite site_for(std::size_t flow_index, int side);
 
   /// Static callback thunks: a FlowInstance* is the whole closure.
   static void flow_complete_thunk(void* ctx);
   static void app_idle_thunk(void* ctx);
 
-  sim::Scheduler* sched_ = nullptr;  ///< null when a placer supplies lanes
-  net::Dumbbell* net_ = nullptr;     ///< null when a placer supplies hosts
-  FlowPlacer placer_;
+  sim::Scheduler& sched_;
+  net::Dumbbell& net_;
   const ExperimentConfig& cfg_;
   const obs::TcpMetrics* metrics_ = nullptr;
 

@@ -1,301 +1,20 @@
 #include "exp/runner.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <memory>
-#include <optional>
-#include <string>
+#include <vector>
 
 #include "exp/cache.hpp"
 #include "exp/cell.hpp"
-#include "exp/flow_factory.hpp"
-#include "exp/runner_internal.hpp"
-#include "exp/status.hpp"
-#include "metrics/fairness.hpp"
-#include "metrics/fct.hpp"
-#include "net/topology.hpp"
-#include "obs/metrics.hpp"
 #include "sim/random.hpp"
-#include "sim/scheduler.hpp"
-#include "tcp/tcp_receiver.hpp"
-#include "tcp/tcp_sender.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
 
 namespace elephant::exp {
 
-namespace detail {
-
-std::uint64_t peak_rss_bytes() {
-#if defined(__unix__) || defined(__APPLE__)
-  struct rusage ru{};
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0;
-#if defined(__APPLE__)
-  return static_cast<std::uint64_t>(ru.ru_maxrss);  // bytes on Darwin
-#else
-  return static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;  // KiB on Linux
-#endif
-#else
-  return 0;
-#endif
-}
-
-net::DumbbellConfig make_dumbbell_config(const ExperimentConfig& cfg, sim::Rng& rng) {
-  net::DumbbellConfig topo;
-  topo.bottleneck_bps = cfg.bottleneck_bps;
-  topo.aqm = cfg.aqm;
-  topo.bottleneck_buffer_bytes = static_cast<std::size_t>(cfg.buffer_bytes());
-  topo.aqm_options.ecn = cfg.ecn;
-  topo.random_loss = cfg.random_loss;
-  topo.ge_loss = cfg.ge_loss;
-  topo.seed = rng.next_u64();
-  // Propagation splits to the paper's 62 ms RTT by default; respect a
-  // non-default cfg.rtt by scaling the trunk delay.
-  const sim::Time default_rtt = 2 * (topo.client_delay + topo.trunk_delay + topo.server_delay);
-  if (cfg.rtt != default_rtt) {
-    const sim::Time edge = topo.client_delay + topo.server_delay;
-    topo.trunk_delay = cfg.rtt / 2 - edge;
-    if (topo.trunk_delay < sim::Time::microseconds(10)) {
-      // Tiny RTTs: floor the trunk delay and split whatever half-RTT remains
-      // across the edges — clamped so no delay ever goes negative (a
-      // negative propagation would schedule events in the past).
-      topo.trunk_delay = sim::Time::microseconds(10);
-      sim::Time rest = cfg.rtt / 2 - topo.trunk_delay;
-      if (rest < sim::Time::microseconds(2)) rest = sim::Time::microseconds(2);
-      topo.client_delay = topo.server_delay = rest / 2;
-    }
-  }
-  return topo;
-}
-
-ExperimentResult finalize_experiment(const ExperimentConfig& cfg, sim::Time duration,
-                                     FlowFactory& factory, net::Port& bottleneck,
-                                     std::uint64_t events_executed,
-                                     std::chrono::steady_clock::time_point wall_start) {
-  ExperimentResult res;
-  res.config = cfg;
-  res.n_flows = static_cast<std::uint32_t>(factory.size());
-  double side_bps[2] = {0, 0};
-  std::vector<double> flow_bps;
-  flow_bps.reserve(factory.size());
-  for (std::size_t i = 0; i < factory.size(); ++i) {
-    const FlowInstance& inst = factory.flow(i);
-    FlowResult fr;
-    fr.flow = inst.sender->config().flow;
-    fr.sender = inst.side;
-    fr.cca = inst.sender->cc().name();
-    fr.start_s = inst.start_time.sec();
-    if (inst.cls >= 0) {
-      fr.cls = cfg.workload.classes[static_cast<std::size_t>(inst.cls)].name;
-    }
-    fr.transfer_bytes = inst.transfer_bytes;
-    fr.completed = inst.sender->completed();
-    if (fr.completed) {
-      fr.fct_s = (inst.sender->completion_time() - inst.start_time).sec();
-    }
-    // Measure goodput over the flow's own active window: the staggered
-    // starts (up to 0.5 s) would otherwise bias late starters low. Finite
-    // flows that completed are active only until their last ACK.
-    const sim::Time active =
-        fr.completed ? inst.sender->completion_time() - inst.start_time
-                     : duration - inst.start_time;
-    fr.throughput_bps =
-        active > sim::Time::zero()
-            ? static_cast<double>(inst.receiver->delivered_bytes()) * 8.0 / active.sec()
-            : 0.0;
-    fr.retx_segments = inst.sender->retx_segments();
-    fr.rtos = inst.sender->stats().rtos;
-    fr.srtt_ms = inst.sender->rtt().srtt().ms();
-    side_bps[inst.side] += fr.throughput_bps;
-    res.retx_segments += fr.retx_segments;
-    res.rtos += fr.rtos;
-    flow_bps.push_back(fr.throughput_bps);
-    res.flows.push_back(std::move(fr));
-  }
-  res.sender_bps[0] = side_bps[0];
-  res.sender_bps[1] = side_bps[1];
-  res.jain2 = metrics::jain_index(std::span<const double>(side_bps, 2));
-  res.utilization = metrics::link_utilization(flow_bps, cfg.bottleneck_bps);
-  res.bottleneck = bottleneck.qdisc().stats();
-  res.events_executed = events_executed;
-  res.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
-
-  if (cfg.metrics != nullptr) {
-    // Run-boundary publication: counters ride the stats the components
-    // already keep, so the hot paths paid nothing for them.
-    obs::MetricsRegistry& reg = *cfg.metrics;
-    const aqm::QueueStats& qs = res.bottleneck;
-    reg.counter("queue.enqueued").add(qs.enqueued);
-    reg.counter("queue.dequeued").add(qs.dequeued);
-    reg.counter("queue.dropped_overflow").add(qs.dropped_overflow);
-    reg.counter("queue.dropped_early").add(qs.dropped_early);
-    reg.counter("queue.ecn_marked").add(qs.ecn_marked);
-    std::uint64_t acks = 0;
-    std::uint64_t congestion_events = 0;
-    for (std::size_t i = 0; i < factory.size(); ++i) {
-      const FlowInstance& inst = factory.flow(i);
-      acks += inst.sender->stats().acks_received;
-      congestion_events += inst.sender->stats().congestion_events;
-    }
-    reg.counter("tcp.acks_received").add(acks);
-    reg.counter("tcp.congestion_events").add(congestion_events);
-    reg.counter("tcp.retx_segments").add(res.retx_segments);
-    reg.counter("tcp.rtos").add(res.rtos);
-    reg.counter("sim.events").add(res.events_executed);
-    reg.counter("runs.completed").add(1);
-    if (res.wall_seconds > 0) {
-      reg.gauge("sim.sim_s_per_wall_s").set(duration.sec() / res.wall_seconds);
-    }
-    // Memory telemetry: peak scoreboard footprint across all flows (peaks
-    // survive the post-completion release), the flow-state arenas, and the
-    // process peak RSS the kernel observed. Gauges, not counters: each run
-    // reports its own footprint.
-    reg.gauge("mem.scoreboard_peak_bytes")
-        .set(static_cast<double>(factory.scoreboard_peak_bytes()));
-    reg.gauge("mem.flow_arena_bytes").set(static_cast<double>(factory.arena_bytes()));
-    if (const std::uint64_t rss = detail::peak_rss_bytes(); rss > 0) {
-      reg.gauge("mem.peak_rss_bytes").set(static_cast<double>(rss));
-    }
-  }
-
-  if (!cfg.workload.is_paper_default()) {
-    // Per-class aggregation: byte shares over the whole run, Jain across the
-    // class's flow goodputs, FCT/slowdown percentiles over completed finite
-    // flows.
-    double total_bytes = 0;
-    std::vector<double> class_bytes(cfg.workload.classes.size(), 0.0);
-    for (std::size_t i = 0; i < factory.size(); ++i) {
-      const FlowInstance& inst = factory.flow(i);
-      const auto delivered = static_cast<double>(inst.receiver->delivered_bytes());
-      total_bytes += delivered;
-      if (inst.cls >= 0) class_bytes[static_cast<std::size_t>(inst.cls)] += delivered;
-    }
-    // Utilization over per-flow window rates (the legacy definition above)
-    // overcounts when short flows burst and leave; for mixed traffic φ is
-    // total delivered bytes over the link's capacity for the whole run.
-    if (duration > sim::Time::zero() && cfg.bottleneck_bps > 0) {
-      res.utilization = total_bytes * 8.0 / (duration.sec() * cfg.bottleneck_bps);
-    }
-    for (std::size_t ci = 0; ci < cfg.workload.classes.size(); ++ci) {
-      const workload::TrafficClass& tc = cfg.workload.classes[ci];
-      ClassResult cr;
-      cr.name = tc.name;
-      std::vector<double> goodputs;
-      std::vector<double> fcts;
-      std::vector<double> slowdowns;
-      for (std::size_t i = 0; i < factory.size(); ++i) {
-        const FlowInstance& inst = factory.flow(i);
-        if (inst.cls != static_cast<int>(ci)) continue;
-        const FlowResult& fr = res.flows[i];
-        ++cr.flows;
-        goodputs.push_back(fr.throughput_bps);
-        if (fr.completed) {
-          ++cr.completed;
-          fcts.push_back(fr.fct_s);
-          // fct_slowdown reports degenerate inputs (zero-byte transfers,
-          // unset bottleneck) as NaN; a NaN in the percentile input would
-          // poison the sort, so drop those samples here.
-          const double sd = metrics::fct_slowdown(fr.fct_s,
-                                                  static_cast<double>(fr.transfer_bytes),
-                                                  cfg.bottleneck_bps, cfg.rtt.sec());
-          if (std::isfinite(sd)) slowdowns.push_back(sd);
-        }
-      }
-      cr.throughput_bps =
-          duration > sim::Time::zero() ? class_bytes[ci] * 8.0 / duration.sec() : 0.0;
-      cr.share = total_bytes > 0 ? class_bytes[ci] / total_bytes : 0.0;
-      cr.jain = metrics::jain_index(goodputs);
-      const metrics::FctSummary fs = metrics::fct_summary(fcts);
-      cr.fct_mean_s = fs.mean_s;
-      cr.fct_p50_s = fs.p50_s;
-      cr.fct_p95_s = fs.p95_s;
-      cr.fct_p99_s = fs.p99_s;
-      cr.slowdown_p50 = metrics::percentile(slowdowns, 0.50);
-      cr.slowdown_p95 = metrics::percentile(slowdowns, 0.95);
-      cr.slowdown_p99 = metrics::percentile(slowdowns, 0.99);
-      res.classes.push_back(std::move(cr));
-    }
-  }
-
-  if (cfg.check_invariants) {
-    auto fail = [&](const std::string& what) {
-      throw InvariantViolation("run " + cfg.id() + ": " + what);
-    };
-    const aqm::QueueStats& qs = res.bottleneck;
-    const auto backlog_pkts = static_cast<std::uint64_t>(bottleneck.qdisc().packet_length());
-    const auto backlog_bytes = static_cast<std::uint64_t>(bottleneck.qdisc().byte_length());
-    // Packet conservation at the bottleneck: every accepted packet either
-    // left the queue, was dropped after acceptance (CoDel-style dequeue
-    // drops land in dropped_early; FQ-CoDel overflow evicts an already
-    // accepted victim into dropped_overflow), or is still queued.
-    if (qs.enqueued < qs.dequeued + backlog_pkts ||
-        qs.enqueued > qs.dequeued + qs.dropped_early + qs.dropped_overflow + backlog_pkts) {
-      fail("bottleneck packet conservation violated: enqueued=" +
-           std::to_string(qs.enqueued) + " dequeued=" + std::to_string(qs.dequeued) +
-           " early=" + std::to_string(qs.dropped_early) +
-           " overflow=" + std::to_string(qs.dropped_overflow) +
-           " backlog=" + std::to_string(backlog_pkts));
-    }
-    // Byte conservation: bytes handed to the link (the port's tx counter)
-    // plus the backlog never exceed the accepted bytes, and the gap is
-    // bounded by the dropped bytes.
-    const std::uint64_t tx = bottleneck.tx_bytes();
-    if (qs.bytes_enqueued < tx + backlog_bytes ||
-        qs.bytes_enqueued > tx + backlog_bytes + qs.bytes_dropped) {
-      fail("bottleneck byte conservation violated: bytes_enqueued=" +
-           std::to_string(qs.bytes_enqueued) + " tx_bytes=" + std::to_string(tx) +
-           " backlog=" + std::to_string(backlog_bytes) +
-           " dropped=" + std::to_string(qs.bytes_dropped));
-    }
-    for (std::size_t i = 0; i < factory.size(); ++i) {
-      const FlowInstance& inst = factory.flow(i);
-      const double cwnd = inst.sender->cc().cwnd_segments();
-      const double floor = inst.sender->cc().params().min_cwnd_segments;
-      if (!(cwnd >= floor - 1e-9) || !std::isfinite(cwnd)) {
-        fail("flow " + std::to_string(inst.sender->config().flow) + " cwnd " +
-             std::to_string(cwnd) + " below floor " + std::to_string(floor));
-      }
-      // A finite flow that reports completion must have delivered the whole
-      // object to its receiver (byte conservation end to end).
-      if (inst.sender->completed() &&
-          inst.receiver->delivered_bytes() <
-              std::uint64_t{inst.sender->config().transfer_units} *
-                  inst.sender->config().mss * inst.sender->config().agg) {
-        fail("flow " + std::to_string(inst.sender->config().flow) +
-             " completed but delivered only " +
-             std::to_string(inst.receiver->delivered_bytes()) + " bytes");
-      }
-    }
-    for (const FlowResult& fr : res.flows) {
-      if (!(fr.throughput_bps >= 0) || !std::isfinite(fr.throughput_bps)) {
-        fail("flow " + std::to_string(fr.flow) + " throughput " +
-             std::to_string(fr.throughput_bps) + " is negative or non-finite");
-      }
-      if (fr.completed && !(fr.fct_s > 0 && std::isfinite(fr.fct_s))) {
-        fail("flow " + std::to_string(fr.flow) + " completed with bad FCT " +
-             std::to_string(fr.fct_s));
-      }
-    }
-  }
-
-  if (cfg.tracer != nullptr) cfg.tracer->flush();
-  return res;
-}
-
-}  // namespace detail
-
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
-  if (cfg.shards > 1) return detail::run_sharded_experiment(cfg);
-
-  // The single-shard engine lives in exp::Cell so the model checker can hold
-  // a run open for stepping and snapshot/restore; constructing a cell and
-  // running it to completion is the historical behavior bit for bit.
-  Cell cell(cfg);
-  return cell.run_to_completion();
+  // The engine lives in exp::Cell so the model checker can hold a run open
+  // for stepping and snapshot/restore; constructing a cell and running it to
+  // completion is the historical behavior bit for bit.
+  return Cell(cfg).run_to_completion();
 }
 
 AveragedResult average(const ExperimentConfig& cfg, const std::vector<ExperimentResult>& runs) {

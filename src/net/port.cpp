@@ -71,13 +71,6 @@ void Port::set_rate_bps(double bps) {
 
 void Port::deliver_in(sim::Time delay, Packet&& p) {
   const sim::Time at = sched_.now() + delay;
-  if (remote_sink_ != nullptr) {
-    // Cross-shard link: the mailbox owns delivery from here. `delay` is at
-    // least this port's propagation, which bounds the engine's window, so
-    // `at` can never precede the destination lane's next boundary.
-    remote_sink_->accept(at, std::move(p));
-    return;
-  }
   // The delay-line invariant: entries are delivered in push order, so `at`
   // must be monotone. Serialization end times are strictly increasing and
   // propagation is constant, so this holds for every unperturbed packet

@@ -20,17 +20,6 @@ namespace elephant::net {
 
 class Node;
 
-/// Destination for packets whose receiving node lives in another shard
-/// (lane) of a sharded run. A port with a remote sink attached hands over
-/// the absolute delivery instant and the packet instead of scheduling the
-/// delivery locally; the sink (a cross-shard mailbox) is drained into the
-/// destination lane's scheduler at the next window boundary.
-class PacketSink {
- public:
-  virtual ~PacketSink() = default;
-  virtual void accept(sim::Time due, Packet&& p) = 0;
-};
-
 /// An egress port: a queue discipline feeding a serializing link.
 ///
 /// Models one direction of a physical link — a rate (bits/s), a propagation
@@ -47,12 +36,6 @@ class Port {
   void send(Packet&& p);
 
   void connect(Node* peer) { peer_ = peer; }
-
-  /// Route deliveries through a cross-shard mailbox instead of the local
-  /// peer (null restores local delivery). The bounded-lag window must not
-  /// exceed this port's propagation delay, so that every handed-over due
-  /// instant lands at or after the destination lane's window boundary.
-  void set_remote_sink(PacketSink* sink) { remote_sink_ = sink; }
 
   /// Attach a flight recorder to this port and its qdisc (null detaches).
   void set_tracer(trace::Tracer* tracer) {
@@ -140,7 +123,6 @@ class Port {
   sim::Time propagation_;
   std::string name_;
   Node* peer_ = nullptr;
-  PacketSink* remote_sink_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
   const obs::QueueMetrics* metrics_ = nullptr;
   /// Instant the current serialization finishes; the link is idle when

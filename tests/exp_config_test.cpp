@@ -46,6 +46,30 @@ TEST(Config, IdIsStableAndUnique) {
   EXPECT_NE(a.id(), b.id());
 }
 
+// id() is the result-cache key and the manifest's cell name, so its exact
+// text is pinned: a change here orphans every cached result and manifest.
+TEST(Config, IdLiteralForPaperCell) {
+  ExperimentConfig cfg;
+  cfg.cca1 = cca::CcaKind::kBbrV1;
+  cfg.cca2 = cca::CcaKind::kCubic;
+  cfg.aqm = aqm::AqmKind::kFifo;
+  cfg.buffer_bdp = 2;
+  cfg.bottleneck_bps = 25e9;
+  EXPECT_EQ(cfg.id(), "bbr1_vs_cubic-fifo-bdp2-25G-f500-d45-a16-r62-s42");
+}
+
+TEST(Config, IdLiteralForEpisodeCell) {
+  ExperimentConfig cfg;
+  cfg.cca1 = cca::CcaKind::kCubic;
+  cfg.cca2 = cca::CcaKind::kReno;
+  cfg.aqm = aqm::AqmKind::kFqCodel;
+  cfg.buffer_bdp = 0.5;
+  cfg.bottleneck_bps = 100e6;
+  cfg.episodes.enabled = true;
+  cfg.episodes.window_s = 0.5;
+  EXPECT_EQ(cfg.id(), "cubic_vs_reno-fq_codel-bdp0.5-100M-f2-d200-a1-r62-s42-ep0.5,0.6,0.8");
+}
+
 TEST(Config, BwLabels) {
   EXPECT_EQ(bw_label(100e6), "100M");
   EXPECT_EQ(bw_label(500e6), "500M");

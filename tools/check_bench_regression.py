@@ -16,6 +16,11 @@ Benchmarks present on only one side are reported but never fail the gate, so
 adding a benchmark does not require regenerating the baseline in the same
 commit.
 
+Times are printed in each benchmark's own time_unit (ns, us, ms or s). A
+benchmark whose baseline and candidate report different units cannot be
+compared; the script then exits 2 naming it, instead of gating a ratio of
+mismatched numbers.
+
 Usage:
   tools/check_bench_regression.py results/BENCH_micro.json /tmp/BENCH_micro.json
   tools/check_bench_regression.py baseline.json candidate.json --threshold 0.10
@@ -31,7 +36,7 @@ def load(path):
         data = json.load(f)
     out = {}
     for b in data.get("benchmarks", []):
-        out[b["name"]] = float(b["cpu_time"])
+        out[b["name"]] = (float(b["cpu_time"]), b.get("time_unit", "ns"))
     return out
 
 
@@ -50,6 +55,16 @@ def main():
     base = load(args.baseline)
     cand = load(args.candidate)
 
+    mismatched = [(n, base[n][1], cand[n][1]) for n in sorted(base)
+                  if n in cand and base[n][1] != cand[n][1]]
+    if mismatched:
+        for name, bu, cu in mismatched:
+            print(f"error: {name}: baseline reports {bu}, candidate reports {cu}",
+                  file=sys.stderr)
+        print("time units differ; rerun the candidate with the baseline's units",
+              file=sys.stderr)
+        return 2
+
     scale = 1.0
     if args.normalize_by:
         if args.normalize_by not in base or args.normalize_by not in cand:
@@ -60,7 +75,7 @@ def main():
                   f"{'baseline' if args.normalize_by not in base else 'candidate'}"
                   f"; comparing raw times (no host calibration)")
         else:
-            scale = base[args.normalize_by] / cand[args.normalize_by]
+            scale = base[args.normalize_by][0] / cand[args.normalize_by][0]
             print(f"normalizing by {args.normalize_by}: candidate x {scale:.3f}")
 
     failures = []
@@ -68,10 +83,11 @@ def main():
         if name not in cand:
             print(f"  [only-baseline] {name}")
             continue
-        adjusted = cand[name] * scale
-        ratio = adjusted / base[name] if base[name] > 0 else 1.0
+        base_t, unit = base[name]
+        adjusted = cand[name][0] * scale
+        ratio = adjusted / base_t if base_t > 0 else 1.0
         marker = "FAIL" if ratio > 1 + args.threshold else "ok"
-        print(f"  [{marker}] {name}: {base[name]:.1f} -> {adjusted:.1f} ns "
+        print(f"  [{marker}] {name}: {base_t:.1f} -> {adjusted:.1f} {unit} "
               f"({(ratio - 1) * 100:+.1f}%)")
         if ratio > 1 + args.threshold:
             failures.append((name, ratio))

@@ -86,12 +86,12 @@ extern "C" void on_drain_signal(int) {
                "usage: elephant <run|sweep|list> [options]\n"
                "  run   --cca1 bbr1 --cca2 cubic --aqm fifo --bdp 2 --bw 1e9\n"
                "        [--flows N] [--duration S] [--seed S] [--rtt MS]\n"
-               "        [--loss P] [--ecn] [--reps N] [--shards N]\n"
+               "        [--loss P] [--ecn] [--reps N]\n"
                "        [--workload paper|mice-elephants|poisson-web|onoff]\n"
                "        [--workload-cdf FILE]\n"
                "        [--stats-interval S] [--metrics FILE]\n"
                "  sweep --aqm fifo --bw 1e9 [--pairs inter|intra|all] [--reps N]\n"
-               "        [--threads N] [--shards N] [--retries N] [--event-budget N]\n"
+               "        [--threads N] [--retries N] [--event-budget N]\n"
                "        [--wall-budget S] [--manifest PATH] [--resume]\n"
                "        [--worker-id ID] [--lease-s S] [--backoff S]\n"
                "        [--workload PRESET] [--workload-cdf FILE]\n"
@@ -174,13 +174,6 @@ Args parse(int argc, char** argv) {
       a.cfg.bottleneck_bps = std::atof(need(i));
     } else if (!std::strcmp(arg, "--flows")) {
       a.cfg.total_flows = static_cast<std::uint32_t>(std::atoi(need(i)));
-    } else if (!std::strcmp(arg, "--shards")) {
-      const int n = std::atoi(need(i));
-      if (n < 1) {
-        std::fprintf(stderr, "--shards must be >= 1\n");
-        std::exit(2);
-      }
-      a.cfg.shards = static_cast<std::uint32_t>(n);
     } else if (!std::strcmp(arg, "--duration")) {
       a.cfg.duration = sim::Time::seconds(std::atof(need(i)));
     } else if (!std::strcmp(arg, "--seed")) {
