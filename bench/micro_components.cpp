@@ -207,6 +207,31 @@ void BM_FqCodelEnqueueDequeue(benchmark::State& state) {
 }
 BENCHMARK(BM_FqCodelEnqueueDequeue);
 
+// FQ-CoDel at its memory limit, the regime of the paper's shallow-buffer
+// cells: one dequeue per four enqueues, so three enqueues in four overflow
+// and cull the head of the fattest bucket. `range(0)` is the number of
+// active flows sharing the 1024 buckets.
+void BM_FqCodelOverflow(benchmark::State& state) {
+  const auto flows = static_cast<std::uint64_t>(state.range(0));
+  sim::Scheduler sched;
+  aqm::FqCodelConfig cfg;
+  cfg.memory_limit_bytes = 64 * 8900;
+  aqm::FqCodelQueue q(sched, cfg);
+  std::uint64_t i = 0;
+  const auto packet = [&] {
+    net::Packet p = bench_packet(i);
+    p.flow = static_cast<net::FlowId>(i++ % flows);
+    return p;
+  };
+  while (q.stats().dropped_overflow == 0) (void)q.enqueue(packet());
+  for (auto _ : state) {
+    (void)q.enqueue(packet());
+    if (i % 4 == 0) benchmark::DoNotOptimize(q.dequeue());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FqCodelOverflow)->Arg(2)->Arg(200);
+
 void BM_CcaOnAck(benchmark::State& state, cca::CcaKind kind) {
   auto cc = cca::make_cca(kind, cca::CcaParams{});
   cca::AckSample ack;

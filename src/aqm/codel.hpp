@@ -2,10 +2,10 @@
 
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <optional>
 
 #include "aqm/queue_disc.hpp"
+#include "sim/ring_deque.hpp"
 #include "sim/time.hpp"
 
 namespace elephant::aqm {
@@ -152,7 +152,7 @@ class CodelQueue : public QueueDisc {
 
   std::size_t limit_bytes_;
   std::size_t bytes_ = 0;
-  std::deque<net::Packet> queue_;
+  sim::RingDeque<net::Packet> queue_;
   CodelParams params_;
   CodelState state_;
 };

@@ -32,16 +32,13 @@ std::optional<net::Packet> FifoQueue::dequeue() {
 void FifoQueue::save(sim::SnapshotWriter& w) const {
   QueueDisc::save(w);
   w.put_u64(bytes_);
-  w.put_u64(queue_.size());
-  for (std::size_t i = 0; i < queue_.size(); ++i) w.put_pod(queue_[i]);
+  save_packets(w, queue_);
 }
 
 void FifoQueue::load(sim::SnapshotReader& r) {
   QueueDisc::load(r);
   bytes_ = static_cast<std::size_t>(r.get_u64());
-  const std::uint64_t n = r.get_u64();
-  queue_.clear();
-  for (std::uint64_t i = 0; i < n; ++i) queue_.push_back(r.get<net::Packet>());
+  load_packets(r, &queue_);
 }
 
 }  // namespace elephant::aqm

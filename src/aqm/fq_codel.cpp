@@ -1,15 +1,24 @@
 #include "aqm/fq_codel.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
 
 namespace elephant::aqm {
 
 FqCodelQueue::FqCodelQueue(sim::Scheduler& sched, FqCodelConfig cfg)
-    : QueueDisc(sched), cfg_(cfg), queues_(cfg.flows) {
+    : QueueDisc(sched),
+      cfg_(cfg),
+      queues_(cfg.flows),
+      backlogs_(std::bit_ceil(cfg.flows)),
+      tree_(2 * backlogs_.size()),
+      leaves_(static_cast<std::uint32_t>(backlogs_.size())),
+      stale_(cfg.flows) {
   assert(cfg_.flows > 0);
   assert(cfg_.memory_limit_bytes > 0);
+  stale_list_.reserve(cfg_.flows);
+  for (std::uint32_t i = 0; i < leaves_; ++i) tree_[leaves_ + i] = i;
+  rebuild_tree();
 }
 
 std::uint32_t FqCodelQueue::bucket_of(net::FlowId flow) const {
@@ -21,14 +30,61 @@ std::uint32_t FqCodelQueue::bucket_of(net::FlowId flow) const {
   return static_cast<std::uint32_t>(x % cfg_.flows);
 }
 
+void FqCodelQueue::mark_stale(std::uint32_t b) {
+  if (stale_[b] != 0) return;
+  stale_[b] = 1;
+  stale_list_.push_back(b);
+}
+
+std::uint32_t FqCodelQueue::fattest() {
+  for (const std::uint32_t b : stale_list_) {
+    stale_[b] = 0;
+    reseat(b);
+  }
+  stale_list_.clear();
+  return tree_[1];
+}
+
+void FqCodelQueue::reseat(std::uint32_t b) {
+  // Climb from b's leaf, carrying the winner of the subtree below: each
+  // level only reads the sibling's winner.
+  std::uint32_t win = b;
+  std::size_t win_bytes = backlogs_[b];
+  for (std::uint32_t child = leaves_ + b; child > 1; child >>= 1) {
+    const std::uint32_t other = tree_[child ^ 1];
+    const std::size_t other_bytes = backlogs_[other];
+    // Ties go to the lower index, which lives in the left (even) child.
+    if (other_bytes > win_bytes || (other_bytes == win_bytes && (child & 1) != 0)) {
+      win = other;
+      win_bytes = other_bytes;
+    }
+    std::uint32_t& node = tree_[child >> 1];
+    // An unchanged winner other than b adds nothing new above this node. If
+    // that winner is itself a stale leaf still waiting in fattest(), its own
+    // climb passes through here and repairs the ancestors.
+    if (node == win && win != b) return;
+    node = win;
+  }
+}
+
+void FqCodelQueue::rebuild_tree() {
+  for (const std::uint32_t b : stale_list_) stale_[b] = 0;
+  stale_list_.clear();
+  for (std::uint32_t k = leaves_ - 1; k != 0; --k) {
+    const std::uint32_t left = tree_[2 * k];
+    const std::uint32_t right = tree_[2 * k + 1];
+    tree_[k] = backlogs_[right] > backlogs_[left] ? right : left;
+  }
+}
+
 void FqCodelQueue::drop_from_fattest() {
-  auto fattest = std::max_element(
-      queues_.begin(), queues_.end(),
-      [](const SubQueue& a, const SubQueue& b) { return a.bytes < b.bytes; });
-  if (fattest == queues_.end() || fattest->pkts.empty()) return;
-  net::Packet victim = std::move(fattest->pkts.front());
-  fattest->pkts.pop_front();
-  fattest->bytes -= victim.size;
+  const std::uint32_t b = fattest();
+  SubQueue& sq = queues_[b];
+  if (sq.pkts.empty()) return;
+  net::Packet victim = std::move(sq.pkts.front());
+  sq.pkts.pop_front();
+  backlogs_[b] -= victim.size;
+  mark_stale(b);
   total_bytes_ -= victim.size;
   --total_packets_;
   ++stats_.dropped_overflow;
@@ -43,7 +99,8 @@ bool FqCodelQueue::enqueue(net::Packet&& p) {
   p.enqueue_time = now();
   const std::uint32_t size = p.size;
   sq.pkts.push_back(std::move(p));
-  sq.bytes += size;
+  backlogs_[b] += size;
+  mark_stale(b);
   total_bytes_ += size;
   ++total_packets_;
   ++stats_.enqueued;
@@ -72,7 +129,7 @@ std::optional<net::Packet> FqCodelQueue::dequeue() {
 template <bool kTraced>
 std::optional<net::Packet> FqCodelQueue::dequeue_impl() {
   while (true) {
-    std::deque<std::uint32_t>* list = nullptr;
+    FlowList* list = nullptr;
     if (!new_flows_.empty()) {
       list = &new_flows_;
     } else if (!old_flows_.empty()) {
@@ -92,7 +149,7 @@ std::optional<net::Packet> FqCodelQueue::dequeue_impl() {
       continue;
     }
 
-    Access access{*this, sq};
+    Access access{*this, b};
     auto pkt = codel_dequeue<kTraced>(access, sq.codel, cfg_.codel, now(), stats_, this);
     if (!pkt) {
       list->pop_front();
@@ -112,9 +169,11 @@ std::optional<net::Packet> FqCodelQueue::dequeue_impl() {
 }
 
 net::Packet FqCodelQueue::Access::pop_front_packet() {
+  SubQueue& sq = fq.queues_[bucket];
   net::Packet p = std::move(sq.pkts.front());
   sq.pkts.pop_front();
-  sq.bytes -= p.size;
+  fq.backlogs_[bucket] -= p.size;
+  fq.mark_stale(bucket);
   fq.total_bytes_ -= p.size;
   --fq.total_packets_;
   return p;

@@ -1,11 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "aqm/codel.hpp"
 #include "aqm/queue_disc.hpp"
+#include "sim/ring_deque.hpp"
 
 namespace elephant::aqm {
 
@@ -25,6 +25,14 @@ struct FqCodelConfig {
 /// flow list, and each sub-queue runs its own CoDel controller. When the
 /// total backlog exceeds the memory limit, packets are culled from the head
 /// of the fattest sub-queue, exactly as the Linux implementation does.
+///
+/// The fattest sub-queue is read off a tournament (winner) tree over the
+/// per-bucket backlogs instead of a scan of every bucket: each internal node
+/// holds the fatter of its two children, ties going to the lower bucket
+/// index — the first-max rule of a linear scan — so the victim is the same
+/// bucket a scan would pick. A backlog change only marks its bucket stale;
+/// the next overflow re-seats each stale leaf in O(log flows) before reading
+/// the root, so a queue below its limit never climbs the tree.
 class FqCodelQueue : public QueueDisc {
  public:
   FqCodelQueue(sim::Scheduler& sched, FqCodelConfig cfg);
@@ -38,21 +46,22 @@ class FqCodelQueue : public QueueDisc {
 
   [[nodiscard]] std::uint32_t active_flows() const;
   [[nodiscard]] const FqCodelConfig& config() const { return cfg_; }
+  /// The hash bucket packets of `flow` queue in.
+  [[nodiscard]] std::uint32_t bucket_of(net::FlowId flow) const;
 
   void save(sim::SnapshotWriter& w) const override {
     QueueDisc::save(w);
     w.put_u64(queues_.size());
-    for (const SubQueue& sq : queues_) {
+    for (std::size_t i = 0; i < queues_.size(); ++i) {
+      const SubQueue& sq = queues_[i];
       save_packets(w, sq.pkts);
-      w.put_u64(sq.bytes);
+      w.put_u64(backlogs_[i]);
       w.put_i64(sq.deficit);
       w.put_pod(sq.codel);
       w.put_u8(static_cast<std::uint8_t>(sq.in_list));
     }
-    w.put_u64(new_flows_.size());
-    for (const std::uint32_t f : new_flows_) w.put_u32(f);
-    w.put_u64(old_flows_.size());
-    for (const std::uint32_t f : old_flows_) w.put_u32(f);
+    save_flow_list(w, new_flows_);
+    save_flow_list(w, old_flows_);
     w.put_u64(total_bytes_);
     w.put_u64(total_packets_);
   }
@@ -63,27 +72,27 @@ class FqCodelQueue : public QueueDisc {
     for (std::uint64_t i = 0; i < nq && i < queues_.size(); ++i) {
       SubQueue& sq = queues_[static_cast<std::size_t>(i)];
       load_packets(r, &sq.pkts);
-      sq.bytes = static_cast<std::size_t>(r.get_u64());
+      backlogs_[static_cast<std::size_t>(i)] = static_cast<std::size_t>(r.get_u64());
       sq.deficit = r.get_i64();
       r.get_pod(&sq.codel);
       sq.in_list = static_cast<ListState>(r.get_u8());
     }
-    const std::uint64_t nn = r.get_u64();
-    new_flows_.clear();
-    for (std::uint64_t i = 0; i < nn; ++i) new_flows_.push_back(r.get_u32());
-    const std::uint64_t no = r.get_u64();
-    old_flows_.clear();
-    for (std::uint64_t i = 0; i < no; ++i) old_flows_.push_back(r.get_u32());
+    load_flow_list(r, &new_flows_);
+    load_flow_list(r, &old_flows_);
     total_bytes_ = static_cast<std::size_t>(r.get_u64());
     total_packets_ = static_cast<std::size_t>(r.get_u64());
+    rebuild_tree();
   }
 
  private:
   enum class ListState : std::uint8_t { kNone, kNew, kOld };
 
+  using FlowList = sim::RingDeque<std::uint32_t>;
+
+  /// One hash bucket. Its byte backlog lives in `backlogs_`, not here, so
+  /// tree updates touch one dense array instead of the bucket stride.
   struct SubQueue {
-    std::deque<net::Packet> pkts;
-    std::size_t bytes = 0;
+    sim::RingDeque<net::Packet> pkts;
     std::int64_t deficit = 0;
     CodelState codel{};
     ListState in_list = ListState::kNone;
@@ -92,13 +101,32 @@ class FqCodelQueue : public QueueDisc {
   /// codel_dequeue adaptor over one sub-queue; keeps aggregate counters honest.
   struct Access {
     FqCodelQueue& fq;
-    SubQueue& sq;
-    [[nodiscard]] bool empty() const { return sq.pkts.empty(); }
-    [[nodiscard]] std::size_t byte_length() const { return sq.bytes; }
+    std::uint32_t bucket;
+    [[nodiscard]] bool empty() const { return fq.queues_[bucket].pkts.empty(); }
+    [[nodiscard]] std::size_t byte_length() const { return fq.backlogs_[bucket]; }
     net::Packet pop_front_packet();
   };
 
-  [[nodiscard]] std::uint32_t bucket_of(net::FlowId flow) const;
+  static void save_flow_list(sim::SnapshotWriter& w, const FlowList& list) {
+    w.put_u64(list.size());
+    for (std::size_t i = 0; i < list.size(); ++i) w.put_u32(list[i]);
+  }
+  static void load_flow_list(sim::SnapshotReader& r, FlowList* list) {
+    const std::uint64_t n = r.get_u64();
+    list->clear();
+    for (std::uint64_t i = 0; i < n; ++i) list->push_back(r.get_u32());
+  }
+
+  /// `backlogs_[b]` changed: queue b's leaf for re-seating.
+  void mark_stale(std::uint32_t b);
+  /// Re-seat every stale leaf, then return the fattest bucket.
+  [[nodiscard]] std::uint32_t fattest();
+  /// Restore the tournament invariant on the path from bucket `b`'s leaf to
+  /// the root after `backlogs_[b]` changed.
+  void reseat(std::uint32_t b);
+  /// Recompute every internal node bottom-up and drop the stale marks
+  /// (after load()).
+  void rebuild_tree();
   void drop_from_fattest();
   /// DRR loop; instantiated with and without flight-recorder hooks so the
   /// untraced dequeue path carries no tracing code (see dequeue()).
@@ -107,8 +135,18 @@ class FqCodelQueue : public QueueDisc {
 
   FqCodelConfig cfg_;
   std::vector<SubQueue> queues_;
-  std::deque<std::uint32_t> new_flows_;
-  std::deque<std::uint32_t> old_flows_;
+  /// Byte backlog per bucket, padded with zeros up to `leaves_` entries.
+  std::vector<std::size_t> backlogs_;
+  /// Tournament tree: node k (1 <= k < leaves_) holds the fatter bucket of
+  /// its children 2k and 2k+1; leaf leaves_ + i holds bucket i. Once the
+  /// stale leaves are re-seated, tree_[1] is the fattest bucket (lowest index
+  /// among equals).
+  std::vector<std::uint32_t> tree_;
+  std::uint32_t leaves_ = 1;               ///< next power of two >= cfg_.flows
+  std::vector<std::uint8_t> stale_;        ///< 1 = bucket waits in stale_list_
+  std::vector<std::uint32_t> stale_list_;  ///< buckets changed since fattest()
+  FlowList new_flows_;
+  FlowList old_flows_;
   std::size_t total_bytes_ = 0;
   std::size_t total_packets_ = 0;
 };

@@ -1,9 +1,8 @@
 #pragma once
 
-#include <deque>
-
 #include "aqm/queue_disc.hpp"
 #include "sim/random.hpp"
+#include "sim/ring_deque.hpp"
 
 namespace elephant::aqm {
 
@@ -78,7 +77,7 @@ class PieQueue : public QueueDisc {
 
   PieConfig cfg_;
   sim::Rng rng_;
-  std::deque<net::Packet> queue_;
+  sim::RingDeque<net::Packet> queue_;
   std::size_t bytes_ = 0;
 
   double prob_ = 0.0;

@@ -1,12 +1,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
 
 #include "net/packet.hpp"
+#include "sim/ring_deque.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/snapshot.hpp"
 #include "trace/trace.hpp"
@@ -80,12 +80,13 @@ class QueueDisc {
  protected:
   [[nodiscard]] sim::Time now() const { return sched_->now(); }
 
-  /// Packet-deque (de)serialization shared by the deque-backed disciplines.
-  static void save_packets(sim::SnapshotWriter& w, const std::deque<net::Packet>& q) {
+  /// Packet-queue (de)serialization shared by every discipline: a u64
+  /// count, then the packet PODs front to back.
+  static void save_packets(sim::SnapshotWriter& w, const sim::RingDeque<net::Packet>& q) {
     w.put_u64(q.size());
-    for (const net::Packet& p : q) w.put_pod(p);
+    for (std::size_t i = 0; i < q.size(); ++i) w.put_pod(q[i]);
   }
-  static void load_packets(sim::SnapshotReader& r, std::deque<net::Packet>* q) {
+  static void load_packets(sim::SnapshotReader& r, sim::RingDeque<net::Packet>* q) {
     const std::uint64_t n = r.get_u64();
     q->clear();
     for (std::uint64_t i = 0; i < n; ++i) q->push_back(r.get<net::Packet>());

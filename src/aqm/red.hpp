@@ -1,9 +1,8 @@
 #pragma once
 
-#include <deque>
-
 #include "aqm/queue_disc.hpp"
 #include "sim/random.hpp"
+#include "sim/ring_deque.hpp"
 
 namespace elephant::aqm {
 
@@ -89,7 +88,7 @@ class RedQueue : public QueueDisc {
 
   RedConfig cfg_;
   sim::Rng rng_;
-  std::deque<net::Packet> queue_;
+  sim::RingDeque<net::Packet> queue_;
   std::size_t bytes_ = 0;
   double avg_ = 0.0;        ///< EWMA of queue length in bytes
   std::int64_t count_ = 0;  ///< packets since last early drop (-1 = fresh)

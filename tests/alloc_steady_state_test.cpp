@@ -8,11 +8,14 @@
 // binary with counting malloc/free wrappers; every other test runs on it
 // too, which is harmless.
 //
-// The measured scenario is a single BBRv1 flow into a deep FIFO buffer:
-// bounded cwnd, no loss, no reordering — so the known allocating paths that
-// are deliberately out of scope (the receiver's out-of-order interval map,
-// fault-injection captures) stay cold. Loss-path allocations are bounded by
-// episode count, not packet count, and are documented in DESIGN.md.
+// The measured scenario is a single BBRv1 flow into a deep bottleneck buffer
+// under each of the paper's three AQMs (FIFO, RED, FQ-CoDel): bounded cwnd,
+// no loss, no reordering — so the known allocating paths that are
+// deliberately out of scope (the receiver's out-of-order interval map,
+// fault-injection captures) stay cold. RED and FQ-CoDel run with ECN so
+// their early signals are CE marks, not drops. Loss-path allocations are
+// bounded by episode count, not packet count, and are documented in
+// DESIGN.md.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +24,7 @@
 #include <memory>
 #include <new>
 
+#include "aqm/factory.hpp"
 #include "cca/congestion_control.hpp"
 #include "net/topology.hpp"
 #include "obs/metrics.hpp"
@@ -66,12 +70,15 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::f
 namespace elephant {
 namespace {
 
-TEST(AllocSteadyState, NoAllocationsAfterWarmup) {
+class AllocSteadyState : public ::testing::TestWithParam<aqm::AqmKind> {};
+
+TEST_P(AllocSteadyState, NoAllocationsAfterWarmup) {
   sim::Scheduler sched;
 
   net::DumbbellConfig topo;
   topo.bottleneck_bps = 100e6;
-  topo.aqm = aqm::AqmKind::kFifo;
+  topo.aqm = GetParam();
+  topo.aqm_options.ecn = GetParam() != aqm::AqmKind::kFifo;
   topo.bottleneck_buffer_bytes = std::size_t{16} << 20;  // deep: no loss
   net::Dumbbell net(sched, topo);
 
@@ -83,6 +90,7 @@ TEST(AllocSteadyState, NoAllocationsAfterWarmup) {
   sc.src = net.client(0).id();
   sc.dst = net.server(0).id();
   sc.mss = 8900;
+  sc.ecn = topo.aqm_options.ecn;
 
   tcp::TcpReceiver receiver(sched, net.server(0), net.client(0).id(), 1);
   tcp::TcpSender sender(sched, net.client(0), sc,
@@ -105,6 +113,11 @@ TEST(AllocSteadyState, NoAllocationsAfterWarmup) {
   EXPECT_EQ(sender.stats().rtos, 0u) << "scenario invalid: RTO fired";
   EXPECT_EQ(sender.stats().retx_units, 0u) << "scenario invalid: loss occurred";
 }
+
+INSTANTIATE_TEST_SUITE_P(PaperAqms, AllocSteadyState,
+                         ::testing::Values(aqm::AqmKind::kFifo, aqm::AqmKind::kRed,
+                                           aqm::AqmKind::kFqCodel),
+                         [](const auto& info) { return aqm::to_string(info.param); });
 
 // The telemetry layer's steady-state contract: registration may allocate
 // (find-or-create inserts a map node), but every subsequent counter bump,

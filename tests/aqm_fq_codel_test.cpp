@@ -2,9 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
+#include <optional>
+#include <utility>
+#include <vector>
 
+#include "sim/random.hpp"
+#include "sim/snapshot.hpp"
 #include "test_util.hpp"
+#include "trace/sinks.hpp"
+#include "trace/trace.hpp"
 
 namespace elephant::aqm {
 namespace {
@@ -155,6 +163,161 @@ TEST(FqCodel, DistinctFlowsHashToDistinctBucketsUsually) {
   for (std::uint32_t f = 1; f <= 64; ++f) (void)q.enqueue(make_packet(f, 0));
   EXPECT_GE(q.active_flows(), 60u);
 }
+
+// ---- Lockstep overflow victims ---------------------------------------------
+//
+// The reference for the overflow victim is a first-max linear scan over a
+// shadow of every bucket's packets and backlog: the fattest bucket, the lowest
+// index among equals. The scheduler clock never advances, so CoDel never
+// drops and every drop is an overflow cull.
+
+using Victim = std::pair<net::FlowId, std::uint64_t>;  // (flow, seq)
+
+struct ShadowFq {
+  ShadowFq(std::uint32_t flows, std::size_t limit)
+      : pkts(flows), bytes(flows), limit(limit) {}
+
+  std::vector<Victim> enqueue(std::uint32_t b, const net::Packet& p) {
+    pkts[b].push_back(p);
+    bytes[b] += p.size;
+    total += p.size;
+    std::vector<Victim> victims;
+    while (total > limit) {
+      std::size_t fat = 0;
+      for (std::size_t i = 1; i < bytes.size(); ++i) {
+        if (bytes[i] > bytes[fat]) fat = i;
+      }
+      const net::Packet v = pkts[fat].front();
+      pkts[fat].pop_front();
+      bytes[fat] -= v.size;
+      total -= v.size;
+      victims.emplace_back(v.flow, v.seq);
+    }
+    return victims;
+  }
+
+  /// The real queue handed `p` to the link: it must be its bucket's head.
+  void dequeued(std::uint32_t b, const net::Packet& p) {
+    ASSERT_FALSE(pkts[b].empty()) << "dequeued a packet the shadow dropped";
+    EXPECT_EQ(pkts[b].front().flow, p.flow);
+    EXPECT_EQ(pkts[b].front().seq, p.seq);
+    bytes[b] -= pkts[b].front().size;
+    total -= pkts[b].front().size;
+    pkts[b].pop_front();
+  }
+
+  std::vector<std::deque<net::Packet>> pkts;
+  std::vector<std::size_t> bytes;
+  std::size_t total = 0;
+  std::size_t limit;
+};
+
+/// An FQ-CoDel queue whose overflow drops are recorded.
+struct TracedFq {
+  TracedFq(sim::Scheduler& sched, const FqCodelConfig& cfg) : q(sched, cfg) {
+    tracer.enable_only({trace::RecordType::kAqmDrop});
+    q.set_tracer(&tracer);
+  }
+
+  std::vector<Victim> take_victims() {
+    tracer.flush();
+    std::vector<Victim> out;
+    for (const trace::TraceRecord& r : sink.records()) out.emplace_back(r.flow, r.seq);
+    sink.clear();
+    return out;
+  }
+
+  FqCodelQueue q;
+  trace::MemorySink sink;
+  trace::Tracer tracer{sink};
+};
+
+FqCodelConfig lockstep_cfg(std::uint32_t flows) {
+  FqCodelConfig cfg;
+  cfg.flows = flows;
+  cfg.memory_limit_bytes = 8 * 1000;
+  return cfg;
+}
+
+/// Random traffic over 40 flows, mostly 1000-byte packets so backlogs tie
+/// often; seven enqueues in ten, so most enqueues overflow. Every queue in
+/// `queues` gets the same operations and must match `shadow` on each one.
+void drive(std::vector<TracedFq*> queues, ShadowFq& shadow, sim::Rng& rng, int steps,
+           std::uint64_t& seq) {
+  for (int step = 0; step < steps; ++step) {
+    if (rng.next_below(10) < 7) {
+      const auto flow = static_cast<net::FlowId>(rng.next_below(40));
+      const std::uint32_t size = rng.next_below(4) == 0 ? 1500 : 1000;
+      const net::Packet p = test::make_packet(flow, seq++, size);
+      const std::vector<Victim> want = shadow.enqueue(queues.front()->q.bucket_of(flow), p);
+      for (TracedFq* t : queues) {
+        net::Packet copy = p;
+        EXPECT_TRUE(t->q.enqueue(std::move(copy)));
+        ASSERT_EQ(t->take_victims(), want) << "step " << step;
+      }
+    } else {
+      const bool backlogged = shadow.total > 0;
+      std::optional<net::Packet> first;
+      for (TracedFq* t : queues) {
+        const std::optional<net::Packet> out = t->q.dequeue();
+        ASSERT_EQ(out.has_value(), backlogged) << "step " << step;
+        if (!out) continue;
+        if (!first) {
+          first = out;
+          shadow.dequeued(t->q.bucket_of(out->flow), *out);
+        }
+        EXPECT_EQ(out->flow, first->flow) << "step " << step;
+        EXPECT_EQ(out->seq, first->seq) << "step " << step;
+      }
+    }
+    for (TracedFq* t : queues) {
+      ASSERT_EQ(t->q.byte_length(), shadow.total) << "step " << step;
+    }
+  }
+}
+
+class FqCodelLockstep : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(FqCodelLockstep, OverflowVictimsMatchFirstMaxScan) {
+  sim::Scheduler sched;
+  const FqCodelConfig cfg = lockstep_cfg(GetParam());
+  TracedFq fq(sched, cfg);
+  ShadowFq shadow(cfg.flows, cfg.memory_limit_bytes);
+  sim::Rng rng(GetParam());
+  std::uint64_t seq = 0;
+  drive({&fq}, shadow, rng, 20000, seq);
+  EXPECT_GT(fq.q.stats().dropped_overflow, 5000u) << "scenario invalid: too few overflows";
+}
+
+// A queue restored mid-overflow must pick the same victims as the original:
+// load() has to rebuild the victim search, not just the buckets.
+TEST_P(FqCodelLockstep, RestoredQueuePicksSameVictims) {
+  sim::Scheduler sched;
+  const FqCodelConfig cfg = lockstep_cfg(GetParam());
+  TracedFq live(sched, cfg);
+  ShadowFq shadow(cfg.flows, cfg.memory_limit_bytes);
+  sim::Rng rng(GetParam() + 1);
+  std::uint64_t seq = 0;
+  drive({&live}, shadow, rng, 5000, seq);
+  // Step on until the latest operation was an overflowing enqueue.
+  for (std::uint64_t drops = live.q.stats().dropped_overflow;;) {
+    drive({&live}, shadow, rng, 1, seq);
+    if (live.q.stats().dropped_overflow > drops) break;
+    drops = live.q.stats().dropped_overflow;
+  }
+
+  sim::SnapshotWriter w;
+  live.q.save(w);
+  TracedFq restored(sched, cfg);
+  sim::SnapshotReader r(w.bytes());
+  restored.q.load(r);
+  ASSERT_EQ(restored.q.byte_length(), live.q.byte_length());
+
+  drive({&live, &restored}, shadow, rng, 5000, seq);
+  EXPECT_EQ(restored.q.stats().dropped_overflow, live.q.stats().dropped_overflow);
+}
+
+INSTANTIATE_TEST_SUITE_P(BucketCounts, FqCodelLockstep, ::testing::Values(1u, 3u, 1000u, 1024u));
 
 }  // namespace
 }  // namespace elephant::aqm

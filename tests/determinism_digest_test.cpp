@@ -129,6 +129,61 @@ TEST(DeterminismDigest, FaultCellMatchesGolden) {
   check("kGoldenFaultCell", run_cell(fault_cell()), kGoldenFaultCell);
 }
 
+// Final-metrics goldens for the other two paper AQMs, which the FIFO cells
+// above never reach. They were captured before FQ-CoDel's overflow victim
+// search became a tournament tree and before the RED and FQ-CoDel packet
+// queues moved onto sim::RingDeque; both changes must leave them untouched.
+//   fq_codel 0.5 BDP at 100M: nearly every enqueue overflows, so the
+//                             fattest-bucket victim choice is on every path.
+//   fq_codel 1 BDP at 10G:    200 flows spread over many buckets.
+//   red 2 BDP at 1G:          early drops from the seeded RED RNG.
+exp::ExperimentConfig aqm_cell(cca::CcaKind cca1, cca::CcaKind cca2, aqm::AqmKind aqm,
+                               double buffer_bdp, double bottleneck_bps) {
+  exp::ExperimentConfig cfg;
+  cfg.cca1 = cca1;
+  cfg.cca2 = cca2;
+  cfg.aqm = aqm;
+  cfg.buffer_bdp = buffer_bdp;
+  cfg.bottleneck_bps = bottleneck_bps;
+  cfg.duration = sim::Time::seconds(5);
+  cfg.seed = 20240817;
+  return cfg;
+}
+
+void check_metrics(const char* name, const exp::ExperimentConfig& cfg, std::uint64_t want) {
+  const std::uint64_t got = exp::metrics_digest(exp::run_experiment(cfg));
+  if (std::getenv("ELEPHANT_PRINT_DIGESTS") != nullptr) {
+    std::printf("golden %s = 0x%016llxull;\n", name, static_cast<unsigned long long>(got));
+    GTEST_SKIP() << "digest-print mode";
+  }
+  EXPECT_EQ(got, want) << name << ": final metrics drifted";
+}
+
+constexpr std::uint64_t kGoldenFqCodelOverflowCell = 0xa5b6f1e59631a797ull;
+constexpr std::uint64_t kGoldenFqCodelManyFlowCell = 0xfeacfc43cc50a75full;
+constexpr std::uint64_t kGoldenRedCell = 0x61b9e34e1686f505ull;
+
+TEST(DeterminismDigest, FqCodelOverflowCellMatchesGolden) {
+  check_metrics("kGoldenFqCodelOverflowCell",
+                aqm_cell(cca::CcaKind::kBbrV1, cca::CcaKind::kCubic, aqm::AqmKind::kFqCodel,
+                         0.5, 100e6),
+                kGoldenFqCodelOverflowCell);
+}
+
+TEST(DeterminismDigest, FqCodelManyFlowCellMatchesGolden) {
+  check_metrics("kGoldenFqCodelManyFlowCell",
+                aqm_cell(cca::CcaKind::kCubic, cca::CcaKind::kCubic, aqm::AqmKind::kFqCodel,
+                         1.0, 10e9),
+                kGoldenFqCodelManyFlowCell);
+}
+
+TEST(DeterminismDigest, RedCellMatchesGolden) {
+  check_metrics("kGoldenRedCell",
+                aqm_cell(cca::CcaKind::kBbrV2, cca::CcaKind::kCubic, aqm::AqmKind::kRed, 2.0,
+                         1e9),
+                kGoldenRedCell);
+}
+
 // Telemetry is pure observation: attaching a metrics registry to the paper
 // cell must leave the flight-recorder trace and final metrics bit-identical
 // to the uninstrumented golden run. Any drift means an instrumentation hook
