@@ -11,151 +11,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <optional>
+
+#include "obs/json.hpp"
 
 namespace elephant::exp {
 
+using obs::json::Value;
+
 namespace {
-
-/// JSON string escape for the id/error fields (quotes, backslashes, control
-/// characters); everything else passes through.
-void append_escaped(const std::string& s, std::string* out) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-/// Locate `"key":` and return a pointer to the value text; nullptr if absent.
-const char* find_value(const std::string& line, const char* key) {
-  char pat[48];
-  std::snprintf(pat, sizeof(pat), "\"%s\":", key);
-  const std::size_t pos = line.find(pat);
-  if (pos == std::string::npos) return nullptr;
-  return line.c_str() + pos + std::strlen(pat);
-}
-
-bool get_number(const std::string& line, const char* key, double* out) {
-  const char* v = find_value(line, key);
-  if (v == nullptr) return false;
-  char* end = nullptr;
-  const double d = std::strtod(v, &end);
-  if (end == v || !std::isfinite(d)) return false;
-  *out = d;
-  return true;
-}
-
-/// Parse exactly four hex digits at `p` into `*out`. Returns false on any
-/// non-hex character (including an early NUL from a torn line).
-bool parse_hex4(const char* p, std::uint32_t* out) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    const char c = p[i];
-    std::uint32_t d;
-    if (c >= '0' && c <= '9') {
-      d = static_cast<std::uint32_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      d = static_cast<std::uint32_t>(c - 'a') + 10;
-    } else if (c >= 'A' && c <= 'F') {
-      d = static_cast<std::uint32_t>(c - 'A') + 10;
-    } else {
-      return false;
-    }
-    v = (v << 4) | d;
-  }
-  *out = v;
-  return true;
-}
-
-/// UTF-8 encode one code point (caller guarantees a valid scalar value).
-void append_utf8(std::uint32_t cp, std::string* out) {
-  if (cp < 0x80) {
-    *out += static_cast<char>(cp);
-  } else if (cp < 0x800) {
-    *out += static_cast<char>(0xC0 | (cp >> 6));
-    *out += static_cast<char>(0x80 | (cp & 0x3F));
-  } else if (cp < 0x10000) {
-    *out += static_cast<char>(0xE0 | (cp >> 12));
-    *out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-    *out += static_cast<char>(0x80 | (cp & 0x3F));
-  } else {
-    *out += static_cast<char>(0xF0 | (cp >> 18));
-    *out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-    *out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-    *out += static_cast<char>(0x80 | (cp & 0x3F));
-  }
-}
-
-bool get_string(const std::string& line, const char* key, std::string* out) {
-  const char* v = find_value(line, key);
-  if (v == nullptr || *v != '"') return false;
-  ++v;
-  out->clear();
-  for (; *v != '\0'; ++v) {
-    if (*v == '"') return true;
-    if (*v == '\\' && v[1] != '\0') {
-      ++v;
-      switch (*v) {
-        case 'n':
-          *out += '\n';
-          break;
-        case 'r':
-          *out += '\r';
-          break;
-        case 't':
-          *out += '\t';
-          break;
-        case 'u': {
-          // \uXXXX escapes decode to UTF-8 so ids round-trip through
-          // --resume byte-identically. A lone or malformed surrogate half
-          // has no UTF-8 spelling; fail the line rather than corrupt the id.
-          std::uint32_t cp;
-          if (!parse_hex4(v + 1, &cp)) return false;
-          v += 4;
-          if (cp >= 0xDC00 && cp <= 0xDFFF) return false;  // stray low half
-          if (cp >= 0xD800 && cp <= 0xDBFF) {
-            std::uint32_t lo;
-            if (v[1] != '\\' || v[2] != 'u' || !parse_hex4(v + 3, &lo) ||
-                lo < 0xDC00 || lo > 0xDFFF) {
-              return false;  // high half without a matching low half
-            }
-            v += 6;
-            cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-          }
-          append_utf8(cp, out);
-          break;
-        }
-        default:
-          *out += *v;  // \" \\ \/
-      }
-      continue;
-    }
-    *out += *v;
-  }
-  return false;  // unterminated: torn line
-}
 
 /// printf onto the end of `*line`, growing the buffer to whatever the format
 /// needs. A truncated manifest line is unparseable on --resume, so truncation
@@ -288,7 +152,7 @@ std::string SweepManifest::format_line(const ManifestEntry& e) {
   std::string line = "{\"i\":";
   line += std::to_string(e.index);
   line += ",\"id\":\"";
-  append_escaped(e.id, &line);
+  obs::append_json_escaped(e.id, &line);
   line += "\",\"status\":\"";
   line += to_string(e.status);
   appendf(&line,
@@ -300,7 +164,7 @@ std::string SweepManifest::format_line(const ManifestEntry& e) {
     // Lease fields ride only on claim lines so every completion line stays
     // byte-identical to the pre-lease journal format.
     line += ",\"worker\":\"";
-    append_escaped(e.worker, &line);
+    obs::append_json_escaped(e.worker, &line);
     appendf(&line, "\",\"lease_until\":%.3f", e.lease_until_unix_s);
   }
   if (!e.classes.empty()) {
@@ -311,7 +175,7 @@ std::string SweepManifest::format_line(const ManifestEntry& e) {
       const ClassResult& c = e.classes[i];
       if (i != 0) line += ',';
       line += "{\"name\":\"";
-      append_escaped(c.name, &line);
+      obs::append_json_escaped(c.name, &line);
       appendf(&line,
               "\",\"flows\":%u,\"done\":%u,\"bps\":%.17g,\"share\":%.17g,"
               "\"cjain\":%.17g,\"fct_p50\":%.17g,\"fct_p95\":%.17g,"
@@ -332,117 +196,84 @@ std::string SweepManifest::format_line(const ManifestEntry& e) {
             "\"worst_t\":%.17g,\"victim\":%u,\"cause\":\"",
             e.episodes, e.episode_worst_jain, e.episode_worst_t_s,
             e.episode_victim);
-    append_escaped(e.episode_cause, &line);
+    obs::append_json_escaped(e.episode_cause, &line);
     line += "\"}";
   }
   line += ",\"error\":\"";
-  append_escaped(e.error, &line);
+  obs::append_json_escaped(e.error, &line);
   line += "\"}";
   return line;
 }
 
 namespace {
 
-/// Parse the optional `"classes":[{...},...]` block. Torn or malformed
-/// blocks fail the whole line (the caller treats it as a torn journal line).
-bool parse_classes(const std::string& line, std::vector<ClassResult>* out) {
-  const std::size_t key = line.find("\"classes\":[");
-  if (key == std::string::npos) return true;  // pre-workload line: no block
-  std::size_t pos = key + std::strlen("\"classes\":[");
-  while (pos < line.size() && line[pos] != ']') {
-    const std::size_t open = line.find('{', pos);
-    if (open == std::string::npos) return false;
-    const std::size_t close = line.find('}', open);
-    if (close == std::string::npos) return false;
-    const std::string obj = line.substr(open, close - open + 1);
-    ClassResult c;
-    double flows, done, bps, share, jain, p50, p95, p99, mean, sd50, sd95, sd99;
-    if (!get_string(obj, "name", &c.name) || !get_number(obj, "flows", &flows) ||
-        !get_number(obj, "done", &done) || !get_number(obj, "bps", &bps) ||
-        !get_number(obj, "share", &share) || !get_number(obj, "cjain", &jain) ||
-        !get_number(obj, "fct_p50", &p50) || !get_number(obj, "fct_p95", &p95) ||
-        !get_number(obj, "fct_p99", &p99) || !get_number(obj, "fct_mean", &mean) ||
-        !get_number(obj, "sd_p50", &sd50) || !get_number(obj, "sd_p95", &sd95) ||
-        !get_number(obj, "sd_p99", &sd99)) {
-      return false;
-    }
-    c.flows = static_cast<std::uint32_t>(flows);
-    c.completed = static_cast<std::uint32_t>(done);
-    c.throughput_bps = bps;
-    c.share = share;
-    c.jain = jain;
-    c.fct_p50_s = p50;
-    c.fct_p95_s = p95;
-    c.fct_p99_s = p99;
-    c.fct_mean_s = mean;
-    c.slowdown_p50 = sd50;
-    c.slowdown_p95 = sd95;
-    c.slowdown_p99 = sd99;
-    out->push_back(std::move(c));
-    pos = close + 1;
-    if (pos < line.size() && line[pos] == ',') ++pos;
-  }
-  return pos < line.size();  // must have stopped on the closing ']'
+/// A finite number under `key`: the manifest never journals inf or nan.
+/// `*out` is left alone on failure, so optional fields keep their default.
+bool finite_at(const Value& obj, std::string_view key, double* out) {
+  double v;
+  if (!obj.number_at(key, &v) || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
+/// One element of the optional `"classes"` array.
+bool parse_class(const Value& obj, ClassResult* c) {
+  return obj.string_at("name", &c->name) && obj.number_at("flows", &c->flows) &&
+         obj.number_at("done", &c->completed) &&
+         finite_at(obj, "bps", &c->throughput_bps) && finite_at(obj, "share", &c->share) &&
+         finite_at(obj, "cjain", &c->jain) && finite_at(obj, "fct_p50", &c->fct_p50_s) &&
+         finite_at(obj, "fct_p95", &c->fct_p95_s) && finite_at(obj, "fct_p99", &c->fct_p99_s) &&
+         finite_at(obj, "fct_mean", &c->fct_mean_s) &&
+         finite_at(obj, "sd_p50", &c->slowdown_p50) &&
+         finite_at(obj, "sd_p95", &c->slowdown_p95) &&
+         finite_at(obj, "sd_p99", &c->slowdown_p99);
 }
 
 }  // namespace
 
 bool SweepManifest::parse_line(const std::string& line, ManifestEntry* out) {
-  if (line.empty() || line.front() != '{' || line.back() != '}') return false;
+  // The strict reader rejects a torn line whole, so every optional block
+  // below is either complete or absent.
+  const std::optional<Value> doc = obs::json::parse(line);
+  if (!doc || !doc->is(Value::Kind::kObject)) return false;
   ManifestEntry e;
   std::string status;
-  double idx, attempts, reps, s1, s2, jain, util, retx, rtos;
-  if (!get_string(line, "id", &e.id) || e.id.empty()) return false;
-  if (!get_string(line, "status", &status) ||
-      !run_status_from_string(status, &e.status)) {
+  if (!doc->string_at("id", &e.id) || e.id.empty()) return false;
+  if (!doc->string_at("status", &status) || !run_status_from_string(status, &e.status)) {
     return false;
   }
-  if (!get_number(line, "i", &idx) || !get_number(line, "attempts", &attempts) ||
-      !get_number(line, "reps", &reps) || !get_number(line, "s1_bps", &s1) ||
-      !get_number(line, "s2_bps", &s2) || !get_number(line, "jain2", &jain) ||
-      !get_number(line, "util", &util) || !get_number(line, "retx", &retx) ||
-      !get_number(line, "rtos", &rtos)) {
+  if (!doc->number_at("i", &e.index) || !doc->number_at("attempts", &e.attempts) ||
+      !doc->number_at("reps", &e.repetitions) || !finite_at(*doc, "s1_bps", &e.sender_bps[0]) ||
+      !finite_at(*doc, "s2_bps", &e.sender_bps[1]) || !finite_at(*doc, "jain2", &e.jain2) ||
+      !finite_at(*doc, "util", &e.utilization) || !finite_at(*doc, "retx", &e.retx_segments) ||
+      !finite_at(*doc, "rtos", &e.rtos)) {
     return false;
   }
   if (e.status == RunStatus::kClaimed) {
     // A claim without its lease fields is a torn line, not an old format:
     // claims and the fields were introduced together.
-    if (!get_string(line, "worker", &e.worker) ||
-        !get_number(line, "lease_until", &e.lease_until_unix_s)) {
+    if (!doc->string_at("worker", &e.worker) ||
+        !finite_at(*doc, "lease_until", &e.lease_until_unix_s)) {
       return false;
     }
   }
-  if (!parse_classes(line, &e.classes)) return false;
-  (void)get_number(line, "wall_s", &e.wall_s);  // optional
-  // Optional episode summary block. Quotes inside the (escaped) error string
-  // cannot spell the unescaped search key, so a plain find is safe — same
-  // argument as the classes block.
-  const std::size_t ep = line.find("\"episodes\":{");
-  if (ep != std::string::npos) {
-    const std::size_t open = ep + std::strlen("\"episodes\":");
-    const std::size_t close = line.find('}', open);
-    if (close == std::string::npos) return false;  // torn block
-    const std::string obj = line.substr(open, close - open + 1);
-    double victim = 0;
-    if (!get_number(obj, "count", &e.episodes) ||
-        !get_number(obj, "worst_jain", &e.episode_worst_jain) ||
-        !get_number(obj, "worst_t", &e.episode_worst_t_s) ||
-        !get_number(obj, "victim", &victim) ||
-        !get_string(obj, "cause", &e.episode_cause)) {
+  if (const Value* classes = doc->find("classes")) {
+    if (!classes->is(Value::Kind::kArray)) return false;
+    for (const Value& obj : classes->array) {
+      if (!parse_class(obj, &e.classes.emplace_back())) return false;
+    }
+  }
+  (void)finite_at(*doc, "wall_s", &e.wall_s);  // optional
+  if (const Value* ep = doc->find("episodes")) {
+    if (!finite_at(*ep, "count", &e.episodes) ||
+        !finite_at(*ep, "worst_jain", &e.episode_worst_jain) ||
+        !finite_at(*ep, "worst_t", &e.episode_worst_t_s) ||
+        !ep->number_at("victim", &e.episode_victim) ||
+        !ep->string_at("cause", &e.episode_cause)) {
       return false;
     }
-    e.episode_victim = static_cast<std::uint32_t>(victim);
   }
-  (void)get_string(line, "error", &e.error);  // optional
-  e.index = static_cast<std::size_t>(idx);
-  e.attempts = static_cast<int>(attempts);
-  e.repetitions = static_cast<int>(reps);
-  e.sender_bps[0] = s1;
-  e.sender_bps[1] = s2;
-  e.jain2 = jain;
-  e.utilization = util;
-  e.retx_segments = retx;
-  e.rtos = rtos;
+  (void)doc->string_at("error", &e.error);  // optional
   *out = std::move(e);
   return true;
 }

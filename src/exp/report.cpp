@@ -18,8 +18,8 @@
 
 #include "exp/manifest.hpp"
 #include "exp/status.hpp"
-#include "obs/export.hpp"
 #include "obs/journal.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace elephant::exp {

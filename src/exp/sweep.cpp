@@ -20,8 +20,8 @@
 #include "exp/cache.hpp"
 #include "exp/eta.hpp"
 #include "exp/work_queue.hpp"
-#include "obs/export.hpp"
 #include "obs/heartbeat.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "sim/random.hpp"
 
@@ -485,15 +485,6 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
                              "): " + journal->last_error());
   }
   return report;
-}
-
-std::vector<AveragedResult> run_sweep(const std::vector<ExperimentConfig>& configs,
-                                      const SweepOptions& options) {
-  SweepReport report = run_sweep_resilient(configs, options);
-  std::vector<AveragedResult> results;
-  results.reserve(report.records.size());
-  for (RunRecord& rec : report.records) results.push_back(std::move(rec.result));
-  return results;
 }
 
 }  // namespace elephant::exp

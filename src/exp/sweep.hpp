@@ -122,9 +122,4 @@ struct SweepOptions {
 [[nodiscard]] SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
                                               const SweepOptions& options = {});
 
-/// Legacy strict interface: as run_sweep_resilient, but a failed cell leaves
-/// a default-constructed AveragedResult in its slot. Results in input order.
-[[nodiscard]] std::vector<AveragedResult> run_sweep(const std::vector<ExperimentConfig>& configs,
-                                                    const SweepOptions& options = {});
-
 }  // namespace elephant::exp

@@ -6,6 +6,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "obs/json.hpp"
+
 namespace elephant::obs {
 
 namespace {
@@ -172,10 +174,7 @@ bool EpisodeDetector::write_jsonl(const std::string& path,
   bool ok = true;
   for (const Episode& e : episodes_) {
     std::string line = "{\"cell\":\"";
-    for (const char c : cell_id) {  // ids are [-A-Za-z0-9_.,\[\]]; escape anyway
-      if (c == '"' || c == '\\') line.push_back('\\');
-      line.push_back(c);
-    }
+    append_json_escaped(cell_id, &line);
     line += "\",\"episode\":";
     append_episode_json(e, &line);
     line += "}\n";

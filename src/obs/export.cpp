@@ -54,26 +54,6 @@ void append_prom_help(std::string_view name, std::string_view help,
 
 }  // namespace
 
-void append_json_escaped(std::string_view s, std::string* out) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\r': *out += "\\r"; break;
-      case '\t': *out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
-
 void write_prometheus(const MetricsRegistry& reg, std::string* out) {
   std::lock_guard lock(reg.mutex());
   reg.for_each_counter([&](const std::string& name, const Counter& c) {

@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace elephant::obs {
@@ -20,9 +21,5 @@ void write_prometheus(const MetricsRegistry& reg, std::string* out);
 /// running simulation is still writing lock-free. Takes the registry mutex.
 void append_json(const MetricsRegistry& reg, std::string* out,
                  bool include_histograms = true);
-
-/// JSON string escaping for the writers above and the heartbeat's status
-/// fields (quotes, backslashes, control characters).
-void append_json_escaped(std::string_view s, std::string* out);
 
 }  // namespace elephant::obs

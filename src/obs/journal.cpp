@@ -1,187 +1,59 @@
 #include "obs/journal.hpp"
 
-#include <cstdlib>
 #include <fstream>
+#include <optional>
 
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace elephant::obs {
 
 namespace {
 
-// Minimal JSON cursor over one line: just enough grammar for the heartbeat
-// exporter's output (objects, arrays, strings with escapes, numbers, bools,
-// null), in the same hand-rolled spirit as the manifest parser — no external
-// JSON dependency.
-struct Cursor {
-  const char* p;
-  const char* end;
+using json::Value;
 
-  void skip_ws() {
-    while (p < end && (*p == ' ' || *p == '\t' || *p == '\r' || *p == '\n')) ++p;
+// Read {"name":number,...} into the given map.
+template <typename Map>
+bool read_number_map(const Value& obj, Map* out) {
+  if (!obj.is(Value::Kind::kObject)) return false;
+  for (const auto& [key, v] : obj.object) {
+    if (!v.is(Value::Kind::kNumber)) return false;
+    (*out)[key] = static_cast<typename Map::mapped_type>(v.number);
   }
-  bool eat(char c) {
-    skip_ws();
-    if (p < end && *p == c) {
-      ++p;
-      return true;
-    }
-    return false;
-  }
-  [[nodiscard]] char peek() {
-    skip_ws();
-    return p < end ? *p : '\0';
-  }
-};
-
-bool parse_string(Cursor* c, std::string* out) {
-  if (!c->eat('"')) return false;
-  out->clear();
-  while (c->p < c->end) {
-    const char ch = *c->p++;
-    if (ch == '"') return true;
-    if (ch == '\\') {
-      if (c->p >= c->end) return false;
-      const char esc = *c->p++;
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'n': out->push_back('\n'); break;
-        case 't': out->push_back('\t'); break;
-        case 'r': out->push_back('\r'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'u': {
-          // The exporter only emits \u00xx for control bytes; decode the
-          // low byte and drop the (always-zero) high byte.
-          if (c->end - c->p < 4) return false;
-          char hex[5] = {c->p[0], c->p[1], c->p[2], c->p[3], '\0'};
-          c->p += 4;
-          out->push_back(static_cast<char>(std::strtol(hex, nullptr, 16) & 0xff));
-          break;
-        }
-        default: return false;
-      }
-    } else {
-      out->push_back(ch);
-    }
-  }
-  return false;
-}
-
-bool parse_number(Cursor* c, double* out) {
-  c->skip_ws();
-  char* endp = nullptr;
-  *out = std::strtod(c->p, &endp);
-  if (endp == c->p) return false;
-  c->p = endp;
   return true;
 }
 
-bool parse_literal(Cursor* c, std::string_view lit) {
-  c->skip_ws();
-  if (static_cast<std::size_t>(c->end - c->p) < lit.size()) return false;
-  if (std::string_view(c->p, lit.size()) != lit) return false;
-  c->p += lit.size();
-  return true;
-}
-
-bool skip_value(Cursor* c);
-
-bool skip_members(Cursor* c, char close) {
-  // After the opening brace/bracket: skip "key":value or value lists.
-  if (c->eat(close)) return true;
-  for (;;) {
-    if (close == '}') {
-      std::string key;
-      if (!parse_string(c, &key) || !c->eat(':')) return false;
-    }
-    if (!skip_value(c)) return false;
-    if (c->eat(close)) return true;
-    if (!c->eat(',')) return false;
-  }
-}
-
-bool skip_value(Cursor* c) {
-  switch (c->peek()) {
-    case '{': c->eat('{'); return skip_members(c, '}');
-    case '[': c->eat('['); return skip_members(c, ']');
-    case '"': {
-      std::string s;
-      return parse_string(c, &s);
-    }
-    case 't': return parse_literal(c, "true");
-    case 'f': return parse_literal(c, "false");
-    case 'n': return parse_literal(c, "null");
-    default: {
-      double d = 0;
-      return parse_number(c, &d);
-    }
-  }
-}
-
-// Parse {"name":number,...} into the given map.
-template <typename Map, typename Value>
-bool parse_number_map(Cursor* c, Map* out) {
-  if (!c->eat('{')) return false;
-  if (c->eat('}')) return true;
-  for (;;) {
-    std::string key;
-    double v = 0;
-    if (!parse_string(c, &key) || !c->eat(':') || !parse_number(c, &v)) return false;
-    (*out)[key] = static_cast<Value>(v);
-    if (c->eat('}')) return true;
-    if (!c->eat(',')) return false;
-  }
-}
-
-bool parse_histogram(Cursor* c, LogLinHistogram* h) {
-  if (!c->eat('{')) return false;
+bool read_histogram(const Value& obj, LogLinHistogram* h) {
+  if (!obj.is(Value::Kind::kObject)) return false;
   double count = 0;
   double sum = 0;
   double min = 0;
   double max = 0;
   double mean = 0;
-  bool have_buckets = false;
-  if (c->eat('}')) return true;
-  for (;;) {
-    std::string key;
-    if (!parse_string(c, &key) || !c->eat(':')) return false;
-    if (key == "count") {
-      if (!parse_number(c, &count)) return false;
-    } else if (key == "sum") {
-      if (!parse_number(c, &sum)) return false;
-    } else if (key == "min") {
-      if (!parse_number(c, &min)) return false;
-    } else if (key == "max") {
-      if (!parse_number(c, &max)) return false;
-    } else if (key == "mean") {
-      if (!parse_number(c, &mean)) return false;
-    } else if (key == "buckets") {
-      have_buckets = true;
-      if (!c->eat('[')) return false;
-      if (!c->eat(']')) {
-        for (;;) {
-          double index = 0;
-          double n = 0;
-          if (!c->eat('[') || !parse_number(c, &index) || !c->eat(',') ||
-              !parse_number(c, &n) || !c->eat(']')) {
-            return false;
-          }
-          h->add_bucket(static_cast<std::size_t>(index),
-                        static_cast<std::uint64_t>(n));
-          if (c->eat(']')) break;
-          if (!c->eat(',')) return false;
-        }
-      }
-    } else {
-      if (!skip_value(c)) return false;
-    }
-    if (c->eat('}')) break;
-    if (!c->eat(',')) return false;
+  // Absent fields read as 0; present ones must be numbers. p50/p95/p99 are
+  // derived from the buckets, so they are not read back.
+  const auto field = [&obj](std::string_view key, double* v) {
+    const Value* f = obj.find(key);
+    if (f == nullptr) return true;
+    *v = f->number;
+    return f->is(Value::Kind::kNumber);
+  };
+  if (!field("count", &count) || !field("sum", &sum) || !field("min", &min) ||
+      !field("max", &max) || !field("mean", &mean)) {
+    return false;
   }
-  if (!have_buckets && count > 0) {
+  const Value* buckets = obj.find("buckets");
+  if (buckets != nullptr) {
+    if (!buckets->is(Value::Kind::kArray)) return false;
+    for (const Value& b : buckets->array) {
+      if (!b.is(Value::Kind::kArray) || b.array.size() != 2 ||
+          !b.array[0].is(Value::Kind::kNumber) || !b.array[1].is(Value::Kind::kNumber)) {
+        return false;
+      }
+      h->add_bucket(static_cast<std::size_t>(b.array[0].number),
+                    static_cast<std::uint64_t>(b.array[1].number));
+    }
+  } else if (count > 0) {
     // Pre-bucket-dump journal: lossy reconstruction at the recorded mean.
     h->record_n(mean, static_cast<std::uint64_t>(count));
   }
@@ -192,55 +64,32 @@ bool parse_histogram(Cursor* c, LogLinHistogram* h) {
 }  // namespace
 
 bool parse_journal_line(std::string_view line, JournalSnapshot* out) {
-  Cursor c{line.data(), line.data() + line.size()};
-  if (!c.eat('{')) return false;
-  if (c.eat('}')) return true;
-  for (;;) {
-    std::string key;
-    if (!parse_string(&c, &key) || !c.eat(':')) return false;
+  const std::optional<Value> doc = json::parse(line);
+  if (!doc || !doc->is(Value::Kind::kObject)) return false;
+  for (const auto& [key, v] : doc->object) {
     if (key == "elapsed_s") {
-      if (!parse_number(&c, &out->elapsed_s)) return false;
+      if (!v.is(Value::Kind::kNumber)) return false;
+      out->elapsed_s = v.number;
     } else if (key == "final") {
-      if (parse_literal(&c, "true")) {
-        out->final_snapshot = true;
-      } else if (parse_literal(&c, "false")) {
-        out->final_snapshot = false;
-      } else {
-        return false;
-      }
+      if (!v.is(Value::Kind::kBool)) return false;
+      out->final_snapshot = v.boolean;
     } else if (key == "worker") {
-      if (!parse_string(&c, &out->worker)) return false;
+      if (!v.is(Value::Kind::kString)) return false;
+      out->worker = v.text;
     } else if (key == "counters") {
-      if (!parse_number_map<std::map<std::string, std::uint64_t>, std::uint64_t>(
-              &c, &out->counters)) {
-        return false;
-      }
+      if (!read_number_map(v, &out->counters)) return false;
     } else if (key == "gauges") {
-      if (!parse_number_map<std::map<std::string, double>, double>(&c,
-                                                                   &out->gauges)) {
-        return false;
-      }
+      if (!read_number_map(v, &out->gauges)) return false;
     } else if (key == "histograms") {
-      if (!c.eat('{')) return false;
-      if (!c.eat('}')) {
-        for (;;) {
-          std::string name;
-          if (!parse_string(&c, &name) || !c.eat(':')) return false;
-          if (!parse_histogram(&c, &out->histograms[name])) return false;
-          if (c.eat('}')) break;
-          if (!c.eat(',')) return false;
-        }
+      if (!v.is(Value::Kind::kObject)) return false;
+      for (const auto& [name, h] : v.object) {
+        if (!read_histogram(h, &out->histograms[name])) return false;
       }
-    } else if (c.peek() == '-' || (c.peek() >= '0' && c.peek() <= '9')) {
-      double v = 0;
-      if (!parse_number(&c, &v)) return false;
-      out->extra[key] = v;
-    } else {
-      if (!skip_value(&c)) return false;
+    } else if (v.is(Value::Kind::kNumber)) {
+      out->extra[key] = v.number;
     }
-    if (c.eat('}')) return true;
-    if (!c.eat(',')) return false;
   }
+  return true;
 }
 
 bool read_final_snapshot(const std::filesystem::path& path, JournalSnapshot* out,

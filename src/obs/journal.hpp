@@ -34,8 +34,9 @@ struct JournalSnapshot {
 /// recorded mean.
 [[nodiscard]] bool parse_journal_line(std::string_view line, JournalSnapshot* out);
 
-/// Read a journal file and return its final snapshot: the last line flagged
-/// `"final":true`, else the last parseable line. Returns false (with a
+/// Read a journal file and return its last parseable line, final or not,
+/// skipping a torn tail. The heartbeat appends, so a resumed sweep's newer
+/// tick supersedes an older run's `"final":true` line. Returns false (with a
 /// message in *error if non-null) when the file is unreadable or no line
 /// parses.
 [[nodiscard]] bool read_final_snapshot(const std::filesystem::path& path,

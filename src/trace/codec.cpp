@@ -1,11 +1,13 @@
 #include "trace/codec.hpp"
 
-#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
+
+#include "obs/json.hpp"
 
 namespace elephant::trace {
+
+using obs::json::Value;
 
 namespace {
 
@@ -18,13 +20,20 @@ void append_row(const TraceRecord& r, const char* fmt, std::string* out) {
   if (n > 0) out->append(buf, static_cast<std::size_t>(n));
 }
 
-/// Locate `"key":` in a JSON object line and return the text after the colon
-/// (value may be quoted); nullptr when absent.
-const char* json_value(std::string_view line, const char* key, char* keybuf, std::size_t cap) {
-  std::snprintf(keybuf, cap, "\"%s\":", key);
-  const std::size_t pos = line.find(keybuf);
-  if (pos == std::string_view::npos) return nullptr;
-  return line.data() + pos + std::strlen(keybuf);
+/// Build a record from its seven fields in CSV column order. Every numeric
+/// field must scan in full, so a torn or garbled row is rejected.
+bool assemble(const std::string_view (&f)[7], TraceRecord* out) {
+  TraceRecord r;
+  std::int64_t t_ns = 0;
+  if (!record_type_from_string(f[1], &r.type) || !obs::json::scan_number(f[0], &t_ns) ||
+      !obs::json::scan_number(f[2], &r.flow) || !obs::json::scan_number(f[3], &r.seq) ||
+      !obs::json::scan_number(f[4], &r.v0) || !obs::json::scan_number(f[5], &r.v1) ||
+      !obs::json::scan_number(f[6], &r.v2)) {
+    return false;
+  }
+  r.t = sim::Time::nanoseconds(t_ns);
+  *out = r;
+  return true;
 }
 
 }  // namespace
@@ -42,65 +51,33 @@ void append_jsonl(const TraceRecord& r, std::string* out) {
              out);
 }
 
-bool parse_csv(std::string_view line_view, TraceRecord* out) {
-  // Copy so the numeric parsers below see a NUL-terminated buffer.
-  const std::string line(line_view);
-  // Split into exactly 7 comma-separated fields; only `type` is non-numeric.
-  const char* fields[7];
-  std::size_t lens[7];
-  std::size_t start = 0;
-  for (int i = 0; i < 7; ++i) {
-    const std::size_t comma = i < 6 ? line.find(',', start) : line.size();
-    if (comma == std::string::npos) return false;
-    fields[i] = line.data() + start;
-    lens[i] = comma - start;
-    start = comma + 1;
+bool parse_csv(std::string_view line, TraceRecord* out) {
+  // A line terminator may ride along, as it may after a JSONL object.
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) line.remove_suffix(1);
+  std::string_view fields[7];
+  for (int i = 0; i < 6; ++i) {
+    const std::size_t comma = line.find(',');
+    if (comma == std::string_view::npos) return false;
+    fields[i] = line.substr(0, comma);
+    line.remove_prefix(comma + 1);
   }
-  RecordType type;
-  if (!record_type_from_string({fields[1], lens[1]}, &type)) return false;
-
-  char* end = nullptr;
-  const long long t_ns = std::strtoll(fields[0], &end, 10);
-  if (end == fields[0]) return false;
-  out->t = sim::Time::nanoseconds(t_ns);
-  out->type = type;
-  out->flow = static_cast<std::uint32_t>(std::strtoul(fields[2], nullptr, 10));
-  out->seq = std::strtoull(fields[3], nullptr, 10);
-  out->v0 = std::strtod(fields[4], nullptr);
-  out->v1 = std::strtod(fields[5], nullptr);
-  out->v2 = std::strtod(fields[6], nullptr);
-  return true;
+  fields[6] = line;  // a stray eighth field fails v2's scan
+  return assemble(fields, out);
 }
 
-bool parse_jsonl(std::string_view line_view, TraceRecord* out) {
-  const std::string line(line_view);
-  char key[32];
-  const char* t_ns = json_value(line, "t_ns", key, sizeof(key));
-  const char* type = json_value(line, "type", key, sizeof(key));
-  const char* flow = json_value(line, "flow", key, sizeof(key));
-  const char* seq = json_value(line, "seq", key, sizeof(key));
-  const char* v0 = json_value(line, "v0", key, sizeof(key));
-  const char* v1 = json_value(line, "v1", key, sizeof(key));
-  const char* v2 = json_value(line, "v2", key, sizeof(key));
-  if (!t_ns || !type || !flow || !seq || !v0 || !v1 || !v2) return false;
-
-  if (*type != '"') return false;
-  const char* type_end = std::strchr(type + 1, '"');
-  if (!type_end) return false;
-  RecordType parsed_type;
-  if (!record_type_from_string({type + 1, static_cast<std::size_t>(type_end - type - 1)},
-                               &parsed_type)) {
-    return false;
+bool parse_jsonl(std::string_view line, TraceRecord* out) {
+  static constexpr std::string_view kKeys[7] = {"t_ns", "type", "flow", "seq",
+                                                "v0",   "v1",   "v2"};
+  const std::optional<Value> doc = obs::json::parse(line);
+  if (!doc) return false;
+  std::string_view fields[7];
+  for (int i = 0; i < 7; ++i) {
+    const Value* v = doc->find(kKeys[i]);
+    const auto kind = i == 1 ? Value::Kind::kString : Value::Kind::kNumber;
+    if (v == nullptr || !v->is(kind)) return false;
+    fields[i] = v->text;  // a number's spelling, or the decoded type name
   }
-
-  out->t = sim::Time::nanoseconds(std::strtoll(t_ns, nullptr, 10));
-  out->type = parsed_type;
-  out->flow = static_cast<std::uint32_t>(std::strtoul(flow, nullptr, 10));
-  out->seq = std::strtoull(seq, nullptr, 10);
-  out->v0 = std::strtod(v0, nullptr);
-  out->v1 = std::strtod(v1, nullptr);
-  out->v2 = std::strtod(v2, nullptr);
-  return true;
+  return assemble(fields, out);
 }
 
 }  // namespace elephant::trace

@@ -23,11 +23,12 @@ void append_csv(const TraceRecord& r, std::string* out);
 void append_jsonl(const TraceRecord& r, std::string* out);
 
 /// Parse one CSV row. Returns false on the header row, blank lines, or
-/// malformed input.
+/// malformed input: every numeric field must be consumed in full.
 [[nodiscard]] bool parse_csv(std::string_view line, TraceRecord* out);
 
-/// Parse one JSONL line as written by append_jsonl. Key order independent;
-/// returns false on malformed input or unknown record types.
+/// Parse one JSONL line as written by append_jsonl with the strict
+/// obs::json reader. Key order independent; returns false on malformed or
+/// torn input or unknown record types.
 [[nodiscard]] bool parse_jsonl(std::string_view line, TraceRecord* out);
 
 }  // namespace elephant::trace

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cfloat>
+#include <filesystem>
+#include <fstream>
+#include <ostream>
 #include <string>
 
 #include "exp/manifest.hpp"
+#include "obs/heartbeat.hpp"
+#include "obs/journal.hpp"
+#include "obs/metrics.hpp"
+#include "trace/codec.hpp"
 
 namespace elephant::exp {
 namespace {
@@ -88,7 +96,17 @@ TEST(ManifestUnicode, ControlCharacterEscapesRoundTrip) {
   EXPECT_EQ(back.error, e.error);
 }
 
-TEST(ManifestTornLine, EveryStrictPrefixIsRejected) {
+/// One JSON-lines writer: a complete line as it emits it (without the
+/// newline) and the reader that loads that line back.
+struct JsonWriter {
+  const char* name;
+  std::string (*line)();
+  bool (*parses)(const std::string&);
+};
+
+void PrintTo(const JsonWriter& w, std::ostream* os) { *os << w.name; }
+
+std::string manifest_line() {
   ManifestEntry e;
   e.index = 12;
   e.id = "cubic_vs_bbr1-fifo-bdp2-1G";
@@ -100,15 +118,85 @@ TEST(ManifestTornLine, EveryStrictPrefixIsRejected) {
   e.jain2 = 0.998;
   e.utilization = 0.81;
   e.error = "torn mid-write";
-  const std::string line = SweepManifest::format_line(e);
-  for (std::size_t len = 0; len < line.size(); ++len) {
-    ManifestEntry out;
-    EXPECT_FALSE(SweepManifest::parse_line(line.substr(0, len), &out))
-        << "prefix of length " << len << " parsed";
-  }
-  ManifestEntry out;
-  EXPECT_TRUE(SweepManifest::parse_line(line, &out));
+  return SweepManifest::format_line(e);
 }
+
+/// The final line a real heartbeat appends, histograms included.
+std::string heartbeat_line() {
+  const std::filesystem::path path = std::filesystem::temp_directory_path() /
+                                     ("elephant_torn_heartbeat_" + std::to_string(::getpid()));
+  std::filesystem::remove(path);
+  obs::MetricsRegistry reg;
+  reg.counter("sweep.cells_done").add(3);
+  reg.gauge("sched.heap_depth").set(42.5);
+  reg.histogram("sweep.cell_wall_s").record(0.25);
+  {
+    obs::Heartbeat::Options opts;
+    opts.interval_s = 3600;
+    opts.jsonl_path = path;
+    opts.console = nullptr;
+    opts.worker_tag = "w\"1";
+    obs::Heartbeat hb(reg, opts, [](std::string* fields, std::string*) {
+      *fields += "\"cells_done\":3,";
+    });
+    hb.start();
+    hb.stop();
+  }
+  std::ifstream in(path);
+  std::string line;
+  std::getline(in, line);
+  std::filesystem::remove(path);
+  return line;
+}
+
+std::string trace_line() {
+  trace::TraceRecord r;
+  r.t = sim::Time::nanoseconds(1'000'000'007);
+  r.type = trace::RecordType::kCwndUpdate;
+  r.flow = 3;
+  r.seq = 18446744073709551615ull;
+  r.v0 = 1.25;
+  r.v1 = -2.5e-9;
+  r.v2 = 0.48000000000000004;
+  std::string line;
+  trace::append_jsonl(r, &line);
+  line.pop_back();
+  return line;
+}
+
+class TornLine : public ::testing::TestWithParam<JsonWriter> {};
+
+TEST_P(TornLine, EveryStrictPrefixIsRejected) {
+  const std::string line = GetParam().line();
+  ASSERT_FALSE(line.empty());
+  for (std::size_t len = 0; len < line.size(); ++len) {
+    EXPECT_FALSE(GetParam().parses(line.substr(0, len)))
+        << "prefix of length " << len << " parsed: " << line.substr(0, len);
+  }
+  EXPECT_TRUE(GetParam().parses(line)) << line;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryWriter, TornLine,
+    ::testing::Values(
+        JsonWriter{"manifest", manifest_line,
+                   [](const std::string& l) {
+                     ManifestEntry e;
+                     return SweepManifest::parse_line(l, &e);
+                   }},
+        JsonWriter{"heartbeat", heartbeat_line,
+                   [](const std::string& l) {
+                     obs::JournalSnapshot snap;
+                     return obs::parse_journal_line(l, &snap);
+                   }},
+        JsonWriter{"trace", trace_line,
+                   [](const std::string& l) {
+                     trace::TraceRecord r;
+                     return trace::parse_jsonl(l, &r);
+                   }}),
+    [](const ::testing::TestParamInfo<JsonWriter>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(ManifestTornLine, TruncationInsideClassBlockIsRejected) {
   ManifestEntry e;

@@ -271,17 +271,17 @@ TEST_F(ResilientSweepTest, ResumeSkipsJournaledCellsAndRerunsFailures) {
   EXPECT_EQ(after.at(configs[1].id()).status, RunStatus::kOk);
 }
 
-TEST_F(ResilientSweepTest, LegacyRunSweepLeavesDefaultResultForFailedCell) {
+TEST_F(ResilientSweepTest, FailedCellLeavesDefaultResult) {
   auto configs = quick_batch(2);
   configs.push_back(poisoned_config());
   SweepOptions opts;
   opts.use_cache = false;
   opts.threads = 1;
-  const auto results = run_sweep(configs, opts);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_GT(results[0].utilization, 0.0);
-  EXPECT_GT(results[1].utilization, 0.0);
-  EXPECT_EQ(results[2].repetitions, 0);  // failed cell: default-constructed
+  const SweepReport report = run_sweep_resilient(configs, opts);
+  ASSERT_EQ(report.records.size(), 3u);
+  EXPECT_GT(report.records[0].result.utilization, 0.0);
+  EXPECT_GT(report.records[1].result.utilization, 0.0);
+  EXPECT_EQ(report.records[2].result.repetitions, 0);  // failed cell: default-constructed
 }
 
 TEST_F(ResilientSweepTest, BackoffIsDeterministicJitteredAndExponential) {

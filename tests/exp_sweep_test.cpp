@@ -21,11 +21,11 @@ TEST(Sweep, ResultsInInputOrder) {
   SweepOptions opts;
   opts.use_cache = false;
   opts.threads = 1;
-  const auto results = run_sweep(tiny_matrix(), opts);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].config.cca1, cca::CcaKind::kCubic);
-  EXPECT_EQ(results[1].config.cca1, cca::CcaKind::kReno);
-  for (const auto& r : results) EXPECT_GT(r.utilization, 0.1);
+  const SweepReport report = run_sweep_resilient(tiny_matrix(), opts);
+  ASSERT_EQ(report.records.size(), 2u);
+  EXPECT_EQ(report.records[0].result.config.cca1, cca::CcaKind::kCubic);
+  EXPECT_EQ(report.records[1].result.config.cca1, cca::CcaKind::kReno);
+  for (const RunRecord& r : report.records) EXPECT_GT(r.result.utilization, 0.1);
 }
 
 TEST(Sweep, ProgressCallbackSeesEveryConfig) {
@@ -37,7 +37,7 @@ TEST(Sweep, ProgressCallbackSeesEveryConfig) {
     ++calls;
     last_total = total;
   };
-  (void)run_sweep(tiny_matrix(), opts);
+  (void)run_sweep_resilient(tiny_matrix(), opts);
   EXPECT_EQ(calls.load(), 2);
   EXPECT_EQ(last_total, 2u);
 }
@@ -49,17 +49,17 @@ TEST(Sweep, MultiThreadedMatchesSingleThreaded) {
   SweepOptions parallel;
   parallel.use_cache = false;
   parallel.threads = 2;
-  const auto a = run_sweep(tiny_matrix(), serial);
-  const auto b = run_sweep(tiny_matrix(), parallel);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a[i].utilization, b[i].utilization);
-    EXPECT_DOUBLE_EQ(a[i].jain2, b[i].jain2);
+  const SweepReport a = run_sweep_resilient(tiny_matrix(), serial);
+  const SweepReport b = run_sweep_resilient(tiny_matrix(), parallel);
+  ASSERT_EQ(a.records.size(), b.records.size());
+  for (std::size_t i = 0; i < a.records.size(); ++i) {
+    EXPECT_DOUBLE_EQ(a.records[i].result.utilization, b.records[i].result.utilization);
+    EXPECT_DOUBLE_EQ(a.records[i].result.jain2, b.records[i].result.jain2);
   }
 }
 
 TEST(Sweep, EmptyInputIsEmptyOutput) {
-  EXPECT_TRUE(run_sweep({}, SweepOptions{}).empty());
+  EXPECT_TRUE(run_sweep_resilient({}, SweepOptions{}).records.empty());
 }
 
 TEST(Sweep, AveragingAcrossRepsIsMean) {

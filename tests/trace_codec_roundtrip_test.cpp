@@ -4,6 +4,7 @@
 // full record-type enum, not just the kinds a particular sink happens to emit.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -135,6 +136,25 @@ TEST(CodecRoundTrip, FlowLifecycleRecordsKeepClassAndFctPrecision) {
       ASSERT_TRUE(parse_autodetect(line, &back)) << line;
       EXPECT_EQ(back, r) << line;
     }
+  }
+}
+
+TEST(CodecRoundTrip, InfiniteValueRoundTrips) {
+  // %.17g spells +inf as "inf", which is not a JSON number. The codecs are
+  // lossless for every double the recorder is handed, so the strict JSON
+  // reader must still take it.
+  TraceRecord r;
+  r.t = sim::Time::nanoseconds(42);
+  r.type = RecordType::kCwndUpdate;
+  r.v0 = std::numeric_limits<double>::infinity();
+  r.v1 = -std::numeric_limits<double>::infinity();
+  for (const bool json : {false, true}) {
+    std::string line;
+    (json ? append_jsonl : append_csv)(r, &line);
+    line.pop_back();
+    TraceRecord back;
+    ASSERT_TRUE(parse_autodetect(line, &back)) << line;
+    EXPECT_EQ(back, r) << line;
   }
 }
 

@@ -154,9 +154,20 @@ TEST(Codec, ParseRejectsGarbage) {
   EXPECT_FALSE(parse_csv("1,2,3", &out));
   EXPECT_FALSE(parse_csv("x,cwnd_update,1,0,0,0,0", &out));
   EXPECT_FALSE(parse_csv("1,not_a_type,1,0,0,0,0", &out));
+  // Every numeric field must be consumed in full, not just its prefix.
+  EXPECT_FALSE(parse_csv("1,cwnd_update,x,0,0,0,0", &out));
+  EXPECT_FALSE(parse_csv("1,cwnd_update,1,0,0,0,", &out));
+  EXPECT_FALSE(parse_csv("1zz,cwnd_update,1,0,0,0,0", &out));
   EXPECT_FALSE(parse_jsonl("", &out));
   EXPECT_FALSE(parse_jsonl("{}", &out));
   EXPECT_FALSE(parse_jsonl("not json", &out));
+  // A line torn inside its last value, and one with unquoted garbage values.
+  EXPECT_FALSE(parse_jsonl("{\"t_ns\":1,\"type\":\"cwnd_update\",\"flow\":1,\"seq\":0,"
+                           "\"v0\":0,\"v1\":0,\"v2\":1.2",
+                           &out));
+  EXPECT_FALSE(parse_jsonl("{\"t_ns\":xyz,\"type\":\"cwnd_update\",\"flow\":q,\"seq\":0,"
+                           "\"v0\":0,\"v1\":0,\"v2\":0}",
+                           &out));
 }
 
 TEST(Sinks, CsvSinkWritesHeaderAndRows) {
