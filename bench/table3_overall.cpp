@@ -19,7 +19,7 @@ int main() {
 
   bench::print_banner(
       "Table 3: overall performance comparison (810 configurations)",
-      "BBRv1 wastes resources (huge RR, no benefit); Reno weak; CUBIC strong "
+      "BBRv1 wastes resources (huge RR, no benefit); Reno lags; CUBIC strong "
       "alone but loses head-to-head; HTCP & BBRv2 best overall, BBRv2 "
       "slightly ahead on utilization at the cost of more retransmissions; "
       "RED worst for fairness and high-BW utilization.");

@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   net::Dumbbell net(sched, topo);
 
   std::vector<std::unique_ptr<tcp::Flow>> flows;
-  metrics::FlowMonitor monitor(sched, sim::Time::seconds(1));
+  metrics::FlowMonitor monitor;
   for (std::size_t i = 0; i < kinds.size(); ++i) {
     tcp::FlowConfig fc;
     fc.id = static_cast<net::FlowId>(i + 1);
@@ -47,11 +47,16 @@ int main(int argc, char** argv) {
     monitor.watch(*flows.back());
     flows.back()->start();
   }
-  monitor.start();
 
   std::printf("Tracing %zu flows over %.0f Mb/s FIFO (2 BDP) for %.0f s...\n", kinds.size(),
               mbps, seconds);
-  sched.run_until(sim::Time::seconds(seconds));
+  // Sample once per simulated second between scheduler calls.
+  const sim::Time end = sim::Time::seconds(seconds);
+  for (sim::Time t = sim::Time::seconds(1); t <= end; t += sim::Time::seconds(1)) {
+    sched.run_until(t);
+    monitor.sample(t);
+  }
+  sched.run_until(end);
 
   std::ofstream out(out_path);
   monitor.write_csv(out);

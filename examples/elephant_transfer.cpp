@@ -81,15 +81,20 @@ int main(int argc, char** argv) {
     }
     return total;
   };
-  metrics::TimeSeries trace1(sched, sim::Time::seconds(1), [&] { return site_bytes(0); });
-  metrics::TimeSeries trace2(sched, sim::Time::seconds(1), [&] { return site_bytes(1); });
-  trace1.start();
-  trace2.start();
+  metrics::TimeSeries trace1([&] { return site_bytes(0); });
+  metrics::TimeSeries trace2([&] { return site_bytes(1); });
 
   std::printf("Elephant transfer: site1=%s vs site2=%s over %.0f Gb/s FQ-CoDel, %d+%d streams\n\n",
               cca::to_string(cca1).c_str(), cca::to_string(cca2).c_str(), gbps,
               kStreamsPerSite, kStreamsPerSite);
-  sched.run_until(sim::Time::seconds(seconds));
+  // Sample once per simulated second between scheduler calls.
+  const sim::Time end = sim::Time::seconds(seconds);
+  for (sim::Time t = sim::Time::seconds(1); t <= end; t += sim::Time::seconds(1)) {
+    sched.run_until(t);
+    trace1.sample(t);
+    trace2.sample(t);
+  }
+  sched.run_until(end);
 
   const auto d1 = trace1.deltas();
   const auto d2 = trace2.deltas();

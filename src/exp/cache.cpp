@@ -12,6 +12,8 @@
 #include <string_view>
 #include <unordered_map>
 
+#include "obs/json.hpp"
+
 namespace elephant::exp {
 
 namespace {
@@ -28,17 +30,16 @@ std::uint64_t fnv1a(std::string_view s) {
   return h;
 }
 
-/// Strict double parse: the whole field must be consumed (modulo trailing
-/// whitespace / CR from foreign line endings) and the value finite.
-/// std::atof would silently turn a mangled row into 0.0.
-bool parse_field(const std::string& text, double* out) {
-  const char* s = text.c_str();
-  char* end = nullptr;
-  const double v = std::strtod(s, &end);
-  if (end == s) return false;
-  while (*end == ' ' || *end == '\t' || *end == '\r') ++end;
-  if (*end != '\0') return false;
-  if (!std::isfinite(v)) return false;
+/// Strict double parse: the whole field must be one number (modulo
+/// trailing whitespace / CR from foreign line endings) and the value
+/// finite. std::atof would silently turn a mangled row into 0.0.
+bool parse_field(std::string_view text, double* out) {
+  const std::size_t last = text.find_last_not_of(" \t\r");
+  double v = 0;
+  if (last == std::string_view::npos ||
+      !obs::json::scan_number(text.substr(0, last + 1), &v) || !std::isfinite(v)) {
+    return false;
+  }
   *out = v;
   return true;
 }
@@ -93,11 +94,13 @@ std::optional<ExperimentResult> ResultCache::load_impl(const ExperimentConfig& c
   // line are accepted as-is — their field-level validation still applies).
   const auto sum_pos = content.rfind("sum=");
   if (sum_pos != std::string::npos && (sum_pos == 0 || content[sum_pos - 1] == '\n')) {
-    const char* s = content.c_str() + sum_pos + 4;
-    char* end = nullptr;
-    const std::uint64_t recorded = std::strtoull(s, &end, 16);
-    const bool parsed = end != s && (*end == '\n' || *end == '\0');
-    if (!parsed || recorded != fnv1a(std::string_view(content).substr(0, sum_pos))) {
+    const std::string_view body(content);
+    const std::size_t eol = body.find('\n', sum_pos);
+    const std::string_view hex =
+        body.substr(sum_pos + 4, eol == std::string_view::npos ? eol : eol - sum_pos - 4);
+    std::uint64_t recorded = 0;
+    if (!obs::json::scan_number(hex, &recorded, 16) ||
+        recorded != fnv1a(body.substr(0, sum_pos))) {
       quarantine(path);
       return std::nullopt;
     }

@@ -21,6 +21,9 @@ namespace elephant::exp {
 
 namespace {
 
+/// Bottleneck queue-depth sampling period of a traced run (kQueueDepth).
+constexpr sim::Time kQueueDepthInterval = sim::Time::milliseconds(100);
+
 /// Process-lifetime peak resident set in bytes (getrusage ru_maxrss), or 0
 /// where the platform doesn't report it. Published as the mem.peak_rss_bytes
 /// gauge at run finalization.
@@ -308,12 +311,7 @@ Cell::Cell(const ExperimentConfig& cfg)
 
   duration_ = cfg_.effective_duration();
 
-  if (cfg_.tracer != nullptr) {
-    net_->set_tracer(cfg_.tracer);
-    if (cfg_.trace_queue_sampling) {
-      net_->bottleneck().start_queue_sampling(cfg_.trace_queue_interval);
-    }
-  }
+  if (cfg_.tracer != nullptr) net_->set_tracer(cfg_.tracer);
 
   // Telemetry wiring: register the run's handles once (this may allocate),
   // then hand the components raw pointers so steady-state updates never
@@ -385,48 +383,56 @@ ExperimentResult Cell::run_to_completion() {
     }
   };
 
+  // Observers sample between scheduler calls: each step runs to the next
+  // boundary (episode window, queue-depth tick, or the duration), so an
+  // observed run executes exactly the events an unobserved one does. With
+  // no observer this is one run_until(duration) call. The watchdog budgets
+  // are carried across steps so their collective meaning is unchanged.
   {
     obs::ScopedTimer run_timer(prof_run_s_);
-    if (!probe_) {
-      // Historical path: one run_until call for the whole cell.
+    const bool ticks = cfg_.tracer != nullptr;
+    bool episodes_open = probe_.has_value();
+    const sim::Time window = sim::Time::seconds(cfg_.episodes.window_s);
+    sim::Time next_window = episodes_open ? window : sim::Time::max();
+    sim::Time next_tick = ticks ? kQueueDepthInterval : sim::Time::max();
+    if (episodes_open) probe_->sample(sim::Time::zero());  // baseline
+    const auto run_start = std::chrono::steady_clock::now();
+    for (;;) {
       sim::Scheduler::RunLimits limits;
-      limits.max_events = cfg_.max_events;
-      limits.max_wall_seconds = cfg_.max_wall_seconds;
-      throw_on_budget(sched_.run_until(duration_, limits));
-    } else {
-      // Episode sampling: chop the run into detector windows. Re-invoking
-      // run_until at a window boundary schedules nothing and executes the
-      // same events in the same order, so digests stay bit-identical to the
-      // single-call path; the watchdog budgets are carried across chunks so
-      // their collective meaning is unchanged.
-      const sim::Time window = sim::Time::seconds(cfg_.episodes.window_s);
-      const auto run_start = std::chrono::steady_clock::now();
-      probe_->sample(sim::Time::zero());  // baseline
-      sim::Time next = window;
-      for (;;) {
-        sim::Scheduler::RunLimits limits;
-        if (cfg_.max_events > 0) {
-          const std::uint64_t used = sched_.executed_events();
-          limits.max_events = cfg_.max_events > used ? cfg_.max_events - used : 1;
-        }
-        if (cfg_.max_wall_seconds > 0) {
-          const double rest =
-              cfg_.max_wall_seconds -
-              std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                            run_start)
-                  .count();
-          limits.max_wall_seconds = rest > 0.01 ? rest : 0.01;
-        }
-        const auto stop = sched_.run_until(std::min(duration_, next), limits);
-        throw_on_budget(stop);
-        probe_->sample(sched_.now());
-        if (stop == sim::Scheduler::StopReason::kQueueExhausted ||
-            sched_.now() >= duration_) {
-          break;
-        }
-        next = next + window;
+      if (cfg_.max_events > 0) {
+        const std::uint64_t used = sched_.executed_events();
+        limits.max_events = cfg_.max_events > used ? cfg_.max_events - used : 1;
       }
-      probe_->finish(sched_.now());
+      if (cfg_.max_wall_seconds > 0) {
+        const double rest =
+            cfg_.max_wall_seconds -
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - run_start)
+                .count();
+        limits.max_wall_seconds = rest > 0.01 ? rest : 0.01;
+      }
+      const sim::Time episode_end = std::min(duration_, next_window);
+      const sim::Time boundary = std::min(episode_end, next_tick);
+      const auto stop = sched_.run_until(boundary, limits);
+      throw_on_budget(stop);
+      const bool exhausted = stop == sim::Scheduler::StopReason::kQueueExhausted;
+      if (boundary == next_tick) {
+        net_->bottleneck().trace_queue_depth();
+        next_tick += kQueueDepthInterval;
+      }
+      // Episode sampling stops at the first window boundary after the event
+      // queue drains; queue-depth ticks continue to the duration.
+      if (episodes_open && boundary == episode_end) {
+        probe_->sample(boundary);
+        if (exhausted || boundary >= duration_) {
+          probe_->finish(boundary);
+          episodes_open = false;
+          next_window = sim::Time::max();
+        } else {
+          next_window += window;
+        }
+      }
+      // Stop at the duration, or once no observer has anything left to sample.
+      if (boundary >= duration_ || (!ticks && !episodes_open)) break;
     }
   }
   return finalize();

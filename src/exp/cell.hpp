@@ -65,7 +65,8 @@ class Cell {
 
   /// Historical run_experiment() behavior: run to the configured duration
   /// under the config's watchdog budgets (throwing RunTimeout on a budget
-  /// stop) and finalize.
+  /// stop) and finalize. Attached observers (episode probe, queue-depth
+  /// tracing) sample between scheduler calls, never from inside the queue.
   ExperimentResult run_to_completion();
 
   /// Aggregate results and (when configured) check invariants against the

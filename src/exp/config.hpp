@@ -69,16 +69,9 @@ struct ExperimentConfig {
   /// Optional flight recorder attached to every sender and the bottleneck
   /// port for the run. Not part of the experiment identity: excluded from
   /// id(), and run_averaged() bypasses the result cache when set (a cached
-  /// result would produce no trace).
+  /// result would produce no trace). A traced Cell::run_to_completion()
+  /// also records the bottleneck queue depth every 100 ms.
   trace::Tracer* tracer = nullptr;
-  /// Bottleneck queue-depth sampling period when tracing (kQueueDepth).
-  sim::Time trace_queue_interval = sim::Time::milliseconds(100);
-  /// Arm the periodic queue-depth sampler when tracing. Counterexample
-  /// replay (mc::Explorer::replay) turns it off: the sampler's weak timer
-  /// joins same-instant tie sets and would shift the recorded choice-point
-  /// sequence, so a traced replay must run with the exact event population
-  /// the untraced exploration had. Excluded from id() like the tracer.
-  bool trace_queue_sampling = true;
 
   /// Optional telemetry registry the run publishes into (see obs/metrics.hpp):
   /// scheduler gauges, bottleneck sojourn histogram, TCP srtt/cwnd, and

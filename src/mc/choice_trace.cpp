@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+
+#include "obs/json.hpp"
 
 namespace elephant::mc {
 
@@ -14,6 +17,8 @@ std::string num(double v) {
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
+
+constexpr const char* kHeader = "elephant-choice-trace v2";
 
 /// Reads "key value" where value is the rest of the line (may be empty).
 bool take_line(std::istringstream& in, const char* key, std::string* value,
@@ -33,11 +38,40 @@ bool take_line(std::istringstream& in, const char* key, std::string* value,
   return true;
 }
 
+/// Reads "key <number>"; the whole value must be one number in `base`.
+template <typename T>
+bool take_number(std::istringstream& in, const char* key, T* out, std::string* error,
+                 int base = 10) {
+  std::string v;
+  if (!take_line(in, key, &v, error)) return false;
+  if (!obs::json::scan_number(v, out, base)) {
+    *error = std::string("bad ") + key + " value '" + v + "'";
+    return false;
+  }
+  return true;
+}
+
+/// Parses a "kind n_branches chosen" row: three numbers, one space apart, a
+/// known ChoiceKind, and a chosen branch inside the available ones.
+bool parse_row(std::string_view line, ChoiceRec* out) {
+  constexpr auto npos = std::string_view::npos;
+  const std::size_t a = line.find(' ');
+  const std::size_t b = a == npos ? npos : line.find(' ', a + 1);
+  unsigned kind = 0;
+  if (b == npos || !obs::json::scan_number(line.substr(0, a), &kind) ||
+      !obs::json::scan_number(line.substr(a + 1, b - a - 1), &out->n_branches) ||
+      !obs::json::scan_number(line.substr(b + 1), &out->chosen)) {
+    return false;
+  }
+  out->kind = static_cast<sim::ChoiceKind>(kind);
+  return kind < sim::kChoiceKindCount && out->chosen < out->n_branches;
+}
+
 }  // namespace
 
 std::string ChoiceTrace::serialize() const {
   std::string out;
-  out += "elephant-choice-trace v1\n";
+  out += std::string(kHeader) + "\n";
   out += "config " + config_id + "\n";
   out += "oracle " + oracle + "\n";
   out += "detail " + detail + "\n";
@@ -61,40 +95,40 @@ std::string ChoiceTrace::serialize() const {
 bool ChoiceTrace::parse(const std::string& text, ChoiceTrace* out, std::string* error) {
   std::istringstream in(text);
   std::string line;
-  if (!std::getline(in, line) || line != "elephant-choice-trace v1") {
-    *error = "not a choice trace (bad header)";
+  if (!std::getline(in, line) || line != kHeader) {
+    *error = line == "elephant-choice-trace v1"
+                 ? "choice trace v1 was written by an older engine whose state hashes "
+                   "cannot match this build; re-run the exploration"
+                 : "not a choice trace (bad header)";
     return false;
   }
   ChoiceTrace t;
-  std::string v;
-  if (!take_line(in, "config", &t.config_id, error)) return false;
-  if (!take_line(in, "oracle", &t.oracle, error)) return false;
-  if (!take_line(in, "detail", &t.detail, error)) return false;
-  if (!take_line(in, "at_s", &v, error)) return false;
-  t.at_s = std::strtod(v.c_str(), nullptr);
-  if (!take_line(in, "state_hash", &v, error)) return false;
-  t.state_hash = std::strtoull(v.c_str(), nullptr, 16);
-  if (!take_line(in, "horizon_s", &v, error)) return false;
-  t.horizon_s = std::strtod(v.c_str(), nullptr);
-  if (!take_line(in, "window_s", &v, error)) return false;
-  t.window_s = std::strtod(v.c_str(), nullptr);
-  if (!take_line(in, "jain_floor", &v, error)) return false;
-  t.jain_floor = std::strtod(v.c_str(), nullptr);
-  if (!take_line(in, "retx_storm", &v, error)) return false;
-  t.retx_storm_segments = std::strtoull(v.c_str(), nullptr, 10);
-  if (!take_line(in, "max_events", &v, error)) return false;
-  t.max_schedule_events = std::strtoull(v.c_str(), nullptr, 10);
-  if (!take_line(in, "choices", &v, error)) return false;
-  const std::uint64_t n = std::strtoull(v.c_str(), nullptr, 10);
-  t.choices.reserve(n);
+  std::uint64_t n = 0;
+  if (!take_line(in, "config", &t.config_id, error) ||
+      !take_line(in, "oracle", &t.oracle, error) ||
+      !take_line(in, "detail", &t.detail, error) ||
+      !take_number(in, "at_s", &t.at_s, error) ||
+      !take_number(in, "state_hash", &t.state_hash, error, 16) ||
+      !take_number(in, "horizon_s", &t.horizon_s, error) ||
+      !take_number(in, "window_s", &t.window_s, error) ||
+      !take_number(in, "jain_floor", &t.jain_floor, error) ||
+      !take_number(in, "retx_storm", &t.retx_storm_segments, error) ||
+      !take_number(in, "max_events", &t.max_schedule_events, error) ||
+      !take_number(in, "choices", &n, error)) {
+    return false;
+  }
+  // The count is untrusted: rows are appended as they parse, never reserved.
   for (std::uint64_t i = 0; i < n; ++i) {
-    unsigned kind = 0, branches = 0, chosen = 0;
-    if (!std::getline(in, line) ||
-        std::sscanf(line.c_str(), "%u %u %u", &kind, &branches, &chosen) != 3) {
-      *error = "bad choice row " + std::to_string(i);
+    ChoiceRec rec;
+    if (!std::getline(in, line) || !parse_row(line, &rec)) {
+      *error = "bad choice row " + std::to_string(i) + " of " + std::to_string(n);
       return false;
     }
-    t.choices.push_back(ChoiceRec{static_cast<sim::ChoiceKind>(kind), branches, chosen});
+    t.choices.push_back(rec);
+  }
+  if (std::getline(in, line)) {
+    *error = "trailing data after " + std::to_string(n) + " choice rows";
+    return false;
   }
   *out = std::move(t);
   return true;

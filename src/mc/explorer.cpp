@@ -246,44 +246,28 @@ Explorer::ReplayReport Explorer::replay(const exp::ExperimentConfig& base,
 
   ScheduleController controller;
   exp::ExperimentConfig cfg = base;
-  cfg.tracer = nullptr;
+  cfg.tracer = flight_recorder;
   cfg.metrics = nullptr;
   cfg.choice_hook = &controller;
 
-  // Pass 1 — verification: untraced, so the end state is byte-comparable
-  // with what the exploration hashed.
-  {
-    exp::Cell cell(cfg);
-    const ScheduleParams params =
-        resolve(cell, ct.horizon_s, ct.window_s, ct.jain_floor, ct.retx_storm_segments,
-                ct.max_schedule_events);
-    controller.reset_replay(&ct.choices);
-    const ScheduleOutcome out = run_schedule(cell, params);
-    rep.diverged = controller.diverged();
-    rep.divergence_at = controller.divergence_at();
-    rep.end_state_hash = cell.state_hash();
-    rep.hash_matches = rep.end_state_hash == ct.state_hash;
-    rep.oracle = out.oracle;
-    rep.detail = out.detail;
-    rep.at_s = out.at_s;
-    rep.violation_reproduced = !ct.oracle.empty() && out.oracle == ct.oracle;
-  }
-
-  // Pass 2 — flight recorder: the identical schedule with tracing on. Queue
-  // sampling stays off so the sampler's weak timer cannot join same-instant
-  // tie sets and shift the choice-point sequence the trace prescribes.
-  if (flight_recorder != nullptr) {
-    exp::ExperimentConfig tcfg = cfg;
-    tcfg.tracer = flight_recorder;
-    tcfg.trace_queue_sampling = false;
-    exp::Cell cell(tcfg);
-    const ScheduleParams params =
-        resolve(cell, ct.horizon_s, ct.window_s, ct.jain_floor, ct.retx_storm_segments,
-                ct.max_schedule_events);
-    controller.reset_replay(&ct.choices);
-    run_schedule(cell, params);
-    flight_recorder->flush();
-  }
+  // One pass: observers sample between scheduler calls and hold no
+  // snapshotted state, so the traced run executes, and hashes, exactly what
+  // the untraced exploration did.
+  exp::Cell cell(cfg);
+  const ScheduleParams params =
+      resolve(cell, ct.horizon_s, ct.window_s, ct.jain_floor, ct.retx_storm_segments,
+              ct.max_schedule_events);
+  controller.reset_replay(&ct.choices);
+  const ScheduleOutcome out = run_schedule(cell, params);
+  if (flight_recorder != nullptr) flight_recorder->flush();
+  rep.diverged = controller.diverged();
+  rep.divergence_at = controller.divergence_at();
+  rep.end_state_hash = cell.state_hash();
+  rep.hash_matches = rep.end_state_hash == ct.state_hash;
+  rep.oracle = out.oracle;
+  rep.detail = out.detail;
+  rep.at_s = out.at_s;
+  rep.violation_reproduced = !ct.oracle.empty() && out.oracle == ct.oracle;
   return rep;
 }
 

@@ -99,12 +99,10 @@ class Explorer {
     }
   };
 
-  /// Deterministically re-execute a stored counterexample against `cfg`.
-  /// Two passes: an untraced verification run (end-state hash and oracle
-  /// must match the record), then — when `flight_recorder` is non-null — the
-  /// identical schedule once more with the tracer attached (queue sampling
-  /// off, see ExperimentConfig::trace_queue_sampling), producing the
-  /// human-debuggable flight-recorder trace of the failure.
+  /// Deterministically re-execute a stored counterexample against `cfg` in
+  /// one run: the end-state hash and oracle must match the record, and a
+  /// non-null `flight_recorder` captures the human-debuggable trace of the
+  /// failure on that same run.
   static ReplayReport replay(const exp::ExperimentConfig& cfg, const ChoiceTrace& trace,
                              trace::Tracer* flight_recorder = nullptr);
 

@@ -10,29 +10,25 @@ void FlowMonitor::watch(const tcp::Flow& flow, std::string label) {
   last_delivered_bytes_.push_back(0);
 }
 
-void FlowMonitor::start() {
-  if (started_) return;
-  started_ = true;
-  timer_.rearm(sched_.now() + interval_);
-}
-
-void FlowMonitor::sample_all() {
+void FlowMonitor::sample(sim::Time now) {
+  const double elapsed_s = (now - last_sample_).sec();
+  last_sample_ = now;
   for (std::size_t i = 0; i < series_.size(); ++i) {
     const tcp::Flow& f = *series_[i].flow;
     FlowSample s;
-    s.t = sched_.now();
+    s.t = now;
     s.cwnd_segments = f.sender().cc().cwnd_segments();
     s.pipe_segments = f.sender().pipe_segments();
     s.srtt_ms = f.sender().rtt().srtt().ms();
     s.pacing_bps = f.sender().cc().pacing_rate_bps();
     const auto delivered = static_cast<double>(f.receiver().delivered_bytes());
-    s.goodput_bps = (delivered - last_delivered_bytes_[i]) * 8.0 / interval_.sec();
+    s.goodput_bps =
+        elapsed_s > 0 ? (delivered - last_delivered_bytes_[i]) * 8.0 / elapsed_s : 0.0;
     last_delivered_bytes_[i] = delivered;
     s.retx_units = f.sender().stats().retx_units;
     s.rtos = f.sender().stats().rtos;
     series_[i].samples.push_back(s);
   }
-  timer_.rearm(sched_.now() + interval_);
 }
 
 void FlowMonitor::write_csv(std::ostream& out) const {

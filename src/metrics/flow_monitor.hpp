@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/scheduler.hpp"
+#include "sim/time.hpp"
 #include "tcp/flow.hpp"
 
 namespace elephant::metrics {
@@ -21,24 +21,21 @@ struct FlowSample {
   std::uint64_t rtos = 0;       ///< cumulative
 };
 
-/// Periodic per-flow telemetry — the simulated counterpart of the iperf3 +
-/// `ss -ti` logs the paper publishes as its dataset contribution. Attach to
-/// any number of flows; samples accumulate in memory and can be dumped as a
-/// tidy CSV for offline analysis or ML training.
+/// Per-flow telemetry — the simulated counterpart of the iperf3 + `ss -ti`
+/// logs the paper publishes as its dataset contribution. Attach to any
+/// number of flows and call sample() between scheduler calls (a run_until
+/// loop), so recording never adds an event to the run; samples accumulate
+/// in memory and can be dumped as a tidy CSV for offline analysis or ML
+/// training.
 class FlowMonitor {
  public:
-  FlowMonitor(sim::Scheduler& sched, sim::Time interval)
-      : sched_(sched), interval_(interval) {
-    // Weak timer: sampling never holds run() open once the flows finish.
-    timer_.init(sched_, [this] { sample_all(); }, /*weak=*/true);
-  }
-
   /// Register a flow. The caller keeps ownership; the flow must outlive the
-  /// monitor's sampling (i.e. the scheduler run).
+  /// monitor's sampling.
   void watch(const tcp::Flow& flow, std::string label = {});
 
-  /// Begin sampling; the first sample lands one interval from now.
-  void start();
+  /// Record one sample per watched flow at simulated time `now`. Goodput is
+  /// averaged over the time since the previous sample (or since t = 0).
+  void sample(sim::Time now);
 
   struct Series {
     const tcp::Flow* flow;
@@ -51,14 +48,9 @@ class FlowMonitor {
   void write_csv(std::ostream& out) const;
 
  private:
-  void sample_all();
-
-  sim::Scheduler& sched_;
-  sim::Time interval_;
-  sim::TimerHandle timer_;
   std::vector<Series> series_;
   std::vector<double> last_delivered_bytes_;
-  bool started_ = false;
+  sim::Time last_sample_{};
 };
 
 }  // namespace elephant::metrics

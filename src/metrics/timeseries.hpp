@@ -1,54 +1,25 @@
 #pragma once
 
-#include <cstddef>
 #include <functional>
+#include <utility>
 #include <vector>
 
-#include "obs/histogram.hpp"
-#include "sim/scheduler.hpp"
 #include "sim/time.hpp"
 
 namespace elephant::metrics {
 
-/// Periodic sampler: polls a probe every `interval` of simulation time and
-/// records (t, value) points — the building block for per-second throughput
-/// traces like iperf3's interval reports.
-///
-/// Memory defaults to unbounded (paper cells keep every sample for the
-/// figure scripts). set_capacity() switches to a bounded mode that, on
-/// reaching the cap, decimates the stored points by two and doubles the
-/// sampling interval — a multi-day soak run converges to a fixed-size,
-/// progressively coarser trace instead of growing without bound.
-/// set_histogram() additionally feeds every sample into a fixed-footprint
-/// log-linear histogram, the O(1)-memory view of the same signal.
+/// Caller-driven sampler: each sample(now) polls a probe and records a
+/// (t, value) point — the building block for per-second throughput traces
+/// like iperf3's interval reports. The caller samples between scheduler
+/// calls (a run_until loop), so recording never adds an event to the run.
 class TimeSeries {
  public:
   using Probe = std::function<double()>;
 
-  TimeSeries(sim::Scheduler& sched, sim::Time interval, Probe probe)
-      : sched_(sched), interval_(interval), probe_(std::move(probe)) {
-    // Weak timer: sampling never holds run() open once real work drains.
-    timer_.init(sched_, [this] { sample(); }, /*weak=*/true);
-  }
+  explicit TimeSeries(Probe probe) : probe_(std::move(probe)) {}
 
-  /// Begin sampling; the first sample is taken one interval from now.
-  void start() { arm(); }
-
-  /// Bound the stored points to at most `max_points` (min 2). Reaching the
-  /// bound keeps every other point and doubles the interval, preserving the
-  /// full time span at half the resolution. 0 restores unbounded mode.
-  /// Call before start(); changing the cap mid-run only affects new samples.
-  void set_capacity(std::size_t max_points) {
-    capacity_ = max_points == 0 ? 0 : (max_points < 2 ? 2 : max_points);
-  }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
-  /// Also record every sample into `h` (null detaches). The histogram sees
-  /// all samples, including ones later dropped by decimation.
-  void set_histogram(obs::LogLinHistogram* h) { hist_ = h; }
-
-  /// Current sampling period (doubles on each decimation).
-  [[nodiscard]] sim::Time interval() const { return interval_; }
+  /// Record the probe's current value at simulated time `now`.
+  void sample(sim::Time now) { points_.push_back({now, probe_()}); }
 
   struct Point {
     sim::Time t;
@@ -69,34 +40,8 @@ class TimeSeries {
   }
 
  private:
-  void arm() { timer_.rearm(sched_.now() + interval_); }
-
-  void sample() {
-    const double v = probe_();
-    if (hist_ != nullptr) hist_->record(v);
-    points_.push_back({sched_.now(), v});
-    if (capacity_ != 0 && points_.size() >= capacity_) decimate();
-    arm();
-  }
-
-  /// Keep points 1, 3, 5, ... and double the interval. Keeping the odd
-  /// indices (not the even ones) retains the newest sample and leaves the
-  /// survivors phase-aligned with the doubled cadence, so the whole trace
-  /// stays evenly spaced across decimations and deltas() stays meaningful.
-  void decimate() {
-    std::size_t w = 0;
-    for (std::size_t r = 1; r < points_.size(); r += 2) points_[w++] = points_[r];
-    points_.resize(w);
-    interval_ = 2 * interval_;
-  }
-
-  sim::Scheduler& sched_;
-  sim::Time interval_;
-  sim::TimerHandle timer_;
   Probe probe_;
   std::vector<Point> points_;
-  std::size_t capacity_ = 0;  ///< 0 = unbounded (paper default)
-  obs::LogLinHistogram* hist_ = nullptr;
 };
 
 }  // namespace elephant::metrics

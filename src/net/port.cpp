@@ -20,16 +20,9 @@ Port::Port(sim::Scheduler& sched, std::unique_ptr<aqm::QueueDisc> qdisc, double 
   assert(rate_bps_ > 0.0);
   line_timer_.init(sched_, [this] { deliver_head(); });
   tx_timer_.init(sched_, [this] { try_transmit(); });
-  sampler_timer_.init(sched_, [this] { sample_queue_depth(); }, /*weak=*/true);
 }
 
-void Port::start_queue_sampling(sim::Time interval) {
-  if (tracer_ == nullptr || interval <= sim::Time::zero()) return;
-  sample_interval_ = interval;
-  sampler_timer_.rearm(sched_.now() + interval);
-}
-
-void Port::sample_queue_depth() {
+void Port::trace_queue_depth() {
   trace::TraceRecord r;
   r.t = sched_.now();
   r.type = trace::RecordType::kQueueDepth;
@@ -37,7 +30,6 @@ void Port::sample_queue_depth() {
   r.v1 = static_cast<double>(qdisc_->packet_length());
   r.v2 = static_cast<double>(tx_bytes_);
   tracer_->record(r);
-  sampler_timer_.rearm(sched_.now() + sample_interval_);
 }
 
 void Port::send(Packet&& p) {
@@ -182,7 +174,6 @@ void Port::save(sim::SnapshotWriter& w) const {
   w.put_u64(fault_duplicated_);
   w.put_u64(tx_packets_);
   w.put_u64(tx_bytes_);
-  w.put_pod(sample_interval_);
   w.put_u64(line_.size());
   for (std::size_t i = 0; i < line_.size(); ++i) w.put_pod(line_[i]);
   qdisc_->save(w);
@@ -198,7 +189,6 @@ void Port::load(sim::SnapshotReader& r) {
   fault_duplicated_ = r.get_u64();
   tx_packets_ = r.get_u64();
   tx_bytes_ = r.get_u64();
-  r.get_pod(&sample_interval_);
   const std::uint64_t n = r.get_u64();
   line_.clear();
   for (std::uint64_t i = 0; i < n; ++i) {

@@ -49,10 +49,10 @@ class Port {
   /// harness at run end, so the default path stays a single untaken branch.
   void set_metrics(const obs::QueueMetrics* metrics) { metrics_ = metrics; }
 
-  /// Record a kQueueDepth sample every `interval`, starting one interval
-  /// from now. The sampling event reschedules itself indefinitely, so drive
-  /// the scheduler with run_until(), not run(). No-op without a tracer.
-  void start_queue_sampling(sim::Time interval);
+  /// Record one kQueueDepth sample of the current backlog and tx counter.
+  /// The run loop calls it between scheduler calls, so sampling adds no
+  /// event. Requires a tracer.
+  void trace_queue_depth();
 
   [[nodiscard]] aqm::QueueDisc& qdisc() { return *qdisc_; }
   [[nodiscard]] const aqm::QueueDisc& qdisc() const { return *qdisc_; }
@@ -109,7 +109,6 @@ class Port {
   void try_transmit();
   void deliver_in(sim::Time delay, Packet&& p);
   void deliver_head();
-  void sample_queue_depth();
 
   /// One serialized packet in flight on the wire, due at `at`.
   struct InFlight {
@@ -143,9 +142,6 @@ class Port {
   /// lateness) break monotonicity and fall back to the general heap.
   sim::RingDeque<InFlight> line_;
   sim::TimerHandle line_timer_;
-
-  sim::TimerHandle sampler_timer_;  ///< weak: never holds a run open
-  sim::Time sample_interval_{};
 
   LinkPerturb perturb_{};
   sim::Rng* fault_rng_ = nullptr;

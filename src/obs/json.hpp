@@ -6,6 +6,7 @@
 #include <string>
 #include <string_view>
 #include <system_error>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -20,13 +21,19 @@ namespace json {
 
 /// Read all of `text` as one number of type T with std::from_chars. False
 /// unless every byte is consumed and the value fits T, so "1zz", "" and
-/// "1.5" as an integer are all rejected. Floating types accept the
-/// inf/nan spellings that printf's %g writes.
+/// "1.5" as an integer are all rejected. Integers are read in `base` (16
+/// for hex digests, no "0x" prefix); floating types ignore it and accept
+/// the inf/nan spellings that printf's %g writes.
 template <typename T>
-[[nodiscard]] bool scan_number(std::string_view text, T* out) {
+[[nodiscard]] bool scan_number(std::string_view text, T* out, int base = 10) {
   const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
-  return ec == std::errc() && ptr == end;
+  std::from_chars_result r;
+  if constexpr (std::is_integral_v<T>) {
+    r = std::from_chars(text.data(), end, *out, base);
+  } else {
+    r = std::from_chars(text.data(), end, *out);
+  }
+  return r.ec == std::errc() && r.ptr == end;
 }
 
 /// One parsed JSON value. Objects keep their members in line order.

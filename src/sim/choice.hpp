@@ -16,6 +16,8 @@ enum class ChoiceKind : std::uint8_t {
   kGeTransition = 4,   ///< Gilbert-Elliott channel: flip good/bad state or not
   kGeLoss = 5,         ///< Gilbert-Elliott channel: drop in current state or not
 };
+/// Number of ChoiceKind values; every kind is below it.
+inline constexpr unsigned kChoiceKindCount = 6;
 
 [[nodiscard]] inline const char* to_string(ChoiceKind k) {
   switch (k) {

@@ -114,10 +114,8 @@ EventId Scheduler::schedule_at(Time at, Callback cb) {
   s.at = at;
   s.seq = next_seq_++;
   s.state = SlotState::kOneShot;
-  s.weak = false;
   s.cb = std::move(cb);
   heap_insert(slot);
-  ++strong_armed_;
   return EventId{(static_cast<std::uint64_t>(s.gen) << 32) | (slot + 1)};
 }
 
@@ -133,17 +131,15 @@ void Scheduler::cancel(EventId id) {
   if (!pending(id)) return;
   const auto slot = static_cast<std::uint32_t>((id.value & 0xffffffffull) - 1);
   heap_remove(slots_[slot].heap_pos);
-  --strong_armed_;
   release_slot(slot);
 }
 
 // --- timers ----------------------------------------------------------------
 
-std::uint32_t Scheduler::timer_create(Callback cb, bool weak) {
+std::uint32_t Scheduler::timer_create(Callback cb) {
   const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
   s.state = SlotState::kTimerIdle;
-  s.weak = weak;
   s.cb = std::move(cb);
   return slot;
 }
@@ -164,7 +160,6 @@ void Scheduler::timer_rearm(std::uint32_t slot, Time at) {
     // Re-armed from its own callback: the heap entry is parked in place;
     // pop_one() re-keys it from the slot once the callback returns.
     s.state = SlotState::kTimerArmed;
-    if (!s.weak) ++strong_armed_;
     return;
   }
   if (s.state == SlotState::kTimerArmed) {
@@ -185,7 +180,6 @@ void Scheduler::timer_rearm(std::uint32_t slot, Time at) {
   } else {
     s.state = SlotState::kTimerArmed;
     heap_insert(slot);
-    if (!s.weak) ++strong_armed_;
   }
 }
 
@@ -194,11 +188,9 @@ void Scheduler::timer_disarm(std::uint32_t slot) {
   if (s.state == SlotState::kTimerArmed) {
     heap_remove(s.heap_pos);
     s.state = SlotState::kTimerIdle;
-    if (!s.weak) --strong_armed_;
   } else if (s.state == SlotState::kTimerFiring) {
     // Disarmed (or destroyed) from its own callback: drop the parked entry
-    // now so pop_one() finds nothing left to re-key. strong_armed_ was
-    // already decremented when the fire was popped.
+    // now so pop_one() finds nothing left to re-key.
     heap_remove(s.heap_pos);
     s.state = SlotState::kTimerIdle;
   }
@@ -285,7 +277,6 @@ void Scheduler::fire_entry(std::uint32_t pos) {
 #endif
 
   now_ = heap_[pos].at;
-  if (!slots_[slot].weak) --strong_armed_;
   ++executed_;
 
   if (slots_[slot].state == SlotState::kOneShot) {
@@ -299,7 +290,7 @@ void Scheduler::fire_entry(std::uint32_t pos) {
   } else {
     // Timer fire: the slot survives for rearm(). The heap entry is parked in
     // place — nearly every timer in the engine (delay line, serialization
-    // wake, pacing, RTO, samplers) re-arms from its own callback, and the
+    // wake, pacing, RTO) re-arms from its own callback, and the
     // parked entry turns that into one in-place re-key instead of a
     // whole-depth remove plus a whole-depth insert. The callback is moved to
     // the stack for the call — slots_ may reallocate underneath us — and
@@ -337,7 +328,7 @@ void Scheduler::publish_metrics() const {
 }
 
 void Scheduler::run() {
-  while (strong_armed_ > 0 && pop_one(Time::max())) {
+  while (pop_one(Time::max())) {
   }
   if (metrics_ != nullptr) publish_metrics();
 }
@@ -382,9 +373,7 @@ Scheduler::StopReason Scheduler::run_until(Time deadline, const RunLimits& limit
       }
     }
     if (!pop_one(deadline)) {
-      // "Exhausted" means no strong work left; lone weak samplers would
-      // otherwise report an eternal kDeadline.
-      reason = strong_armed_ == 0 ? StopReason::kQueueExhausted : StopReason::kDeadline;
+      reason = heap_.empty() ? StopReason::kQueueExhausted : StopReason::kDeadline;
       if (now_ < deadline) now_ = deadline;
       break;
     }
@@ -407,7 +396,6 @@ Scheduler::Image Scheduler::save_image() const {
   img.now = now_;
   img.next_seq = next_seq_;
   img.executed = executed_;
-  img.strong_armed = strong_armed_;
   img.heap = heap_;
   img.free_slots = free_slots_;
   img.slots.reserve(slots_.size());
@@ -420,7 +408,6 @@ Scheduler::Image Scheduler::save_image() const {
     c.heap_pos = s.heap_pos;
     c.gen = s.gen;
     c.state = s.state;
-    c.weak = s.weak;
     if (s.cb) c.cb = s.cb.clone();
     img.slots.push_back(std::move(c));
   }
@@ -431,7 +418,6 @@ void Scheduler::restore_image(const Image& img) {
   now_ = img.now;
   next_seq_ = img.next_seq;
   executed_ = img.executed;
-  strong_armed_ = img.strong_armed;
   heap_ = img.heap;
   free_slots_ = img.free_slots;
   slots_.clear();
@@ -443,7 +429,6 @@ void Scheduler::restore_image(const Image& img) {
     c.heap_pos = s.heap_pos;
     c.gen = s.gen;
     c.state = s.state;
-    c.weak = s.weak;
     if (s.cb) c.cb = s.cb.clone();  // image stays restorable again later
     slots_.push_back(std::move(c));
   }
@@ -470,8 +455,7 @@ std::uint64_t Scheduler::state_hash() const {
     const Slot& s = slots_[i];
     h = fnv1a_fold(h, i);
     h = fnv1a_fold(h, std::bit_cast<std::uint64_t>(s.at));
-    h = fnv1a_fold(h, (static_cast<std::uint64_t>(s.state) << 1) |
-                          static_cast<std::uint64_t>(s.weak));
+    h = fnv1a_fold(h, static_cast<std::uint64_t>(s.state));
   }
   return h;
 }
@@ -493,7 +477,6 @@ void Scheduler::clear() {
     }
   }
   heap_.clear();
-  strong_armed_ = 0;
 }
 
 }  // namespace elephant::sim

@@ -90,14 +90,11 @@ class Scheduler {
   /// fired, been cancelled, or been dropped by clear().
   [[nodiscard]] bool pending(EventId id) const;
 
-  /// Run until no *strong* events remain. Weak events (periodic samplers)
-  /// fire while strong work exists but do not hold the run open on their
-  /// own, so an instrumented simulation still terminates.
+  /// Run until the queue is empty.
   void run();
 
   /// Run until the queue is empty or simulation time would exceed `deadline`.
-  /// On return now() == min(deadline, time of last processed entry). Weak
-  /// events keep firing here — the deadline already bounds the run.
+  /// On return now() == deadline.
   void run_until(Time deadline);
 
   /// Watchdog budgets for a bounded run (0 = unlimited). The wall clock is
@@ -109,7 +106,7 @@ class Scheduler {
 
   /// Why a bounded run returned.
   enum class StopReason {
-    kQueueExhausted,  ///< no strong events left (weak samplers may remain)
+    kQueueExhausted,  ///< no events left
     kDeadline,        ///< simulated time reached `deadline`
     kEventBudget,     ///< limits.max_events executed without finishing
     kWallBudget,      ///< limits.max_wall_seconds elapsed without finishing
@@ -125,10 +122,8 @@ class Scheduler {
   /// re-armable.
   void clear();
 
-  /// Armed events, weak included (exact: cancellation removes eagerly).
+  /// Armed events (exact: cancellation removes eagerly).
   [[nodiscard]] std::size_t pending_events() const { return heap_.size(); }
-  /// Armed events that hold a run open (excludes weak samplers).
-  [[nodiscard]] std::size_t strong_pending_events() const { return strong_armed_; }
   [[nodiscard]] std::uint64_t executed_events() const { return executed_; }
   /// High-water mark of the event heap over the scheduler's life.
   [[nodiscard]] std::size_t peak_pending_events() const { return heap_peak_; }
@@ -170,13 +165,9 @@ class Scheduler {
   ///
   /// The callback is registered once; rearm() then only rewrites the slot's
   /// deadline and re-sifts its heap entry — no allocation, no tombstone, no
-  /// callback reconstruction. Used by the RTO, delayed-ACK, pacing,
-  /// delay-line and sampler timers, i.e. everything that re-schedules
-  /// per-packet or per-interval.
-  ///
-  /// Weak timers do not keep run() alive (periodic samplers would otherwise
-  /// hold the queue non-empty forever). A TimerHandle must not outlive its
-  /// scheduler.
+  /// callback reconstruction. Used by the RTO, delayed-ACK, pacing and
+  /// delay-line timers, i.e. everything that re-schedules per packet. A
+  /// TimerHandle must not outlive its scheduler.
   class TimerHandle {
    public:
     TimerHandle() = default;
@@ -186,10 +177,10 @@ class Scheduler {
 
     /// Register the callback and acquire a slot. Call exactly once before
     /// rearm() (reset() allows re-initialization).
-    void init(Scheduler& sched, Callback cb, bool weak = false) {
+    void init(Scheduler& sched, Callback cb) {
       reset();
       sched_ = &sched;
-      slot_ = sched.timer_create(std::move(cb), weak);
+      slot_ = sched.timer_create(std::move(cb));
     }
 
     /// Release the slot; the handle returns to the uninitialized state.
@@ -244,12 +235,11 @@ class Scheduler {
     std::uint32_t heap_pos = kNpos;  ///< index into heap_, kNpos when absent
     std::uint32_t gen = 0;           ///< bumped on free; validates EventIds
     SlotState state = SlotState::kFree;
-    bool weak = false;
     InplaceCallback cb;
   };
 
   // --- timer interface (via TimerHandle) ---
-  std::uint32_t timer_create(Callback cb, bool weak);
+  std::uint32_t timer_create(Callback cb);
   void timer_destroy(std::uint32_t slot);
   void timer_rearm(std::uint32_t slot, Time at);
   void timer_disarm(std::uint32_t slot);
@@ -293,7 +283,6 @@ class Scheduler {
   Time now_ = Time::zero();
   std::uint64_t next_seq_ = 1;
   std::uint64_t executed_ = 0;
-  std::size_t strong_armed_ = 0;
   std::size_t heap_peak_ = 0;
   const obs::SchedulerMetrics* metrics_ = nullptr;
   ChoiceHook* choice_hook_ = nullptr;
@@ -313,7 +302,6 @@ struct Scheduler::Image {
   Time now{};
   std::uint64_t next_seq = 1;
   std::uint64_t executed = 0;
-  std::size_t strong_armed = 0;
   std::vector<Slot> slots;
   std::vector<HeapEntry> heap;
   std::vector<std::uint32_t> free_slots;

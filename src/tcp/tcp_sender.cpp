@@ -385,8 +385,6 @@ void TcpSender::save(sim::SnapshotWriter& w) const {
   w.put_pod(completion_time_);
   w.put_u64(app_limit_units_);
   w.put_bool(app_idle_notified_);
-  w.put_f64(last_traced_cwnd_);
-  w.put_f64(last_traced_pacing_);
   cc_->save(w);
 }
 
@@ -408,8 +406,6 @@ void TcpSender::load(sim::SnapshotReader& r) {
   r.get_pod(&completion_time_);
   app_limit_units_ = r.get_u64();
   app_idle_notified_ = r.get_bool();
-  last_traced_cwnd_ = r.get_f64();
-  last_traced_pacing_ = r.get_f64();
   cc_->load(r);
 }
 

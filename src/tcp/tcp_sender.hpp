@@ -242,6 +242,8 @@ class TcpSender : public net::PacketHandler {
   trace::Tracer* tracer_ = nullptr;
   // Telemetry handles (null = metrics off; ACK path pays one branch).
   const obs::TcpMetrics* metrics_ = nullptr;
+  // Last traced cwnd/pacing (dedups kCwndUpdate records). Observer state:
+  // not snapshotted, so a tracer never changes the state hash.
   double last_traced_cwnd_ = -1;
   double last_traced_pacing_ = -1;
 };

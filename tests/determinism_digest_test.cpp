@@ -14,7 +14,10 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
+#include <utility>
 
+#include "exp/cell.hpp"
 #include "exp/result_digest.hpp"
 #include "exp/runner.hpp"
 #include "fault/fault.hpp"
@@ -195,6 +198,48 @@ TEST(DeterminismDigest, PaperCellUnchangedWithTelemetryAttached) {
   EXPECT_GT(reg.counter("sim.events").value(), 0u);
   EXPECT_GT(reg.histogram("queue.sojourn_s").count(), 0u);
   EXPECT_GT(reg.histogram("tcp.srtt_s").count(), 0u);
+}
+
+// Every observer samples between scheduler calls, so attaching any of them
+// (flight recorder, metrics registry, episode probe, or all three) must run
+// exactly the events of the bare cell: same final metrics, same executed
+// event count, same peak heap depth.
+TEST(DeterminismDigest, ObserversLeaveTheRunUntouched) {
+  struct Observed {
+    std::uint64_t metrics = 0;
+    std::uint64_t events = 0;
+    std::size_t peak_pending = 0;
+  };
+  const auto observe = [](exp::ExperimentConfig cfg, bool traced, bool metered,
+                          bool episodes) {
+    trace::DigestSink sink;
+    trace::Tracer tracer(sink, /*capacity=*/4096);
+    obs::MetricsRegistry reg;
+    if (traced) cfg.tracer = &tracer;
+    if (metered) cfg.metrics = &reg;
+    cfg.episodes.enabled = episodes;
+    exp::Cell cell(cfg);
+    const exp::ExperimentResult res = cell.run_to_completion();
+    if (traced) {
+      EXPECT_GT(sink.count(), 0u);
+    }
+    return Observed{exp::metrics_digest(res), res.events_executed,
+                    cell.scheduler().peak_pending_events()};
+  };
+  for (const auto& [name, cfg] : {std::pair{"paper", paper_cell()},
+                                  std::pair{"fault", fault_cell()}}) {
+    const Observed bare = observe(cfg, false, false, false);
+    const Observed runs[] = {observe(cfg, true, false, false),
+                             observe(cfg, false, true, false),
+                             observe(cfg, false, false, true),
+                             observe(cfg, true, true, true)};
+    const char* labels[] = {"tracer", "metrics", "episodes", "all three"};
+    for (std::size_t i = 0; i < std::size(runs); ++i) {
+      EXPECT_EQ(runs[i].metrics, bare.metrics) << name << " cell, " << labels[i];
+      EXPECT_EQ(runs[i].events, bare.events) << name << " cell, " << labels[i];
+      EXPECT_EQ(runs[i].peak_pending, bare.peak_pending) << name << " cell, " << labels[i];
+    }
+  }
 }
 
 // Two runs of the same seeded cell in one process must digest identically —

@@ -15,6 +15,8 @@
 #include "mc/choice_trace.hpp"
 #include "mc/controller.hpp"
 #include "mc/explorer.hpp"
+#include "trace/sinks.hpp"
+#include "trace/trace.hpp"
 
 namespace elephant {
 namespace {
@@ -77,6 +79,58 @@ TEST(ChoiceTrace, SerializeParseRoundTrip) {
   }
 
   EXPECT_FALSE(mc::ChoiceTrace::parse("not a trace", &back, &error));
+}
+
+// The reader is strict: each bad file below must be refused with an error
+// naming its defect, never half-parsed into zeros.
+TEST(ChoiceTrace, RejectsMalformedFiles) {
+  mc::ChoiceTrace t;
+  t.config_id = "cubic_vs_bbr1-fifo-bdp1-20M";
+  t.oracle = "jain_floor";
+  t.state_hash = 0xdeadbeefcafef00dull;
+  t.choices = {{sim::ChoiceKind::kSchedulerTie, 3, 2}, {sim::ChoiceKind::kFaultLoss, 2, 0}};
+  const std::string good = t.serialize();
+  const auto edit = [&](const std::string& from, const std::string& to) {
+    std::string text = good;
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+
+  struct Case {
+    const char* name;
+    std::string text;
+    const char* error;  ///< substring the error must contain
+  };
+  const Case cases[] = {
+      {"v1 header", edit("elephant-choice-trace v2", "elephant-choice-trace v1"),
+       "older engine"},
+      {"unknown header", edit("elephant-choice-trace v2", "elephant-choice-trace v3"),
+       "bad header"},
+      {"garbage number", edit("at_s 0\n", "at_s zero\n"), "bad at_s"},
+      {"trailing bytes on a number", edit("jain_floor 0\n", "jain_floor 0.5x\n"),
+       "bad jain_floor"},
+      {"empty number", edit("horizon_s 0\n", "horizon_s\n"), "bad horizon_s"},
+      {"decimal where hex is due", edit("deadbeefcafef00d", "deadbeefcafef00z"),
+       "bad state_hash"},
+      {"negative count", edit("retx_storm 0\n", "retx_storm -1\n"), "bad retx_storm"},
+      {"huge choice count", edit("choices 2\n", "choices 18446744073709551615\n"),
+       "bad choice row 2"},
+      {"too few rows", edit("choices 2\n", "choices 3\n"), "bad choice row 2"},
+      {"too many rows", edit("choices 2\n", "choices 1\n"), "trailing data"},
+      {"unknown kind", edit("\n0 3 2\n", "\n6 3 2\n"), "bad choice row 0"},
+      {"chosen out of range", edit("\n0 3 2\n", "\n0 3 3\n"), "bad choice row 0"},
+      {"short row", edit("\n0 3 2\n", "\n0 3\n"), "bad choice row 0"},
+      {"row with trailing bytes", edit("\n0 3 2\n", "\n0 3 2 9\n"), "bad choice row 0"},
+      {"row with garbage", edit("\n0 3 2\n", "\n0 x 2\n"), "bad choice row 0"},
+  };
+  for (const Case& c : cases) {
+    mc::ChoiceTrace back;
+    std::string error;
+    EXPECT_FALSE(mc::ChoiceTrace::parse(c.text, &back, &error)) << c.name;
+    EXPECT_NE(error.find(c.error), std::string::npos)
+        << c.name << ": error was '" << error << "'";
+  }
 }
 
 // An attached controller with an empty plan takes branch 0 everywhere — by
@@ -148,7 +202,12 @@ TEST(McExplorer, PlantedViolationReplaysIdentically) {
   EXPECT_EQ(stored.state_hash, v.trace.state_hash);
   ASSERT_EQ(stored.choices.size(), v.trace.choices.size());
 
-  const mc::Explorer::ReplayReport rep = mc::Explorer::replay(cfg, stored);
+  // One pass verifies the schedule and records its flight-recorder trace.
+  trace::MemorySink sink;
+  trace::Tracer recorder(sink, /*capacity=*/4096);
+  const mc::Explorer::ReplayReport rep = mc::Explorer::replay(cfg, stored, &recorder);
+  EXPECT_TRUE(rep.ok());
+  EXPECT_FALSE(sink.records().empty()) << "the replay recorded no trace";
   EXPECT_TRUE(rep.config_matches);
   EXPECT_FALSE(rep.diverged);
   EXPECT_TRUE(rep.hash_matches) << "replay end-state hash drifted";

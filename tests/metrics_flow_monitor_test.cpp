@@ -20,6 +20,15 @@ struct Fixture {
     cfg.bottleneck_buffer_bytes = static_cast<std::size_t>(2 * 100e6 * 0.062 / 8);
     return cfg;
   }
+  /// Run to `seconds`, sampling `mon` at every whole second in between.
+  void run_sampled(FlowMonitor& mon, double seconds) {
+    const sim::Time end = sim::Time::seconds(seconds);
+    for (sim::Time t = sim::Time::seconds(1); t <= end; t += sim::Time::seconds(1)) {
+      sched.run_until(t);
+      mon.sample(t);
+    }
+    sched.run_until(end);
+  }
   tcp::Flow flow(net::FlowId id, cca::CcaKind kind) {
     tcp::FlowConfig fc;
     fc.id = id;
@@ -32,11 +41,10 @@ struct Fixture {
 TEST(FlowMonitor, SamplesAtConfiguredInterval) {
   Fixture f;
   tcp::Flow flow = f.flow(1, cca::CcaKind::kCubic);
-  FlowMonitor mon(f.sched, sim::Time::seconds(1));
+  FlowMonitor mon;
   mon.watch(flow);
   flow.start();
-  mon.start();
-  f.sched.run_until(sim::Time::seconds(10.5));
+  f.run_sampled(mon, 10.5);
   ASSERT_EQ(mon.series().size(), 1u);
   EXPECT_EQ(mon.series()[0].samples.size(), 10u);
 }
@@ -44,11 +52,10 @@ TEST(FlowMonitor, SamplesAtConfiguredInterval) {
 TEST(FlowMonitor, SamplesCarryLiveTransportState) {
   Fixture f;
   tcp::Flow flow = f.flow(1, cca::CcaKind::kCubic);
-  FlowMonitor mon(f.sched, sim::Time::seconds(1));
+  FlowMonitor mon;
   mon.watch(flow);
   flow.start();
-  mon.start();
-  f.sched.run_until(sim::Time::seconds(5.5));
+  f.run_sampled(mon, 5.5);
   const auto& samples = mon.series()[0].samples;
   ASSERT_GE(samples.size(), 5u);
   EXPECT_GT(samples.back().cwnd_segments, 0.0);
@@ -59,11 +66,10 @@ TEST(FlowMonitor, SamplesCarryLiveTransportState) {
 TEST(FlowMonitor, GoodputIsPerInterval) {
   Fixture f;
   tcp::Flow flow = f.flow(1, cca::CcaKind::kCubic);
-  FlowMonitor mon(f.sched, sim::Time::seconds(1));
+  FlowMonitor mon;
   mon.watch(flow);
   flow.start();
-  mon.start();
-  f.sched.run_until(sim::Time::seconds(20.5));
+  f.run_sampled(mon, 20.5);
   const auto& samples = mon.series()[0].samples;
   // Steady state: per-interval goodput approaches the bottleneck rate, and
   // must never wildly exceed it (it is a delta, not a cumulative count).
@@ -76,7 +82,7 @@ TEST(FlowMonitor, GoodputIsPerInterval) {
 TEST(FlowMonitor, DefaultLabelEncodesCcaAndId) {
   Fixture f;
   tcp::Flow flow = f.flow(3, cca::CcaKind::kBbrV1);
-  FlowMonitor mon(f.sched, sim::Time::seconds(1));
+  FlowMonitor mon;
   mon.watch(flow);
   EXPECT_EQ(mon.series()[0].label, "bbr1-3");
 }
@@ -84,11 +90,10 @@ TEST(FlowMonitor, DefaultLabelEncodesCcaAndId) {
 TEST(FlowMonitor, CsvHasHeaderAndRows) {
   Fixture f;
   tcp::Flow flow = f.flow(1, cca::CcaKind::kReno);
-  FlowMonitor mon(f.sched, sim::Time::seconds(1));
+  FlowMonitor mon;
   mon.watch(flow, "myflow");
   flow.start();
-  mon.start();
-  f.sched.run_until(sim::Time::seconds(3.5));
+  f.run_sampled(mon, 3.5);
   std::ostringstream out;
   mon.write_csv(out);
   const std::string csv = out.str();
@@ -102,13 +107,12 @@ TEST(FlowMonitor, WatchesMultipleFlows) {
   Fixture f;
   tcp::Flow a = f.flow(1, cca::CcaKind::kCubic);
   tcp::Flow b = f.flow(2, cca::CcaKind::kBbrV2);
-  FlowMonitor mon(f.sched, sim::Time::seconds(1));
+  FlowMonitor mon;
   mon.watch(a);
   mon.watch(b);
   a.start();
   b.start();
-  mon.start();
-  f.sched.run_until(sim::Time::seconds(5.5));
+  f.run_sampled(mon, 5.5);
   ASSERT_EQ(mon.series().size(), 2u);
   EXPECT_EQ(mon.series()[0].samples.size(), mon.series()[1].samples.size());
 }

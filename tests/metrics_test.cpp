@@ -4,7 +4,7 @@
 
 #include "metrics/fairness.hpp"
 #include "metrics/timeseries.hpp"
-#include "obs/histogram.hpp"
+#include "sim/scheduler.hpp"
 
 namespace elephant::metrics {
 namespace {
@@ -62,14 +62,24 @@ TEST(Utilization, ZeroBandwidthGuard) {
   EXPECT_DOUBLE_EQ(link_utilization(flows, 0), 0.0);
 }
 
+/// Drive `ts` the way callers do: run the scheduler to each whole second up
+/// to `seconds`, sampling between calls, then run out the remainder.
+void run_sampled(sim::Scheduler& sched, TimeSeries& ts, double seconds) {
+  const sim::Time end = sim::Time::seconds(seconds);
+  for (sim::Time t = sim::Time::seconds(1); t <= end; t += sim::Time::seconds(1)) {
+    sched.run_until(t);
+    ts.sample(t);
+  }
+  sched.run_until(end);
+}
+
 TEST(TimeSeries, SamplesAtInterval) {
   sim::Scheduler sched;
   double counter = 0;
-  TimeSeries ts(sched, sim::Time::seconds(1.0), [&] { return counter; });
-  ts.start();
+  TimeSeries ts([&] { return counter; });
   sched.schedule_at(sim::Time::seconds(0.5), [&] { counter = 10; });
   sched.schedule_at(sim::Time::seconds(1.5), [&] { counter = 30; });
-  sched.run_until(sim::Time::seconds(3.5));
+  run_sampled(sched, ts, 3.5);
   ASSERT_EQ(ts.points().size(), 3u);
   EXPECT_DOUBLE_EQ(ts.points()[0].value, 10);
   EXPECT_DOUBLE_EQ(ts.points()[1].value, 30);
@@ -80,9 +90,8 @@ TEST(TimeSeries, SamplesAtInterval) {
 TEST(TimeSeries, DeltasDifference) {
   sim::Scheduler sched;
   double counter = 0;
-  TimeSeries ts(sched, sim::Time::seconds(1.0), [&] { return counter += 5; });
-  ts.start();
-  sched.run_until(sim::Time::seconds(3.5));
+  TimeSeries ts([&] { return counter += 5; });
+  run_sampled(sched, ts, 3.5);
   const auto d = ts.deltas();
   ASSERT_EQ(d.size(), 3u);
   EXPECT_DOUBLE_EQ(d[0].value, 5);
@@ -92,71 +101,11 @@ TEST(TimeSeries, DeltasDifference) {
 
 TEST(TimeSeries, UnboundedByDefault) {
   sim::Scheduler sched;
-  TimeSeries ts(sched, sim::Time::seconds(1.0), [] { return 1.0; });
-  EXPECT_EQ(ts.capacity(), 0u);
-  ts.start();
-  sched.run_until(sim::Time::seconds(100.5));
+  TimeSeries ts([] { return 1.0; });
+  run_sampled(sched, ts, 100.5);
   EXPECT_EQ(ts.points().size(), 100u);
-  EXPECT_EQ(ts.interval(), sim::Time::seconds(1.0));
-}
-
-TEST(TimeSeries, BoundedModeDecimatesByTwoAndDoublesInterval) {
-  sim::Scheduler sched;
-  TimeSeries ts(sched, sim::Time::seconds(1.0), [&] {
-    return sched.now().sec();  // sample value == sample time
-  });
-  ts.set_capacity(8);
-  ts.start();
-  sched.run_until(sim::Time::seconds(20.5));
-
-  // t=1..8 fills the buffer → decimate to {2,4,6,8}, interval 2 s; t=10..16
-  // refills to 8 → decimate to {4,8,12,16}, interval 4 s; then t=20.
-  const auto& pts = ts.points();
-  ASSERT_EQ(pts.size(), 5u);
-  EXPECT_EQ(ts.interval(), sim::Time::seconds(4.0));
-  for (std::size_t i = 0; i < pts.size(); ++i) {
-    EXPECT_EQ(pts[i].t, sim::Time::seconds(4.0 * static_cast<double>(i + 1)))
-        << "i=" << i;
-    EXPECT_DOUBLE_EQ(pts[i].value, pts[i].t.sec()) << "i=" << i;
-  }
-}
-
-TEST(TimeSeries, BoundedSoakConvergesToFixedFootprint) {
-  sim::Scheduler sched;
-  TimeSeries ts(sched, sim::Time::seconds(1.0), [&] { return sched.now().sec(); });
-  ts.set_capacity(16);
-  ts.start();
-  sched.run_until(sim::Time::seconds(1000.5));
-  // A 1000-sample soak stays within the cap while spanning the whole run.
-  EXPECT_LE(ts.points().size(), 16u);
-  EXPECT_GE(ts.points().size(), 8u);
-  EXPECT_GT(ts.interval(), sim::Time::seconds(1.0));
-  EXPECT_GT(ts.points().back().t, sim::Time::seconds(900.0));
-}
-
-TEST(TimeSeries, CapacityFloorIsTwoAndZeroRestoresUnbounded) {
-  sim::Scheduler sched;
-  TimeSeries ts(sched, sim::Time::seconds(1.0), [] { return 0.0; });
-  ts.set_capacity(1);
-  EXPECT_EQ(ts.capacity(), 2u);
-  ts.set_capacity(0);
-  EXPECT_EQ(ts.capacity(), 0u);
-}
-
-TEST(TimeSeries, HistogramSeesEverySampleIncludingDecimatedOnes) {
-  sim::Scheduler sched;
-  obs::LogLinHistogram hist;
-  TimeSeries ts(sched, sim::Time::seconds(1.0), [&] { return sched.now().sec(); });
-  ts.set_capacity(4);
-  ts.set_histogram(&hist);
-  ts.start();
-  sched.run_until(sim::Time::seconds(12.5));
-  // Samples at t = 1,2,3,4 (→ decimate), 6,8 (→ decimate), 12: the bounded
-  // buffer dropped points, the histogram saw all seven.
-  EXPECT_EQ(hist.count(), 7u);
-  EXPECT_LT(ts.points().size(), hist.count());
-  EXPECT_DOUBLE_EQ(hist.min(), 1.0);
-  EXPECT_DOUBLE_EQ(hist.max(), 12.0);
+  // Sampling adds no scheduler event.
+  EXPECT_EQ(sched.executed_events(), 0u);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Unit tests for the event-engine building blocks introduced with the
 // allocation-free scheduler: InplaceCallback (SBO + pooled storage),
-// RingDeque (grow-only ring with deque semantics), re-armable TimerHandles,
-// and weak-event run() semantics.
+// RingDeque (grow-only ring with deque semantics) and re-armable
+// TimerHandles.
 
 #include <gtest/gtest.h>
 
@@ -232,69 +232,6 @@ TEST(TimerHandle, RearmRedrawsFifoRank) {
   t.rearm(Time::milliseconds(1));
   s.run();
   EXPECT_EQ(order, (std::vector<int>{1, 0}));
-}
-
-// --- weak events -----------------------------------------------------------
-
-TEST(WeakEvents, RunIgnoresLoneWeakTimer) {
-  Scheduler s;
-  int samples = 0;
-  TimerHandle sampler;
-  sampler.init(s, [&] {
-    ++samples;
-    sampler.rearm(s.now() + Time::milliseconds(10));
-  }, /*weak=*/true);
-  sampler.rearm(Time::milliseconds(10));
-  s.run();  // must return immediately: only weak work pending
-  EXPECT_EQ(samples, 0);
-  EXPECT_EQ(s.now(), Time::zero());
-  EXPECT_EQ(s.pending_events(), 1u);
-  EXPECT_EQ(s.strong_pending_events(), 0u);
-}
-
-TEST(WeakEvents, WeakTimerFiresWhileStrongWorkRemains) {
-  Scheduler s;
-  std::vector<Time> samples;
-  TimerHandle sampler;
-  sampler.init(s, [&] {
-    samples.push_back(s.now());
-    sampler.rearm(s.now() + Time::milliseconds(10));
-  }, /*weak=*/true);
-  sampler.rearm(Time::milliseconds(10));
-  s.schedule_at(Time::milliseconds(35), [] {});  // strong anchor
-  s.run();
-  // Weak fires at 10, 20, 30 ride along; the run stops once the strong
-  // event at 35 has executed (the 40 ms weak fire never happens).
-  ASSERT_EQ(samples.size(), 3u);
-  EXPECT_EQ(samples[2], Time::milliseconds(30));
-  EXPECT_EQ(s.now(), Time::milliseconds(35));
-}
-
-TEST(WeakEvents, RunUntilStillFiresWeakEvents) {
-  Scheduler s;
-  int samples = 0;
-  TimerHandle sampler;
-  sampler.init(s, [&] {
-    ++samples;
-    sampler.rearm(s.now() + Time::milliseconds(10));
-  }, /*weak=*/true);
-  sampler.rearm(Time::milliseconds(10));
-  s.run_until(Time::milliseconds(45));  // deadline bounds the run already
-  EXPECT_EQ(samples, 4);
-  EXPECT_EQ(s.now(), Time::milliseconds(45));
-}
-
-TEST(WeakEvents, BudgetRunReportsExhaustedWithOnlyWeakLeft) {
-  Scheduler s;
-  TimerHandle sampler;
-  sampler.init(s, [&] { sampler.rearm(s.now() + Time::milliseconds(10)); },
-               /*weak=*/true);
-  sampler.rearm(Time::milliseconds(10));
-  s.schedule_at(Time::milliseconds(5), [] {});
-  const auto stop = s.run_until(Time::seconds(1), Scheduler::RunLimits{});
-  // The sampler kept firing to the deadline, but with no strong work left
-  // the run reports exhaustion — experiment loops use this to terminate.
-  EXPECT_EQ(stop, Scheduler::StopReason::kQueueExhausted);
 }
 
 // --- slot recycling under churn -------------------------------------------

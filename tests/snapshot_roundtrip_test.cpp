@@ -14,6 +14,8 @@
 #include "exp/result_digest.hpp"
 #include "fault/fault.hpp"
 #include "sim/snapshot.hpp"
+#include "trace/sinks.hpp"
+#include "trace/trace.hpp"
 #include "workload/workload.hpp"
 
 namespace elephant {
@@ -116,6 +118,33 @@ TEST(SnapshotRoundtrip, FiniteWorkloadCell) {
 
 // One snapshot, many restores — the DFS backtracking pattern: every restore
 // must land on the identical state and replay to the identical result.
+// A tracer is an observer: it must leave the hashed state (scheduler slots
+// and every serialized component) exactly as an untraced cell has it, at
+// deadline and mid-instant event-budget boundaries alike.
+TEST(SnapshotRoundtrip, TracedCellHashesLikeUntraced) {
+  exp::ExperimentConfig cfg = tiny_cell();
+  cfg.fault_plan = fault::FaultPlan::loss_burst(sim::Time::seconds(0.3), 0.05,
+                                                sim::Time::seconds(0.3));
+  trace::DigestSink sink;
+  trace::Tracer tracer(sink, /*capacity=*/4096);
+  exp::ExperimentConfig traced_cfg = cfg;
+  traced_cfg.tracer = &tracer;
+  exp::Cell plain(cfg);
+  exp::Cell traced(traced_cfg);
+  EXPECT_EQ(traced.state_hash(), plain.state_hash()) << "after construction";
+  for (int step = 1; step <= 4; ++step) {
+    plain.run_chunk(/*max_events=*/7000);
+    traced.run_chunk(/*max_events=*/7000);
+    EXPECT_EQ(traced.state_hash(), plain.state_hash()) << "event chunk " << step;
+    const sim::Time deadline = sim::Time::seconds(0.2 * step);
+    plain.run_chunk(/*max_events=*/0, deadline);
+    traced.run_chunk(/*max_events=*/0, deadline);
+    EXPECT_EQ(traced.state_hash(), plain.state_hash()) << "deadline " << deadline.sec();
+  }
+  tracer.flush();
+  EXPECT_GT(sink.count(), 0u) << "the tracer recorded nothing";
+}
+
 TEST(SnapshotRoundtrip, SnapshotIsRestorableRepeatedly) {
   const exp::ExperimentConfig cfg = tiny_cell();
   exp::Cell cell(cfg);

@@ -97,7 +97,7 @@ TEST(FiniteTransfer, CompletionCallbackFiresOnceAndReleasesTimers) {
     completed_at = f.sched.now();
   });
   mouse.start();
-  // Unbounded run: terminates only when no strong events remain. A dangling
+  // Unbounded run: terminates only when no events remain. A dangling
   // RTO timer (>= 200 ms min RTO) would hold the run open well past the
   // completion instant; the delayed-ACK timer accounts for at most 40 ms.
   f.sched.run();
@@ -105,7 +105,7 @@ TEST(FiniteTransfer, CompletionCallbackFiresOnceAndReleasesTimers) {
   EXPECT_EQ(completions, 1);
   EXPECT_EQ(completed_at, mouse.sender().completion_time());
   EXPECT_LE(f.sched.now(), mouse.sender().completion_time() + sim::Time::milliseconds(100));
-  EXPECT_EQ(f.sched.strong_pending_events(), 0u);
+  EXPECT_EQ(f.sched.pending_events(), 0u);
 }
 
 TEST(AppLimited, SendsOnlyOfferedData) {

@@ -4,12 +4,14 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "exp/runner.hpp"
 #include "test_util.hpp"
 #include "trace/codec.hpp"
 #include "trace/sinks.hpp"
 #include "trace/trace.hpp"
+#include "workload/workload.hpp"
 
 namespace elephant::exp {
 namespace {
@@ -52,8 +54,8 @@ TEST(TraceIntegration, TracedRunEmitsPerFlowCwndAndQueueDepthSeries) {
   std::set<std::uint32_t> expected_flows;
   for (const auto& f : res.flows) expected_flows.insert(f.flow);
   EXPECT_EQ(cwnd_flows, expected_flows);
-  // 5 s at the 100 ms default interval: one sample per interval, minus the
-  // first (sampling starts one interval in).
+  // 5 s at the fixed 100 ms interval: one sample per interval, the first
+  // one interval in.
   EXPECT_GE(queue_samples, 45u);
   EXPECT_LE(queue_samples, 50u);
   // Something traversed the bottleneck while we watched.
@@ -62,6 +64,37 @@ TEST(TraceIntegration, TracedRunEmitsPerFlowCwndAndQueueDepthSeries) {
                             return r.type == trace::RecordType::kAqmEnqueue;
                           }),
             0);
+}
+
+// Queue-depth samples are taken on run-loop boundaries, not by a timer, so
+// they must keep coming after every flow has finished and the event queue
+// has drained — up to and including the duration — with episode sampling
+// (which stops at the first window after the drain) attached as well.
+TEST(TraceIntegration, QueueDepthSamplesContinueAfterTheQueueDrains) {
+  trace::MemorySink sink;
+  trace::Tracer tracer(sink, 1 << 12);
+  auto cfg = traced_config(&tracer);
+  cfg.duration = sim::Time::seconds(2);
+  cfg.episodes.enabled = true;
+  cfg.episodes.window_s = 0.25;
+  workload::TrafficClass mice;
+  mice.name = "mice";
+  mice.kind = workload::ClassKind::kFinite;
+  mice.count = 4;
+  mice.start_window = sim::Time::seconds(0.1);
+  mice.size = workload::SizeSpec::fixed(50e3);
+  cfg.workload.classes = {mice};
+  const auto res = test::run_uncached(cfg);
+  for (const auto& f : res.flows) ASSERT_TRUE(f.completed) << "flow " << f.flow;
+
+  std::vector<sim::Time> ticks;
+  for (const auto& r : sink.records()) {
+    if (r.type == trace::RecordType::kQueueDepth) ticks.push_back(r.t);
+  }
+  ASSERT_EQ(ticks.size(), 20u);
+  for (std::size_t i = 0; i < ticks.size(); ++i) {
+    EXPECT_EQ(ticks[i], sim::Time::milliseconds(100) * static_cast<std::int64_t>(i + 1));
+  }
 }
 
 TEST(TraceIntegration, CsvAndJsonlRoundTripTheWholeRun) {

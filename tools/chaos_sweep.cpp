@@ -242,7 +242,7 @@ int main(int argc, char** argv) {
     if (live.empty()) {
       // Everyone finished before the budget was spent: converged early. The
       // structural checks below still apply, but log the shortfall — a
-      // too-fast matrix weakens the chaos.
+      // too-fast matrix dilutes the chaos.
       std::fprintf(stderr, "[chaos] workers converged after %d/%d kills\n", kills_done,
                    opt.kills);
       break;
