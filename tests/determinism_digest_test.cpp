@@ -102,6 +102,16 @@ exp::ExperimentConfig fault_cell() {
   return cfg;
 }
 
+// The paper cell with both arrival-loss knobs on: Bernoulli loss and bursty
+// Gilbert–Elliott loss ahead of the bottleneck queue. Traced, so every
+// injected-drop record is hashed.
+exp::ExperimentConfig lossy_cell() {
+  exp::ExperimentConfig cfg = paper_cell();
+  cfg.random_loss = 0.005;
+  cfg.ge_loss = fault::GilbertElliottParams::from_loss(0.003, 20);
+  return cfg;
+}
+
 // Golden digests. The paper cell is captured from the PRE-SWAP engine and
 // passed unchanged through the swap AND through the conditional-wake port
 // rework: the unperturbed path is bit-identical across all three engines.
@@ -124,12 +134,21 @@ constexpr CellDigest kGoldenPaperCell = {0x715fc370d3642f49ull, 0xa1201808252779
 constexpr CellDigest kGoldenFaultCell = {0xff3b7a2b69074069ull, 0x9ff4cf27ff6a73c8ull,
                                          19068ull};
 
+// Captured while Bernoulli and Gilbert–Elliott loss were still qdisc
+// decorators; the arrival-loss stage must reproduce it bit for bit.
+constexpr CellDigest kGoldenLossyCell = {0x354be9a5f265064eull, 0x1fb02c8b57fd55eaull,
+                                         17467ull};
+
 TEST(DeterminismDigest, PaperCellMatchesPreSwapEngine) {
   check("kGoldenPaperCell", run_cell(paper_cell()), kGoldenPaperCell);
 }
 
 TEST(DeterminismDigest, FaultCellMatchesGolden) {
   check("kGoldenFaultCell", run_cell(fault_cell()), kGoldenFaultCell);
+}
+
+TEST(DeterminismDigest, LossyCellMatchesGolden) {
+  check("kGoldenLossyCell", run_cell(lossy_cell()), kGoldenLossyCell);
 }
 
 // Final-metrics goldens for the other two paper AQMs, which the FIFO cells
