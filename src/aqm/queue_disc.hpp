@@ -51,22 +51,21 @@ class QueueDisc {
 
   [[nodiscard]] const QueueStats& stats() const { return stats_; }
 
-  /// Attach a flight recorder (null detaches). Virtual so decorators
-  /// (LossInjector) can forward to their inner qdisc.
-  virtual void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
+  /// Attach a flight recorder (null detaches).
+  void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
   [[nodiscard]] trace::Tracer* tracer() const { return tracer_; }
 
   /// Snapshot the discipline's full mutable state (queued packets and
   /// algorithm variables included). Implementations override both, call the
   /// base first (it serializes the counters), then append their own fields
-  /// in a fixed order. Decorators (LossInjector) forward to their
-  /// inner qdisc after their own state.
+  /// in a fixed order.
   virtual void save(sim::SnapshotWriter& w) const { w.put_pod(stats_); }
   virtual void load(sim::SnapshotReader& r) { r.get_pod(&stats_); }
 
   /// Trace emitters for implementations; each is a no-op (one predictable
   /// branch) when no tracer is attached. Public so the shared codel_dequeue
-  /// algorithm can report drops on behalf of its host qdisc.
+  /// algorithm and the port's arrival-loss stage can report drops against
+  /// this queue's backlog.
   void trace_enqueue(const net::Packet& p) {
     if (tracer_ != nullptr) [[unlikely]] emit(trace::RecordType::kAqmEnqueue, p, 0);
   }

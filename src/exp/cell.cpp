@@ -123,7 +123,11 @@ ExperimentResult finalize_experiment(const ExperimentConfig& cfg, sim::Time dura
   res.sender_bps[1] = side_bps[1];
   res.jain2 = metrics::jain_index(std::span<const double>(side_bps, 2));
   res.utilization = metrics::link_utilization(flow_bps, cfg.bottleneck_bps);
+  // Arrivals the port's loss stage dropped never reached the qdisc; they
+  // count as early drops of the bottleneck.
   res.bottleneck = bottleneck.qdisc().stats();
+  res.bottleneck.dropped_early += bottleneck.arrival_drops();
+  res.bottleneck.bytes_dropped += bottleneck.arrival_bytes_dropped();
   res.events_executed = events_executed;
   res.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();

@@ -2,11 +2,9 @@
 
 #include <cstdio>
 
-#include "aqm/loss_injector.hpp"
 #include "exp/config.hpp"
 #include "exp/flow_factory.hpp"
 #include "fault/fault.hpp"
-#include "fault/gilbert_elliott.hpp"
 #include "net/port.hpp"
 #include "tcp/tcp_receiver.hpp"
 #include "tcp/tcp_sender.hpp"
@@ -23,28 +21,13 @@ EpisodeProbe::EpisodeProbe(const ExperimentConfig& cfg, FlowFactory& factory,
 
 obs::QueueSample EpisodeProbe::queue_sample() const {
   obs::QueueSample qs;
-  const aqm::QueueDisc& outer = bottleneck_.qdisc();
-  const aqm::QueueStats& stats = outer.stats();
+  const aqm::QueueStats& stats = bottleneck_.qdisc().stats();
   qs.dropped_overflow = stats.dropped_overflow;
+  qs.dropped_early = stats.dropped_early;
   qs.ecn_marked = stats.ecn_marked;
-
-  // The loss decorators fold their injected drops into dropped_early (one
-  // coherent stats view); peel the decorator chain — GE wraps the Bernoulli
-  // injector when both are active — to report them as injected evidence and
-  // leave dropped_early meaning genuine AQM early drops.
-  std::uint64_t injected = 0;
-  const aqm::QueueDisc* q = &outer;
-  if (const auto* ge = dynamic_cast<const fault::GilbertElliottLoss*>(q)) {
-    injected += ge->injected_drops();
-    q = &ge->inner();
-  }
-  if (const auto* li = dynamic_cast<const aqm::LossInjector*>(q)) {
-    injected += li->injected_drops();
-  }
-  qs.dropped_early = stats.dropped_early > injected ? stats.dropped_early - injected : 0;
-  // Fault-plan loss bursts act at the link, not the qdisc: the port counts
-  // those drops separately and they never appear in the queue stats.
-  qs.injected_loss = injected + bottleneck_.fault_lost();
+  // Injected loss is counted by the port, never by the qdisc: arrivals its
+  // loss stage dropped plus fault-plan loss bursts on the link.
+  qs.injected_loss = bottleneck_.arrival_drops() + bottleneck_.fault_lost();
 
   if (faults_ != nullptr) qs.faults_applied = faults_->applied();
   return qs;

@@ -110,6 +110,41 @@ GilbertElliottParams GilbertElliottParams::from_loss(double stationary,
   return p;
 }
 
+bool ArrivalLoss::drop(std::uint32_t bytes, sim::ChoiceHook* hook) {
+  bool lost = false;
+  if (ge_.enabled()) {
+    // Advance the chain, then apply the (new) state's loss probability.
+    if (chance(ge_rng_, bad_ ? ge_.p_bad_to_good : ge_.p_good_to_bad, hook,
+               sim::ChoiceKind::kGeTransition)) {
+      bad_ = !bad_;
+    }
+    const double loss = bad_ ? ge_.loss_bad : ge_.loss_good;
+    lost = loss > 0 && chance(ge_rng_, loss, hook, sim::ChoiceKind::kGeLoss);
+  }
+  if (!lost) lost = rate_ > 0 && chance(rng_, rate_, hook, sim::ChoiceKind::kArrivalLoss);
+  if (lost) {
+    ++drops_;
+    bytes_dropped_ += bytes;
+  }
+  return lost;
+}
+
+void ArrivalLoss::save(sim::SnapshotWriter& w) const {
+  w.put_pod(rng_);
+  w.put_pod(ge_rng_);
+  w.put_bool(bad_);
+  w.put_u64(drops_);
+  w.put_u64(bytes_dropped_);
+}
+
+void ArrivalLoss::load(sim::SnapshotReader& r) {
+  r.get_pod(&rng_);
+  r.get_pod(&ge_rng_);
+  bad_ = r.get_bool();
+  drops_ = r.get_u64();
+  bytes_dropped_ = r.get_u64();
+}
+
 FaultInjector::FaultInjector(sim::Scheduler& sched, net::Port& target, std::uint64_t seed,
                              trace::Tracer* tracer)
     : sched_(sched), target_(target), tracer_(tracer), rng_(seed),

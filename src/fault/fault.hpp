@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/choice.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 
@@ -75,8 +76,21 @@ struct FaultPlan {
                                               sim::Time for_time = sim::Time::zero());
 };
 
+/// One probabilistic fault site that is also a model-checking choice point:
+/// the seeded draw is always consumed first (so the RNG stream, and the
+/// position of every later choice point, is the same whichever branch is
+/// taken), then an attached hook may flip the outcome. Branch 0 keeps the
+/// seeded outcome; a certain (p >= 1) or impossible (p <= 0) site offers no
+/// branch.
+[[nodiscard]] inline bool chance(sim::Rng& rng, double p, sim::ChoiceHook* hook,
+                                 sim::ChoiceKind kind) {
+  const bool hit = rng.next_double() < p;
+  if (hook != nullptr && p > 0 && p < 1.0 && hook->choose(kind, 2) != 0) return !hit;
+  return hit;
+}
+
 /// Two-state Gilbert–Elliott loss parameters: bursty loss, complementing the
-/// independent Bernoulli LossInjector. State advances per arriving packet;
+/// independent Bernoulli arrival loss. State advances per arriving packet;
 /// a packet is lost with its state's loss probability.
 struct GilbertElliottParams {
   double p_good_to_bad = 0;    ///< per-packet P(good → bad)
@@ -97,6 +111,38 @@ struct GilbertElliottParams {
   /// `mean_burst_packets` consecutive losses (loss_bad = 1, loss_good = 0).
   [[nodiscard]] static GilbertElliottParams from_loss(double stationary,
                                                       double mean_burst_packets);
+};
+
+/// Loss applied to packets arriving at a port, ahead of its queue — the
+/// "variable rates of packet loss" anomaly of the paper's §6. A two-state
+/// Gilbert–Elliott chain (bursty loss) decides first; a packet it lets
+/// through then takes one independent Bernoulli trial. Each process runs on
+/// its own seeded stream, so runs stay reproducible, and every draw is a
+/// model-checking choice point.
+class ArrivalLoss {
+ public:
+  ArrivalLoss(double rate, const GilbertElliottParams& ge, std::uint64_t seed)
+      : rate_(rate), rng_(seed ^ 0x1055), ge_(ge), ge_rng_(seed ^ 0x6e55) {}
+
+  /// Decide the fate of one arriving packet of `bytes`; true means it is
+  /// lost (and counted).
+  [[nodiscard]] bool drop(std::uint32_t bytes, sim::ChoiceHook* hook);
+
+  [[nodiscard]] std::uint64_t drops() const { return drops_; }
+  [[nodiscard]] std::uint64_t bytes_dropped() const { return bytes_dropped_; }
+  [[nodiscard]] bool in_bad_state() const { return bad_; }
+
+  void save(sim::SnapshotWriter& w) const;
+  void load(sim::SnapshotReader& r);
+
+ private:
+  double rate_;
+  sim::Rng rng_;
+  GilbertElliottParams ge_;
+  sim::Rng ge_rng_;
+  bool bad_ = false;
+  std::uint64_t drops_ = 0;
+  std::uint64_t bytes_dropped_ = 0;
 };
 
 /// Applies a FaultPlan to a port through the scheduler. Owns the RNG that

@@ -18,7 +18,7 @@ std::string num(double v) {
   return buf;
 }
 
-constexpr const char* kHeader = "elephant-choice-trace v2";
+constexpr const char* kHeader = "elephant-choice-trace v3";
 
 /// Reads "key value" where value is the rest of the line (may be empty).
 bool take_line(std::istringstream& in, const char* key, std::string* value,
@@ -96,9 +96,10 @@ bool ChoiceTrace::parse(const std::string& text, ChoiceTrace* out, std::string* 
   std::istringstream in(text);
   std::string line;
   if (!std::getline(in, line) || line != kHeader) {
-    *error = line == "elephant-choice-trace v1"
-                 ? "choice trace v1 was written by an older engine whose state hashes "
-                   "cannot match this build; re-run the exploration"
+    *error = line == "elephant-choice-trace v1" || line == "elephant-choice-trace v2"
+                 ? "choice trace " + line.substr(line.size() - 2) +
+                       " was written by an older engine whose state hashes "
+                       "cannot match this build; re-run the exploration"
                  : "not a choice trace (bad header)";
     return false;
   }

@@ -6,7 +6,6 @@
 
 #include "net/node.hpp"
 #include "obs/metrics.hpp"
-#include "sim/choice.hpp"
 
 namespace elephant::net {
 
@@ -33,7 +32,13 @@ void Port::trace_queue_depth() {
 }
 
 void Port::send(Packet&& p) {
-  qdisc_->enqueue(std::move(p));
+  // A lost arrival still falls through to the service tail below, exactly
+  // like a packet the qdisc refuses.
+  if (arrival_loss_ && arrival_loss_->drop(p.size, sched_.choice_hook())) [[unlikely]] {
+    qdisc_->trace_drop(p, /*early=*/true);
+  } else {
+    qdisc_->enqueue(std::move(p));
+  }
   if (sched_.now() >= busy_until_) {
     try_transmit();
   } else if (up_ && !tx_timer_.armed() && qdisc_->packet_length() > 0) {
@@ -115,49 +120,27 @@ void Port::try_transmit() {
     // Link-level perturbations act after serialization, like a flaky wire:
     // the packet occupied the link either way.
     //
-    // Each probabilistic site is a model-checking choice point: the seeded
-    // RNG draw is always consumed first (so the stream — and the position of
-    // every later choice point — is identical whichever branch is taken),
-    // then an attached hook may flip the outcome. Branch 0 keeps the seeded
-    // outcome; a certain (p >= 1) or impossible (p <= 0) site offers no
-    // branch. Jitter is a continuous perturbation, not an enumerable one,
-    // and stays purely seeded.
+    // Each probabilistic site is a model-checking choice point (see
+    // fault::chance). Jitter is a continuous perturbation, not an enumerable
+    // one, and stays purely seeded.
     sim::ChoiceHook* hook = sched_.choice_hook();
-    if (perturb_.loss_prob > 0) {
-      bool lost = fault_rng_->next_double() < perturb_.loss_prob;
-      if (hook != nullptr && perturb_.loss_prob < 1.0 &&
-          hook->choose(sim::ChoiceKind::kFaultLoss, 2) != 0) {
-        lost = !lost;
-      }
-      if (lost) {
-        ++fault_lost_;
-        return;  // corrupted in flight
-      }
+    if (perturb_.loss_prob > 0 &&
+        fault::chance(*fault_rng_, perturb_.loss_prob, hook, sim::ChoiceKind::kFaultLoss)) {
+      ++fault_lost_;
+      return;  // corrupted in flight
     }
     if (perturb_.jitter > sim::Time::zero()) {
       extra += perturb_.jitter * fault_rng_->next_double();
     }
-    if (perturb_.reorder_prob > 0) {
-      bool late = fault_rng_->next_double() < perturb_.reorder_prob;
-      if (hook != nullptr && perturb_.reorder_prob < 1.0 &&
-          hook->choose(sim::ChoiceKind::kFaultReorder, 2) != 0) {
-        late = !late;
-      }
-      if (late) {
-        extra += perturb_.reorder_delay;
-        ++fault_reordered_;
-      }
+    if (perturb_.reorder_prob > 0 && fault::chance(*fault_rng_, perturb_.reorder_prob, hook,
+                                                   sim::ChoiceKind::kFaultReorder)) {
+      extra += perturb_.reorder_delay;
+      ++fault_reordered_;
     }
-    if (perturb_.duplicate_prob > 0) {
-      bool dup = fault_rng_->next_double() < perturb_.duplicate_prob;
-      if (hook != nullptr && perturb_.duplicate_prob < 1.0 &&
-          hook->choose(sim::ChoiceKind::kFaultDuplicate, 2) != 0) {
-        dup = !dup;
-      }
-      if (dup) {
-        ++fault_duplicated_;
-        deliver_in(tx + propagation_ + extra, Packet(*next));
-      }
+    if (perturb_.duplicate_prob > 0 && fault::chance(*fault_rng_, perturb_.duplicate_prob, hook,
+                                                     sim::ChoiceKind::kFaultDuplicate)) {
+      ++fault_duplicated_;
+      deliver_in(tx + propagation_ + extra, Packet(*next));
     }
   }
   deliver_in(tx + propagation_ + extra, std::move(*next));
@@ -177,6 +160,7 @@ void Port::save(sim::SnapshotWriter& w) const {
   w.put_u64(line_.size());
   for (std::size_t i = 0; i < line_.size(); ++i) w.put_pod(line_[i]);
   qdisc_->save(w);
+  if (arrival_loss_) arrival_loss_->save(w);
 }
 
 void Port::load(sim::SnapshotReader& r) {
@@ -197,6 +181,7 @@ void Port::load(sim::SnapshotReader& r) {
     line_.push_back(std::move(f));
   }
   qdisc_->load(r);
+  if (arrival_loss_) arrival_loss_->load(r);
 }
 
 }  // namespace elephant::net

@@ -2,9 +2,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "aqm/queue_disc.hpp"
+#include "fault/fault.hpp"
 #include "net/packet.hpp"
 #include "sim/random.hpp"
 #include "sim/ring_deque.hpp"
@@ -31,8 +33,8 @@ class Port {
   Port(sim::Scheduler& sched, std::unique_ptr<aqm::QueueDisc> qdisc, double rate_bps,
        sim::Time propagation, std::string name);
 
-  /// Hand a packet to this port. It is queued (or dropped by the AQM) and
-  /// serialized onto the link as capacity allows.
+  /// Hand a packet to this port. It is queued (or dropped by the arrival-loss
+  /// stage or the AQM) and serialized onto the link as capacity allows.
   void send(Packet&& p);
 
   void connect(Node* peer) { peer_ = peer; }
@@ -91,6 +93,15 @@ class Port {
   /// (FaultInjector), which must outlive the port's activity.
   void set_fault_rng(sim::Rng* rng) { fault_rng_ = rng; }
 
+  /// Drop arrivals ahead of the qdisc (Bernoulli and Gilbert–Elliott loss).
+  void set_arrival_loss(const fault::ArrivalLoss& loss) { arrival_loss_ = loss; }
+  [[nodiscard]] std::uint64_t arrival_drops() const {
+    return arrival_loss_ ? arrival_loss_->drops() : 0;
+  }
+  [[nodiscard]] std::uint64_t arrival_bytes_dropped() const {
+    return arrival_loss_ ? arrival_loss_->bytes_dropped() : 0;
+  }
+
   [[nodiscard]] std::uint64_t fault_lost() const { return fault_lost_; }
   [[nodiscard]] std::uint64_t fault_reordered() const { return fault_reordered_; }
   [[nodiscard]] std::uint64_t fault_duplicated() const { return fault_duplicated_; }
@@ -98,8 +109,9 @@ class Port {
   // --- model-checking snapshot surface ---
 
   /// Serialize the port's mutable state: link/serialization scalars, fault
-  /// perturbation and counters, the in-flight delay line, and the attached
-  /// queue discipline (which serializes itself, derived state included).
+  /// perturbation and counters, the in-flight delay line, the attached
+  /// queue discipline (which serializes itself, derived state included), and
+  /// the arrival-loss stage when there is one.
   /// Timer armed-ness is not written here — it lives in the scheduler image,
   /// and the timers' slots survive restore untouched.
   void save(sim::SnapshotWriter& w) const;
@@ -143,6 +155,7 @@ class Port {
   sim::RingDeque<InFlight> line_;
   sim::TimerHandle line_timer_;
 
+  std::optional<fault::ArrivalLoss> arrival_loss_;
   LinkPerturb perturb_{};
   sim::Rng* fault_rng_ = nullptr;
   std::uint64_t fault_lost_ = 0;

@@ -3,8 +3,6 @@
 #include <utility>
 
 #include "aqm/fifo.hpp"
-#include "aqm/loss_injector.hpp"
-#include "fault/gilbert_elliott.hpp"
 
 namespace elephant::net {
 
@@ -43,16 +41,11 @@ Dumbbell::Dumbbell(sim::Scheduler& sched, const DumbbellConfig& cfg) : sched_(sc
   // direction is an unshaped 100G trunk.
   auto bottleneck_q = aqm::make_queue_disc(cfg_.aqm, sched_, cfg_.bottleneck_buffer_bytes,
                                            cfg_.seed, cfg_.aqm_options);
-  if (cfg_.random_loss > 0) {
-    bottleneck_q = std::make_unique<aqm::LossInjector>(sched_, std::move(bottleneck_q),
-                                                       cfg_.random_loss, cfg_.seed ^ 0x1055);
-  }
-  if (cfg_.ge_loss.enabled()) {
-    bottleneck_q = std::make_unique<fault::GilbertElliottLoss>(
-        sched_, std::move(bottleneck_q), cfg_.ge_loss, cfg_.seed ^ 0x6e55);
-  }
   bottleneck_ = add_port(std::move(bottleneck_q), cfg_.bottleneck_bps, cfg_.trunk_delay,
                          router2_.get(), "r1->r2(bottleneck)");
+  if (cfg_.random_loss > 0 || cfg_.ge_loss.enabled()) {
+    bottleneck_->set_arrival_loss(fault::ArrivalLoss(cfg_.random_loss, cfg_.ge_loss, cfg_.seed));
+  }
   Port* r2_r1 = add_port(fifo("trunkrev"), cfg_.trunk_bps, cfg_.trunk_delay, router1_.get(), "r2->r1");
 
   // Server side (NCSA → TACC).

@@ -34,13 +34,13 @@ struct DumbbellConfig {
   /// Edge buffers: deep enough never to be the binding constraint.
   std::size_t access_buffer_bytes = std::size_t{512} << 20;
 
-  /// Bernoulli loss injected ahead of the bottleneck queue (paper future
-  /// work: "performance under network anomalies, e.g. variable rates of
-  /// packet loss"). 0 disables.
+  /// Bernoulli loss applied to bottleneck arrivals by the port's
+  /// fault::ArrivalLoss stage (paper future work: "performance under network
+  /// anomalies, e.g. variable rates of packet loss"). 0 disables.
   double random_loss = 0.0;
 
-  /// Bursty two-state loss ahead of the bottleneck queue; complements the
-  /// memoryless `random_loss`. Disabled unless the params enable it.
+  /// Bursty two-state loss in the same stage, decided before `random_loss`.
+  /// Disabled unless the params enable it.
   fault::GilbertElliottParams ge_loss{};
 
   std::uint64_t seed = 1;

@@ -15,9 +15,10 @@ enum class ChoiceKind : std::uint8_t {
   kFaultDuplicate = 3, ///< port fault layer: duplicate this packet or not
   kGeTransition = 4,   ///< Gilbert-Elliott channel: flip good/bad state or not
   kGeLoss = 5,         ///< Gilbert-Elliott channel: drop in current state or not
+  kArrivalLoss = 6,    ///< Bernoulli arrival loss: drop this packet or not
 };
 /// Number of ChoiceKind values; every kind is below it.
-inline constexpr unsigned kChoiceKindCount = 6;
+inline constexpr unsigned kChoiceKindCount = 7;
 
 [[nodiscard]] inline const char* to_string(ChoiceKind k) {
   switch (k) {
@@ -33,6 +34,8 @@ inline constexpr unsigned kChoiceKindCount = 6;
       return "ge_transition";
     case ChoiceKind::kGeLoss:
       return "ge_loss";
+    case ChoiceKind::kArrivalLoss:
+      return "arrival_loss";
   }
   return "unknown";
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <typeinfo>
+
 #include "aqm/factory.hpp"
 #include "aqm/red.hpp"
 #include "test_util.hpp"
@@ -75,9 +77,9 @@ TEST(AdaptiveRed, FactoryKindSetsAdaptive) {
   sim::Scheduler sched;
   auto q = make_queue_disc(AqmKind::kRedAdaptive, sched, 1 << 24, 1);
   EXPECT_EQ(q->name(), "red");  // same algorithm, self-tuned parameters
-  const auto* red = dynamic_cast<const RedQueue*>(q.get());
-  ASSERT_NE(red, nullptr);
-  EXPECT_TRUE(red->config().adaptive);
+  const QueueDisc& base = *q;
+  ASSERT_EQ(typeid(base), typeid(RedQueue));
+  EXPECT_TRUE(static_cast<const RedQueue&>(base).config().adaptive);
 }
 
 TEST(AdaptiveRed, ImprovesHighBandwidthUtilization) {

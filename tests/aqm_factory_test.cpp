@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <typeinfo>
+
 #include "test_util.hpp"
 
 namespace elephant::aqm {
@@ -32,9 +34,9 @@ TEST(AqmFactory, EcnOptionFlowsThrough) {
   opts.ecn = true;
   auto red = make_queue_disc(AqmKind::kRed, sched, 1 << 20, 1, opts);
   ASSERT_NE(red, nullptr);
-  const auto* typed = dynamic_cast<const RedQueue*>(red.get());
-  ASSERT_NE(typed, nullptr);
-  EXPECT_TRUE(typed->config().ecn);
+  const QueueDisc& base = *red;
+  ASSERT_EQ(typeid(base), typeid(RedQueue));
+  EXPECT_TRUE(static_cast<const RedQueue&>(base).config().ecn);
 }
 
 TEST(AqmFactory, FqCodelOptionsApplied) {
@@ -43,10 +45,11 @@ TEST(AqmFactory, FqCodelOptionsApplied) {
   opts.fq_flows = 64;
   opts.fq_quantum = 1500;
   auto q = make_queue_disc(AqmKind::kFqCodel, sched, 1 << 20, 1, opts);
-  const auto* typed = dynamic_cast<const FqCodelQueue*>(q.get());
-  ASSERT_NE(typed, nullptr);
-  EXPECT_EQ(typed->config().flows, 64u);
-  EXPECT_EQ(typed->config().quantum, 1500u);
+  const QueueDisc& base = *q;
+  ASSERT_EQ(typeid(base), typeid(FqCodelQueue));
+  const auto& typed = static_cast<const FqCodelQueue&>(base);
+  EXPECT_EQ(typed.config().flows, 64u);
+  EXPECT_EQ(typed.config().quantum, 1500u);
 }
 
 TEST(AqmFactory, RedSeedDeterminism) {

@@ -46,7 +46,8 @@ TEST(Runner, RandomLossReachesTheBottleneck) {
                                 100e6, 10);
   cfg.random_loss = 0.02;
   const auto res = run_experiment(cfg);
-  // The loss injector reports through the qdisc's early-drop counter.
+  // The port's arrival-loss stage drops are folded into the result's
+  // early-drop counter.
   EXPECT_GT(res.bottleneck.dropped_early, 0u);
 }
 

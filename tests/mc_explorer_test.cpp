@@ -103,9 +103,11 @@ TEST(ChoiceTrace, RejectsMalformedFiles) {
     const char* error;  ///< substring the error must contain
   };
   const Case cases[] = {
-      {"v1 header", edit("elephant-choice-trace v2", "elephant-choice-trace v1"),
+      {"v1 header", edit("elephant-choice-trace v3", "elephant-choice-trace v1"),
        "older engine"},
-      {"unknown header", edit("elephant-choice-trace v2", "elephant-choice-trace v3"),
+      {"v2 header", edit("elephant-choice-trace v3", "elephant-choice-trace v2"),
+       "older engine"},
+      {"unknown header", edit("elephant-choice-trace v3", "elephant-choice-trace v4"),
        "bad header"},
       {"garbage number", edit("at_s 0\n", "at_s zero\n"), "bad at_s"},
       {"trailing bytes on a number", edit("jain_floor 0\n", "jain_floor 0.5x\n"),
@@ -118,7 +120,7 @@ TEST(ChoiceTrace, RejectsMalformedFiles) {
        "bad choice row 2"},
       {"too few rows", edit("choices 2\n", "choices 3\n"), "bad choice row 2"},
       {"too many rows", edit("choices 2\n", "choices 1\n"), "trailing data"},
-      {"unknown kind", edit("\n0 3 2\n", "\n6 3 2\n"), "bad choice row 0"},
+      {"unknown kind", edit("\n0 3 2\n", "\n7 3 2\n"), "bad choice row 0"},
       {"chosen out of range", edit("\n0 3 2\n", "\n0 3 3\n"), "bad choice row 0"},
       {"short row", edit("\n0 3 2\n", "\n0 3\n"), "bad choice row 0"},
       {"row with trailing bytes", edit("\n0 3 2\n", "\n0 3 2 9\n"), "bad choice row 0"},
@@ -215,6 +217,45 @@ TEST(McExplorer, PlantedViolationReplaysIdentically) {
   EXPECT_EQ(rep.oracle, v.oracle);
   EXPECT_EQ(rep.detail, v.detail);
   EXPECT_EQ(rep.at_s, v.at_s);
+  EXPECT_TRUE(rep.ok());
+
+  std::remove(path.c_str());
+}
+
+// Bernoulli arrival loss is a choice point too: a 2-flow cell with 5%
+// random loss offers kArrivalLoss branches, and a planted violation on it
+// replays onto the identical end state.
+TEST(McExplorer, ArrivalLossBranchesAndReplays) {
+  exp::ExperimentConfig cfg = fault_cell();
+  cfg.fault_plan = {};
+  cfg.random_loss = 0.05;
+  const std::string path = testing::TempDir() + "mc_arrival_loss.trace";
+
+  mc::ExplorerOptions opts;
+  opts.max_depth = 4;
+  opts.max_schedules = 8;
+  opts.jain_floor = 0.99;
+  opts.trace_out = path;
+  mc::Explorer explorer(cfg, opts);
+  const mc::ExploreStats st = explorer.explore();
+  EXPECT_GE(st.distinct_states, 2u);
+  ASSERT_GT(st.violations, 0u);
+
+  mc::ChoiceTrace stored;
+  std::string error;
+  ASSERT_TRUE(mc::ChoiceTrace::read_file(path, &stored, &error)) << error;
+  std::size_t arrival = 0;
+  for (const mc::ChoiceRec& c : stored.choices) {
+    if (c.kind == sim::ChoiceKind::kArrivalLoss) {
+      EXPECT_EQ(c.n_branches, 2u);
+      ++arrival;
+    }
+  }
+  EXPECT_GT(arrival, 0u) << "the lossy cell offered no kArrivalLoss branch";
+
+  const mc::Explorer::ReplayReport rep = mc::Explorer::replay(cfg, stored);
+  EXPECT_FALSE(rep.diverged);
+  EXPECT_TRUE(rep.hash_matches) << "replay end-state hash drifted";
   EXPECT_TRUE(rep.ok());
 
   std::remove(path.c_str());

@@ -2,7 +2,7 @@
 // deliberately run the live cell further to scramble its state, restore,
 // resume — must produce results bit-identical to the uninterrupted run.
 // Exercised across the three paper AQMs, all five CCAs, a fault-injected
-// cell, and a finite-workload cell (whose completed flows walk the
+// cell, an arrival-loss cell, and a finite-workload cell (whose completed flows walk the
 // scoreboard teardown/slab-release path across the snapshot boundary).
 
 #include <gtest/gtest.h>
@@ -104,6 +104,17 @@ TEST(SnapshotRoundtrip, FaultInjectedCell) {
   const std::uint64_t want = digest_uninterrupted(cfg);
   // The 0.4 s deadline interrupt lands between the flap and the loss burst;
   // the restored run must replay the remaining fault timeline identically.
+  EXPECT_EQ(digest_roundtrip(cfg, /*by_events=*/false), want);
+  EXPECT_EQ(digest_roundtrip(cfg, /*by_events=*/true), want);
+}
+
+// Bernoulli and Gilbert–Elliott arrival loss: the port's loss stage (both
+// RNG streams, the chain state, its counters) must survive the round trip.
+TEST(SnapshotRoundtrip, ArrivalLossCell) {
+  exp::ExperimentConfig cfg = tiny_cell();
+  cfg.random_loss = 0.01;
+  cfg.ge_loss = fault::GilbertElliottParams::from_loss(0.005, 10);
+  const std::uint64_t want = digest_uninterrupted(cfg);
   EXPECT_EQ(digest_roundtrip(cfg, /*by_events=*/false), want);
   EXPECT_EQ(digest_roundtrip(cfg, /*by_events=*/true), want);
 }

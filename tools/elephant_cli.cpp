@@ -42,6 +42,7 @@
 // --metrics file (default metrics.jsonl, next to the manifest for sweeps)
 // and a progress line is printed to stderr.
 
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -49,6 +50,7 @@
 #include <atomic>
 #include <exception>
 #include <string>
+#include <string_view>
 #include <unistd.h>
 #include <vector>
 
@@ -62,6 +64,7 @@
 #include "mc/choice_trace.hpp"
 #include "mc/explorer.hpp"
 #include "obs/heartbeat.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "trace/sinks.hpp"
 #include "trace/trace.hpp"
@@ -116,14 +119,28 @@ extern "C" void on_drain_signal(int) {
                "run --check-digest N: execute the cell N times and fail (exit 1) with a\n"
                "field-level diff if any repetition's metrics digest drifts.\n"
                "explore: bounded-depth systematic schedule exploration (scheduler ties,\n"
-               "fault/GE loss branches) with state-hash dedup; oracle violations write a\n"
-               "replayable choice trace. --replay re-executes a stored trace, verifies the\n"
-               "end-state hash, and writes a flight-recorder CSV of the failure.\n"
+               "fault, GE and --loss branches) with state-hash dedup; oracle violations\n"
+               "write a replayable choice trace. --replay re-executes a stored trace,\n"
+               "verifies the end-state hash, and writes a flight-recorder CSV of the\n"
+               "failure.\n"
                "multi-worker: run N sweeps with the same --manifest plus --resume and\n"
                "unique --worker-id values; cells are leased through the journal and a\n"
                "killed worker's cells are re-claimed after --lease-s (default 60).\n"
                "exit codes: 0 ok, 1 failed cells or abort, 2 usage, 3 signal drain\n");
   std::exit(2);
+}
+
+/// The value of `flag` (naming `what` in it) as one finite number in
+/// [lo, hi]; anything else is a usage error.
+double bounded_number(const char* flag, const char* what, std::string_view text, double lo,
+                      double hi) {
+  double v = 0;
+  if (!obs::json::scan_number(text, &v) || !std::isfinite(v) || v < lo || v > hi) {
+    std::fprintf(stderr, "%s: %s '%.*s' is not a finite number in [%g, %g]\n", flag, what,
+                 static_cast<int>(text.size()), text.data(), lo, hi);
+    std::exit(2);
+  }
+  return v;
 }
 
 struct Args {
@@ -181,7 +198,7 @@ Args parse(int argc, char** argv) {
     } else if (!std::strcmp(arg, "--rtt")) {
       a.cfg.rtt = sim::Time::milliseconds(std::atoll(need(i)));
     } else if (!std::strcmp(arg, "--loss")) {
-      a.cfg.random_loss = std::atof(need(i));
+      a.cfg.random_loss = bounded_number("--loss", "rate", need(i), 0, 1);
     } else if (!std::strcmp(arg, "--ecn")) {
       a.cfg.ecn = true;
     } else if (!std::strcmp(arg, "--reps")) {
@@ -232,8 +249,16 @@ Args parse(int argc, char** argv) {
     } else if (!std::strcmp(arg, "--top")) {
       a.report_top = static_cast<std::size_t>(std::atoi(need(i)));
     } else if (!std::strcmp(arg, "--fault-loss")) {
-      double start = 0, rate = 0, dur = 0;
-      if (std::sscanf(need(i), "%lf:%lf:%lf", &start, &rate, &dur) != 3) usage();
+      // T:RATE:DUR, exactly three fields.
+      const std::string_view spec = need(i);
+      const std::size_t a1 = spec.find(':');
+      const std::size_t a2 = a1 == spec.npos ? spec.npos : spec.find(':', a1 + 1);
+      if (a2 == spec.npos) usage();
+      constexpr double kAny = HUGE_VAL;
+      const double start = bounded_number("--fault-loss", "T", spec.substr(0, a1), 0, kAny);
+      const double rate =
+          bounded_number("--fault-loss", "RATE", spec.substr(a1 + 1, a2 - a1 - 1), 0, 1);
+      const double dur = bounded_number("--fault-loss", "DUR", spec.substr(a2 + 1), 0, kAny);
       for (const fault::FaultEvent& e :
            fault::FaultPlan::loss_burst(sim::Time::seconds(start), rate,
                                         sim::Time::seconds(dur))
