@@ -7,9 +7,7 @@
 
 #include <cerrno>
 #include <cmath>
-#include <cstdarg>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
 #include <optional>
 
@@ -18,37 +16,6 @@
 namespace elephant::exp {
 
 using obs::json::Value;
-
-namespace {
-
-/// printf onto the end of `*line`, growing the buffer to whatever the format
-/// needs. A truncated manifest line is unparseable on --resume, so truncation
-/// must be impossible rather than merely unlikely: vsnprintf reports the
-/// required length and the append retries with an exact-size buffer whenever
-/// the stack buffer is too small.
-#if defined(__GNUC__)
-__attribute__((format(printf, 2, 3)))
-#endif
-void appendf(std::string* line, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n < 0) return;  // encoding error: nothing sane to append
-  if (static_cast<std::size_t>(n) < sizeof(buf)) {
-    line->append(buf, static_cast<std::size_t>(n));
-    return;
-  }
-  std::string big(static_cast<std::size_t>(n) + 1, '\0');
-  va_start(args, fmt);
-  std::vsnprintf(big.data(), big.size(), fmt, args);
-  va_end(args);
-  big.resize(static_cast<std::size_t>(n));
-  *line += big;
-}
-
-}  // namespace
 
 SweepManifest::SweepManifest(std::filesystem::path path) : path_(std::move(path)) {
   std::error_code ec;
@@ -155,48 +122,48 @@ std::string SweepManifest::format_line(const ManifestEntry& e) {
   obs::append_json_escaped(e.id, &line);
   line += "\",\"status\":\"";
   line += to_string(e.status);
-  appendf(&line,
-          "\",\"attempts\":%d,\"reps\":%d,\"s1_bps\":%.17g,\"s2_bps\":%.17g,"
-          "\"jain2\":%.17g,\"util\":%.17g,\"retx\":%.17g,\"rtos\":%.17g",
-          e.attempts, e.repetitions, e.sender_bps[0], e.sender_bps[1], e.jain2,
-          e.utilization, e.retx_segments, e.rtos);
+  const AveragedResult& r = e.result;
+  obs::appendf(&line,
+               "\",\"attempts\":%d,\"reps\":%d,\"s1_bps\":%.17g,\"s2_bps\":%.17g,"
+               "\"jain2\":%.17g,\"util\":%.17g,\"retx\":%.17g,\"rtos\":%.17g",
+               e.attempts, r.repetitions, r.sender_bps[0], r.sender_bps[1], r.jain2,
+               r.utilization, r.retx_segments, r.rtos);
   if (e.status == RunStatus::kClaimed) {
     // Lease fields ride only on claim lines so every completion line stays
     // byte-identical to the pre-lease journal format.
     line += ",\"worker\":\"";
     obs::append_json_escaped(e.worker, &line);
-    appendf(&line, "\",\"lease_until\":%.3f", e.lease_until_unix_s);
+    obs::appendf(&line, "\",\"lease_until\":%.3f", e.lease_until_unix_s);
   }
-  if (!e.classes.empty()) {
+  if (!r.classes.empty()) {
     // Per-class block only for workload cells, so elephant-only journal
     // lines stay byte-identical to the pre-workload format.
     line += ",\"classes\":[";
-    for (std::size_t i = 0; i < e.classes.size(); ++i) {
-      const ClassResult& c = e.classes[i];
+    for (std::size_t i = 0; i < r.classes.size(); ++i) {
+      const ClassResult& c = r.classes[i];
       if (i != 0) line += ',';
       line += "{\"name\":\"";
       obs::append_json_escaped(c.name, &line);
-      appendf(&line,
-              "\",\"flows\":%u,\"done\":%u,\"bps\":%.17g,\"share\":%.17g,"
-              "\"cjain\":%.17g,\"fct_p50\":%.17g,\"fct_p95\":%.17g,"
-              "\"fct_p99\":%.17g,\"fct_mean\":%.17g,\"sd_p50\":%.17g,"
-              "\"sd_p95\":%.17g,\"sd_p99\":%.17g}",
-              c.flows, c.completed, c.throughput_bps, c.share, c.jain, c.fct_p50_s,
-              c.fct_p95_s, c.fct_p99_s, c.fct_mean_s, c.slowdown_p50, c.slowdown_p95,
-              c.slowdown_p99);
+      obs::appendf(&line,
+                   "\",\"flows\":%u,\"done\":%u,\"bps\":%.17g,\"share\":%.17g,"
+                   "\"cjain\":%.17g,\"fct_p50\":%.17g,\"fct_p95\":%.17g,"
+                   "\"fct_p99\":%.17g,\"fct_mean\":%.17g,\"sd_p50\":%.17g,"
+                   "\"sd_p95\":%.17g,\"sd_p99\":%.17g}",
+                   c.flows, c.completed, c.throughput_bps, c.share, c.jain, c.fct_p50_s,
+                   c.fct_p95_s, c.fct_p99_s, c.fct_mean_s, c.slowdown_p50, c.slowdown_p95,
+                   c.slowdown_p99);
     }
     line += ']';
   }
   // Both blocks below are conditional so lines from builds (or cells)
   // without them stay byte-identical to the earlier journal format.
-  if (e.wall_s > 0) appendf(&line, ",\"wall_s\":%.17g", e.wall_s);
-  if (e.episodes > 0) {
-    appendf(&line,
-            ",\"episodes\":{\"count\":%.17g,\"worst_jain\":%.17g,"
-            "\"worst_t\":%.17g,\"victim\":%u,\"cause\":\"",
-            e.episodes, e.episode_worst_jain, e.episode_worst_t_s,
-            e.episode_victim);
-    obs::append_json_escaped(e.episode_cause, &line);
+  if (e.wall_s > 0) obs::appendf(&line, ",\"wall_s\":%.17g", e.wall_s);
+  if (r.episodes > 0) {
+    obs::appendf(&line,
+                 ",\"episodes\":{\"count\":%.17g,\"worst_jain\":%.17g,"
+                 "\"worst_t\":%.17g,\"victim\":%u,\"cause\":\"",
+                 r.episodes, r.episode_worst_jain, r.episode_worst_t_s, r.episode_victim);
+    obs::append_json_escaped(r.episode_cause, &line);
     line += "\"}";
   }
   line += ",\"error\":\"";
@@ -242,11 +209,12 @@ bool SweepManifest::parse_line(const std::string& line, ManifestEntry* out) {
   if (!doc->string_at("status", &status) || !run_status_from_string(status, &e.status)) {
     return false;
   }
+  AveragedResult& r = e.result;
   if (!doc->number_at("i", &e.index) || !doc->number_at("attempts", &e.attempts) ||
-      !doc->number_at("reps", &e.repetitions) || !finite_at(*doc, "s1_bps", &e.sender_bps[0]) ||
-      !finite_at(*doc, "s2_bps", &e.sender_bps[1]) || !finite_at(*doc, "jain2", &e.jain2) ||
-      !finite_at(*doc, "util", &e.utilization) || !finite_at(*doc, "retx", &e.retx_segments) ||
-      !finite_at(*doc, "rtos", &e.rtos)) {
+      !doc->number_at("reps", &r.repetitions) || !finite_at(*doc, "s1_bps", &r.sender_bps[0]) ||
+      !finite_at(*doc, "s2_bps", &r.sender_bps[1]) || !finite_at(*doc, "jain2", &r.jain2) ||
+      !finite_at(*doc, "util", &r.utilization) || !finite_at(*doc, "retx", &r.retx_segments) ||
+      !finite_at(*doc, "rtos", &r.rtos)) {
     return false;
   }
   if (e.status == RunStatus::kClaimed) {
@@ -260,48 +228,22 @@ bool SweepManifest::parse_line(const std::string& line, ManifestEntry* out) {
   if (const Value* classes = doc->find("classes")) {
     if (!classes->is(Value::Kind::kArray)) return false;
     for (const Value& obj : classes->array) {
-      if (!parse_class(obj, &e.classes.emplace_back())) return false;
+      if (!parse_class(obj, &r.classes.emplace_back())) return false;
     }
   }
   (void)finite_at(*doc, "wall_s", &e.wall_s);  // optional
   if (const Value* ep = doc->find("episodes")) {
-    if (!finite_at(*ep, "count", &e.episodes) ||
-        !finite_at(*ep, "worst_jain", &e.episode_worst_jain) ||
-        !finite_at(*ep, "worst_t", &e.episode_worst_t_s) ||
-        !ep->number_at("victim", &e.episode_victim) ||
-        !ep->string_at("cause", &e.episode_cause)) {
+    if (!finite_at(*ep, "count", &r.episodes) ||
+        !finite_at(*ep, "worst_jain", &r.episode_worst_jain) ||
+        !finite_at(*ep, "worst_t", &r.episode_worst_t_s) ||
+        !ep->number_at("victim", &r.episode_victim) ||
+        !ep->string_at("cause", &r.episode_cause)) {
       return false;
     }
   }
   (void)doc->string_at("error", &e.error);  // optional
   *out = std::move(e);
   return true;
-}
-
-std::unordered_map<std::string, ManifestEntry> SweepManifest::load(
-    const std::filesystem::path& path) {
-  std::unordered_map<std::string, ManifestEntry> entries;
-  std::ifstream in(path);
-  if (!in) return entries;
-  std::string line;
-  while (std::getline(in, line)) {
-    ManifestEntry e;
-    if (!parse_line(line, &e)) continue;
-    if (e.status == RunStatus::kClaimed) {
-      // Success is terminal: a stale claim (a worker that raced a finished
-      // cell, or a steal journaled just before the victim's completion
-      // landed) must not hide a recorded result from --resume.
-      const auto it = entries.find(e.id);
-      if (it != entries.end() && it->second.success()) continue;
-    }
-    entries[e.id] = std::move(e);
-  }
-  return entries;
-}
-
-void SweepManifest::append(const ManifestEntry& e) {
-  ScopedLock lock(*this);
-  (void)append_locked(e);  // failure is latched; callers poll ok()
 }
 
 }  // namespace elephant::exp

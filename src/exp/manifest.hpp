@@ -1,10 +1,8 @@
 #pragma once
 
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "exp/runner.hpp"
 #include "exp/status.hpp"
@@ -19,28 +17,21 @@ struct ManifestEntry {
   std::string id;         ///< ExperimentConfig::id() — the resume key
   RunStatus status = RunStatus::kOk;
   int attempts = 1;
-  int repetitions = 0;
-  double sender_bps[2] = {0, 0};
-  double jain2 = 0;
-  double utilization = 0;
-  double retx_segments = 0;
-  double rtos = 0;
-  /// Per-traffic-class aggregates for mixed-workload cells (FCT percentiles,
-  /// shares); empty for elephant-only cells, whose journal lines are
-  /// byte-identical to the pre-workload format.
-  std::vector<ClassResult> classes;
+  /// The cell's sweep-level aggregates; `config` and per-flow detail are not
+  /// journaled. The per-class block is written only for mixed-workload cells
+  /// and the episode block only when `episodes > 0`, so elephant-only,
+  /// detection-off lines keep the earlier journal format byte for byte.
+  /// Claim lines carry these fields too and have always written them as
+  /// zeros, hence `jain2 = 0` here where AveragedResult defaults to 1.
+  AveragedResult result = [] {
+    AveragedResult r;
+    r.jain2 = 0;
+    return r;
+  }();
   /// Wall seconds the executing worker spent on the cell. Serialized only
   /// when > 0, so journal lines from resumed cells (and pre-profiler
   /// builds) keep their exact prior format.
   double wall_s = 0;
-  /// Fairness-episode summary (see obs/episode.hpp); serialized as a
-  /// conditional "episodes" block only when `episodes > 0`, so
-  /// detection-off cells keep the pre-episode line format byte for byte.
-  double episodes = 0;            ///< mean episode count per repetition
-  double episode_worst_jain = 1.0;
-  double episode_worst_t_s = 0;
-  std::uint32_t episode_victim = 0;
-  std::string episode_cause;
   std::string error;  ///< exception message for failed/timed-out cells
 
   // Lease fields, serialized only on kClaimed lines so completion lines keep
@@ -57,11 +48,9 @@ struct ManifestEntry {
 /// Append-only JSONL journal of a sweep: one line per claim or completed
 /// cell. Appends go through a raw O_APPEND fd under an flock + fsync, so
 /// multiple worker *processes* can interleave whole lines on one journal and
-/// a crashed or killed worker loses at most the line in flight. `load()`
-/// tolerates a torn final line (the crash case) by skipping anything that
-/// does not parse; the latest entry per id wins, except that a claim never
-/// supersedes a recorded success — success is terminal, so a stale claim
-/// racing a completion cannot resurrect a finished cell.
+/// a crashed or killed worker loses at most the line in flight. The journal
+/// is folded back by LeasedWorkQueue (work_queue.hpp), the only reader that
+/// resumes from it.
 ///
 /// Unlike the pre-lease implementation, write failures are detected: a
 /// failed append (disk full, journal unlinked, ...) latches ok() to false
@@ -76,12 +65,6 @@ class SweepManifest {
   SweepManifest(const SweepManifest&) = delete;
   SweepManifest& operator=(const SweepManifest&) = delete;
 
-  /// Parse an existing journal into its latest-entry-per-id view (claims
-  /// folded under the success-is-terminal rule). A missing file yields an
-  /// empty map.
-  [[nodiscard]] static std::unordered_map<std::string, ManifestEntry> load(
-      const std::filesystem::path& path);
-
   /// Parse one journal line; false on torn/malformed input.
   [[nodiscard]] static bool parse_line(const std::string& line, ManifestEntry* out);
   /// Serialize one entry as a single JSON object line (no trailing newline).
@@ -89,7 +72,7 @@ class SweepManifest {
 
   /// Cross-process critical section: in-process mutex + flock(LOCK_EX) on
   /// the journal fd. Used by the work queue to make read-tail + append-claim
-  /// atomic against concurrent workers; plain append() takes it internally.
+  /// atomic against concurrent workers.
   class ScopedLock {
    public:
     explicit ScopedLock(SweepManifest& m);
@@ -101,12 +84,10 @@ class SweepManifest {
     SweepManifest& m_;
   };
 
-  /// Append one entry (lock taken internally). Failure latches ok() false.
-  void append(const ManifestEntry& e);
-  /// As append(), but the caller already holds a ScopedLock. Returns false
-  /// on write failure. Repairs a torn tail (a crashed writer's partial line
-  /// gets a terminating newline) before writing, so journal lines can never
-  /// merge across crashes.
+  /// Append one entry; the caller holds a ScopedLock. Returns false on
+  /// write failure, which also latches ok() false. Repairs a torn tail (a
+  /// crashed writer's partial line gets a terminating newline) before
+  /// writing, so journal lines can never merge across crashes.
   bool append_locked(const ManifestEntry& e);
 
   [[nodiscard]] const std::filesystem::path& path() const { return path_; }

@@ -35,12 +35,6 @@ struct CellState {
   std::string completed_by;  ///< worker attributed to `latest`
 };
 
-void appendf(std::string* out, const char* fmt, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), fmt, v);
-  *out += buf;
-}
-
 void append_quoted(const std::string& s, std::string* out) {
   *out += '"';
   obs::append_json_escaped(s, out);
@@ -53,10 +47,10 @@ ReportCellRow make_row(const CellState& st) {
   row.worker = st.completed_by;
   row.status = to_string(st.latest.status);
   row.wall_s = st.latest.wall_s;
-  row.episodes = st.latest.episodes;
-  row.worst_jain = st.latest.episode_worst_jain;
-  row.victim = st.latest.episode_victim;
-  row.cause = st.latest.episode_cause;
+  row.episodes = st.latest.result.episodes;
+  row.worst_jain = st.latest.result.episode_worst_jain;
+  row.victim = st.latest.result.episode_victim;
+  row.cause = st.latest.result.episode_cause;
   return row;
 }
 
@@ -122,7 +116,7 @@ bool build_report(const ReportOptions& opt, SweepSummary* out, std::string* erro
       ++out->failed;
     }
     if (st.latest.wall_s > 0) out->slowest.push_back(make_row(st));
-    if (st.latest.episodes > 0) out->episode_cells.push_back(make_row(st));
+    if (st.latest.result.episodes > 0) out->episode_cells.push_back(make_row(st));
   }
 
   // Pass 2: per-worker metrics journals, merged into one registry. Journal
@@ -215,10 +209,10 @@ void append_row_json(const ReportCellRow& row, std::string* out) {
   append_quoted(row.worker, out);
   *out += ",\"status\":";
   append_quoted(row.status, out);
-  appendf(out, ",\"wall_s\":%.17g", row.wall_s);
-  appendf(out, ",\"episodes\":%.17g", row.episodes);
-  appendf(out, ",\"worst_jain\":%.17g", row.worst_jain);
-  appendf(out, ",\"victim\":%.17g", static_cast<double>(row.victim));
+  obs::appendf(out, ",\"wall_s\":%.17g", row.wall_s);
+  obs::appendf(out, ",\"episodes\":%.17g", row.episodes);
+  obs::appendf(out, ",\"worst_jain\":%.17g", row.worst_jain);
+  obs::appendf(out, ",\"victim\":%.17g", static_cast<double>(row.victim));
   *out += ",\"cause\":";
   append_quoted(row.cause, out);
   *out += '}';
@@ -230,28 +224,28 @@ std::string render_report_json(const SweepSummary& r) {
   std::string out = "{\"schema\":\"elephant-report-v1\",\"manifest\":";
   append_quoted(r.manifest, &out);
   out += ",\"cells\":{";
-  appendf(&out, "\"total\":%.17g", static_cast<double>(r.cells_total));
-  appendf(&out, ",\"completed\":%.17g", static_cast<double>(r.completed));
-  appendf(&out, ",\"failed\":%.17g", static_cast<double>(r.failed));
-  appendf(&out, ",\"claims\":%.17g", static_cast<double>(r.claims));
-  appendf(&out, ",\"steals\":%.17g", static_cast<double>(r.steals));
-  appendf(&out, ",\"wall_s_total\":%.17g", r.wall_s_total);
+  obs::appendf(&out, "\"total\":%.17g", static_cast<double>(r.cells_total));
+  obs::appendf(&out, ",\"completed\":%.17g", static_cast<double>(r.completed));
+  obs::appendf(&out, ",\"failed\":%.17g", static_cast<double>(r.failed));
+  obs::appendf(&out, ",\"claims\":%.17g", static_cast<double>(r.claims));
+  obs::appendf(&out, ",\"steals\":%.17g", static_cast<double>(r.steals));
+  obs::appendf(&out, ",\"wall_s_total\":%.17g", r.wall_s_total);
   out += "},\"cache\":{";
-  appendf(&out, "\"hits\":%.17g", static_cast<double>(r.cache_hits));
-  appendf(&out, ",\"misses\":%.17g", static_cast<double>(r.cache_misses));
-  appendf(&out, ",\"hit_rate\":%.17g", r.cache_hit_rate);
+  obs::appendf(&out, "\"hits\":%.17g", static_cast<double>(r.cache_hits));
+  obs::appendf(&out, ",\"misses\":%.17g", static_cast<double>(r.cache_misses));
+  obs::appendf(&out, ",\"hit_rate\":%.17g", r.cache_hit_rate);
   out += "},\"workers\":[";
   for (std::size_t i = 0; i < r.workers.size(); ++i) {
     const ReportWorker& w = r.workers[i];
     if (i != 0) out += ',';
     out += "{\"id\":";
     append_quoted(w.id, &out);
-    appendf(&out, ",\"cells\":%.17g", static_cast<double>(w.cells));
-    appendf(&out, ",\"claims\":%.17g", static_cast<double>(w.claims));
-    appendf(&out, ",\"steals\":%.17g", static_cast<double>(w.steals));
-    appendf(&out, ",\"wall_s\":%.17g", w.wall_s);
-    appendf(&out, ",\"elapsed_s\":%.17g", w.elapsed_s);
-    appendf(&out, ",\"utilization\":%.17g", w.utilization);
+    obs::appendf(&out, ",\"cells\":%.17g", static_cast<double>(w.cells));
+    obs::appendf(&out, ",\"claims\":%.17g", static_cast<double>(w.claims));
+    obs::appendf(&out, ",\"steals\":%.17g", static_cast<double>(w.steals));
+    obs::appendf(&out, ",\"wall_s\":%.17g", w.wall_s);
+    obs::appendf(&out, ",\"elapsed_s\":%.17g", w.elapsed_s);
+    obs::appendf(&out, ",\"utilization\":%.17g", w.utilization);
     out += '}';
   }
   out += "],\"phases\":[";
@@ -260,9 +254,9 @@ std::string render_report_json(const SweepSummary& r) {
     if (i != 0) out += ',';
     out += "{\"name\":";
     append_quoted(p.name, &out);
-    appendf(&out, ",\"count\":%.17g", static_cast<double>(p.count));
-    appendf(&out, ",\"total_s\":%.17g", p.total_s);
-    appendf(&out, ",\"mean_s\":%.17g", p.mean_s);
+    obs::appendf(&out, ",\"count\":%.17g", static_cast<double>(p.count));
+    obs::appendf(&out, ",\"total_s\":%.17g", p.total_s);
+    obs::appendf(&out, ",\"mean_s\":%.17g", p.mean_s);
     out += '}';
   }
   out += "],\"slowest_cells\":[";

@@ -9,12 +9,10 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "exp/cache.hpp"
@@ -106,51 +104,6 @@ bool interruptible_sleep(double delay_s, const SweepOptions& options) {
   return !cancelled(options);
 }
 
-/// Reconstruct the averaged view of a previously journaled cell. Per-flow
-/// detail is not journaled, but the sweep-level aggregates are complete.
-AveragedResult from_manifest(const ExperimentConfig& cfg, const ManifestEntry& e) {
-  AveragedResult avg;
-  avg.config = cfg;
-  avg.repetitions = e.repetitions;
-  avg.sender_bps[0] = e.sender_bps[0];
-  avg.sender_bps[1] = e.sender_bps[1];
-  avg.jain2 = e.jain2;
-  avg.utilization = e.utilization;
-  avg.retx_segments = e.retx_segments;
-  avg.rtos = e.rtos;
-  avg.classes = e.classes;
-  avg.episodes = e.episodes;
-  avg.episode_worst_jain = e.episode_worst_jain;
-  avg.episode_worst_t_s = e.episode_worst_t_s;
-  avg.episode_victim = e.episode_victim;
-  avg.episode_cause = e.episode_cause;
-  return avg;
-}
-
-ManifestEntry to_manifest(std::size_t index, const std::string& id, const RunRecord& rec) {
-  ManifestEntry e;
-  e.index = index;
-  e.id = id;
-  e.status = rec.status;
-  e.attempts = rec.attempts;
-  e.repetitions = rec.result.repetitions;
-  e.sender_bps[0] = rec.result.sender_bps[0];
-  e.sender_bps[1] = rec.result.sender_bps[1];
-  e.jain2 = rec.result.jain2;
-  e.utilization = rec.result.utilization;
-  e.retx_segments = rec.result.retx_segments;
-  e.rtos = rec.result.rtos;
-  e.classes = rec.result.classes;
-  e.wall_s = rec.wall_s;
-  e.episodes = rec.result.episodes;
-  e.episode_worst_jain = rec.result.episode_worst_jain;
-  e.episode_worst_t_s = rec.result.episode_worst_t_s;
-  e.episode_victim = rec.result.episode_victim;
-  e.episode_cause = rec.result.episode_cause;
-  e.error = rec.error;
-  return e;
-}
-
 /// Execute one cell with isolation: budgets applied, failures caught, up to
 /// `max_retries` reseeded re-attempts for plain failures, each preceded by
 /// exponential backoff with deterministic jitter (a crash from transient
@@ -212,10 +165,6 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
   ids.reserve(configs.size());
   for (const ExperimentConfig& cfg : configs) ids.push_back(cfg.id());
 
-  const std::string worker_id =
-      options.worker_id.empty() ? "pid" + std::to_string(::getpid()) : options.worker_id;
-  const bool queue_mode = !options.manifest_path.empty() && options.lease_s > 0;
-
   // Sweep telemetry registry is provisioned below; the queue wants it at
   // construction, so resolve it first.
   std::optional<obs::MetricsRegistry> owned_registry;
@@ -225,31 +174,30 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
     reg = &*owned_registry;
   }
 
-  std::unique_ptr<SweepManifest> manifest;   // journal-only path (lease_s <= 0)
-  std::unique_ptr<LeasedWorkQueue> queue;    // multi-worker lease path
-  std::unordered_map<std::string, ManifestEntry> prior;
-  if (queue_mode) {
+  // A manifest makes the sweep a leased work queue over its journal, so any
+  // number of worker processes can share it (see work_queue.hpp).
+  std::optional<LeasedWorkQueue> queue;
+  if (!options.manifest_path.empty()) {
+    if (!(options.lease_s > 0)) {
+      throw std::invalid_argument("sweep lease_s must be > 0, got " +
+                                  std::to_string(options.lease_s));
+    }
     std::vector<std::pair<std::size_t, std::string>> cells;
     cells.reserve(configs.size());
     for (std::size_t i = 0; i < configs.size(); ++i) cells.emplace_back(i, ids[i]);
     LeasedWorkQueue::Options qopt;
-    qopt.worker_id = worker_id;
+    qopt.worker_id =
+        options.worker_id.empty() ? "pid" + std::to_string(::getpid()) : options.worker_id;
     qopt.lease_s = options.lease_s;
     qopt.resume = options.resume;
     qopt.metrics = reg;
-    queue = std::make_unique<LeasedWorkQueue>(options.manifest_path, std::move(cells),
-                                              std::move(qopt));
-  } else if (!options.manifest_path.empty()) {
-    if (options.resume) prior = SweepManifest::load(options.manifest_path);
-    manifest = std::make_unique<SweepManifest>(options.manifest_path);
-  }
-  SweepManifest* journal = queue ? &queue->manifest() : manifest.get();
-  if (journal != nullptr && !journal->ok()) {
-    // An unusable journal means no durable record of anything this sweep
-    // does — fail now, loudly, instead of simulating for hours into a void.
-    throw std::runtime_error("sweep manifest unusable (" +
-                             options.manifest_path.string() +
-                             "): " + journal->last_error());
+    queue.emplace(options.manifest_path, std::move(cells), std::move(qopt));
+    if (!queue->healthy()) {
+      // An unusable journal means no durable record of anything this sweep
+      // does — fail now, loudly, instead of simulating for hours into a void.
+      throw std::runtime_error("sweep manifest unusable (" + options.manifest_path.string() +
+                               "): " + queue->manifest().last_error());
+    }
   }
 
   int threads = options.threads;
@@ -298,7 +246,7 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
                           ? std::filesystem::path(name)
                           : options.manifest_path.parent_path() / name;
     }
-    if (queue_mode) hb.worker_tag = worker_id;
+    if (queue) hb.worker_tag = queue->worker_id();
     // Shared-registry histograms change only under merge_from's lock, so
     // live ticks may include them.
     hb.histograms_in_ticks = true;
@@ -337,30 +285,24 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
   // Simulate one cell into a private registry (histograms are single-writer)
   // and fold the telemetry into the shared one at the cell boundary.
   auto execute_cell = [&](std::size_t i) -> RunRecord {
+    std::optional<obs::MetricsRegistry> local;
     if (reg != nullptr) {
       std::lock_guard lock(status_mu);
       current_label = configs[i].label();
+      local.emplace();
     }
-    RunRecord rec;
     const auto cell_start = std::chrono::steady_clock::now();
-    if (reg != nullptr) {
-      obs::MetricsRegistry local;
-      rec = run_cell(configs[i], options, &local);
-      rec.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                 cell_start)
-                       .count();
+    RunRecord rec = run_cell(configs[i], options, local ? &*local : nullptr);
+    rec.wall_s =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - cell_start).count();
+    if (local) {
       local
-          .histogram("sweep.cell_wall_s",
-                     "Wall seconds per sweep cell (all attempts, this worker)")
+          ->histogram("sweep.cell_wall_s",
+                      "Wall seconds per sweep cell (all attempts, this worker)")
           .record(rec.wall_s);
-      reg->merge_from(local);
+      reg->merge_from(*local);
       if (rec.attempts > 1) reg->counter("sweep.retries").add(rec.attempts - 1);
       if (!rec.success()) reg->counter("sweep.cells_failed").add(1);
-    } else {
-      rec = run_cell(configs[i], options, nullptr);
-      rec.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                 cell_start)
-                       .count();
     }
     eta.record_cell(rec.wall_s);
     return rec;
@@ -376,59 +318,53 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
     }
   };
 
-  // Lease-coordinated worker: cells come from the shared journal queue, so
-  // any number of processes (and this process's threads) interleave safely.
-  auto queue_worker = [&] {
-    while (true) {
-      if (cancelled(options)) return;       // drain: claim nothing further
-      if (!queue->healthy()) return;        // journal write failed: abort
-      std::size_t i = 0;
-      const LeasedWorkQueue::Claim claim = queue->try_claim(&i);
-      if (claim == LeasedWorkQueue::Claim::kAllDone) return;
-      if (claim == LeasedWorkQueue::Claim::kWaitLeased) {
-        // Other workers hold every remaining cell; poll for steals or
-        // completions at a fraction of the lease so takeover is prompt.
-        if (!interruptible_sleep(std::clamp(options.lease_s / 4.0, 0.05, 0.5), options)) {
-          return;
-        }
-        continue;
-      }
-      RunRecord& rec = report.records[i];
-      rec = execute_cell(i);
-      queue->complete(to_manifest(i, ids[i], rec));
-      publish(i, rec);
-    }
-  };
-
-  // Journal-only worker (lease_s <= 0 or no manifest): today's atomic-counter
-  // scan, plus drain and write-failure checks.
-  auto plain_worker = [&] {
-    while (true) {
-      if (cancelled(options)) return;
-      if (manifest && !manifest->ok()) return;
+  // The next cell for this thread, or nullopt when it should stop. With a
+  // manifest, cells are leased through the shared journal, so any number of
+  // processes (and this process's threads) interleave safely; without one,
+  // an atomic counter scans the configs in order.
+  auto next_cell = [&]() -> std::optional<std::size_t> {
+    if (!queue) {
       const std::size_t i = next.fetch_add(1);
-      if (i >= configs.size()) return;
-      RunRecord& rec = report.records[i];
-
-      // Resume satisfies successful journal entries without re-running;
-      // failed or timed-out entries are re-attempted (latest line wins when
-      // the new outcome is journaled).
-      const auto it = prior.find(ids[i]);
-      if (it != prior.end() && it->second.success()) {
-        rec.status = it->second.status;
-        rec.attempts = 0;
-        rec.resumed = true;
-        rec.result = from_manifest(configs[i], it->second);
-        if (reg != nullptr) reg->counter("sweep.cells_resumed").add(1);
-      } else {
-        rec = execute_cell(i);
-        if (manifest) manifest->append(to_manifest(i, ids[i], rec));
-      }
-      publish(i, rec);
+      return i < configs.size() ? std::optional(i) : std::nullopt;
     }
+    while (queue->healthy()) {  // a failed journal write aborts the sweep
+      std::size_t i = 0;
+      switch (queue->try_claim(&i)) {
+        case LeasedWorkQueue::Claim::kClaimed:
+          return i;
+        case LeasedWorkQueue::Claim::kAllDone:
+          return std::nullopt;
+        case LeasedWorkQueue::Claim::kWaitLeased:
+          // Other workers hold every remaining cell; poll for steals or
+          // completions at a fraction of the lease so takeover is prompt.
+          if (!interruptible_sleep(std::clamp(options.lease_s / 4.0, 0.05, 0.5), options)) {
+            return std::nullopt;
+          }
+      }
+    }
+    return std::nullopt;
   };
 
-  auto worker = [&] { queue ? queue_worker() : plain_worker(); };
+  auto worker = [&] {
+    while (!cancelled(options)) {  // drain: claim nothing further
+      const std::optional<std::size_t> i = next_cell();
+      if (!i) return;
+      RunRecord& rec = report.records[*i];
+      rec = execute_cell(*i);
+      if (queue) {
+        ManifestEntry e;
+        e.index = *i;
+        e.id = ids[*i];
+        e.status = rec.status;
+        e.attempts = rec.attempts;
+        e.result = rec.result;
+        e.wall_s = rec.wall_s;
+        e.error = rec.error;
+        queue->complete(e);
+      }
+      publish(*i, rec);
+    }
+  };
 
   if (threads == 1) {
     worker();
@@ -447,19 +383,17 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
   for (std::size_t i = 0; i < configs.size(); ++i) {
     if (touched[i]) continue;
     RunRecord& rec = report.records[i];
-    std::optional<ManifestEntry> e;
-    if (queue) {
-      e = queue->latest(ids[i]);
-    } else {
-      const auto it = prior.find(ids[i]);
-      if (it != prior.end()) e = it->second;
-    }
+    const std::optional<ManifestEntry> e = queue ? queue->latest(ids[i]) : std::nullopt;
     if (e && e->terminal()) {
       rec.status = e->status;
       rec.attempts = 0;
       rec.resumed = true;
       rec.error = e->error;
-      if (e->success()) rec.result = from_manifest(configs[i], *e);
+      if (e->success()) {
+        // Per-flow detail is not journaled; the sweep-level aggregates are.
+        rec.result = e->result;
+        rec.result.config = configs[i];
+      }
       if (reg != nullptr) reg->counter("sweep.cells_resumed").add(1);
     } else {
       rec.status = RunStatus::kSkipped;
@@ -479,10 +413,10 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
   // Ghost completions are worse than a dead sweep: if any journal write
   // failed (disk full, unlinked manifest), surface it as an error rather
   // than returning a report whose durable record is silently incomplete.
-  if (journal != nullptr && !journal->ok()) {
+  if (queue && !queue->healthy()) {
     throw std::runtime_error("sweep aborted: manifest write failed (" +
                              options.manifest_path.string() +
-                             "): " + journal->last_error());
+                             "): " + queue->manifest().last_error());
   }
   return report;
 }

@@ -69,22 +69,17 @@ struct SweepOptions {
   std::uint64_t run_event_budget = 0;
   double run_wall_budget_seconds = 0;
   /// Append-only JSONL journal of cell outcomes. Empty path disables it.
+  /// A manifest makes the sweep a leased work queue (see work_queue.hpp):
+  /// cells are claimed through the journal, so any number of sweep
+  /// processes can share one manifest and a killed worker costs at most its
+  /// in-flight cells (stolen after lease_s).
   std::filesystem::path manifest_path;
   /// Satisfy cells whose id already has a *successful* manifest entry from
   /// the journal instead of re-running them. Requires manifest_path.
   bool resume = false;
-
-  // Multi-worker lease coordination (see work_queue.hpp). Active whenever a
-  // manifest is configured and lease_s > 0: cells are claimed through the
-  // journal, so any number of sweep processes can share one manifest and a
-  // killed worker costs at most its in-flight cells (stolen after lease_s).
-  // A single worker with leases enabled produces byte-identical result
-  // artifacts to the lease-free path — claims add journal lines but never
-  // perturb execution order, seeds, or completion-line formats.
   /// Unique id of this worker process; "" derives "pid<pid>".
   std::string worker_id;
-  /// Lease duration in seconds; <= 0 disables claim coordination and keeps
-  /// the journal-only single-process path.
+  /// Lease duration in seconds; must be > 0 when a manifest is set.
   double lease_s = 60;
   /// First-retry backoff delay (doubles per further attempt, with
   /// deterministic jitter — see retry_backoff_s). 0 retries immediately.

@@ -67,7 +67,9 @@ LeasedWorkQueue::~LeasedWorkQueue() {
 }
 
 void LeasedWorkQueue::apply_locked(const ManifestEntry& e, bool startup) {
-  // Success is terminal in the latest-entry view too (same rule as load()).
+  // Success is terminal: a stale claim (a worker that raced a finished cell,
+  // or a steal journaled just before the victim's completion landed) must
+  // not hide a recorded result from latest().
   const auto lit = latest_.find(e.id);
   const bool prior_success = lit != latest_.end() && lit->second.success();
   if (!(e.status == RunStatus::kClaimed && prior_success)) latest_[e.id] = e;
@@ -90,6 +92,17 @@ void LeasedWorkQueue::apply_locked(const ManifestEntry& e, bool startup) {
     s.phase = Phase::kDone;
     s.success = e.success();
   }
+}
+
+ManifestEntry LeasedWorkQueue::claim_entry(std::size_t slot, double lease_until) const {
+  ManifestEntry c;
+  c.index = cells_[slot].first;
+  c.id = cells_[slot].second;
+  c.status = RunStatus::kClaimed;
+  c.attempts = 0;
+  c.worker = options_.worker_id;
+  c.lease_until_unix_s = lease_until;
+  return c;
 }
 
 void LeasedWorkQueue::fold_new_locked(bool startup) {
@@ -151,13 +164,7 @@ LeasedWorkQueue::Claim LeasedWorkQueue::try_claim(std::size_t* index) {
   }
   if (pick == npos) return all_done ? Claim::kAllDone : Claim::kWaitLeased;
 
-  ManifestEntry c;
-  c.index = cells_[pick].first;
-  c.id = cells_[pick].second;
-  c.status = RunStatus::kClaimed;
-  c.attempts = 0;
-  c.worker = options_.worker_id;
-  c.lease_until_unix_s = now + options_.lease_s;
+  const ManifestEntry c = claim_entry(pick, now + options_.lease_s);
   if (!manifest_.append_locked(c)) {
     // Journal write failed (disk full, ...). Claiming without a durable
     // claim record would break exactly-once; surface through healthy().
@@ -209,14 +216,8 @@ void LeasedWorkQueue::release_all() {
   SweepManifest::ScopedLock fl(manifest_);
   const std::size_t released = held_.size();
   for (const std::size_t slot : held_) {
-    ManifestEntry c;
-    c.index = cells_[slot].first;
-    c.id = cells_[slot].second;
-    c.status = RunStatus::kClaimed;
-    c.attempts = 0;
-    c.worker = options_.worker_id;
-    c.lease_until_unix_s = 0;  // already expired: instantly stealable
-    (void)manifest_.append_locked(c);
+    // Zero expiry: already expired, so instantly stealable.
+    (void)manifest_.append_locked(claim_entry(slot, 0));
     state_[slot].phase = Phase::kUnclaimed;
     state_[slot].worker.clear();
   }
@@ -250,14 +251,8 @@ void LeasedWorkQueue::renew_loop() {
     SweepManifest::ScopedLock fl(manifest_);
     const double until = unix_now() + options_.lease_s;
     for (const std::size_t slot : held_) {
-      ManifestEntry c;
-      c.index = cells_[slot].first;
-      c.id = cells_[slot].second;
-      c.status = RunStatus::kClaimed;
-      c.attempts = 0;
-      c.worker = options_.worker_id;
-      c.lease_until_unix_s = until;
-      if (!manifest_.append_locked(c)) break;  // unhealthy; sweep will abort
+      // A failed write leaves the queue unhealthy; the sweep will abort.
+      if (!manifest_.append_locked(claim_entry(slot, until))) break;
       state_[slot].lease_until = until;
     }
     if (options_.metrics != nullptr) {

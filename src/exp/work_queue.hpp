@@ -114,6 +114,8 @@ class LeasedWorkQueue {
   /// resume rule (failures retryable) to the initial snapshot.
   void fold_new_locked(bool startup);
   void apply_locked(const ManifestEntry& e, bool startup);
+  /// This worker's claim line on `slot`, leased until `lease_until`.
+  [[nodiscard]] ManifestEntry claim_entry(std::size_t slot, double lease_until) const;
   void renew_loop();
   void publish_held_locked();
 

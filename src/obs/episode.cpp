@@ -2,26 +2,12 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <utility>
 
 #include "obs/json.hpp"
 
 namespace elephant::obs {
-
-namespace {
-
-void appendf(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out->append(buf, std::min(static_cast<std::size_t>(n), sizeof(buf) - 1));
-}
-
-}  // namespace
 
 EpisodeDetector::EpisodeDetector(EpisodeOptions opt) : opt_(std::move(opt)) {}
 

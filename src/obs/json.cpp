@@ -1,5 +1,6 @@
 #include "obs/json.hpp"
 
+#include <cstdarg>
 #include <cstdio>
 
 namespace elephant::obs {
@@ -22,6 +23,25 @@ void append_json_escaped(std::string_view s, std::string* out) {
         }
     }
   }
+}
+
+void appendf(std::string* out, const char* fmt, ...) {
+  char buf[512];
+  va_list args;
+  va_start(args, fmt);
+  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
+  va_end(args);
+  if (n < 0) return;  // encoding error: nothing sane to append
+  if (static_cast<std::size_t>(n) < sizeof(buf)) {
+    out->append(buf, static_cast<std::size_t>(n));
+    return;
+  }
+  std::string big(static_cast<std::size_t>(n) + 1, '\0');
+  va_start(args, fmt);
+  std::vsnprintf(big.data(), big.size(), fmt, args);
+  va_end(args);
+  big.resize(static_cast<std::size_t>(n));
+  *out += big;
 }
 
 namespace json {

@@ -17,6 +17,14 @@ namespace elephant::obs {
 /// control characters; every other byte, UTF-8 included, passes through.
 void append_json_escaped(std::string_view s, std::string* out);
 
+/// printf onto the end of `*out`. Never truncates: when the stack buffer is
+/// too small the append retries with an exact-size one, because a cut-off
+/// JSON line is unreadable (a manifest line would be skipped on --resume).
+#if defined(__GNUC__)
+__attribute__((format(printf, 2, 3)))
+#endif
+void appendf(std::string* out, const char* fmt, ...);
+
 namespace json {
 
 /// Read all of `text` as one number of type T with std::from_chars. False

@@ -30,9 +30,9 @@ ManifestEntry done(const std::string& id, double wall_s, RunStatus status = RunS
   ManifestEntry e;
   e.id = id;
   e.status = status;
-  e.repetitions = 1;
-  e.jain2 = 0.9;
-  e.utilization = 0.8;
+  e.result.repetitions = 1;
+  e.result.jain2 = 0.9;
+  e.result.utilization = 0.8;
   e.wall_s = wall_s;
   if (!succeeded(status)) e.error = "boom";
   return e;
@@ -66,24 +66,24 @@ class ReportTest : public ::testing::Test {
     // Cell A: claimed and completed by w1 (2 s, a mild 2-episode cell).
     out << SweepManifest::format_line(claim("cellA", "w1")) << "\n";
     ManifestEntry a = done("cellA", 2.0);
-    a.episodes = 2;
-    a.episode_worst_jain = 0.7;
-    a.episode_victim = 1;
-    a.episode_cause = "fault";
+    a.result.episodes = 2;
+    a.result.episode_worst_jain = 0.7;
+    a.result.episode_victim = 1;
+    a.result.episode_cause = "fault";
     out << SweepManifest::format_line(a) << "\n";
     // Cell B: claimed and completed by w2 (4 s, the worst episode cell).
     out << SweepManifest::format_line(claim("cellB", "w2")) << "\n";
     ManifestEntry b = done("cellB", 4.0);
-    b.episodes = 1;
-    b.episode_worst_jain = 0.4;
-    b.episode_victim = 2;
-    b.episode_cause = "loss-burst";
+    b.result.episodes = 1;
+    b.result.episode_worst_jain = 0.4;
+    b.result.episode_victim = 2;
+    b.result.episode_cause = "loss-burst";
     out << SweepManifest::format_line(b) << "\n";
     // Cell C: claimed by w1, stolen and completed by w2 (1 s).
     out << SweepManifest::format_line(claim("cellC", "w1")) << "\n";
     out << SweepManifest::format_line(claim("cellC", "w2")) << "\n";
     out << SweepManifest::format_line(done("cellC", 1.0)) << "\n";
-    // Cell D: failed without any claim line (single-process path).
+    // Cell D: failed without any claim line (a pre-lease journal).
     out << SweepManifest::format_line(done("cellD", 0.5, RunStatus::kFailed)) << "\n";
     out << "{\"torn";  // crashed writer's tail must be skipped
     out.close();

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "exp/manifest.hpp"
+#include "exp/work_queue.hpp"
 #include "test_util.hpp"
 
 namespace elephant::exp {
@@ -102,13 +103,13 @@ TEST_F(ResilientSweepTest, ManifestLineRoundTrips) {
   e.id = "cubic_vs_cubic-fifo-bdp2-100M";
   e.status = RunStatus::kTimedOut;
   e.attempts = 2;
-  e.repetitions = 3;
-  e.sender_bps[0] = 4.25e7;
-  e.sender_bps[1] = 3.1e7;
-  e.jain2 = 0.987654321;
-  e.utilization = 0.75;
-  e.retx_segments = 12.5;
-  e.rtos = 1;
+  e.result.repetitions = 3;
+  e.result.sender_bps[0] = 4.25e7;
+  e.result.sender_bps[1] = 3.1e7;
+  e.result.jain2 = 0.987654321;
+  e.result.utilization = 0.75;
+  e.result.retx_segments = 12.5;
+  e.result.rtos = 1;
   e.error = "budget \"tripped\"\nat t=1.5s \\ again";
 
   ManifestEntry back;
@@ -117,13 +118,13 @@ TEST_F(ResilientSweepTest, ManifestLineRoundTrips) {
   EXPECT_EQ(back.id, e.id);
   EXPECT_EQ(back.status, e.status);
   EXPECT_EQ(back.attempts, e.attempts);
-  EXPECT_EQ(back.repetitions, e.repetitions);
-  EXPECT_DOUBLE_EQ(back.sender_bps[0], e.sender_bps[0]);
-  EXPECT_DOUBLE_EQ(back.sender_bps[1], e.sender_bps[1]);
-  EXPECT_DOUBLE_EQ(back.jain2, e.jain2);
-  EXPECT_DOUBLE_EQ(back.utilization, e.utilization);
-  EXPECT_DOUBLE_EQ(back.retx_segments, e.retx_segments);
-  EXPECT_DOUBLE_EQ(back.rtos, e.rtos);
+  EXPECT_EQ(back.result.repetitions, e.result.repetitions);
+  EXPECT_DOUBLE_EQ(back.result.sender_bps[0], e.result.sender_bps[0]);
+  EXPECT_DOUBLE_EQ(back.result.sender_bps[1], e.result.sender_bps[1]);
+  EXPECT_DOUBLE_EQ(back.result.jain2, e.result.jain2);
+  EXPECT_DOUBLE_EQ(back.result.utilization, e.result.utilization);
+  EXPECT_DOUBLE_EQ(back.result.retx_segments, e.result.retx_segments);
+  EXPECT_DOUBLE_EQ(back.result.rtos, e.result.rtos);
   EXPECT_EQ(back.error, e.error);
 }
 
@@ -133,7 +134,7 @@ TEST_F(ResilientSweepTest, ManifestClassBlockRoundTrips) {
   e.id = "cubic_vs_bbr-fifo-bdp1-100M-wl[mice]";
   e.status = RunStatus::kOk;
   e.attempts = 1;
-  e.repetitions = 1;
+  e.result.repetitions = 1;
   ClassResult elephants;
   elephants.name = "elephants";
   elephants.flows = 2;
@@ -154,24 +155,24 @@ TEST_F(ResilientSweepTest, ManifestClassBlockRoundTrips) {
   mice.slowdown_p50 = 2.25;
   mice.slowdown_p95 = 8.5;
   mice.slowdown_p99 = 17.0;
-  e.classes = {elephants, mice};
+  e.result.classes = {elephants, mice};
 
   ManifestEntry back;
   ASSERT_TRUE(SweepManifest::parse_line(SweepManifest::format_line(e), &back));
-  ASSERT_EQ(back.classes.size(), 2u);
-  EXPECT_EQ(back.classes[0].name, "elephants");
-  EXPECT_DOUBLE_EQ(back.classes[0].jain, 0.97);
-  EXPECT_EQ(back.classes[1].name, "mice");
-  EXPECT_EQ(back.classes[1].flows, 40u);
-  EXPECT_EQ(back.classes[1].completed, 39u);
-  EXPECT_DOUBLE_EQ(back.classes[1].throughput_bps, 8.2e6);
-  EXPECT_DOUBLE_EQ(back.classes[1].share, 0.09);
-  EXPECT_DOUBLE_EQ(back.classes[1].fct_p50_s, 0.125);
-  EXPECT_DOUBLE_EQ(back.classes[1].fct_p95_s, 0.75);
-  EXPECT_DOUBLE_EQ(back.classes[1].fct_p99_s, 1.5);
-  EXPECT_DOUBLE_EQ(back.classes[1].fct_mean_s, 0.25);
-  EXPECT_DOUBLE_EQ(back.classes[1].slowdown_p50, 2.25);
-  EXPECT_DOUBLE_EQ(back.classes[1].slowdown_p99, 17.0);
+  ASSERT_EQ(back.result.classes.size(), 2u);
+  EXPECT_EQ(back.result.classes[0].name, "elephants");
+  EXPECT_DOUBLE_EQ(back.result.classes[0].jain, 0.97);
+  EXPECT_EQ(back.result.classes[1].name, "mice");
+  EXPECT_EQ(back.result.classes[1].flows, 40u);
+  EXPECT_EQ(back.result.classes[1].completed, 39u);
+  EXPECT_DOUBLE_EQ(back.result.classes[1].throughput_bps, 8.2e6);
+  EXPECT_DOUBLE_EQ(back.result.classes[1].share, 0.09);
+  EXPECT_DOUBLE_EQ(back.result.classes[1].fct_p50_s, 0.125);
+  EXPECT_DOUBLE_EQ(back.result.classes[1].fct_p95_s, 0.75);
+  EXPECT_DOUBLE_EQ(back.result.classes[1].fct_p99_s, 1.5);
+  EXPECT_DOUBLE_EQ(back.result.classes[1].fct_mean_s, 0.25);
+  EXPECT_DOUBLE_EQ(back.result.classes[1].slowdown_p50, 2.25);
+  EXPECT_DOUBLE_EQ(back.result.classes[1].slowdown_p99, 17.0);
 }
 
 TEST_F(ResilientSweepTest, ElephantOnlyManifestLineHasNoClassesBlock) {
@@ -203,11 +204,16 @@ TEST_F(ResilientSweepTest, ManifestLoadToleratesTornTailAndKeepsLatest) {
         << SweepManifest::format_line(second) << '\n'
         << R"({"i":2,"id":"cell-c","status":"ok","attempts)";  // torn mid-write
   }
-  const auto entries = SweepManifest::load(manifest_path());
-  ASSERT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries.at("cell-a").status, RunStatus::kOk);
-  EXPECT_EQ(entries.at("cell-b").status, RunStatus::kOk);
-  EXPECT_EQ(entries.count("cell-c"), 0u);
+  LeasedWorkQueue::Options opt;
+  opt.worker_id = "w0";
+  opt.resume = true;
+  const LeasedWorkQueue q(manifest_path(), {{0, "cell-a"}, {1, "cell-b"}, {2, "cell-c"}},
+                          opt);
+  ASSERT_TRUE(q.latest("cell-a").has_value());
+  ASSERT_TRUE(q.latest("cell-b").has_value());
+  EXPECT_EQ(q.latest("cell-a")->status, RunStatus::kOk);
+  EXPECT_EQ(q.latest("cell-b")->status, RunStatus::kOk);
+  EXPECT_FALSE(q.latest("cell-c").has_value());
 }
 
 TEST_F(ResilientSweepTest, SweepJournalsEveryCell) {
@@ -219,7 +225,7 @@ TEST_F(ResilientSweepTest, SweepJournalsEveryCell) {
   opts.manifest_path = manifest_path();
   (void)run_sweep_resilient(configs, opts);
 
-  const auto entries = SweepManifest::load(manifest_path());
+  const auto entries = test::terminal_entries(manifest_path());
   ASSERT_EQ(entries.size(), 4u);
   int ok = 0;
   int failed = 0;
@@ -239,17 +245,13 @@ TEST_F(ResilientSweepTest, ResumeSkipsJournaledCellsAndRerunsFailures) {
 
   // Simulate a kill after two cells: keep only their journal lines, and mark
   // one surviving cell as failed so resume must re-attempt it.
-  auto entries = SweepManifest::load(manifest_path());
+  const auto entries = test::terminal_entries(manifest_path());
   std::filesystem::remove(manifest_path());
-  {
-    SweepManifest rewritten(manifest_path());
-    ManifestEntry kept_ok = entries.at(configs[0].id());
-    ManifestEntry kept_failed = entries.at(configs[1].id());
-    kept_failed.status = RunStatus::kFailed;
-    kept_failed.error = "killed";
-    rewritten.append(kept_ok);
-    rewritten.append(kept_failed);
-  }
+  ManifestEntry kept_failed = entries.at(configs[1].id());
+  kept_failed.status = RunStatus::kFailed;
+  kept_failed.error = "killed";
+  const ManifestEntry kept_ok = entries.at(configs[0].id());
+  ASSERT_TRUE(test::append_journal(manifest_path(), {kept_ok, kept_failed}));
 
   opts.resume = true;
   const SweepReport second = run_sweep_resilient(configs, opts);
@@ -266,8 +268,10 @@ TEST_F(ResilientSweepTest, ResumeSkipsJournaledCellsAndRerunsFailures) {
   // The resumed cell's numbers come back from the journal intact.
   EXPECT_DOUBLE_EQ(second.records[0].result.utilization,
                    first.records[0].result.utilization);
+  EXPECT_DOUBLE_EQ(second.records[0].result.jain2, first.records[0].result.jain2);
+  EXPECT_EQ(second.records[0].result.config.id(), configs[0].id());
   // And the journal now shows the re-run superseding the failure.
-  const auto after = SweepManifest::load(manifest_path());
+  const auto after = test::terminal_entries(manifest_path());
   EXPECT_EQ(after.at(configs[1].id()).status, RunStatus::kOk);
 }
 
@@ -310,6 +314,20 @@ TEST_F(ResilientSweepTest, UnusableManifestFailsLoudly) {
   EXPECT_THROW((void)run_sweep_resilient(quick_batch(1), opts), std::runtime_error);
 }
 
+TEST_F(ResilientSweepTest, NonPositiveLeaseIsRejected) {
+  // A manifest sweep always runs the leased queue; a lease that is not > 0
+  // would make every claim stealable the moment it lands.
+  SweepOptions opts;
+  opts.use_cache = false;
+  opts.threads = 1;
+  opts.manifest_path = manifest_path();
+  for (const double lease_s : {0.0, -1.0}) {
+    opts.lease_s = lease_s;
+    EXPECT_THROW((void)run_sweep_resilient(quick_batch(1), opts), std::invalid_argument);
+  }
+  EXPECT_FALSE(std::filesystem::exists(manifest_path()));
+}
+
 TEST_F(ResilientSweepTest, AppendRepairsTornTailBeforeWriting) {
   // A crashed writer leaves an unterminated fragment. The next append must
   // terminate it first — otherwise the two lines merge and both are lost.
@@ -317,16 +335,12 @@ TEST_F(ResilientSweepTest, AppendRepairsTornTailBeforeWriting) {
     std::ofstream out(manifest_path());
     out << R"({"i":0,"id":"torn","status":"ok","atte)";  // no newline
   }
-  {
-    SweepManifest m(manifest_path());
-    ManifestEntry e;
-    e.index = 1;
-    e.id = "cell-b";
-    e.status = RunStatus::kOk;
-    m.append(e);
-    ASSERT_TRUE(m.ok());
-  }
-  const auto entries = SweepManifest::load(manifest_path());
+  ManifestEntry e;
+  e.index = 1;
+  e.id = "cell-b";
+  e.status = RunStatus::kOk;
+  ASSERT_TRUE(test::append_journal(manifest_path(), {e}));
+  const auto entries = test::terminal_entries(manifest_path());
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries.count("cell-b"), 1u);  // survived the torn neighbor
 }
@@ -344,39 +358,6 @@ TEST_F(ResilientSweepTest, PreSetCancelSkipsEveryCell) {
     EXPECT_EQ(rec.status, RunStatus::kSkipped);
     EXPECT_FALSE(rec.success());
     EXPECT_NE(rec.error.find("not attempted"), std::string::npos);
-  }
-}
-
-TEST_F(ResilientSweepTest, LeasedSweepMatchesPlainSweepResults) {
-  // The lease machinery must be invisible to a single worker: identical
-  // simulation outcomes, and a journal whose folded view is the same.
-  auto configs = quick_batch(3);
-  SweepOptions plain;
-  plain.use_cache = false;
-  plain.threads = 1;
-  plain.lease_s = 0;  // journal-only path
-  plain.manifest_path = dir_ / "plain.jsonl";
-  const SweepReport a = run_sweep_resilient(configs, plain);
-
-  SweepOptions leased = plain;
-  leased.lease_s = 60;
-  leased.worker_id = "w0";
-  leased.manifest_path = dir_ / "leased.jsonl";
-  const SweepReport b = run_sweep_resilient(configs, leased);
-
-  ASSERT_EQ(a.records.size(), b.records.size());
-  for (std::size_t i = 0; i < a.records.size(); ++i) {
-    EXPECT_EQ(a.records[i].status, b.records[i].status) << i;
-    EXPECT_DOUBLE_EQ(a.records[i].result.jain2, b.records[i].result.jain2) << i;
-    EXPECT_DOUBLE_EQ(a.records[i].result.utilization, b.records[i].result.utilization)
-        << i;
-  }
-  const auto fa = SweepManifest::load(plain.manifest_path);
-  const auto fb = SweepManifest::load(leased.manifest_path);
-  ASSERT_EQ(fa.size(), fb.size());
-  for (const auto& [id, ea] : fa) {
-    EXPECT_DOUBLE_EQ(ea.jain2, fb.at(id).jain2) << id;
-    EXPECT_EQ(fb.at(id).status, RunStatus::kOk) << id;
   }
 }
 
@@ -414,7 +395,7 @@ TEST_F(ResilientSweepTest, TwoInProcessWorkersShareOneManifest) {
     ran_b += rb.records[i].resumed ? 0 : 1;
   }
   EXPECT_EQ(ran_a + ran_b, 6u);
-  const auto entries = SweepManifest::load(manifest_path());
+  const auto entries = test::terminal_entries(manifest_path());
   ASSERT_EQ(entries.size(), 6u);
   for (const auto& [id, e] : entries) EXPECT_TRUE(e.success()) << id;
 }

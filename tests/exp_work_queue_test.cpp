@@ -15,6 +15,7 @@
 
 #include "exp/manifest.hpp"
 #include "obs/metrics.hpp"
+#include "test_util.hpp"
 
 namespace elephant::exp {
 namespace {
@@ -45,7 +46,7 @@ class WorkQueueTest : public ::testing::Test {
     e.id = id;
     e.status = RunStatus::kOk;
     e.attempts = 1;
-    e.jain2 = 0.5 + static_cast<double>(index) * 0.01;
+    e.result.jain2 = 0.5 + static_cast<double>(index) * 0.01;
     return e;
   }
 
@@ -85,21 +86,17 @@ TEST_F(WorkQueueTest, ClaimsInSweepOrderThenReportsAllDone) {
 TEST_F(WorkQueueTest, LiveLeaseBlocksOtherWorkersExpiredLeaseIsStolen) {
   // A foreign claim with a live lease parks the cell; one with an expired
   // lease is stolen (the dead-worker takeover path), counted as a steal.
-  {
-    SweepManifest m(manifest_path());
-    ManifestEntry live;
-    live.index = 0;
-    live.id = "cell-0";
-    live.status = RunStatus::kClaimed;
-    live.worker = "other";
-    live.lease_until_unix_s = 4e9;  // far future
-    m.append(live);
-    ManifestEntry dead = live;
-    dead.index = 1;
-    dead.id = "cell-1";
-    dead.lease_until_unix_s = 1;  // 1970: long expired
-    m.append(dead);
-  }
+  ManifestEntry live;
+  live.index = 0;
+  live.id = "cell-0";
+  live.status = RunStatus::kClaimed;
+  live.worker = "other";
+  live.lease_until_unix_s = 4e9;  // far future
+  ManifestEntry dead = live;
+  dead.index = 1;
+  dead.id = "cell-1";
+  dead.lease_until_unix_s = 1;  // 1970: long expired
+  ASSERT_TRUE(test::append_journal(manifest_path(), {live, dead}));
 
   obs::MetricsRegistry reg;
   LeasedWorkQueue::Options opt;
@@ -131,10 +128,7 @@ TEST_F(WorkQueueTest, DuplicateCompletionIsDroppedAfterForeignSuccess) {
   ASSERT_EQ(q.try_claim(&got), LeasedWorkQueue::Claim::kClaimed);
 
   // While "we" run the cell, a peer that stole our lease finishes it first.
-  {
-    SweepManifest peer(manifest_path());
-    peer.append(success(0, "cell-0"));
-  }
+  ASSERT_TRUE(test::append_journal(manifest_path(), {success(0, "cell-0")}));
 
   EXPECT_FALSE(q.complete(success(0, "cell-0")));  // dropped, not re-journaled
   EXPECT_EQ(reg.counter("sweep.completions_dropped").value(), 1u);
@@ -145,43 +139,40 @@ TEST_F(WorkQueueTest, LoadFoldsInterleavedClaimAndCompleteRecords) {
   // The resume fold must treat claims as transient: a claim before a success
   // is superseded, a claim *after* a success never shadows it, and a cell
   // with only an (expired or not) claim surfaces as kClaimed.
-  {
-    SweepManifest m(manifest_path());
-    ManifestEntry claim_a;
-    claim_a.index = 0;
-    claim_a.id = "a";
-    claim_a.status = RunStatus::kClaimed;
-    claim_a.worker = "w1";
-    claim_a.lease_until_unix_s = 4e9;
-    m.append(claim_a);
-    m.append(success(0, "a"));  // supersedes the claim
+  ManifestEntry claim_a;
+  claim_a.index = 0;
+  claim_a.id = "a";
+  claim_a.status = RunStatus::kClaimed;
+  claim_a.worker = "w1";
+  claim_a.lease_until_unix_s = 4e9;
+  ManifestEntry claim_b = claim_a;
+  claim_b.index = 1;
+  claim_b.id = "b";
+  claim_b.lease_until_unix_s = 1;  // expired, never completed
+  ManifestEntry claim_c = claim_a;
+  claim_c.index = 2;
+  claim_c.id = "c";
+  ASSERT_TRUE(test::append_journal(manifest_path(),
+                                   {claim_a, success(0, "a"),  // success supersedes the claim
+                                    claim_b, success(2, "c"),
+                                    claim_c}));  // stale claim after the success: ignored
 
-    ManifestEntry claim_b = claim_a;
-    claim_b.index = 1;
-    claim_b.id = "b";
-    claim_b.lease_until_unix_s = 1;  // expired, never completed
-    m.append(claim_b);
-
-    m.append(success(2, "c"));
-    ManifestEntry claim_c = claim_a;
-    claim_c.index = 2;
-    claim_c.id = "c";
-    m.append(claim_c);  // stale claim landing after the success: ignored
-  }
-
-  const auto entries = SweepManifest::load(manifest_path());
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries.at("a").status, RunStatus::kOk);
-  EXPECT_EQ(entries.at("b").status, RunStatus::kClaimed);
-  EXPECT_EQ(entries.at("b").worker, "w1");
-  EXPECT_EQ(entries.at("c").status, RunStatus::kOk);  // success is terminal
+  LeasedWorkQueue::Options opt;
+  opt.worker_id = "w0";
+  opt.resume = true;
+  const LeasedWorkQueue q(manifest_path(), {{0, "a"}, {1, "b"}, {2, "c"}, {3, "d"}}, opt);
+  ASSERT_TRUE(q.latest("a").has_value());
+  ASSERT_TRUE(q.latest("b").has_value());
+  ASSERT_TRUE(q.latest("c").has_value());
+  EXPECT_FALSE(q.latest("d").has_value());  // never journaled
+  EXPECT_EQ(q.latest("a")->status, RunStatus::kOk);
+  EXPECT_EQ(q.latest("b")->status, RunStatus::kClaimed);
+  EXPECT_EQ(q.latest("b")->worker, "w1");
+  EXPECT_EQ(q.latest("c")->status, RunStatus::kOk);  // success is terminal
 }
 
 TEST_F(WorkQueueTest, FreshQueueRerunsPriorRecordsResumeHonorsThem) {
-  {
-    SweepManifest m(manifest_path());
-    m.append(success(0, "cell-0"));
-  }
+  ASSERT_TRUE(test::append_journal(manifest_path(), {success(0, "cell-0")}));
 
   LeasedWorkQueue::Options fresh;
   fresh.worker_id = "w0";
@@ -229,10 +220,7 @@ TEST_F(WorkQueueTest, CrashResumeRerunsExactlyInflightAndUnclaimedCells) {
   // The crash-resume e2e: cell-0 completed by a previous run; a worker is
   // SIGKILLed while *holding* cell-1; resume must re-run exactly cell-1
   // (after lease expiry) and the never-claimed cell-2 — and nothing else.
-  {
-    SweepManifest m(manifest_path());
-    m.append(success(0, "cell-0"));
-  }
+  ASSERT_TRUE(test::append_journal(manifest_path(), {success(0, "cell-0")}));
 
   int ready[2];
   ASSERT_EQ(::pipe(ready), 0);

@@ -1,5 +1,7 @@
 #include "test_util.hpp"
 
+#include <fstream>
+
 namespace elephant::test {
 
 net::Packet make_packet(net::FlowId flow, std::uint64_t seq, std::uint32_t size) {
@@ -27,6 +29,27 @@ exp::ExperimentConfig quick_config(cca::CcaKind cca1, cca::CcaKind cca2, aqm::Aq
 
 exp::ExperimentResult run_uncached(const exp::ExperimentConfig& cfg) {
   return exp::run_experiment(cfg);
+}
+
+bool append_journal(const std::filesystem::path& path,
+                    const std::vector<exp::ManifestEntry>& entries) {
+  exp::SweepManifest m(path);
+  exp::SweepManifest::ScopedLock lock(m);
+  for (const exp::ManifestEntry& e : entries) {
+    if (!m.append_locked(e)) return false;
+  }
+  return true;
+}
+
+std::map<std::string, exp::ManifestEntry> terminal_entries(const std::filesystem::path& path) {
+  std::map<std::string, exp::ManifestEntry> latest;
+  std::ifstream in(path);
+  std::string line;
+  while (std::getline(in, line)) {
+    exp::ManifestEntry e;
+    if (exp::SweepManifest::parse_line(line, &e) && e.terminal()) latest[e.id] = std::move(e);
+  }
+  return latest;
 }
 
 }  // namespace elephant::test

@@ -1,9 +1,13 @@
 #pragma once
 
+#include <filesystem>
+#include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "exp/config.hpp"
+#include "exp/manifest.hpp"
 #include "exp/runner.hpp"
 #include "net/packet.hpp"
 #include "sim/scheduler.hpp"
@@ -22,5 +26,15 @@ namespace elephant::test {
 
 /// run_experiment without touching the global on-disk cache.
 [[nodiscard]] exp::ExperimentResult run_uncached(const exp::ExperimentConfig& cfg);
+
+/// Append `entries` to the sweep journal at `path` under its cross-process
+/// lock, as a peer worker would. False if any write failed.
+[[nodiscard]] bool append_journal(const std::filesystem::path& path,
+                                  const std::vector<exp::ManifestEntry>& entries);
+
+/// The latest terminal (non-claim) journal line per cell id, read line by
+/// line with no lease folding; unparseable lines are skipped.
+[[nodiscard]] std::map<std::string, exp::ManifestEntry> terminal_entries(
+    const std::filesystem::path& path);
 
 }  // namespace elephant::test

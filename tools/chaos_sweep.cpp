@@ -47,6 +47,7 @@
 namespace {
 
 namespace fs = std::filesystem;
+using elephant::exp::AveragedResult;
 using elephant::exp::ManifestEntry;
 using elephant::exp::RunStatus;
 using elephant::exp::SweepManifest;
@@ -281,8 +282,8 @@ int main(int argc, char** argv) {
           " terminal lines (want exactly 1)");
     }
     if (!lines[0].success()) die("cell " + id + " did not succeed: " + lines[0].error);
-    const ManifestEntry& c = lines[0];
-    const ManifestEntry& r = ref_terminal.at(id)[0];
+    const AveragedResult& c = lines[0].result;
+    const AveragedResult& r = ref_terminal.at(id)[0].result;
     if (c.sender_bps[0] != r.sender_bps[0] || c.sender_bps[1] != r.sender_bps[1] ||
         c.jain2 != r.jain2 || c.utilization != r.utilization ||
         c.retx_segments != r.retx_segments || c.rtos != r.rtos) {

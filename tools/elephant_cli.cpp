@@ -23,12 +23,14 @@
 // selected slice, using (and filling) the shared on-disk result cache.
 // Sweeps run under the resilient engine: a crashing or budget-tripping cell
 // is reported and skipped, --manifest journals every cell to a JSONL file,
-// and --resume re-executes only cells without a successful journal entry.
+// and --resume (which needs --manifest) re-executes only cells without a
+// successful journal entry.
 //
-// A manifest also turns the sweep into a crash-tolerant shared work queue:
+// A manifest always makes the sweep a crash-tolerant shared work queue:
 // start N `elephant sweep ... --manifest M --resume --worker-id wK` processes
 // on one host and they divide the cells through per-cell leases in the
-// journal (a SIGKILLed worker's in-flight cells are stolen after --lease-s).
+// journal (a SIGKILLed worker's in-flight cells are stolen after --lease-s,
+// which must be a number > 0).
 // SIGINT/SIGTERM drain gracefully: the in-flight cell finishes and is
 // journaled, nothing new is claimed, and the exit code reports the drain.
 //
@@ -123,9 +125,10 @@ extern "C" void on_drain_signal(int) {
                "write a replayable choice trace. --replay re-executes a stored trace,\n"
                "verifies the end-state hash, and writes a flight-recorder CSV of the\n"
                "failure.\n"
-               "multi-worker: run N sweeps with the same --manifest plus --resume and\n"
-               "unique --worker-id values; cells are leased through the journal and a\n"
-               "killed worker's cells are re-claimed after --lease-s (default 60).\n"
+               "sweep --manifest: cells are leased through the journal, so N sweeps\n"
+               "with the same --manifest plus --resume and unique --worker-id values\n"
+               "share the work, and a killed worker's cells are re-claimed after\n"
+               "--lease-s (> 0, default 60). --resume requires --manifest.\n"
                "exit codes: 0 ok, 1 failed cells or abort, 2 usage, 3 signal drain\n");
   std::exit(2);
 }
@@ -220,7 +223,11 @@ Args parse(int argc, char** argv) {
     } else if (!std::strcmp(arg, "--worker-id")) {
       a.worker_id = need(i);
     } else if (!std::strcmp(arg, "--lease-s")) {
-      a.lease_s = std::atof(need(i));
+      a.lease_s = bounded_number("--lease-s", "lease", need(i), 0, HUGE_VAL);
+      if (a.lease_s <= 0) {
+        std::fprintf(stderr, "--lease-s: the lease must be > 0 seconds\n");
+        std::exit(2);
+      }
     } else if (!std::strcmp(arg, "--backoff")) {
       a.backoff_s = std::atof(need(i));
     } else if (!std::strcmp(arg, "--stats-interval")) {
@@ -423,6 +430,10 @@ int cmd_run(const Args& a) {
 }
 
 int cmd_sweep(const Args& a) {
+  if (a.resume && a.manifest.empty()) {
+    std::fprintf(stderr, "sweep: --resume needs --manifest PATH to resume from\n");
+    return 2;
+  }
   std::vector<std::pair<cca::CcaKind, cca::CcaKind>> pairs;
   for (const auto& p : exp::paper_cca_pairs()) {
     const bool intra = p.first == p.second;
@@ -493,7 +504,7 @@ int cmd_sweep(const Args& a) {
               report.count(exp::RunStatus::kFailed),
               report.count(exp::RunStatus::kTimedOut));
   if (report.skipped() > 0) std::printf(", %zu skipped", report.skipped());
-  if (a.resume || !a.manifest.empty()) {
+  if (!a.manifest.empty()) {
     std::size_t resumed = 0;
     for (const auto& rec : report.records) resumed += rec.resumed ? 1 : 0;
     if (resumed > 0 || a.resume) {
