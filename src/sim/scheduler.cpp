@@ -14,22 +14,30 @@ namespace elephant::sim {
 
 // --- slot management -------------------------------------------------------
 
+void Scheduler::grow_slots(std::uint32_t count) {
+  while ((static_cast<std::size_t>(count) + kChunkSlots - 1) / kChunkSlots >
+         slot_chunks_.size()) {
+    slot_chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+  }
+  heap_pos_.resize(count, kNpos);
+}
+
 std::uint32_t Scheduler::acquire_slot() {
   if (!free_slots_.empty()) {
     const std::uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
     return slot;
   }
-  slots_.emplace_back();
-  const auto slot = static_cast<std::uint32_t>(slots_.size() - 1);
-  slots_[slot].gen = 1;  // generation 0 never validates (defeats forged ids)
+  const std::uint32_t slot = slot_count();
+  grow_slots(slot + 1);
+  slot_at(slot).gen = 1;  // generation 0 never validates (defeats forged ids)
   return slot;
 }
 
 void Scheduler::release_slot(std::uint32_t slot) {
-  Slot& s = slots_[slot];
+  Slot& s = slot_at(slot);
   s.state = SlotState::kFree;
-  s.heap_pos = kNpos;
+  heap_pos_[slot] = kNpos;
   ++s.gen;  // invalidate outstanding EventIds referencing this use
   s.cb = Callback{};
   free_slots_.push_back(slot);
@@ -37,8 +45,9 @@ void Scheduler::release_slot(std::uint32_t slot) {
 
 // --- indexed 4-ary min-heap ------------------------------------------------
 //
-// Entries carry the slot id and a copy of the slot's (at, seq) key; each
-// slot carries its heap position so removal and re-keying are direct. The
+// Entries carry the slot id and a copy of the slot's (at, seq) key; the
+// flat heap_pos_ array maps each slot back to its entry, so removal and
+// re-keying are direct and a sift never dereferences a chunked Slot. The
 // wider fan-out halves the tree depth of a binary heap, and the embedded key
 // keeps every comparison inside the contiguous entry array — a sift at
 // 100k-flow heap depth would otherwise take a cache miss per comparison
@@ -50,11 +59,11 @@ void Scheduler::heap_sift_up(std::uint32_t pos) {
     const std::uint32_t parent = (pos - 1) / 4;
     if (!heap_less(moving, heap_[parent])) break;
     heap_[pos] = heap_[parent];
-    slots_[heap_[pos].slot].heap_pos = pos;
+    heap_pos_[heap_[pos].slot] = pos;
     pos = parent;
   }
   heap_[pos] = moving;
-  slots_[moving.slot].heap_pos = pos;
+  heap_pos_[moving.slot] = pos;
 }
 
 void Scheduler::heap_sift_down(std::uint32_t pos) {
@@ -71,11 +80,11 @@ void Scheduler::heap_sift_down(std::uint32_t pos) {
     }
     if (!heap_less(heap_[best], moving)) break;
     heap_[pos] = heap_[best];
-    slots_[heap_[pos].slot].heap_pos = pos;
+    heap_pos_[heap_[pos].slot] = pos;
     pos = best;
   }
   heap_[pos] = moving;
-  slots_[moving.slot].heap_pos = pos;
+  heap_pos_[moving.slot] = pos;
 }
 
 void Scheduler::heap_update(std::uint32_t pos) {
@@ -87,20 +96,20 @@ void Scheduler::heap_update(std::uint32_t pos) {
 }
 
 void Scheduler::heap_insert(std::uint32_t slot) {
-  const Slot& s = slots_[slot];
+  const Slot& s = slot_at(slot);
   heap_.push_back(HeapEntry{s.at, s.seq, slot});
   if (heap_.size() > heap_peak_) heap_peak_ = heap_.size();
-  slots_[slot].heap_pos = static_cast<std::uint32_t>(heap_.size() - 1);
-  heap_sift_up(slots_[slot].heap_pos);
+  heap_pos_[slot] = static_cast<std::uint32_t>(heap_.size() - 1);
+  heap_sift_up(heap_pos_[slot]);
 }
 
 void Scheduler::heap_remove(std::uint32_t pos) {
-  slots_[heap_[pos].slot].heap_pos = kNpos;
+  heap_pos_[heap_[pos].slot] = kNpos;
   const HeapEntry last = heap_.back();
   heap_.pop_back();
   if (pos < heap_.size()) {
     heap_[pos] = last;
-    slots_[last.slot].heap_pos = pos;
+    heap_pos_[last.slot] = pos;
     heap_update(pos);
   }
 }
@@ -110,7 +119,7 @@ void Scheduler::heap_remove(std::uint32_t pos) {
 EventId Scheduler::schedule_at(Time at, Callback cb) {
   assert(at >= now_ && "cannot schedule events in the past");
   const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
+  Slot& s = slot_at(slot);
   s.at = at;
   s.seq = next_seq_++;
   s.state = SlotState::kOneShot;
@@ -122,15 +131,15 @@ EventId Scheduler::schedule_at(Time at, Callback cb) {
 bool Scheduler::pending(EventId id) const {
   if (!id.valid()) return false;
   const std::uint64_t index = (id.value & 0xffffffffull) - 1;
-  if (index >= slots_.size()) return false;
-  const Slot& s = slots_[index];
+  if (index >= slot_count()) return false;
+  const Slot& s = slot_at(static_cast<std::uint32_t>(index));
   return s.gen == (id.value >> 32) && s.state == SlotState::kOneShot;
 }
 
 void Scheduler::cancel(EventId id) {
   if (!pending(id)) return;
   const auto slot = static_cast<std::uint32_t>((id.value & 0xffffffffull) - 1);
-  heap_remove(slots_[slot].heap_pos);
+  heap_remove(heap_pos_[slot]);
   release_slot(slot);
 }
 
@@ -138,7 +147,7 @@ void Scheduler::cancel(EventId id) {
 
 std::uint32_t Scheduler::timer_create(Callback cb) {
   const std::uint32_t slot = acquire_slot();
-  Slot& s = slots_[slot];
+  Slot& s = slot_at(slot);
   s.state = SlotState::kTimerIdle;
   s.cb = std::move(cb);
   return slot;
@@ -151,7 +160,7 @@ void Scheduler::timer_destroy(std::uint32_t slot) {
 
 void Scheduler::timer_rearm(std::uint32_t slot, Time at) {
   assert(at >= now_ && "cannot schedule events in the past");
-  Slot& s = slots_[slot];
+  Slot& s = slot_at(slot);
   assert(s.state == SlotState::kTimerArmed || s.state == SlotState::kTimerIdle ||
          s.state == SlotState::kTimerFiring);
   s.at = at;
@@ -163,7 +172,7 @@ void Scheduler::timer_rearm(std::uint32_t slot, Time at) {
     return;
   }
   if (s.state == SlotState::kTimerArmed) {
-    HeapEntry& e = heap_[s.heap_pos];
+    HeapEntry& e = heap_[heap_pos_[slot]];
     if (at >= e.at) {
       // Lazy re-key: pushing a deadline out (the RTO/delayed-ACK pattern —
       // every ACK moves the timer later) leaves the stale entry in place
@@ -176,7 +185,7 @@ void Scheduler::timer_rearm(std::uint32_t slot, Time at) {
     }
     e.at = s.at;
     e.seq = s.seq;
-    heap_sift_up(s.heap_pos);  // strictly earlier than the entry: up only
+    heap_sift_up(heap_pos_[slot]);  // strictly earlier than the entry: up only
   } else {
     s.state = SlotState::kTimerArmed;
     heap_insert(slot);
@@ -184,14 +193,14 @@ void Scheduler::timer_rearm(std::uint32_t slot, Time at) {
 }
 
 void Scheduler::timer_disarm(std::uint32_t slot) {
-  Slot& s = slots_[slot];
+  Slot& s = slot_at(slot);
   if (s.state == SlotState::kTimerArmed) {
-    heap_remove(s.heap_pos);
+    heap_remove(heap_pos_[slot]);
     s.state = SlotState::kTimerIdle;
   } else if (s.state == SlotState::kTimerFiring) {
     // Disarmed (or destroyed) from its own callback: drop the parked entry
     // now so pop_one() finds nothing left to re-key.
-    heap_remove(s.heap_pos);
+    heap_remove(heap_pos_[slot]);
     s.state = SlotState::kTimerIdle;
   }
 }
@@ -202,7 +211,7 @@ bool Scheduler::pop_one(Time deadline) {
   while (true) {
     if (heap_.empty()) return false;
     if (heap_[0].at > deadline) return false;
-    const Slot& s = slots_[heap_[0].slot];
+    const Slot& s = slot_at(heap_[0].slot);
     if (s.state == SlotState::kTimerArmed && s.seq != heap_[0].seq) {
       // Stale entry from a lazy rearm (the seq is redrawn on every rearm, so
       // a mismatch — including a same-instant rearm that only moved the FIFO
@@ -236,7 +245,7 @@ std::uint32_t Scheduler::choose_tied_entry() {
     changed = false;
     for (std::uint32_t i = 0; i < heap_.size(); ++i) {
       if (heap_[i].at != at) continue;
-      const Slot& s = slots_[heap_[i].slot];
+      const Slot& s = slot_at(heap_[i].slot);
       if (s.state == SlotState::kTimerArmed && s.seq != heap_[i].seq) {
         heap_[i].at = s.at;
         heap_[i].seq = s.seq;
@@ -268,7 +277,7 @@ void Scheduler::fire_entry(std::uint32_t pos) {
   // slot's authoritative key is later. Debug builds only: O(heap) per event.
   if (choice_hook_ == nullptr) {
     for (const HeapEntry& e : heap_) {
-      const Slot& es = slots_[e.slot];
+      const Slot& es = slot_at(e.slot);
       const bool fresh = !(es.state == SlotState::kTimerArmed && es.seq != e.seq);
       assert(!(fresh && e.at == heap_[pos].at && e.seq < heap_[pos].seq) &&
              "same-instant FIFO tie-break violated");
@@ -279,12 +288,15 @@ void Scheduler::fire_entry(std::uint32_t pos) {
   now_ = heap_[pos].at;
   ++executed_;
 
-  if (slots_[slot].state == SlotState::kOneShot) {
+  // Slots never move (chunked storage), so this reference survives any
+  // scheduling the callback does.
+  Slot& s = slot_at(slot);
+  if (s.state == SlotState::kOneShot) {
     // Move the callback out and free the slot first, so the callback may
-    // freely schedule new events (which can recycle this very slot or grow
-    // the slot array) while it runs.
+    // freely schedule new events (which can recycle this very slot) while
+    // it runs.
     heap_remove(pos);
-    Callback cb = std::move(slots_[slot].cb);
+    Callback cb = std::move(s.cb);
     release_slot(slot);
     cb();
   } else {
@@ -293,24 +305,24 @@ void Scheduler::fire_entry(std::uint32_t pos) {
     // wake, pacing, RTO) re-arms from its own callback, and the
     // parked entry turns that into one in-place re-key instead of a
     // whole-depth remove plus a whole-depth insert. The callback is moved to
-    // the stack for the call — slots_ may reallocate underneath us — and
-    // moved back afterwards unless the timer was destroyed mid-call.
-    slots_[slot].state = SlotState::kTimerFiring;
-    const std::uint32_t gen = slots_[slot].gen;
-    Callback cb = std::move(slots_[slot].cb);
+    // the stack for the call, because the callback may destroy its own
+    // timer (release_slot() resets the slot's callback, which would destroy
+    // the running closure), and moved back afterwards unless that happened.
+    s.state = SlotState::kTimerFiring;
+    const std::uint32_t gen = s.gen;
+    Callback cb = std::move(s.cb);
     cb();
-    if (slots_[slot].gen == gen) {
-      slots_[slot].cb = std::move(cb);
-      Slot& s = slots_[slot];
+    if (s.gen == gen) {
+      s.cb = std::move(cb);
       if (s.state == SlotState::kTimerFiring) {
         // Not re-armed: the parked entry (possibly displaced by inserts
-        // during the callback — heap_pos tracks it) comes out now.
+        // during the callback — heap_pos_ tracks it) comes out now.
         s.state = SlotState::kTimerIdle;
-        heap_remove(s.heap_pos);
+        heap_remove(heap_pos_[slot]);
       } else if (s.state == SlotState::kTimerArmed) {
         // Re-armed during the callback: refresh the parked entry's key from
         // the slot and restore heap order with a single sift.
-        const std::uint32_t pos = s.heap_pos;
+        const std::uint32_t pos = heap_pos_[slot];
         heap_[pos].at = s.at;
         heap_[pos].seq = s.seq;
         heap_update(pos);
@@ -397,15 +409,16 @@ Scheduler::Image Scheduler::save_image() const {
   img.next_seq = next_seq_;
   img.executed = executed_;
   img.heap = heap_;
+  img.heap_pos = heap_pos_;
   img.free_slots = free_slots_;
-  img.slots.reserve(slots_.size());
-  for (const Slot& s : slots_) {
+  img.slots.reserve(slot_count());
+  for (std::uint32_t i = 0; i < slot_count(); ++i) {
+    const Slot& s = slot_at(i);
     assert(s.state != SlotState::kTimerFiring &&
            "snapshots may only be taken between events");
     Slot c;
     c.at = s.at;
     c.seq = s.seq;
-    c.heap_pos = s.heap_pos;
     c.gen = s.gen;
     c.state = s.state;
     if (s.cb) c.cb = s.cb.clone();
@@ -420,17 +433,20 @@ void Scheduler::restore_image(const Image& img) {
   executed_ = img.executed;
   heap_ = img.heap;
   free_slots_ = img.free_slots;
-  slots_.clear();
-  slots_.reserve(img.slots.size());
-  for (const Slot& s : img.slots) {
-    Slot c;
+  // Slots past the image's count go back to their default state, exactly
+  // as freshly grown ones; the chunks themselves are kept for reuse.
+  const auto count = static_cast<std::uint32_t>(img.slots.size());
+  for (std::uint32_t i = count; i < slot_count(); ++i) slot_at(i) = Slot{};
+  heap_pos_ = img.heap_pos;
+  grow_slots(count);
+  for (std::uint32_t i = 0; i < count; ++i) {
+    const Slot& s = img.slots[i];
+    Slot& c = slot_at(i);
     c.at = s.at;
     c.seq = s.seq;
-    c.heap_pos = s.heap_pos;
     c.gen = s.gen;
     c.state = s.state;
-    if (s.cb) c.cb = s.cb.clone();  // image stays restorable again later
-    slots_.push_back(std::move(c));
+    c.cb = s.cb ? s.cb.clone() : Callback{};  // image stays restorable again later
   }
   // heap_peak_ is telemetry, not behavior: keep the high-water mark.
 }
@@ -442,8 +458,8 @@ std::uint64_t Scheduler::state_hash() const {
   // reached through different schedules would never dedup if we hashed them.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> armed;
   armed.reserve(heap_.size());
-  for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-    const Slot& s = slots_[i];
+  for (std::uint32_t i = 0; i < slot_count(); ++i) {
+    const Slot& s = slot_at(i);
     if (s.state == SlotState::kOneShot || s.state == SlotState::kTimerArmed) {
       armed.emplace_back(s.seq, i);
     }
@@ -452,7 +468,7 @@ std::uint64_t Scheduler::state_hash() const {
   std::uint64_t h = fnv1a_fold(kFnvOffset, std::bit_cast<std::uint64_t>(now_));
   h = fnv1a_fold(h, armed.size());
   for (const auto& [seq, i] : armed) {
-    const Slot& s = slots_[i];
+    const Slot& s = slot_at(i);
     h = fnv1a_fold(h, i);
     h = fnv1a_fold(h, std::bit_cast<std::uint64_t>(s.at));
     h = fnv1a_fold(h, static_cast<std::uint64_t>(s.state));
@@ -461,15 +477,16 @@ std::uint64_t Scheduler::state_hash() const {
 }
 
 void Scheduler::clear() {
-  for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
-    switch (slots_[slot].state) {
+  for (std::uint32_t slot = 0; slot < slot_count(); ++slot) {
+    Slot& s = slot_at(slot);
+    switch (s.state) {
       case SlotState::kOneShot:
         release_slot(slot);
         break;
       case SlotState::kTimerArmed:
       case SlotState::kTimerFiring:
-        slots_[slot].state = SlotState::kTimerIdle;
-        slots_[slot].heap_pos = kNpos;
+        s.state = SlotState::kTimerIdle;
+        heap_pos_[slot] = kNpos;
         break;
       case SlotState::kTimerIdle:
       case SlotState::kFree:

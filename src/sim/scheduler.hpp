@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -31,9 +32,15 @@ struct EventId {
 ///
 /// - Callbacks are `InplaceCallback`s stored in stable slots recycled
 ///   through a free list; the common `[this]`-sized captures live inline.
-/// - The priority queue is an indexed 4-ary min-heap with back-pointers, so
-///   cancel() removes its entry directly (no tombstones, no `unordered_set`
-///   side table, and pending_events() is just the heap size). Each heap
+///   Slots live in fixed-size chunks that are added, never moved, so a
+///   100k-flow cell's slot storage is many small blocks instead of one
+///   multi-megabyte array that is reallocated (and, above the allocator's
+///   mmap threshold, page-faulted in afresh) as it grows.
+/// - The priority queue is an indexed 4-ary min-heap with back-pointers
+///   (a flat per-slot `heap_pos_` array, so sift loops never touch the
+///   chunked slots), so cancel() removes its entry directly (no
+///   tombstones, no `unordered_set` side table, and pending_events() is
+///   just the heap size). Each heap
 ///   entry carries its own (at, seq) sort key: sift loops compare and move
 ///   contiguous entries instead of dereferencing into the slot array, whose
 ///   ~100k scattered Slots would cost a cache miss per comparison in a
@@ -232,7 +239,6 @@ class Scheduler {
   struct Slot {
     Time at{};
     std::uint64_t seq = 0;           ///< FIFO tie-break, fresh per (re)arm
-    std::uint32_t heap_pos = kNpos;  ///< index into heap_, kNpos when absent
     std::uint32_t gen = 0;           ///< bumped on free; validates EventIds
     SlotState state = SlotState::kFree;
     InplaceCallback cb;
@@ -244,11 +250,28 @@ class Scheduler {
   void timer_rearm(std::uint32_t slot, Time at);
   void timer_disarm(std::uint32_t slot);
   [[nodiscard]] bool timer_armed(std::uint32_t slot) const {
-    return slots_[slot].state == SlotState::kTimerArmed;
+    return slot_at(slot).state == SlotState::kTimerArmed;
   }
-  [[nodiscard]] Time timer_deadline(std::uint32_t slot) const { return slots_[slot].at; }
+  [[nodiscard]] Time timer_deadline(std::uint32_t slot) const { return slot_at(slot).at; }
 
   // --- slot management ---
+  /// Slots per storage chunk: 512 x 112 B = 56 KiB on x86-64, under glibc's
+  /// default 128 KiB mmap threshold, so chunks come from the ordinary heap.
+  static constexpr std::uint32_t kChunkShift = 9;
+  static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
+  [[nodiscard]] Slot& slot_at(std::uint32_t slot) {
+    return slot_chunks_[slot >> kChunkShift][slot & (kChunkSlots - 1)];
+  }
+  [[nodiscard]] const Slot& slot_at(std::uint32_t slot) const {
+    return slot_chunks_[slot >> kChunkShift][slot & (kChunkSlots - 1)];
+  }
+  /// Slots ever handed out (armed, idle, or on the free list).
+  [[nodiscard]] std::uint32_t slot_count() const {
+    return static_cast<std::uint32_t>(heap_pos_.size());
+  }
+  /// Extend the slot range to `count`, adding chunks as needed; new slots
+  /// are default (free, generation 0) and sit at index >= the old count.
+  void grow_slots(std::uint32_t count);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
 
@@ -286,7 +309,11 @@ class Scheduler {
   std::size_t heap_peak_ = 0;
   const obs::SchedulerMetrics* metrics_ = nullptr;
   ChoiceHook* choice_hook_ = nullptr;
-  std::vector<Slot> slots_;
+  /// Slot storage: fixed-size chunks, never reallocated (see kChunkSlots).
+  std::vector<std::unique_ptr<Slot[]>> slot_chunks_;
+  /// Per-slot index into heap_ (kNpos when absent); its size is the slot
+  /// count. Kept flat so heap sifts write positions without chunk lookups.
+  std::vector<std::uint32_t> heap_pos_;
   std::vector<HeapEntry> heap_;
   std::vector<std::uint32_t> free_slots_;
   /// (seq, heap position) scratch for the tie choice point; member so the
@@ -303,6 +330,7 @@ struct Scheduler::Image {
   std::uint64_t next_seq = 1;
   std::uint64_t executed = 0;
   std::vector<Slot> slots;
+  std::vector<std::uint32_t> heap_pos;
   std::vector<HeapEntry> heap;
   std::vector<std::uint32_t> free_slots;
 };

@@ -103,6 +103,15 @@ class SnapshotReader {
     for (auto& e : *out) get_pod(&e);
   }
 
+  /// Read a counted run written by put_pod_span() into `n` preallocated
+  /// elements; the stored count must be `n`.
+  template <typename T>
+  void get_pod_span(T* out, std::size_t n) {
+    [[maybe_unused]] const std::uint64_t stored = get_u64();
+    assert(stored == n && "snapshot span length mismatch");
+    for (std::size_t i = 0; i < n; ++i) get_pod(&out[i]);
+  }
+
   [[nodiscard]] bool exhausted() const { return p_ == end_; }
 
  private:

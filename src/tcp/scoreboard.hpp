@@ -3,9 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <new>
 #include <optional>
-#include <vector>
+#include <type_traits>
 
 #include "sim/snapshot.hpp"
 #include "sim/time.hpp"
@@ -45,14 +48,18 @@ struct ScoreboardLedger {
 
 /// SACK scoreboard in struct-of-arrays layout with packed flag bitmaps.
 ///
-/// The live window [una_, next_seq_) maps onto a power-of-two ring: unit
-/// `abs` lives in slot `abs & mask_`. Because the capacity is a multiple of
-/// 64, bit `abs & 63` of word `(abs & mask_) >> 6` is unit `abs`'s flag bit,
-/// and a 64-aligned run of sequence numbers is exactly one bitmap word — so
-/// loss marking, RTO sweeps, cumulative-ACK resolution, and retransmit picks
-/// scan whole words (`std::countr_zero` / `std::popcount`) instead of
-/// walking ~40-byte structs. Time/rate fields sit in parallel arrays touched
-/// only for the units an ACK actually resolves.
+/// The live window [una_, next_seq_) maps onto a power-of-two ring of at
+/// least 8 slots that doubles when full: unit `abs` lives in slot
+/// `abs & mask_`, and bit `abs & 63` of word `(abs & mask_) >> 6` is its
+/// flag bit. From 64 slots up, a 64-aligned run of sequence numbers is
+/// exactly one bitmap word; below 64 the whole window sits in word 0, where
+/// its bits stay distinct because the window never exceeds the capacity.
+/// Either way loss marking, RTO sweeps, cumulative-ACK resolution, and
+/// retransmit picks scan whole words (`std::countr_zero` /
+/// `std::popcount`) instead of walking ~40-byte structs. Time/rate fields
+/// sit in parallel arrays touched only for the units an ACK actually
+/// resolves. Arrays and bitmaps share one allocation, so a short flow's
+/// 8-unit window costs 232 bytes in one heap block.
 ///
 /// Flag invariants (hold between calls, relied on by the word scans):
 ///   - inflight ⇒ ¬sacked ∧ ¬lost   (sacking and loss-marking clear inflight)
@@ -72,6 +79,9 @@ struct ScoreboardLedger {
 class Scoreboard {
  public:
   Scoreboard() = default;
+  Scoreboard(const Scoreboard&) = delete;
+  Scoreboard& operator=(const Scoreboard&) = delete;
+  ~Scoreboard() { free_window(win_, capacity_); }
 
   [[nodiscard]] std::uint64_t una() const { return una_; }
   [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
@@ -81,14 +91,16 @@ class Scoreboard {
   [[nodiscard]] std::uint64_t highest_sacked() const { return highest_sacked_; }
   [[nodiscard]] sim::Time latest_sacked_sent_time() const { return latest_sacked_sent_time_; }
 
-  [[nodiscard]] bool is_inflight(std::uint64_t abs) const { return test(inflight_, abs); }
-  [[nodiscard]] bool is_sacked(std::uint64_t abs) const { return test(sacked_, abs); }
-  [[nodiscard]] bool is_lost(std::uint64_t abs) const { return test(lost_, abs); }
+  [[nodiscard]] bool is_inflight(std::uint64_t abs) const { return test(win_.inflight, abs); }
+  [[nodiscard]] bool is_sacked(std::uint64_t abs) const { return test(win_.sacked, abs); }
+  [[nodiscard]] bool is_lost(std::uint64_t abs) const { return test(win_.lost, abs); }
   [[nodiscard]] bool is_delivered_counted(std::uint64_t abs) const {
-    return test(delivered_, abs);
+    return test(win_.delivered, abs);
   }
-  [[nodiscard]] std::uint8_t retx_of(std::uint64_t abs) const { return retx_[slot(abs)]; }
-  [[nodiscard]] sim::Time sent_time_of(std::uint64_t abs) const { return sent_time_[slot(abs)]; }
+  [[nodiscard]] std::uint8_t retx_of(std::uint64_t abs) const { return win_.retx[slot(abs)]; }
+  [[nodiscard]] sim::Time sent_time_of(std::uint64_t abs) const {
+    return win_.sent_time[slot(abs)];
+  }
 
   /// Record the (re)transmission of unit `abs`. For `abs == next_seq()` this
   /// appends a fresh unit; otherwise `abs` must be marked lost (the only
@@ -104,23 +116,23 @@ class Scoreboard {
       assert(abs == next_seq_);
       if (next_seq_ - una_ == capacity_) grow();
       ++next_seq_;
-      retx_[slot(abs)] = 0;
-      assert(!test(inflight_, abs) && !test(sacked_, abs) && !test(lost_, abs) &&
-             !test(delivered_, abs));
+      win_.retx[slot(abs)] = 0;
+      assert(!test(win_.inflight, abs) && !test(win_.sacked, abs) && !test(win_.lost, abs) &&
+             !test(win_.delivered, abs));
     } else {
-      assert(test(lost_, abs) && !test(inflight_, abs));
-      clear(lost_, abs);
-      ++retx_[slot(abs)];  // wraps at 256, as the AoS layout always did
+      assert(test(win_.lost, abs) && !test(win_.inflight, abs));
+      clear(win_.lost, abs);
+      ++win_.retx[slot(abs)];  // wraps at 256, as the AoS layout always did
       if (lost_pending_ > 0) --lost_pending_;
       min_unresolved_ = std::min(min_unresolved_, abs);
     }
     const std::uint32_t s = slot(abs);
-    sent_time_[s] = now;
-    delivered_at_send_[s] = delivered_segments;
-    delivered_time_at_send_[s] = delivered_time_eff;
-    set(inflight_, abs);
+    win_.sent_time[s] = now;
+    win_.delivered_at_send[s] = delivered_segments;
+    win_.delivered_time_at_send[s] = delivered_time_eff;
+    set(win_.inflight, abs);
     ++pipe_units_;
-    return retx_[s];
+    return win_.retx[s];
   }
 
   /// Cumulative-ACK advance to `ack_to` (caller clamps to next_seq()).
@@ -138,22 +150,22 @@ class Scoreboard {
       const std::uint64_t base = abs & ~std::uint64_t{63};
       const std::uint64_t m = range_mask(abs - base, chunk_end - base);
 
-      pipe_units_ -= static_cast<std::uint64_t>(std::popcount(inflight_[w] & m));
+      pipe_units_ -= static_cast<std::uint64_t>(std::popcount(win_.inflight[w] & m));
       lost_pending_ -= std::min(
-          static_cast<std::uint64_t>(std::popcount(lost_[w] & m)), lost_pending_);
-      std::uint64_t todo = ~delivered_[w] & m;
+          static_cast<std::uint64_t>(std::popcount(win_.lost[w] & m)), lost_pending_);
+      std::uint64_t todo = ~win_.delivered[w] & m;
       *newly += static_cast<std::uint64_t>(std::popcount(todo));
       while (todo != 0) {
         const std::uint64_t a = base + static_cast<unsigned>(std::countr_zero(todo));
         todo &= todo - 1;
         const std::uint32_t s = slot(a);
-        newest->consider(retx_[s], sent_time_[s], delivered_at_send_[s],
-                         delivered_time_at_send_[s]);
+        newest->consider(win_.retx[s], win_.sent_time[s], win_.delivered_at_send[s],
+                         win_.delivered_time_at_send[s]);
       }
-      inflight_[w] &= ~m;
-      sacked_[w] &= ~m;
-      lost_[w] &= ~m;
-      delivered_[w] &= ~m;
+      win_.inflight[w] &= ~m;
+      win_.sacked[w] &= ~m;
+      win_.lost[w] &= ~m;
+      win_.delivered[w] &= ~m;
       abs = chunk_end;
     }
     una_ = ack_to;
@@ -179,31 +191,33 @@ class Scoreboard {
       const std::uint64_t base = abs & ~std::uint64_t{63};
       const std::uint64_t m = range_mask(abs - base, chunk_end - base);
 
-      std::uint64_t fresh = ~sacked_[w] & m;
+      std::uint64_t fresh = ~win_.sacked[w] & m;
       while (fresh != 0) {
         const std::uint64_t a = base + static_cast<unsigned>(std::countr_zero(fresh));
         fresh &= fresh - 1;
         const std::uint64_t bit = std::uint64_t{1} << (a & 63);
-        sacked_[w] |= bit;
-        if (inflight_[w] & bit) {
-          inflight_[w] &= ~bit;
+        win_.sacked[w] |= bit;
+        if (win_.inflight[w] & bit) {
+          win_.inflight[w] &= ~bit;
           --pipe_units_;
         }
-        if (lost_[w] & bit) {
+        if (win_.lost[w] & bit) {
           // Was marked lost but arrived after all; cancel the pending retx.
-          lost_[w] &= ~bit;
+          win_.lost[w] &= ~bit;
           if (lost_pending_ > 0) --lost_pending_;
         }
         const std::uint32_t s = slot(a);
-        if (!(delivered_[w] & bit)) {
-          delivered_[w] |= bit;
+        if (!(win_.delivered[w] & bit)) {
+          win_.delivered[w] |= bit;
           ++*newly;
-          newest->consider(retx_[s], sent_time_[s], delivered_at_send_[s],
-                           delivered_time_at_send_[s]);
+          newest->consider(win_.retx[s], win_.sent_time[s], win_.delivered_at_send[s],
+                           win_.delivered_time_at_send[s]);
         }
-        if (sent_time_[s] > latest_sacked_sent_time_) latest_sacked_sent_time_ = sent_time_[s];
+        if (win_.sent_time[s] > latest_sacked_sent_time_) {
+          latest_sacked_sent_time_ = win_.sent_time[s];
+        }
         if (a + 1 > highest_sacked_) highest_sacked_ = a + 1;
-        on_sack(a, retx_[s]);
+        on_sack(a, win_.retx[s]);
       }
       abs = chunk_end;
     }
@@ -230,7 +244,7 @@ class Scoreboard {
       const std::uint64_t m = range_mask(abs - base, chunk_end - base);
 
       if (prefix_resolved) {
-        const std::uint64_t not_sacked = ~sacked_[w] & m;
+        const std::uint64_t not_sacked = ~win_.sacked[w] & m;
         if (not_sacked == 0) {
           min_unresolved_ = chunk_end;
           abs = chunk_end;
@@ -241,21 +255,21 @@ class Scoreboard {
         if (first > abs) min_unresolved_ = first;
         prefix_resolved = false;
       }
-      std::uint64_t cand = inflight_[w] & m;
+      std::uint64_t cand = win_.inflight[w] & m;
       while (cand != 0) {
         const std::uint64_t a = base + static_cast<unsigned>(std::countr_zero(cand));
         cand &= cand - 1;
         const std::uint32_t s = slot(a);
-        if (sent_time_[s] <= latest_sacked_sent_time_) {
+        if (win_.sent_time[s] <= latest_sacked_sent_time_) {
           // FACK rule with RACK-style ordering: at least reorder_units units
           // sent after this one have been SACKed.
           const std::uint64_t bit = std::uint64_t{1} << (a & 63);
-          lost_[w] |= bit;
-          inflight_[w] &= ~bit;
+          win_.lost[w] |= bit;
+          win_.inflight[w] &= ~bit;
           --pipe_units_;
           ++lost_pending_;
           ++newly_lost;
-          on_loss(a, retx_[s]);
+          on_loss(a, win_.retx[s]);
         }
       }
       abs = chunk_end;
@@ -274,10 +288,10 @@ class Scoreboard {
       const std::uint64_t base = abs & ~std::uint64_t{63};
       const std::uint64_t m = range_mask(abs - base, chunk_end - base);
 
-      const std::uint64_t not_sacked = ~sacked_[w] & m;
-      pipe_units_ -= static_cast<std::uint64_t>(std::popcount(inflight_[w] & m));
-      inflight_[w] &= ~m;
-      lost_[w] |= not_sacked;
+      const std::uint64_t not_sacked = ~win_.sacked[w] & m;
+      pipe_units_ -= static_cast<std::uint64_t>(std::popcount(win_.inflight[w] & m));
+      win_.inflight[w] &= ~m;
+      win_.lost[w] |= not_sacked;
       lost_pending_ += static_cast<std::uint64_t>(std::popcount(not_sacked));
       abs = chunk_end;
     }
@@ -294,7 +308,7 @@ class Scoreboard {
       const std::size_t w = word(abs);
       const std::uint64_t base = abs & ~std::uint64_t{63};
       const std::uint64_t m = range_mask(abs - base, chunk_end - base);
-      const std::uint64_t cand = lost_[w] & m;
+      const std::uint64_t cand = win_.lost[w] & m;
       if (cand != 0) return base + static_cast<unsigned>(std::countr_zero(cand));
       abs = chunk_end;
     }
@@ -308,23 +322,15 @@ class Scoreboard {
   void release() {
     assert(una_ == next_seq_);
     if (ledger_ != nullptr) ledger_->current -= memory_bytes();
+    free_window(win_, capacity_);
+    win_ = Window{};
     capacity_ = 0;
     mask_ = 0;
-    std::vector<sim::Time>().swap(sent_time_);
-    std::vector<sim::Time>().swap(delivered_time_at_send_);
-    std::vector<double>().swap(delivered_at_send_);
-    std::vector<std::uint8_t>().swap(retx_);
-    std::vector<std::uint64_t>().swap(inflight_);
-    std::vector<std::uint64_t>().swap(sacked_);
-    std::vector<std::uint64_t>().swap(lost_);
-    std::vector<std::uint64_t>().swap(delivered_);
   }
 
-  /// Current heap bytes held by the window arrays.
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return capacity_ * (2 * sizeof(sim::Time) + sizeof(double) + sizeof(std::uint8_t)) +
-           (capacity_ / 64) * 4 * sizeof(std::uint64_t);
-  }
+  /// Current heap bytes held by the window: exactly the size of its one
+  /// allocation.
+  [[nodiscard]] std::size_t memory_bytes() const { return window_bytes(capacity_); }
   /// High-water memory_bytes() over the scoreboard's lifetime (survives
   /// release(), so end-of-run telemetry sees completed flows' peaks).
   [[nodiscard]] std::size_t peak_memory_bytes() const { return peak_bytes_; }
@@ -355,17 +361,21 @@ class Scoreboard {
     w.put_u64(capacity_);
     w.put_u64(mask_);
     w.put_u64(peak_bytes_);
-    w.put_pod_vector(sent_time_);
-    w.put_pod_vector(delivered_time_at_send_);
-    w.put_pod_vector(delivered_at_send_);
-    w.put_pod_vector(retx_);
-    w.put_pod_vector(inflight_);
-    w.put_pod_vector(sacked_);
-    w.put_pod_vector(lost_);
-    w.put_pod_vector(delivered_);
+    const std::size_t n = static_cast<std::size_t>(capacity_);
+    const std::size_t words = bitmap_words(capacity_);
+    w.put_pod_span(win_.sent_time, n);
+    w.put_pod_span(win_.delivered_time_at_send, n);
+    w.put_pod_span(win_.delivered_at_send, n);
+    w.put_pod_span(win_.retx, n);
+    w.put_pod_span(win_.inflight, words);
+    w.put_pod_span(win_.sacked, words);
+    w.put_pod_span(win_.lost, words);
+    w.put_pod_span(win_.delivered, words);
   }
   void load(sim::SnapshotReader& r) {
     if (ledger_ != nullptr) ledger_->current -= memory_bytes();
+    free_window(win_, capacity_);
+    win_ = Window{};
     una_ = r.get_u64();
     next_seq_ = r.get_u64();
     pipe_units_ = r.get_u64();
@@ -376,14 +386,17 @@ class Scoreboard {
     capacity_ = r.get_u64();
     mask_ = r.get_u64();
     peak_bytes_ = static_cast<std::size_t>(r.get_u64());
-    r.get_pod_vector(&sent_time_);
-    r.get_pod_vector(&delivered_time_at_send_);
-    r.get_pod_vector(&delivered_at_send_);
-    r.get_pod_vector(&retx_);
-    r.get_pod_vector(&inflight_);
-    r.get_pod_vector(&sacked_);
-    r.get_pod_vector(&lost_);
-    r.get_pod_vector(&delivered_);
+    win_ = alloc_window(capacity_);
+    const std::size_t n = static_cast<std::size_t>(capacity_);
+    const std::size_t words = bitmap_words(capacity_);
+    r.get_pod_span(win_.sent_time, n);
+    r.get_pod_span(win_.delivered_time_at_send, n);
+    r.get_pod_span(win_.delivered_at_send, n);
+    r.get_pod_span(win_.retx, n);
+    r.get_pod_span(win_.inflight, words);
+    r.get_pod_span(win_.sacked, words);
+    r.get_pod_span(win_.lost, words);
+    r.get_pod_span(win_.delivered, words);
     if (ledger_ != nullptr) {
       ledger_->current += memory_bytes();
       ledger_->peak = std::max(ledger_->peak, ledger_->current);
@@ -391,19 +404,75 @@ class Scoreboard {
   }
 
  private:
+  /// Views into one window allocation, laid out as the members read: the
+  /// three 8-byte parallel arrays, the four bitmaps, then the retx bytes.
+  /// `sent_time` is the start of the block (null when no window is held).
+  struct Window {
+    sim::Time* sent_time = nullptr;
+    sim::Time* delivered_time_at_send = nullptr;
+    double* delivered_at_send = nullptr;  // segments
+    std::uint64_t* inflight = nullptr;
+    std::uint64_t* sacked = nullptr;
+    std::uint64_t* lost = nullptr;       // marked lost, awaiting retransmission
+    std::uint64_t* delivered = nullptr;  // counted toward delivered_segments
+    std::uint8_t* retx = nullptr;
+  };
+  static_assert(std::is_trivially_destructible_v<sim::Time>);
+  static constexpr std::uint64_t kMinCapacity = 8;
+
+  /// Bitmap words for a ring of `cap` slots. Below 64 slots this is one
+  /// word: the live window never exceeds the capacity, so its units' bits
+  /// `abs & 63` are distinct and all sit in word 0.
+  [[nodiscard]] static std::size_t bitmap_words(std::uint64_t cap) {
+    return static_cast<std::size_t>((cap + 63) / 64);
+  }
+  [[nodiscard]] static std::size_t window_bytes(std::uint64_t cap) {
+    return static_cast<std::size_t>(cap) *
+               (2 * sizeof(sim::Time) + sizeof(double) + sizeof(std::uint8_t)) +
+           bitmap_words(cap) * 4 * sizeof(std::uint64_t);
+  }
+  /// Construct `n` value-initialized (zero) elements at `*at` and advance it.
+  template <typename T>
+  static T* carve(std::byte*& at, std::size_t n) {
+    auto* first = reinterpret_cast<T*>(at);
+    std::uninitialized_value_construct_n(first, n);
+    at += n * sizeof(T);
+    return std::launder(first);
+  }
+  /// One zeroed allocation of window_bytes(cap) holding every array.
+  [[nodiscard]] static Window alloc_window(std::uint64_t cap) {
+    if (cap == 0) return Window{};
+    auto* at = static_cast<std::byte*>(::operator new(window_bytes(cap)));
+    const auto n = static_cast<std::size_t>(cap);
+    const std::size_t words = bitmap_words(cap);
+    Window win;
+    win.sent_time = carve<sim::Time>(at, n);
+    win.delivered_time_at_send = carve<sim::Time>(at, n);
+    win.delivered_at_send = carve<double>(at, n);
+    win.inflight = carve<std::uint64_t>(at, words);
+    win.sacked = carve<std::uint64_t>(at, words);
+    win.lost = carve<std::uint64_t>(at, words);
+    win.delivered = carve<std::uint64_t>(at, words);
+    win.retx = carve<std::uint8_t>(at, n);
+    return win;
+  }
+  static void free_window(const Window& win, std::uint64_t cap) {
+    if (win.sent_time != nullptr) ::operator delete(win.sent_time, window_bytes(cap));
+  }
+
   [[nodiscard]] std::uint32_t slot(std::uint64_t abs) const {
     return static_cast<std::uint32_t>(abs & mask_);
   }
   [[nodiscard]] std::size_t word(std::uint64_t abs) const {
     return static_cast<std::size_t>((abs & mask_) >> 6);
   }
-  [[nodiscard]] bool test(const std::vector<std::uint64_t>& bm, std::uint64_t abs) const {
+  [[nodiscard]] bool test(const std::uint64_t* bm, std::uint64_t abs) const {
     return (bm[word(abs)] >> (abs & 63)) & 1;
   }
-  void set(std::vector<std::uint64_t>& bm, std::uint64_t abs) {
+  void set(std::uint64_t* bm, std::uint64_t abs) {
     bm[word(abs)] |= std::uint64_t{1} << (abs & 63);
   }
-  void clear(std::vector<std::uint64_t>& bm, std::uint64_t abs) {
+  void clear(std::uint64_t* bm, std::uint64_t abs) {
     bm[word(abs)] &= ~(std::uint64_t{1} << (abs & 63));
   }
   /// Bits [lo, hi) of one word, 0 <= lo < hi <= 64.
@@ -414,39 +483,26 @@ class Scoreboard {
 
   void grow() {
     const std::size_t bytes_before = memory_bytes();
-    const std::uint64_t ncap = std::max<std::uint64_t>(64, capacity_ * 2);
+    const std::uint64_t ncap = std::max(kMinCapacity, capacity_ * 2);
     const std::uint64_t nmask = ncap - 1;
-    std::vector<sim::Time> nsent(ncap);
-    std::vector<sim::Time> ndtas(ncap);
-    std::vector<double> ndas(ncap, 0.0);
-    std::vector<std::uint8_t> nretx(ncap, 0);
-    std::vector<std::uint64_t> ninflight(ncap / 64, 0);
-    std::vector<std::uint64_t> nsacked(ncap / 64, 0);
-    std::vector<std::uint64_t> nlost(ncap / 64, 0);
-    std::vector<std::uint64_t> ndelivered(ncap / 64, 0);
+    const Window nwin = alloc_window(ncap);
     for (std::uint64_t abs = una_; abs < next_seq_; ++abs) {
       const std::uint32_t os = slot(abs);
       const std::uint32_t ns = static_cast<std::uint32_t>(abs & nmask);
-      nsent[ns] = sent_time_[os];
-      ndtas[ns] = delivered_time_at_send_[os];
-      ndas[ns] = delivered_at_send_[os];
-      nretx[ns] = retx_[os];
+      nwin.sent_time[ns] = win_.sent_time[os];
+      nwin.delivered_time_at_send[ns] = win_.delivered_time_at_send[os];
+      nwin.delivered_at_send[ns] = win_.delivered_at_send[os];
+      nwin.retx[ns] = win_.retx[os];
       const std::uint64_t bit = std::uint64_t{1} << (abs & 63);
       const std::size_t ow = word(abs);
       const std::size_t nw = static_cast<std::size_t>((abs & nmask) >> 6);
-      if (inflight_[ow] & bit) ninflight[nw] |= bit;
-      if (sacked_[ow] & bit) nsacked[nw] |= bit;
-      if (lost_[ow] & bit) nlost[nw] |= bit;
-      if (delivered_[ow] & bit) ndelivered[nw] |= bit;
+      if (win_.inflight[ow] & bit) nwin.inflight[nw] |= bit;
+      if (win_.sacked[ow] & bit) nwin.sacked[nw] |= bit;
+      if (win_.lost[ow] & bit) nwin.lost[nw] |= bit;
+      if (win_.delivered[ow] & bit) nwin.delivered[nw] |= bit;
     }
-    sent_time_ = std::move(nsent);
-    delivered_time_at_send_ = std::move(ndtas);
-    delivered_at_send_ = std::move(ndas);
-    retx_ = std::move(nretx);
-    inflight_ = std::move(ninflight);
-    sacked_ = std::move(nsacked);
-    lost_ = std::move(nlost);
-    delivered_ = std::move(ndelivered);
+    free_window(win_, capacity_);
+    win_ = nwin;
     capacity_ = ncap;
     mask_ = nmask;
     peak_bytes_ = std::max(peak_bytes_, memory_bytes());
@@ -465,21 +521,15 @@ class Scoreboard {
   std::uint64_t highest_sacked_ = 0;  // absolute unit + 1 (0 = none)
   sim::Time latest_sacked_sent_time_ = sim::Time::zero();
 
-  // Ring geometry: power-of-two capacity, multiple of 64.
+  // Ring geometry: power-of-two capacity, 0 or at least kMinCapacity.
   std::uint64_t capacity_ = 0;
   std::uint64_t mask_ = 0;
   std::size_t peak_bytes_ = 0;
   ScoreboardLedger* ledger_ = nullptr;  ///< optional shared live-bytes account
 
-  // Parallel arrays (slot-indexed) + flag bitmaps (one bit per slot).
-  std::vector<sim::Time> sent_time_;
-  std::vector<sim::Time> delivered_time_at_send_;
-  std::vector<double> delivered_at_send_;  // segments
-  std::vector<std::uint8_t> retx_;
-  std::vector<std::uint64_t> inflight_;
-  std::vector<std::uint64_t> sacked_;
-  std::vector<std::uint64_t> lost_;   // marked lost, awaiting retransmission
-  std::vector<std::uint64_t> delivered_;  // counted toward delivered_segments
+  // Parallel arrays (slot-indexed) + flag bitmaps (one bit per slot), all in
+  // one allocation of memory_bytes().
+  Window win_;
 };
 
 }  // namespace elephant::tcp

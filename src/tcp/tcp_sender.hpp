@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 
@@ -109,23 +108,11 @@ class TcpSender : public net::PacketHandler {
     on_complete_ = cb;
     on_complete_ctx_ = ctx;
   }
-  /// Capturing-lambda convenience overload (boxes the callable; fine for
-  /// tests, avoided by the flow factory's static-thunk path).
-  void set_on_complete(std::function<void()> cb) {
-    boxed_on_complete_ = std::move(cb);
-    on_complete_ = [](void* ctx) { (*static_cast<std::function<void()>*>(ctx))(); };
-    on_complete_ctx_ = &boxed_on_complete_;
-  }
   /// Invoked each time an app-limited sender drains everything offered
   /// (once per offer_units() burst). Drives on/off sources' think time.
   void set_on_app_idle(Callback cb, void* ctx) {
     on_app_idle_ = cb;
     on_app_idle_ctx_ = ctx;
-  }
-  void set_on_app_idle(std::function<void()> cb) {
-    boxed_on_app_idle_ = std::move(cb);
-    on_app_idle_ = [](void* ctx) { (*static_cast<std::function<void()>*>(ctx))(); };
-    on_app_idle_ctx_ = &boxed_on_app_idle_;
   }
 
   void on_packet(net::Packet&& p) override;  // ACK input
@@ -233,10 +220,6 @@ class TcpSender : public net::PacketHandler {
   void* on_complete_ctx_ = nullptr;
   Callback on_app_idle_ = nullptr;
   void* on_app_idle_ctx_ = nullptr;
-  // Storage for the std::function convenience overloads only; empty (and
-  // allocation-free) on the static-thunk path.
-  std::function<void()> boxed_on_complete_;
-  std::function<void()> boxed_on_app_idle_;
 
   // Flight recorder (null = tracing off; hot paths pay one branch).
   trace::Tracer* tracer_ = nullptr;

@@ -4,9 +4,9 @@
 // allocator. A regression here means some per-packet path regrew a
 // std::function, deque block, or heap node.
 //
-// The hook below replaces global operator new/delete for the whole test
-// binary with counting malloc/free wrappers; every other test runs on it
-// too, which is harmless.
+// The counting hook (alloc_hook.cpp) replaces global operator new/delete
+// for the whole test binary; every other test runs on it too, which is
+// harmless.
 //
 // The measured scenario is a single BBRv1 flow into a deep bottleneck buffer
 // under each of the paper's three AQMs (FIFO, RED, FQ-CoDel): bounded cwnd,
@@ -19,11 +19,10 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
+#include <cstdint>
 #include <memory>
-#include <new>
 
+#include "alloc_hook.hpp"
 #include "aqm/factory.hpp"
 #include "cca/congestion_control.hpp"
 #include "net/topology.hpp"
@@ -31,41 +30,6 @@
 #include "sim/scheduler.hpp"
 #include "tcp/tcp_receiver.hpp"
 #include "tcp/tcp_sender.hpp"
-
-namespace {
-
-std::atomic<std::uint64_t> g_alloc_calls{0};
-
-void* counted_alloc(std::size_t n, std::size_t align) {
-  g_alloc_calls.fetch_add(1, std::memory_order_relaxed);
-  void* p = nullptr;
-  if (align > alignof(std::max_align_t)) {
-    if (posix_memalign(&p, align, n) != 0) throw std::bad_alloc();
-  } else {
-    p = std::malloc(n > 0 ? n : 1);
-    if (p == nullptr) throw std::bad_alloc();
-  }
-  return p;
-}
-
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n, 0); }
-void* operator new[](std::size_t n) { return counted_alloc(n, 0); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace elephant {
 namespace {
@@ -104,9 +68,9 @@ TEST_P(AllocSteadyState, NoAllocationsAfterWarmup) {
   sched.run_until(sim::Time::seconds(2));
   ASSERT_GT(receiver.delivered_units(), 0u) << "warm-up produced no traffic";
 
-  const std::uint64_t before = g_alloc_calls.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::alloc_calls();
   sched.run_until(sim::Time::seconds(6));
-  const std::uint64_t after = g_alloc_calls.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::alloc_calls();
 
   EXPECT_EQ(after - before, 0u)
       << "steady state touched the allocator " << (after - before) << " times";
@@ -131,7 +95,7 @@ TEST(AllocSteadyState, MetricsUpdatesAreAllocationFree) {
   obs::LogLinHistogram& hist = reg.histogram("queue.sojourn_s");
   hist.record(1e-3);  // histograms are fixed arrays; no lazy growth to prime
 
-  const std::uint64_t before = g_alloc_calls.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::alloc_calls();
   for (int i = 0; i < 100000; ++i) {
     counter.add();
     gauge.set(static_cast<double>(i));
@@ -139,7 +103,7 @@ TEST(AllocSteadyState, MetricsUpdatesAreAllocationFree) {
     obs::ScopedTimer timer(&hist);
   }
   (void)hist.quantile(0.99);  // reads are allocation-free too
-  const std::uint64_t after = g_alloc_calls.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::alloc_calls();
 
   EXPECT_EQ(after - before, 0u)
       << "metrics steady state touched the allocator " << (after - before) << " times";
@@ -192,9 +156,9 @@ TEST(AllocSteadyState, InstrumentedRunStaysAllocationFree) {
   sched.run_until(sim::Time::seconds(2));
   ASSERT_GT(receiver.delivered_units(), 0u) << "warm-up produced no traffic";
 
-  const std::uint64_t before = g_alloc_calls.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::alloc_calls();
   sched.run_until(sim::Time::seconds(6));
-  const std::uint64_t after = g_alloc_calls.load(std::memory_order_relaxed);
+  const std::uint64_t after = test::alloc_calls();
 
   EXPECT_EQ(after - before, 0u)
       << "instrumented steady state touched the allocator " << (after - before)

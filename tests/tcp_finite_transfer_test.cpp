@@ -90,20 +90,26 @@ TEST(FiniteTransfer, CompletesDespiteLosses) {
 TEST(FiniteTransfer, CompletionCallbackFiresOnceAndReleasesTimers) {
   Fixture f;
   Flow mouse = f.flow(1, 890'000);
-  int completions = 0;
-  sim::Time completed_at;
-  mouse.sender().set_on_complete([&] {
-    ++completions;
-    completed_at = f.sched.now();
-  });
+  struct Seen {
+    sim::Scheduler* sched;
+    int completions = 0;
+    sim::Time at;
+  } seen{&f.sched, 0, sim::Time::zero()};
+  mouse.sender().set_on_complete(
+      [](void* ctx) {
+        auto* s = static_cast<Seen*>(ctx);
+        ++s->completions;
+        s->at = s->sched->now();
+      },
+      &seen);
   mouse.start();
   // Unbounded run: terminates only when no events remain. A dangling
   // RTO timer (>= 200 ms min RTO) would hold the run open well past the
   // completion instant; the delayed-ACK timer accounts for at most 40 ms.
   f.sched.run();
   ASSERT_TRUE(mouse.completed());
-  EXPECT_EQ(completions, 1);
-  EXPECT_EQ(completed_at, mouse.sender().completion_time());
+  EXPECT_EQ(seen.completions, 1);
+  EXPECT_EQ(seen.at, mouse.sender().completion_time());
   EXPECT_LE(f.sched.now(), mouse.sender().completion_time() + sim::Time::milliseconds(100));
   EXPECT_EQ(f.sched.pending_events(), 0u);
 }
@@ -131,19 +137,26 @@ TEST(AppLimited, IdleCallbackDrivesNextBurst) {
   fc.app_limited = true;
   fc.seed = 1;
   Flow flow(f.sched, f.net.client(0), f.net.server(0), fc);
-  int idles = 0;
-  flow.sender().set_on_app_idle([&] {
-    ++idles;
-    // Think for 500 ms, then offer the next burst (three bursts total).
-    if (idles < 3) {
-      f.sched.schedule_in(sim::Time::milliseconds(500),
-                          [&] { flow.sender().offer_units(5); });
-    }
-  });
+  struct Source {
+    sim::Scheduler* sched;
+    Flow* flow;
+    int idles = 0;
+  } src{&f.sched, &flow, 0};
+  flow.sender().set_on_app_idle(
+      [](void* ctx) {
+        auto* s = static_cast<Source*>(ctx);
+        ++s->idles;
+        // Think for 500 ms, then offer the next burst (three bursts total).
+        if (s->idles < 3) {
+          s->sched->schedule_in(sim::Time::milliseconds(500),
+                                [s] { s->flow->sender().offer_units(5); });
+        }
+      },
+      &src);
   flow.start();
   flow.sender().offer_units(5);
   f.sched.run_until(sim::Time::seconds(20));
-  EXPECT_EQ(idles, 3);
+  EXPECT_EQ(src.idles, 3);
   EXPECT_EQ(flow.receiver().delivered_units(), 15u);
 }
 

@@ -4,9 +4,11 @@
 // bit-identical behavior (same counters, same callback order, same sample
 // selection); this test drives both through randomized SACK/loss/RTO
 // sequences and through the bitmap's boundary cases — una crossing a 64-unit
-// word, ring wrap past 2^20 units, and the uint8 retx counter wrapping at
-// 255 (the golden paper-cell trace contains such wraps, so saturation would
-// be a behavior change, not a cleanup).
+// word, ring wrap past 2^20 units (with 64 slots and with the 8-slot
+// minimum, where slot and flag-bit indices wrap out of phase), growth from
+// 8 to 128 slots with SACK holes, losses and an RTO outstanding, and the
+// uint8 retx counter wrapping at 255 (the golden paper-cell trace contains
+// such wraps, so saturation would be a behavior change, not a cleanup).
 
 #include "tcp/scoreboard.hpp"
 
@@ -19,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "alloc_hook.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 
@@ -345,7 +348,7 @@ TEST(TcpScoreboard, RingWrapBeyondTwentyBitSequence) {
   // sequence numbers far above the capacity.
   Lockstep ls;
   constexpr std::uint64_t kTarget = (1ULL << 20) + 257;
-  constexpr std::uint64_t kWindow = 48;  // below 64 so capacity stays one word
+  constexpr std::uint64_t kWindow = 48;  // the ring settles at 64 slots: one word
   sim::Rng rng(0xe1ef4a9700000002ULL);
   double t = 0;
   while (ls.soa.next_seq() < kTarget && !testing::Test::HasFatalFailure()) {
@@ -363,6 +366,98 @@ TEST(TcpScoreboard, RingWrapBeyondTwentyBitSequence) {
   }
   ls.check_flags();
   EXPECT_GE(ls.soa.una(), 1ULL << 20);
+}
+
+/// Window bytes at ring capacity `cap`: three 8-byte arrays and one retx
+/// byte per slot, plus four bitmaps of ceil(cap / 64) words.
+std::size_t expected_window_bytes(std::size_t cap) {
+  return cap * 25 + 4 * 8 * ((cap + 63) / 64);
+}
+
+TEST(TcpScoreboard, GrowsFromEightSlotsWithHolesLossesAndRtoOutstanding) {
+  // The head unit is never acknowledged, so the window only grows: each
+  // doubling 8 -> 16 -> 32 -> 64 -> 128 re-homes units that are SACKed,
+  // marked lost, retransmitted, or RTO-marked, across bitmaps of one word
+  // (capacities 8-64) and two words (128).
+  Lockstep ls;
+  sim::Rng rng(0xe1ef4a9700000003ULL);
+  double t = 0;
+  auto now = [&] { return sim::Time::seconds(t += 1e-5); };
+  std::size_t cap = 8;
+  for (const std::uint64_t target : {9ULL, 17ULL, 33ULL, 65ULL, 128ULL}) {
+    while (ls.soa.next_seq() - ls.soa.una() < target && !testing::Test::HasFatalFailure()) {
+      ls.send_new(now(), static_cast<double>(ls.soa.next_seq()), sim::Time::zero());
+      const std::uint64_t window = ls.soa.next_seq() - ls.soa.una();
+      switch (rng.next_below(6)) {
+        case 0: {  // a SACK block past a hole
+          const std::uint64_t start = ls.soa.una() + 1 + rng.next_below(window);
+          ls.sack(start, start + 1 + rng.next_below(4));
+          break;
+        }
+        case 1:
+          ls.mark_losses(static_cast<std::uint32_t>(rng.next_below(4)));
+          break;
+        case 2:
+          ls.send_retx(now(), 0, sim::Time::zero());
+          break;
+        default:
+          break;
+      }
+    }
+    if (target == 33) ls.rto();  // every non-SACKed unit lost across the 64 grow
+    ls.check_flags();
+    while (cap < ls.soa.next_seq() - ls.soa.una()) cap *= 2;
+    EXPECT_EQ(ls.soa.memory_bytes(), expected_window_bytes(cap)) << "window " << target;
+  }
+  EXPECT_EQ(cap, 128u);
+  // Drain: retransmit everything still lost, SACK it all, then ACK through.
+  ls.rto();
+  for (int i = 0; i < 256 && ls.soa.lost_pending() > 0; ++i) {
+    ls.send_retx(now(), 0, sim::Time::zero());
+  }
+  ls.sack(ls.soa.una(), ls.soa.next_seq());
+  ls.ack(ls.soa.next_seq());
+  ls.check_flags();
+  EXPECT_EQ(ls.soa.pipe_units(), 0u);
+}
+
+TEST(TcpScoreboard, EightSlotWindowSlidesPastTwentyBitSequence) {
+  // Windows of 1-8 units keep the ring at its 8-slot minimum, so slot
+  // `abs & 7` wraps every 8 units while flag bit `abs & 63` (all in word 0)
+  // wraps every 64: the two run out of phase for the whole stream, and
+  // windows straddle the 64-unit bit boundary.
+  Lockstep ls;
+  constexpr std::uint64_t kTarget = (1ULL << 20) + 131;
+  sim::Rng rng(0xe1ef4a9700000004ULL);
+  double t = 0;
+  auto now = [&] { return sim::Time::seconds(t += 1e-6); };
+  while (ls.soa.next_seq() < kTarget && !testing::Test::HasFatalFailure()) {
+    const std::uint64_t window = 1 + rng.next_below(8);
+    for (std::uint64_t i = 0; i < window; ++i) ls.send_new(now(), 0, sim::Time::zero());
+    const std::uint64_t roll = rng.next_below(8);
+    if (roll == 0 && window > 3) {
+      // Lose the head: SACK the tail, mark, retransmit.
+      ls.sack(ls.soa.una() + 1, ls.soa.next_seq());
+      ls.mark_losses(2);
+      ls.send_retx(now(), 0, sim::Time::zero());
+    } else if (roll == 1) {
+      ls.rto();
+      ls.send_retx(now(), 0, sim::Time::zero());
+      ls.check_flags();
+    } else if (roll == 2) {
+      // Partial cumulative ACK: the next window starts mid-ring.
+      ls.ack(ls.soa.una() + rng.next_below(window));
+      ls.check_flags();
+      ls.rto();
+      while (ls.soa.lost_pending() > 0 && !testing::Test::HasFatalFailure()) {
+        ls.send_retx(now(), 0, sim::Time::zero());
+      }
+    }
+    ls.ack(ls.soa.next_seq());
+  }
+  ls.check_flags();
+  EXPECT_GE(ls.soa.una(), 1ULL << 20);
+  EXPECT_EQ(ls.soa.memory_bytes(), expected_window_bytes(8));
 }
 
 TEST(TcpScoreboard, RetxCounterWrapsAt255LikeTheAosLayout) {
@@ -384,18 +479,42 @@ TEST(TcpScoreboard, RetxCounterWrapsAt255LikeTheAosLayout) {
 }
 
 TEST(TcpScoreboard, ReleaseDropsStorageButKeepsPeak) {
+  // Each grow 8 -> 16 -> ... -> 512 makes exactly one allocation of
+  // memory_bytes() and frees the previous window; release() frees the last
+  // one and keeps the peak. Counted by the test binary's global operator
+  // new/delete hook.
   Scoreboard sb;
+  EXPECT_EQ(sb.memory_bytes(), 0u);
+  std::size_t cap = 0;
+  for (std::uint64_t abs = 0; abs < 500; ++abs) {
+    const std::size_t bytes_before = sb.memory_bytes();
+    const std::uint64_t calls0 = test::alloc_calls();
+    const std::uint64_t alloc0 = test::alloc_bytes();
+    const std::uint64_t freed0 = test::sized_free_bytes();
+    sb.record_send(abs, sim::Time::seconds(static_cast<double>(abs) * 1e-4), 0,
+                   sim::Time::zero());
+    const std::uint64_t calls = test::alloc_calls() - calls0;
+    if (abs == cap) {  // full: grows to max(8, 2 * cap)
+      cap = std::max<std::size_t>(8, 2 * cap);
+      EXPECT_EQ(calls, 1u) << "grow to " << cap;
+      EXPECT_EQ(sb.memory_bytes(), expected_window_bytes(cap));
+      EXPECT_EQ(test::alloc_bytes() - alloc0, sb.memory_bytes()) << "grow to " << cap;
+      EXPECT_EQ(test::sized_free_bytes() - freed0, bytes_before) << "grow to " << cap;
+    } else {
+      EXPECT_EQ(calls, 0u) << "unit " << abs;
+    }
+  }
+  EXPECT_EQ(cap, 512u);
+  const std::size_t peak = sb.peak_memory_bytes();
+  EXPECT_EQ(peak, expected_window_bytes(512));
+  EXPECT_EQ(sb.memory_bytes(), peak);
+
   std::uint64_t newly = 0;
   DeliverySample s;
-  for (int i = 0; i < 500; ++i) {
-    sb.record_send(static_cast<std::uint64_t>(i), sim::Time::seconds(i * 1e-4), 0,
-                   sim::Time::zero());
-  }
-  const std::size_t peak = sb.peak_memory_bytes();
-  EXPECT_GT(peak, 0u);
-  EXPECT_EQ(sb.memory_bytes(), peak);
   sb.advance_una(sb.next_seq(), &newly, &s);
+  const std::uint64_t freed0 = test::sized_free_bytes();
   sb.release();
+  EXPECT_EQ(test::sized_free_bytes() - freed0, peak);
   EXPECT_EQ(sb.memory_bytes(), 0u);
   EXPECT_EQ(sb.peak_memory_bytes(), peak);
 }
