@@ -1,15 +1,26 @@
 #include "bench_util.hpp"
 
 #include <cstdio>
+#include <stdexcept>
+
+#include "exp/sweep.hpp"
 
 namespace elephant::bench {
 
 exp::AveragedResult run(const exp::ExperimentConfig& cfg) {
   std::fprintf(stderr, "  [run] %-45s ...", cfg.label().c_str());
   std::fflush(stderr);
-  const auto res = exp::run_averaged(cfg, exp::default_repetitions());
-  std::fprintf(stderr, " J=%.3f util=%.3f\n", res.jain2, res.utilization);
-  return res;
+  exp::SweepOptions opts;
+  opts.repetitions = exp::default_repetitions();
+  opts.threads = 1;
+  opts.manifest_path = exp::default_journal_path();
+  opts.resume = true;
+  const exp::RunRecord rec = exp::run_sweep_resilient({cfg}, opts).records.front();
+  if (!rec.success()) {
+    throw std::runtime_error(cfg.label() + ": " + to_string(rec.status) + ": " + rec.error);
+  }
+  std::fprintf(stderr, " J=%.3f util=%.3f\n", rec.result.jain2, rec.result.utilization);
+  return rec.result;
 }
 
 void print_banner(const std::string& title, const std::string& paper_claim) {

@@ -9,8 +9,10 @@
 namespace elephant::bench {
 
 /// Run one configuration with the bench defaults: ELEPHANT_REPS repetitions
-/// (default 1) and the shared on-disk result cache, printing progress to
-/// stderr so long sweeps are watchable.
+/// (default 1) as a one-cell sweep resumed from the shared run journal
+/// (exp::default_journal_path()), so figure programs share runs and a
+/// re-run simulates only what the journal lacks. Prints progress to stderr
+/// so long sweeps are watchable; throws std::runtime_error if a run fails.
 [[nodiscard]] exp::AveragedResult run(const exp::ExperimentConfig& cfg);
 
 /// Banner for a reproduced figure/table, including the scaling caveats.

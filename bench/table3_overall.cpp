@@ -3,8 +3,8 @@
 //   Avg(phi)      — link utilization (Eq. 3)
 //   Avg(RR)       — retransmissions relative to CUBIC-vs-CUBIC (Eq. 4)
 //   Avg(J_index)  — per-sender Jain fairness (Eq. 2)
-// This is the full 810-cell matrix; results are cached in ./results so the
-// figure benches and re-runs share work.
+// This is the full 810-cell matrix; every run is journaled in
+// ./results/runs.jsonl, so the figure benches and re-runs share work.
 
 #include <cstdio>
 #include <map>

@@ -45,21 +45,21 @@ struct ExperimentConfig {
   double random_loss = 0.0;         ///< Bernoulli loss at the bottleneck (future work)
 
   /// Bursty two-state loss at the bottleneck (network-anomaly knob, like
-  /// random_loss but with loss memory). Part of the cache identity.
+  /// random_loss but with loss memory). Part of the run identity (id()).
   fault::GilbertElliottParams ge_loss{};
   /// Timed network faults (flaps, degradation, reordering, ...) applied to
-  /// the bottleneck during the run. Part of the cache identity.
+  /// the bottleneck during the run. Part of the run identity (id()).
   fault::FaultPlan fault_plan{};
 
   /// Traffic mix for the cell. Empty = the paper's elephant-only workload
   /// (the historical hard-coded setup, bit-identical to pre-workload builds
-  /// and absent from the cache identity). Non-empty workloads are part of
-  /// the cache identity via their signature.
+  /// and absent from id()). Non-empty workloads are part of the run
+  /// identity via their signature.
   workload::WorkloadSpec workload{};
 
   /// Watchdog budgets (0 = unlimited): exceeding either aborts the run with
-  /// exp::RunTimeout instead of hanging a sweep worker. Not part of the
-  /// cache identity — a timed-out run never produces a cacheable result.
+  /// exp::RunTimeout instead of hanging a sweep worker. Not part of the run
+  /// identity — a timed-out run never journals a result.
   std::uint64_t max_events = 0;
   double max_wall_seconds = 0;
   /// Post-run invariant checks (byte/packet conservation at the bottleneck,
@@ -68,17 +68,16 @@ struct ExperimentConfig {
 
   /// Optional flight recorder attached to every sender and the bottleneck
   /// port for the run. Not part of the experiment identity: excluded from
-  /// id(), and run_averaged() bypasses the result cache when set (a cached
-  /// result would produce no trace). A traced Cell::run_to_completion()
-  /// also records the bottleneck queue depth every 100 ms.
+  /// id(). A run served from a sweep journal is not simulated and so emits
+  /// no trace. A traced Cell::run_to_completion() also records the
+  /// bottleneck queue depth every 100 ms.
   trace::Tracer* tracer = nullptr;
 
   /// Optional telemetry registry the run publishes into (see obs/metrics.hpp):
   /// scheduler gauges, bottleneck sojourn histogram, TCP srtt/cwnd, and
   /// run-boundary counters from the existing stats structs. Pure observation
-  /// like the tracer and likewise excluded from id(); unlike the tracer it
-  /// does NOT disable the result cache — a cache hit simply contributes no
-  /// samples. Histograms are written lock-free by the simulation thread, so
+  /// like the tracer and likewise excluded from id(); a run served from a
+  /// sweep journal simply contributes no samples. Histograms are written lock-free by the simulation thread, so
   /// each concurrently running cell needs its own registry (merge afterwards).
   obs::MetricsRegistry* metrics = nullptr;
 
@@ -88,8 +87,8 @@ struct ExperimentConfig {
   /// Pure observation — sampling adds no scheduler events, so digests are
   /// bit-identical with it on or off — but the *result* gains an episodes
   /// vector, so the detection knobs (enabled/window/thresholds) are part of
-  /// the cache identity (id() appends "-ep..." only when enabled, preserving
-  /// existing cache keys); the jsonl sink path is presentation-only and
+  /// the run identity (id() appends "-ep..." only when enabled, preserving
+  /// existing journal ids); the jsonl sink path is presentation-only and
   /// excluded.
   obs::EpisodeOptions episodes{};
 
@@ -97,7 +96,7 @@ struct ExperimentConfig {
   /// the cell scheduler for the run: the explorer steers scheduler ties and
   /// probabilistic fault outcomes through it. Null (the default) leaves
   /// every choice on its seeded branch — mc off changes nothing. Excluded
-  /// from id() like the tracer: an explored run is never cached.
+  /// from id() like the tracer: an explored run is never journaled.
   sim::ChoiceHook* choice_hook = nullptr;
 
   /// BDP in bytes (paper Eq. 1): BW · RTT / 8.
@@ -122,7 +121,7 @@ struct ExperimentConfig {
 
   [[nodiscard]] bool intra() const { return cca1 == cca2; }
 
-  /// Stable identifier used as the on-disk cache key.
+  /// Stable identifier used as the sweep journal's run key.
   [[nodiscard]] std::string id() const;
   /// Human-readable label, e.g. "bbr1 vs cubic, fifo, 2 BDP, 1G".
   [[nodiscard]] std::string label() const;

@@ -10,10 +10,10 @@ namespace elephant::exp {
 ///
 /// The naive estimate `elapsed * remaining / done` answers "how long would
 /// the rest take at the sweep's lifetime-average rate". That is badly wrong
-/// in two common regimes: a warm cache front-loads near-instant cells (the
-/// average says the sweep is nearly free right up until the first real cell
-/// lands), and heterogeneous matrices mix 100 Mb/s cells with 10 Gb/s ones
-/// whose event counts differ by orders of magnitude. An exponentially
+/// in two common regimes: a prefix of near-instant cells (failures at
+/// set-up) makes the average say the sweep is nearly free right up until
+/// the first real cell lands, and heterogeneous matrices mix 100 Mb/s
+/// cells with 10 Gb/s ones whose event counts differ by orders of magnitude. An exponentially
 /// weighted moving average of recent cell durations tracks the *current*
 /// cost regime instead, and dividing by the worker count accounts for
 /// parallel drain.
@@ -23,12 +23,12 @@ namespace elephant::exp {
 class EtaEstimator {
  public:
   /// Smoothing factor: ~the last 1/alpha cells dominate the estimate. 0.3
-  /// adapts within a handful of cells after a regime change (cache hits →
-  /// misses) while still averaging out per-cell jitter.
+  /// adapts within a handful of cells after a regime change (cheap cells →
+  /// expensive ones) while still averaging out per-cell jitter.
   static constexpr double kAlpha = 0.3;
 
   /// Record one completed cell's wall time (seconds). Non-positive samples
-  /// are clamped to 0 (cache hits legitimately take ~microseconds).
+  /// are clamped to 0 (a run failing at set-up takes ~microseconds).
   void record_cell(double wall_s) {
     const double s = wall_s > 0 ? wall_s : 0;
     std::lock_guard lock(mu_);

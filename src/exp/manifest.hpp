@@ -9,16 +9,17 @@
 
 namespace elephant::exp {
 
-/// One journal line: the recorded outcome of one sweep cell, or — when
-/// `status == RunStatus::kClaimed` — a worker's lease on a cell it is about
-/// to run (see work_queue.hpp for the lease protocol).
+/// One journal line: the recorded outcome of one (config, seed) run, or —
+/// when `status == RunStatus::kClaimed` — a worker's lease on a run it is
+/// about to execute (see work_queue.hpp for the lease protocol). The journal
+/// is the only result store: resume serves a run from its success line.
 struct ManifestEntry {
-  std::size_t index = 0;  ///< position in the sweep's config vector
+  std::size_t index = 0;  ///< run position in the sweep: cell · reps + rep
   std::string id;         ///< ExperimentConfig::id() — the resume key
   RunStatus status = RunStatus::kOk;
   int attempts = 1;
-  /// The cell's sweep-level aggregates; `config` and per-flow detail are not
-  /// journaled. The per-class block is written only for mixed-workload cells
+  /// The run's sweep-level aggregates (`summarize`; a success line carries
+  /// `repetitions == 1`); `config` and per-flow detail are not journaled. The per-class block is written only for mixed-workload cells
   /// and the episode block only when `episodes > 0`, so elephant-only,
   /// detection-off lines keep the earlier journal format byte for byte.
   /// Claim lines carry these fields too and have always written them as
@@ -28,11 +29,11 @@ struct ManifestEntry {
     r.jain2 = 0;
     return r;
   }();
-  /// Wall seconds the executing worker spent on the cell. Serialized only
-  /// when > 0, so journal lines from resumed cells (and pre-profiler
+  /// Wall seconds the executing worker spent on the run. Serialized only
+  /// when > 0, so journal lines from resumed runs (and pre-profiler
   /// builds) keep their exact prior format.
   double wall_s = 0;
-  std::string error;  ///< exception message for failed/timed-out cells
+  std::string error;  ///< exception message for failed/timed-out runs
 
   // Lease fields, serialized only on kClaimed lines so completion lines keep
   // their exact pre-lease format. `lease_until_unix_s` is wall-clock time
@@ -46,7 +47,7 @@ struct ManifestEntry {
 };
 
 /// Append-only JSONL journal of a sweep: one line per claim or completed
-/// cell. Appends go through a raw O_APPEND fd under an flock + fsync, so
+/// run. Appends go through a raw O_APPEND fd under an flock + fsync, so
 /// multiple worker *processes* can interleave whole lines on one journal and
 /// a crashed or killed worker loses at most the line in flight. The journal
 /// is folded back by LeasedWorkQueue (work_queue.hpp), the only reader that

@@ -160,12 +160,6 @@ bool build_report(const ReportOptions& opt, SweepSummary* out, std::string* erro
     w.id = wid;
     w.elapsed_s = snap.elapsed_s;
   }
-  out->cache_hits = merged.counter("sweep.cache_hits").value();
-  out->cache_misses = merged.counter("sweep.cache_misses").value();
-  if (out->cache_hits + out->cache_misses > 0) {
-    out->cache_hit_rate = static_cast<double>(out->cache_hits) /
-                          static_cast<double>(out->cache_hits + out->cache_misses);
-  }
   {
     std::lock_guard lock(merged.mutex());
     merged.for_each_histogram([&](const std::string& name,
@@ -221,7 +215,7 @@ void append_row_json(const ReportCellRow& row, std::string* out) {
 }  // namespace
 
 std::string render_report_json(const SweepSummary& r) {
-  std::string out = "{\"schema\":\"elephant-report-v1\",\"manifest\":";
+  std::string out = "{\"schema\":\"elephant-report-v2\",\"manifest\":";
   append_quoted(r.manifest, &out);
   out += ",\"cells\":{";
   obs::appendf(&out, "\"total\":%.17g", static_cast<double>(r.cells_total));
@@ -230,10 +224,6 @@ std::string render_report_json(const SweepSummary& r) {
   obs::appendf(&out, ",\"claims\":%.17g", static_cast<double>(r.claims));
   obs::appendf(&out, ",\"steals\":%.17g", static_cast<double>(r.steals));
   obs::appendf(&out, ",\"wall_s_total\":%.17g", r.wall_s_total);
-  out += "},\"cache\":{";
-  obs::appendf(&out, "\"hits\":%.17g", static_cast<double>(r.cache_hits));
-  obs::appendf(&out, ",\"misses\":%.17g", static_cast<double>(r.cache_misses));
-  obs::appendf(&out, ",\"hit_rate\":%.17g", r.cache_hit_rate);
   out += "},\"workers\":[";
   for (std::size_t i = 0; i < r.workers.size(); ++i) {
     const ReportWorker& w = r.workers[i];
@@ -279,12 +269,8 @@ std::string render_report_markdown(const SweepSummary& r) {
   std::snprintf(buf, sizeof(buf),
                 "- cells: %zu terminal (%zu completed, %zu failed)\n"
                 "- leases: %zu claims, %zu steals\n"
-                "- cache: %llu hits / %llu misses (%.1f%% hit rate)\n"
                 "- simulated wall time: %.1f s across all workers\n\n",
-                r.cells_total, r.completed, r.failed, r.claims, r.steals,
-                static_cast<unsigned long long>(r.cache_hits),
-                static_cast<unsigned long long>(r.cache_misses),
-                100.0 * r.cache_hit_rate, r.wall_s_total);
+                r.cells_total, r.completed, r.failed, r.claims, r.steals, r.wall_s_total);
   md += buf;
 
   md += "## Workers\n\n| worker | cells | claims | steals | busy s | elapsed s | util |\n"

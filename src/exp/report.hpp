@@ -51,7 +51,7 @@ struct ReportCellRow {
 
 /// The merged forensics view of one (possibly multi-worker) sweep: manifest
 /// line history + per-worker metrics journals + per-cell episode summaries,
-/// rendered as `elephant-report-v1` JSON or human markdown.
+/// rendered as `elephant-report-v2` JSON or human markdown.
 struct SweepSummary {
   std::string manifest;
   std::size_t cells_total = 0;  ///< distinct ids with a terminal journal line
@@ -59,10 +59,7 @@ struct SweepSummary {
   std::size_t failed = 0;       ///< failed + timed out
   std::size_t claims = 0;       ///< total claim lines
   std::size_t steals = 0;       ///< lease takeovers
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  double cache_hit_rate = 0;  ///< hits / (hits + misses), 0 when neither
-  double wall_s_total = 0;    ///< Σ journaled cell wall time, all workers
+  double wall_s_total = 0;  ///< Σ journaled cell wall time, all workers
   std::vector<ReportWorker> workers;
   std::vector<ReportPhase> phases;          ///< prof.* + sweep.cell_wall_s
   std::vector<ReportCellRow> slowest;       ///< by wall_s, descending
@@ -75,7 +72,7 @@ struct SweepSummary {
 [[nodiscard]] bool build_report(const ReportOptions& opt, SweepSummary* out,
                                 std::string* error);
 
-/// Serialize as the machine-readable `elephant-report-v1` JSON document.
+/// Serialize as the machine-readable `elephant-report-v2` JSON document.
 [[nodiscard]] std::string render_report_json(const SweepSummary& r);
 
 /// Render the human-readable markdown companion.

@@ -1,10 +1,11 @@
 #include "exp/runner.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 #include <vector>
 
-#include "exp/cache.hpp"
 #include "exp/cell.hpp"
 #include "sim/random.hpp"
 
@@ -17,19 +18,54 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   return Cell(cfg).run_to_completion();
 }
 
-AveragedResult average(const ExperimentConfig& cfg, const std::vector<ExperimentResult>& runs) {
+AveragedResult summarize(const ExperimentResult& run) {
+  AveragedResult s;
+  s.config = run.config;
+  s.repetitions = 1;
+  s.sender_bps[0] = run.sender_bps[0];
+  s.sender_bps[1] = run.sender_bps[1];
+  s.jain2 = run.jain2;
+  s.utilization = run.utilization;
+  s.retx_segments = static_cast<double>(run.retx_segments);
+  s.rtos = static_cast<double>(run.rtos);
+  s.classes = run.classes;
+  s.episodes = static_cast<double>(run.episodes.size());
+  for (const obs::Episode& e : run.episodes) {
+    if (e.worst_jain < s.episode_worst_jain || s.episode_cause.empty()) {
+      s.episode_worst_jain = e.worst_jain;
+      s.episode_worst_t_s = e.worst_t_s;
+      s.episode_victim = e.victim_flow;
+      s.episode_cause = e.cause;
+    }
+  }
+  return s;
+}
+
+AveragedResult average(const ExperimentConfig& cfg, const std::vector<AveragedResult>& runs) {
   AveragedResult avg;
   avg.config = cfg;
   avg.repetitions = static_cast<int>(runs.size());
   if (runs.empty()) return avg;
   avg.jain2 = 0;  // accumulator: clear the "trivially fair" default
-  for (const ExperimentResult& r : runs) {
+  double episode_total = 0;
+  for (const AveragedResult& r : runs) {
     avg.sender_bps[0] += r.sender_bps[0];
     avg.sender_bps[1] += r.sender_bps[1];
     avg.jain2 += r.jain2;
     avg.utilization += r.utilization;
-    avg.retx_segments += static_cast<double>(r.retx_segments);
-    avg.rtos += static_cast<double>(r.rtos);
+    avg.retx_segments += r.retx_segments;
+    avg.rtos += r.rtos;
+    // Episode summary: mean count per repetition plus the single worst
+    // episode seen anywhere (a sweep ranks cells by how unfair they ever
+    // got, not by how the unfairness averaged out).
+    episode_total += r.episodes;
+    if (r.episodes > 0 &&
+        (r.episode_worst_jain < avg.episode_worst_jain || avg.episode_cause.empty())) {
+      avg.episode_worst_jain = r.episode_worst_jain;
+      avg.episode_worst_t_s = r.episode_worst_t_s;
+      avg.episode_victim = r.episode_victim;
+      avg.episode_cause = r.episode_cause;
+    }
   }
   const double n = static_cast<double>(runs.size());
   avg.sender_bps[0] /= n;
@@ -38,22 +74,6 @@ AveragedResult average(const ExperimentConfig& cfg, const std::vector<Experiment
   avg.utilization /= n;
   avg.retx_segments /= n;
   avg.rtos /= n;
-
-  // Episode summary: mean count per repetition plus the single worst episode
-  // seen anywhere (a sweep ranks cells by how unfair they ever got, not by
-  // how the unfairness averaged out).
-  double episode_total = 0;
-  for (const ExperimentResult& r : runs) {
-    episode_total += static_cast<double>(r.episodes.size());
-    for (const obs::Episode& e : r.episodes) {
-      if (e.worst_jain < avg.episode_worst_jain || avg.episode_cause.empty()) {
-        avg.episode_worst_jain = e.worst_jain;
-        avg.episode_worst_t_s = e.worst_t_s;
-        avg.episode_victim = e.victim_flow;
-        avg.episode_cause = e.cause;
-      }
-    }
-  }
   avg.episodes = episode_total / n;
 
   // Per-class means, matched by index (every repetition runs the same
@@ -65,7 +85,7 @@ AveragedResult average(const ExperimentConfig& cfg, const std::vector<Experiment
     acc.jain = 0;  // accumulator
     double flows = 0;
     double completed = 0;
-    for (const ExperimentResult& r : runs) {
+    for (const AveragedResult& r : runs) {
       if (ci >= r.classes.size()) continue;
       const ClassResult& c = r.classes[ci];
       flows += c.flows;
@@ -98,35 +118,39 @@ AveragedResult average(const ExperimentConfig& cfg, const std::vector<Experiment
   return avg;
 }
 
-AveragedResult run_averaged(const ExperimentConfig& cfg, int reps, bool use_cache) {
-  // A cache hit would skip the simulation and therefore emit no trace.
-  if (cfg.tracer != nullptr) use_cache = false;
-  std::vector<ExperimentResult> runs;
+AveragedResult run_averaged(const ExperimentConfig& cfg, int reps) {
+  if (reps < 1) {
+    throw std::invalid_argument("repetitions must be >= 1, got " + std::to_string(reps));
+  }
+  std::vector<AveragedResult> runs;
   runs.reserve(reps);
   for (int r = 0; r < reps; ++r) {
     ExperimentConfig c = cfg;
     // Repetition r runs sub-stream r of the configured seed (stream 0 is the
     // seed itself, so single-rep results keep their identity).
     c.seed = sim::derive_seed(cfg.seed, static_cast<std::uint64_t>(r));
-    if (use_cache) {
-      if (auto cached = ResultCache::global().load(c)) {
-        runs.push_back(*std::move(cached));
-        continue;
-      }
-    }
-    ExperimentResult res = run_experiment(c);
-    if (use_cache) ResultCache::global().store(res);
-    runs.push_back(std::move(res));
+    runs.push_back(summarize(run_experiment(c)));
   }
   return average(cfg, runs);
 }
 
+bool parse_repetitions(std::string_view text, int* out) {
+  int v = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
+  if (ec != std::errc() || end != text.data() + text.size() || v < 1) return false;
+  *out = v;
+  return true;
+}
+
 int default_repetitions() {
-  if (const char* env = std::getenv("ELEPHANT_REPS")) {
-    const int v = std::atoi(env);
-    if (v > 0) return v;
+  const char* env = std::getenv("ELEPHANT_REPS");
+  if (env == nullptr) return 1;
+  int v = 0;
+  if (!parse_repetitions(env, &v)) {
+    throw std::invalid_argument(std::string("ELEPHANT_REPS='") + env +
+                                "' is not a positive integer");
   }
-  return 1;
+  return v;
 }
 
 }  // namespace elephant::exp

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "aqm/queue_disc.hpp"
@@ -95,15 +96,25 @@ struct AveragedResult {
 /// Execute one configuration once (seed taken from the config).
 [[nodiscard]] ExperimentResult run_experiment(const ExperimentConfig& cfg);
 
-/// Execute `reps` repetitions with derived seeds and average. Uses the
-/// on-disk cache (see cache.hpp) unless it is disabled.
-[[nodiscard]] AveragedResult run_averaged(const ExperimentConfig& cfg, int reps,
-                                          bool use_cache = true);
+/// One run's sweep-level aggregates: the journaled view of a run, an
+/// AveragedResult with `repetitions == 1`.
+[[nodiscard]] AveragedResult summarize(const ExperimentResult& run);
 
+/// Average per-run summaries, summed in the given (seed) order. The one fold
+/// behind run_averaged and the sweep's per-cell records.
 [[nodiscard]] AveragedResult average(const ExperimentConfig& cfg,
-                                     const std::vector<ExperimentResult>& runs);
+                                     const std::vector<AveragedResult>& runs);
 
-/// Repetition count for benches: ELEPHANT_REPS env var, default 1.
+/// Simulate `reps` repetitions (repetition r runs seed
+/// sim::derive_seed(cfg.seed, r)) and average them. Throws
+/// std::invalid_argument when reps < 1.
+[[nodiscard]] AveragedResult run_averaged(const ExperimentConfig& cfg, int reps);
+
+/// Parse a repetition count: a whole positive integer, nothing else.
+[[nodiscard]] bool parse_repetitions(std::string_view text, int* out);
+
+/// Repetition count for benches: the ELEPHANT_REPS env var, default 1.
+/// Throws std::invalid_argument when it is set but not a positive integer.
 [[nodiscard]] int default_repetitions();
 
 }  // namespace elephant::exp

@@ -62,7 +62,7 @@ class RunTimeout : public std::runtime_error {
 };
 
 /// Thrown by the post-run invariant checker so a physically inconsistent run
-/// fails loudly instead of being cached as a valid result.
+/// fails loudly instead of being journaled as a valid result.
 class InvariantViolation : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;

@@ -5,9 +5,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <mutex>
 #include <optional>
@@ -15,7 +15,6 @@
 #include <thread>
 #include <utility>
 
-#include "exp/cache.hpp"
 #include "exp/eta.hpp"
 #include "exp/work_queue.hpp"
 #include "obs/heartbeat.hpp"
@@ -104,37 +103,35 @@ bool interruptible_sleep(double delay_s, const SweepOptions& options) {
   return !cancelled(options);
 }
 
-/// Execute one cell with isolation: budgets applied, failures caught, up to
+/// Execute one run with isolation: budgets applied, failures caught, up to
 /// `max_retries` reseeded re-attempts for plain failures, each preceded by
 /// exponential backoff with deterministic jitter (a crash from transient
 /// host pressure — OOM, disk stall — deserves breathing room, and jitter
-/// decorrelates workers retrying neighboring cells). Budget trips are
+/// decorrelates workers retrying neighboring runs). Budget trips are
 /// deterministic, so retrying them would just burn the same budget again.
-RunRecord run_cell(const ExperimentConfig& base, const SweepOptions& options,
-                   obs::MetricsRegistry* cell_metrics) {
+RunRecord run_one(const ExperimentConfig& run, const SweepOptions& options,
+                  obs::MetricsRegistry* run_metrics) {
   RunRecord rec;
   for (int attempt = 0; attempt <= options.max_retries; ++attempt) {
     if (attempt > 0 &&
-        !interruptible_sleep(retry_backoff_s(base.seed, attempt, options.backoff_base_s),
+        !interruptible_sleep(retry_backoff_s(run.seed, attempt, options.backoff_base_s),
                              options)) {
       return rec;  // drained mid-backoff: report the last failure as-is
     }
-    ExperimentConfig cfg = base;
-    cfg.metrics = cell_metrics;
+    ExperimentConfig cfg = run;
+    cfg.metrics = run_metrics;
     if (cfg.max_events == 0) cfg.max_events = options.run_event_budget;
     if (cfg.max_wall_seconds == 0) cfg.max_wall_seconds = options.run_wall_budget_seconds;
     // Reseed retries: a crash tied to one RNG stream (e.g. a pathological
-    // packet interleaving) should not condemn the cell. The seed is part of
-    // the cache id, so a retry never collides with the failed attempt.
-    // Attempt 0 is stream 0 (the configured seed); retries draw from a
-    // dedicated sub-stream block so they can never collide with
-    // run_averaged's repetition streams of the same base seed.
-    cfg.seed = attempt == 0 ? base.seed
-                            : sim::derive_seed(base.seed,
+    // packet interleaving) should not condemn the run. Attempt 0 is the
+    // run's own seed; retries draw from a dedicated sub-stream block so they
+    // can never collide with the repetition streams of a cell's base seed.
+    cfg.seed = attempt == 0 ? run.seed
+                            : sim::derive_seed(run.seed,
                                                0x100000000ULL + static_cast<std::uint64_t>(attempt));
     rec.attempts = attempt + 1;
     try {
-      rec.result = run_averaged(cfg, options.repetitions, options.use_cache);
+      rec.result = summarize(run_experiment(cfg));
       rec.status = attempt == 0 ? RunStatus::kOk : RunStatus::kRetried;
       rec.error.clear();
       return rec;
@@ -153,17 +150,55 @@ RunRecord run_cell(const ExperimentConfig& base, const SweepOptions& options,
   return rec;
 }
 
+/// Rank for "a cell's status is its worst run's status": ok < retried <
+/// skipped (drained) < failed or timed out.
+int severity(RunStatus s) {
+  return succeeded(s) ? static_cast<int>(s) : s == RunStatus::kSkipped ? 2 : 3;
+}
+
+/// One cell's record from its runs, in seed order.
+RunRecord fold_cell(const ExperimentConfig& cfg, const RunRecord* runs, std::size_t reps) {
+  RunRecord cell;
+  cell.resumed = true;
+  std::vector<AveragedResult> results;
+  for (std::size_t r = 0; r < reps; ++r) {
+    const RunRecord& run = runs[r];
+    if (severity(run.status) > severity(cell.status)) {
+      cell.status = run.status;
+      cell.error = run.error;
+    }
+    cell.attempts += run.attempts;
+    cell.wall_s += run.wall_s;
+    cell.resumed = cell.resumed && run.resumed;
+    if (run.success()) results.push_back(run.result);
+  }
+  if (cell.success()) cell.result = average(cfg, results);
+  return cell;
+}
+
 }  // namespace
 
 SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
                                 const SweepOptions& options) {
+  if (options.repetitions < 1) {
+    throw std::invalid_argument("sweep repetitions must be >= 1, got " +
+                                std::to_string(options.repetitions));
+  }
   SweepReport report;
   report.records.resize(configs.size());
   if (configs.empty()) return report;
 
-  std::vector<std::string> ids;
-  ids.reserve(configs.size());
-  for (const ExperimentConfig& cfg : configs) ids.push_back(cfg.id());
+  // The unit of work is one run: run k = i·reps + r of cell i simulates seed
+  // derive_seed(cell seed, r) under that config's own id. Stream 0 is the
+  // seed itself, so at reps 1 every id and index is the cell's.
+  const std::size_t reps = static_cast<std::size_t>(options.repetitions);
+  std::vector<ExperimentConfig> runs(configs.size() * reps);
+  std::vector<std::string> ids(runs.size());
+  for (std::size_t k = 0; k < runs.size(); ++k) {
+    runs[k] = configs[k / reps];
+    runs[k].seed = sim::derive_seed(runs[k].seed, k % reps);
+    ids[k] = runs[k].id();
+  }
 
   // Sweep telemetry registry is provisioned below; the queue wants it at
   // construction, so resolve it first.
@@ -183,8 +218,8 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
                                   std::to_string(options.lease_s));
     }
     std::vector<std::pair<std::size_t, std::string>> cells;
-    cells.reserve(configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) cells.emplace_back(i, ids[i]);
+    cells.reserve(runs.size());
+    for (std::size_t k = 0; k < runs.size(); ++k) cells.emplace_back(k, ids[k]);
     LeasedWorkQueue::Options qopt;
     qopt.worker_id =
         options.worker_id.empty() ? "pid" + std::to_string(::getpid()) : options.worker_id;
@@ -196,7 +231,7 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
       // An unusable journal means no durable record of anything this sweep
       // does — fail now, loudly, instead of simulating for hours into a void.
       throw std::runtime_error("sweep manifest unusable (" + options.manifest_path.string() +
-                               "): " + queue->manifest().last_error());
+                               "): " + queue->error());
     }
   }
 
@@ -205,31 +240,32 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
     threads = static_cast<int>(std::thread::hardware_concurrency());
     if (threads <= 0) threads = 1;
   }
-  threads = std::min<int>(threads, static_cast<int>(configs.size()));
+  threads = std::min<int>(threads, static_cast<int>(runs.size()));
 
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
-  std::mutex report_mu;
-  // Cells resolved by this worker's own threads; set before the pool joins,
-  // read after — the join is the happens-before edge. Everything still false
-  // after the run is filled from the journal (other workers / resume) or
+  // Guards outcomes/touched/published while workers run; the pool join is
+  // the happens-before edge for the reads after it. Runs still untouched
+  // after the pool are filled from the journal (other workers / resume) or
   // marked kSkipped (drain).
-  std::vector<char> touched(configs.size(), 0);
+  std::mutex report_mu;
+  std::vector<RunRecord> outcomes(runs.size());
+  std::vector<char> touched(runs.size(), 0);
+  std::vector<char> published(configs.size(), 0);
+  std::size_t cells_published = 0;
 
-  const std::uint64_t cache_hits0 = ResultCache::global().hits();
-  const std::uint64_t cache_misses0 = ResultCache::global().misses();
   std::mutex status_mu;
   std::string current_label;
   obs::Counter* events_total = nullptr;
   if (reg != nullptr) {
-    reg->gauge("sweep.cells_total").set(static_cast<double>(configs.size()));
+    reg->gauge("sweep.cells_total").set(static_cast<double>(runs.size()));
     events_total = &reg->counter("sim.events");
   }
 
   const auto sweep_start = std::chrono::steady_clock::now();
-  // ETA from an EWMA of recent cell wall times (see eta.hpp): robust to a
-  // warm-cache prefix and to heterogeneous matrices where the lifetime
-  // average badly misprices the remaining cells.
+  // ETA from an EWMA of recent run wall times (see eta.hpp): robust to
+  // heterogeneous matrices where the lifetime average badly misprices the
+  // remaining runs.
   EtaEstimator eta;
   std::optional<obs::Heartbeat> heartbeat;
   if (options.stats_interval_s > 0) {
@@ -252,7 +288,7 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
     hb.histograms_in_ticks = true;
     heartbeat.emplace(
         *reg, hb,
-        [&, total = configs.size()](std::string* fields, std::string* line) {
+        [&, total = runs.size()](std::string* fields, std::string* line) {
           const std::size_t d = done.load();
           const double elapsed =
               std::chrono::duration<double>(std::chrono::steady_clock::now() - sweep_start)
@@ -268,9 +304,8 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
           char buf[256];
           std::snprintf(buf, sizeof(buf),
                         "\"cells_done\":%zu,\"cells_total\":%zu,\"eta_s\":%.1f,"
-                        "\"event_rate\":%.3g,\"cache_hits\":%" PRIu64 ",\"cell\":\"",
-                        d, total, eta_s, rate,
-                        ResultCache::global().hits() - cache_hits0);
+                        "\"event_rate\":%.3g,\"cell\":\"",
+                        d, total, eta_s, rate);
           *fields += buf;
           obs::append_json_escaped(cell, fields);
           *fields += "\",";
@@ -282,23 +317,22 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
     heartbeat->start();
   }
 
-  // Simulate one cell into a private registry (histograms are single-writer)
-  // and fold the telemetry into the shared one at the cell boundary.
-  auto execute_cell = [&](std::size_t i) -> RunRecord {
+  // Simulate one run into a private registry (histograms are single-writer)
+  // and fold the telemetry into the shared one at the run boundary.
+  auto execute_run = [&](std::size_t k) -> RunRecord {
     std::optional<obs::MetricsRegistry> local;
     if (reg != nullptr) {
       std::lock_guard lock(status_mu);
-      current_label = configs[i].label();
+      current_label = runs[k].label();
       local.emplace();
     }
-    const auto cell_start = std::chrono::steady_clock::now();
-    RunRecord rec = run_cell(configs[i], options, local ? &*local : nullptr);
-    rec.wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - cell_start).count();
+    const auto start = std::chrono::steady_clock::now();
+    RunRecord rec = run_one(runs[k], options, local ? &*local : nullptr);
+    rec.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     if (local) {
       local
           ->histogram("sweep.cell_wall_s",
-                      "Wall seconds per sweep cell (all attempts, this worker)")
+                      "Wall seconds per sweep run (all attempts, this worker)")
           .record(rec.wall_s);
       reg->merge_from(*local);
       if (rec.attempts > 1) reg->counter("sweep.retries").add(rec.attempts - 1);
@@ -308,34 +342,58 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
     return rec;
   };
 
-  auto publish = [&](std::size_t i, const RunRecord& rec) {
-    touched[i] = 1;
-    const std::size_t d = done.fetch_add(1) + 1;
-    if (reg != nullptr) reg->counter("sweep.cells_done").add(1);
-    if (options.on_result) {
-      std::lock_guard lock(report_mu);
-      options.on_result(rec.result, d, configs.size());
-    }
+  // A run this worker did not execute, as the journal records it: terminal
+  // lines only (per-flow detail is not journaled; the aggregates are).
+  auto from_journal = [&](std::size_t k) -> std::optional<RunRecord> {
+    const std::optional<ManifestEntry> e = queue ? queue->latest(ids[k]) : std::nullopt;
+    if (!e || !e->terminal()) return std::nullopt;
+    RunRecord rec;
+    rec.status = e->status;
+    rec.resumed = true;
+    rec.error = e->error;
+    if (e->success()) rec.result = e->result;
+    return rec;
   };
 
-  // The next cell for this thread, or nullopt when it should stop. With a
-  // manifest, cells are leased through the shared journal, so any number of
+  // Record run k; once every run of its cell is in hand (run here, or a
+  // success in the journal), report the cell through on_result.
+  auto publish = [&](std::size_t k, RunRecord rec) {
+    done.fetch_add(1);
+    if (reg != nullptr) reg->counter("sweep.cells_done").add(1);
+    std::lock_guard lock(report_mu);
+    outcomes[k] = std::move(rec);
+    touched[k] = 1;
+    const std::size_t cell = k / reps;
+    if (!options.on_result || published[cell]) return;
+    std::vector<RunRecord> cell_runs;
+    for (std::size_t j = cell * reps; j < (cell + 1) * reps; ++j) {
+      std::optional<RunRecord> run = touched[j] ? std::optional(outcomes[j]) : from_journal(j);
+      if (!run || !(touched[j] || run->success())) return;
+      cell_runs.push_back(*std::move(run));
+    }
+    published[cell] = 1;
+    options.on_result(fold_cell(configs[cell], cell_runs.data(), reps).result,
+                      ++cells_published, configs.size());
+  };
+
+  // The next run for this thread, or nullopt when it should stop. With a
+  // manifest, runs are leased through the shared journal, so any number of
   // processes (and this process's threads) interleave safely; without one,
-  // an atomic counter scans the configs in order.
-  auto next_cell = [&]() -> std::optional<std::size_t> {
+  // an atomic counter scans the runs in order.
+  auto next_run = [&]() -> std::optional<std::size_t> {
     if (!queue) {
-      const std::size_t i = next.fetch_add(1);
-      return i < configs.size() ? std::optional(i) : std::nullopt;
+      const std::size_t k = next.fetch_add(1);
+      return k < runs.size() ? std::optional(k) : std::nullopt;
     }
     while (queue->healthy()) {  // a failed journal write aborts the sweep
-      std::size_t i = 0;
-      switch (queue->try_claim(&i)) {
+      std::size_t k = 0;
+      switch (queue->try_claim(&k)) {
         case LeasedWorkQueue::Claim::kClaimed:
-          return i;
+          return k;
         case LeasedWorkQueue::Claim::kAllDone:
           return std::nullopt;
         case LeasedWorkQueue::Claim::kWaitLeased:
-          // Other workers hold every remaining cell; poll for steals or
+          // Other workers hold every remaining run; poll for steals or
           // completions at a fraction of the lease so takeover is prompt.
           if (!interruptible_sleep(std::clamp(options.lease_s / 4.0, 0.05, 0.5), options)) {
             return std::nullopt;
@@ -347,14 +405,13 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
 
   auto worker = [&] {
     while (!cancelled(options)) {  // drain: claim nothing further
-      const std::optional<std::size_t> i = next_cell();
-      if (!i) return;
-      RunRecord& rec = report.records[*i];
-      rec = execute_cell(*i);
+      const std::optional<std::size_t> k = next_run();
+      if (!k) return;
+      RunRecord rec = execute_run(*k);
       if (queue) {
         ManifestEntry e;
-        e.index = *i;
-        e.id = ids[*i];
+        e.index = *k;
+        e.id = ids[*k];
         e.status = rec.status;
         e.attempts = rec.attempts;
         e.result = rec.result;
@@ -362,7 +419,7 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
         e.error = rec.error;
         queue->complete(e);
       }
-      publish(*i, rec);
+      publish(*k, std::move(rec));
     }
   };
 
@@ -375,50 +432,44 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
     for (std::thread& t : pool) t.join();
   }
 
-  // Fill report slots this worker never ran: from the journal when another
+  // Fill the runs this worker never ran: from the journal when another
   // worker (or a prior resumed run) produced a terminal outcome, else mark
   // kSkipped — a drained sweep must not let default-constructed records
   // masquerade as successes.
   if (queue) queue->refresh();
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    if (touched[i]) continue;
-    RunRecord& rec = report.records[i];
-    const std::optional<ManifestEntry> e = queue ? queue->latest(ids[i]) : std::nullopt;
-    if (e && e->terminal()) {
-      rec.status = e->status;
-      rec.attempts = 0;
-      rec.resumed = true;
-      rec.error = e->error;
-      if (e->success()) {
-        // Per-flow detail is not journaled; the sweep-level aggregates are.
-        rec.result = e->result;
-        rec.result.config = configs[i];
-      }
+  for (std::size_t k = 0; k < runs.size(); ++k) {
+    if (touched[k]) continue;
+    if (std::optional<RunRecord> served = from_journal(k)) {
+      outcomes[k] = *std::move(served);
       if (reg != nullptr) reg->counter("sweep.cells_resumed").add(1);
     } else {
-      rec.status = RunStatus::kSkipped;
-      rec.error = "not attempted (sweep drained)";
+      outcomes[k].status = RunStatus::kSkipped;
+      outcomes[k].error = "not attempted (sweep drained)";
     }
   }
-
-  if (reg != nullptr) {
-    reg->counter("sweep.cache_hits").add(ResultCache::global().hits() - cache_hits0);
-    reg->counter("sweep.cache_misses").add(ResultCache::global().misses() - cache_misses0);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    report.records[i] = fold_cell(configs[i], &outcomes[i * reps], reps);
   }
+
   // The final heartbeat snapshot (histograms included) sees the finished
   // counters above; ~Heartbeat would emit it anyway, but stop explicitly so
   // the ordering is visible.
   if (heartbeat) heartbeat->stop();
 
   // Ghost completions are worse than a dead sweep: if any journal write
-  // failed (disk full, unlinked manifest), surface it as an error rather
-  // than returning a report whose durable record is silently incomplete.
+  // failed (disk full, unlinked manifest) or a peer journaled a line this
+  // build refuses, surface it as an error rather than returning a report
+  // whose durable record is silently incomplete.
   if (queue && !queue->healthy()) {
-    throw std::runtime_error("sweep aborted: manifest write failed (" +
-                             options.manifest_path.string() +
-                             "): " + queue->manifest().last_error());
+    throw std::runtime_error("sweep aborted: manifest unusable (" +
+                             options.manifest_path.string() + "): " + queue->error());
   }
   return report;
+}
+
+std::filesystem::path default_journal_path() {
+  const char* dir = std::getenv("ELEPHANT_RESULTS_DIR");
+  return std::filesystem::path(dir != nullptr ? dir : "results") / "runs.jsonl";
 }
 
 }  // namespace elephant::exp

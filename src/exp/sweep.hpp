@@ -27,14 +27,14 @@ namespace elephant::exp {
 /// The full paper matrix (9 pairs × 3 AQMs × 6 buffers × 5 bandwidths).
 [[nodiscard]] std::vector<ExperimentConfig> paper_matrix(std::uint64_t seed = 42);
 
-/// Outcome of one sweep cell. `result` is meaningful only when
-/// `succeeded(status)`; otherwise `error` carries the exception text of the
-/// final attempt.
+/// Outcome of one sweep cell: the fold of its `repetitions` runs. `result`
+/// is meaningful only when `succeeded(status)`; otherwise `error` carries the
+/// exception text of the worst run's final attempt.
 struct RunRecord {
-  RunStatus status = RunStatus::kOk;
-  int attempts = 0;    ///< simulation attempts actually made (0 if resumed)
-  bool resumed = false;  ///< satisfied from the manifest, not re-run
-  double wall_s = 0;   ///< wall seconds this worker spent on the cell (0 if resumed)
+  RunStatus status = RunStatus::kOk;  ///< the worst status among the cell's runs
+  int attempts = 0;    ///< simulation attempts actually made, summed over runs
+  bool resumed = false;  ///< every run satisfied from the journal, none re-run
+  double wall_s = 0;   ///< wall seconds this worker spent on the cell's runs
   std::string error;
   AveragedResult result;
 
@@ -58,23 +58,25 @@ struct SweepReport {
 [[nodiscard]] double retry_backoff_s(std::uint64_t seed, int attempt, double base_s);
 
 struct SweepOptions {
+  /// Runs per cell; must be >= 1. Run r of a cell simulates seed
+  /// sim::derive_seed(cell seed, r) and is the unit of work: leases, retries,
+  /// budgets and journal lines each apply to one run.
   int repetitions = 1;
   int threads = 0;  ///< 0 → hardware concurrency
-  bool use_cache = true;
   /// Extra simulation attempts (with a reseeded RNG) after a failure before
-  /// the cell is recorded as failed. 0 disables retry.
+  /// the run is recorded as failed. 0 disables retry.
   int max_retries = 0;
-  /// Per-run watchdog budgets, applied to every cell (0 = unlimited). A run
+  /// Per-run watchdog budgets, applied to every run (0 = unlimited). A run
   /// that trips either budget is recorded as timed out, never retried.
   std::uint64_t run_event_budget = 0;
   double run_wall_budget_seconds = 0;
-  /// Append-only JSONL journal of cell outcomes. Empty path disables it.
-  /// A manifest makes the sweep a leased work queue (see work_queue.hpp):
-  /// cells are claimed through the journal, so any number of sweep
-  /// processes can share one manifest and a killed worker costs at most its
-  /// in-flight cells (stolen after lease_s).
+  /// Append-only JSONL journal of run outcomes, one line per run; the only
+  /// result store. Empty path disables it. A manifest makes the sweep a
+  /// leased work queue (see work_queue.hpp): runs are claimed through the
+  /// journal, so any number of sweep processes can share one manifest and a
+  /// killed worker costs at most its in-flight runs (stolen after lease_s).
   std::filesystem::path manifest_path;
-  /// Satisfy cells whose id already has a *successful* manifest entry from
+  /// Satisfy runs whose id already has a *successful* manifest entry from
   /// the journal instead of re-running them. Requires manifest_path.
   bool resume = false;
   /// Unique id of this worker process; "" derives "pid<pid>".
@@ -85,20 +87,22 @@ struct SweepOptions {
   /// deterministic jitter — see retry_backoff_s). 0 retries immediately.
   double backoff_base_s = 0.25;
   /// Graceful drain flag (e.g. set from a SIGTERM handler): when it becomes
-  /// true, workers finish and journal their in-flight cells, claim nothing
-  /// further, and return; unattempted cells are reported as kSkipped.
+  /// true, workers finish and journal their in-flight runs, claim nothing
+  /// further, and return; a cell with an unattempted run is kSkipped.
   const std::atomic<bool>* cancel = nullptr;
-  /// Called after each config completes (from the submitting thread; order
-  /// is not guaranteed); `done`/`total` enable progress reporting.
+  /// Called once per cell when this worker finishes its last outstanding run
+  /// (order is not guaranteed; cells served wholly from the journal are not
+  /// reported); `done`/`total` count cells and enable progress reporting.
   std::function<void(const AveragedResult&, std::size_t done, std::size_t total)> on_result;
 
   /// Shared telemetry registry for the whole sweep (see obs/metrics.hpp).
-  /// Each cell simulates against its own thread-local registry, merged into
-  /// this one when the cell finishes — workers never contend and histograms
+  /// Each run simulates against its own thread-local registry, merged into
+  /// this one when the run finishes — workers never contend and histograms
   /// stay single-writer. On top of the per-run metrics the sweep adds
-  /// sweep.cells_{done,failed,resumed}, sweep.retries, sweep.cache_{hits,
-  /// misses}, and a sweep.cell_wall_s histogram. Null with stats_interval_s
-  /// > 0 provisions an internal registry for the heartbeat's lifetime.
+  /// sweep.cells_{done,failed,resumed}, sweep.retries and a
+  /// sweep.cell_wall_s histogram, all counting units of work (one run each;
+  /// a cell at reps 1). Null with stats_interval_s > 0 provisions an
+  /// internal registry for the heartbeat's lifetime.
   obs::MetricsRegistry* metrics = nullptr;
   /// Wall-clock self-profiling period: > 0 runs a heartbeat thread that
   /// appends one JSON snapshot per tick to `metrics_path` and prints
@@ -110,11 +114,17 @@ struct SweepOptions {
   std::filesystem::path metrics_path;
 };
 
-/// Run a batch of configurations, optionally in parallel (each run owns its
-/// scheduler and RNG, so runs are embarrassingly parallel), with per-cell
-/// fault isolation: a throwing or budget-tripping run marks its own record
-/// and the sweep carries on. Records are returned in input order.
+/// Run a batch of configurations, `repetitions` runs each, optionally in
+/// parallel, with per-run fault isolation: a throwing or budget-tripping run
+/// marks its own record and the sweep carries on. Run r of cell i is
+/// journaled under its own config id at index i·reps + r. Records are one
+/// per cell, in input order; a cell's result is bit-identical to
+/// run_averaged(cfg, reps). Throws std::invalid_argument when reps < 1.
 [[nodiscard]] SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
                                               const SweepOptions& options = {});
+
+/// The shared run journal for sweeps without --manifest and for the figure
+/// programs: $ELEPHANT_RESULTS_DIR/runs.jsonl (default results/runs.jsonl).
+[[nodiscard]] std::filesystem::path default_journal_path();
 
 }  // namespace elephant::exp

@@ -128,12 +128,47 @@ void LeasedWorkQueue::fold_new_locked(bool startup) {
     if (nl == std::string::npos) break;
     ManifestEntry e;
     if (SweepManifest::parse_line(buf.substr(pos, nl - pos), &e)) {
-      apply_locked(e, startup);
+      if (e.success() && e.result.repetitions != 1 && slot_by_id_.count(e.id) != 0) {
+        // Served as this id's run it would pass a multi-run mean (or a
+        // made-up reps:0 result) off as one seed's numbers.
+        if (refused_.empty()) {
+          refused_ = "refusing line " + std::to_string(line_number_at(cursor_ + pos)) + " of " +
+                     manifest_.path().string() + ": success for \"" + e.id + "\" with reps " +
+                     std::to_string(e.result.repetitions) +
+                     "; each journal line must hold one run (reps 1)";
+        }
+      } else {
+        apply_locked(e, startup);
+      }
     }
     pos = nl + 1;
     consumed = pos;
   }
   cursor_ += static_cast<off_t>(consumed);
+}
+
+std::size_t LeasedWorkQueue::line_number_at(off_t offset) const {
+  std::size_t line = 1;
+  char chunk[4096];
+  for (off_t at = 0; at < offset;) {
+    const ssize_t r = ::pread(manifest_.fd(), chunk,
+                              static_cast<std::size_t>(std::min<off_t>(sizeof(chunk), offset - at)),
+                              at);
+    if (r <= 0) break;
+    line += static_cast<std::size_t>(std::count(chunk, chunk + r, '\n'));
+    at += r;
+  }
+  return line;
+}
+
+bool LeasedWorkQueue::healthy() const {
+  std::lock_guard g(mu_);
+  return refused_.empty() && manifest_.ok();
+}
+
+std::string LeasedWorkQueue::error() const {
+  std::lock_guard g(mu_);
+  return refused_.empty() ? manifest_.last_error() : refused_;
 }
 
 void LeasedWorkQueue::publish_held_locked() {
@@ -146,6 +181,7 @@ LeasedWorkQueue::Claim LeasedWorkQueue::try_claim(std::size_t* index) {
   std::lock_guard g(mu_);
   SweepManifest::ScopedLock fl(manifest_);
   fold_new_locked(/*startup=*/false);
+  if (!refused_.empty()) return Claim::kWaitLeased;  // unhealthy: the caller stops
   const double now = unix_now();
   const std::size_t npos = cells_.size();
   std::size_t pick = npos;

@@ -40,6 +40,11 @@ namespace elephant::exp {
 ///              finished) the duplicate is dropped, so every cell gets
 ///              exactly one completion line per converged sweep.
 ///
+/// Every line is one run (reps 1). A success line for one of this queue's
+/// ids whose `reps` is not 1 (a per-cell multi-rep line from an older
+/// build, or a made-up `reps:0` result) would be served as that id's run, so
+/// the queue refuses it: healthy() turns false and error() names the line.
+///
 /// Resume semantics: with `resume`, the journal is folded from the start —
 /// prior successes are done (fetch them via latest()), prior failures are
 /// retryable, live claims are honored. Without `resume` the fold starts at
@@ -95,10 +100,12 @@ class LeasedWorkQueue {
   /// Includes prior entries only under resume. Null if never recorded.
   [[nodiscard]] std::optional<ManifestEntry> latest(const std::string& id) const;
 
-  [[nodiscard]] SweepManifest& manifest() { return manifest_; }
   [[nodiscard]] const std::string& worker_id() const { return options_.worker_id; }
-  /// Manifest still writable (claims/completions are landing durably).
-  [[nodiscard]] bool healthy() const { return manifest_.ok(); }
+  /// Manifest still writable (claims/completions are landing durably) and
+  /// no refused line folded.
+  [[nodiscard]] bool healthy() const;
+  /// Why the queue is unhealthy ("" while healthy()).
+  [[nodiscard]] std::string error() const;
 
  private:
   enum class Phase { kUnclaimed, kLeased, kDone };
@@ -114,6 +121,8 @@ class LeasedWorkQueue {
   /// resume rule (failures retryable) to the initial snapshot.
   void fold_new_locked(bool startup);
   void apply_locked(const ManifestEntry& e, bool startup);
+  /// 1-based line number of the journal line starting at byte `offset`.
+  [[nodiscard]] std::size_t line_number_at(off_t offset) const;
   /// This worker's claim line on `slot`, leased until `lease_until`.
   [[nodiscard]] ManifestEntry claim_entry(std::size_t slot, double lease_until) const;
   void renew_loop();
@@ -128,6 +137,7 @@ class LeasedWorkQueue {
   std::vector<CellState> state_;                      ///< parallel to cells_
   std::unordered_map<std::string, ManifestEntry> latest_;
   off_t cursor_ = 0;  ///< next unread journal byte (complete lines only)
+  std::string refused_;  ///< first refused line's message ("" = none)
   std::set<std::size_t> held_;  ///< cells_ slots this worker currently leases
 
   std::condition_variable renew_cv_;

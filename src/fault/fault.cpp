@@ -16,7 +16,7 @@ constexpr const char* kKindNames[kFaultKindCount] = {
     "link_down", "rate_scale", "loss_burst", "reorder", "duplicate", "jitter",
 };
 
-/// FNV-1a over the event fields; stable across platforms so cache keys are.
+/// FNV-1a over the event fields; stable across platforms so run ids are.
 std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     h ^= (v >> (i * 8)) & 0xff;

@@ -48,8 +48,8 @@ struct FaultEvent {
 };
 
 /// A schedule of faults for one run. Part of the experiment's identity:
-/// signature() feeds the result-cache key, so perturbed and clean runs never
-/// share cache entries.
+/// signature() feeds the run id (the journal key), so perturbed and clean
+/// runs never share journal lines.
 struct FaultPlan {
   std::vector<FaultEvent> events;
 

@@ -8,7 +8,7 @@ namespace elephant::obs {
 
 /// Detection knobs carried on ExperimentConfig. The identity-relevant fields
 /// (enabled, window_s, enter_jain, exit_jain) are folded into the config id —
-/// an episode-enabled cell is a different cache/manifest key from its plain
+/// an episode-enabled cell is a different manifest key from its plain
 /// twin — while jsonl_path is presentation-only and excluded.
 struct EpisodeOptions {
   bool enabled = false;

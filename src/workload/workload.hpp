@@ -57,7 +57,7 @@ struct SizeSpec {
   [[nodiscard]] static bool load_cdf_file(const std::string& path, SizeSpec* out,
                                           std::string* error);
 
-  /// Stable identity string (part of the experiment cache key).
+  /// Stable identity string (part of the experiment run id).
   [[nodiscard]] std::string signature() const;
 };
 
@@ -107,8 +107,8 @@ struct WorkloadSpec {
 
   [[nodiscard]] bool is_paper_default() const { return classes.empty(); }
 
-  /// Cache-identity string; empty for the default workload so existing cell
-  /// ids (and previously cached results) are unchanged.
+  /// Run-identity string; empty for the default workload so existing cell
+  /// ids (and previously journaled results) are unchanged.
   [[nodiscard]] std::string signature() const;
 
   /// Built-in presets. "paper" is the default elephant-only workload.

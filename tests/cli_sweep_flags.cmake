@@ -1,6 +1,8 @@
 # `elephant sweep` must refuse a lease that is not a number > 0, and --resume
 # without a manifest to resume from, with exit status 2; a valid manifest
-# sweep still runs.
+# sweep still runs. `run` and `sweep` both refuse a --reps or ELEPHANT_REPS
+# that is not an integer >= 1 with exit status 2. A sweep without --manifest
+# journals to $ELEPHANT_RESULTS_DIR/runs.jsonl and resumes from it.
 #
 #   cmake -DELEPHANT=<path to elephant> -DWORKDIR=<scratch dir> -P cli_sweep_flags.cmake
 set(sweep sweep --pairs intra --bw 100e6 --duration 0.2)
@@ -9,10 +11,15 @@ file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 
 function(expect_exit want)
-  execute_process(COMMAND ${ELEPHANT} ${sweep} ${ARGN}
+  expect_cmd_exit(${want} ${sweep} ${ARGN})
+endfunction()
+
+function(expect_cmd_exit want)
+  execute_process(COMMAND ${ELEPHANT} ${ARGN}
                   RESULT_VARIABLE got OUTPUT_QUIET ERROR_VARIABLE err)
   if(NOT got STREQUAL "${want}")
-    message(FATAL_ERROR "elephant ${sweep} ${ARGN}: exit ${got}, want ${want}\n${err}")
+    message(FATAL_ERROR "ELEPHANT_REPS='$ENV{ELEPHANT_REPS}' elephant ${ARGN}: "
+                        "exit ${got}, want ${want}\n${err}")
   endif()
 endfunction()
 
@@ -23,3 +30,29 @@ expect_exit(2 ${manifest} --lease-s abc)
 expect_exit(2 ${manifest} --lease-s 5x)
 expect_exit(2 --resume)
 expect_exit(0 ${manifest} --lease-s 5)
+
+set(run run --bw 100e6 --duration 0.2)
+foreach(bad 0 -1 abc 1.5 2x "")
+  expect_exit(2 ${manifest} --reps "${bad}")
+  expect_cmd_exit(2 ${run} --reps "${bad}")
+endforeach()
+foreach(bad 0 abc 3x)
+  set(ENV{ELEPHANT_REPS} "${bad}")
+  expect_exit(2 ${manifest})
+  expect_cmd_exit(2 ${run})
+endforeach()
+set(ENV{ELEPHANT_REPS} 2)
+expect_cmd_exit(0 ${run})
+unset(ENV{ELEPHANT_REPS})
+expect_cmd_exit(0 ${run} --reps 2)
+
+# No --manifest: the default journal stores every run, and a second sweep is
+# served from it without appending a line.
+set(journal "${WORKDIR}/results/runs.jsonl")
+expect_exit(0)
+file(READ "${journal}" first)
+expect_exit(0)
+file(READ "${journal}" second)
+if(first STREQUAL "" OR NOT first STREQUAL second)
+  message(FATAL_ERROR "default journal ${journal} missing or grew on a resumed sweep")
+endif()

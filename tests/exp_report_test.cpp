@@ -89,15 +89,11 @@ class ReportTest : public ::testing::Test {
     out.close();
 
     obs::MetricsRegistry r1;
-    r1.counter("sweep.cache_hits").add(2);
-    r1.counter("sweep.cache_misses").add(1);
     r1.histogram("sweep.cell_wall_s").record(2.0);
     r1.histogram("prof.cell_run_s").record(1.5);
     std::ofstream(dir_ / "metrics-w1.jsonl") << journal_line(r1, "w1", 10.0) << "\n";
 
     obs::MetricsRegistry r2;
-    r2.counter("sweep.cache_hits").add(1);
-    r2.counter("sweep.cache_misses").add(2);
     r2.histogram("sweep.cell_wall_s").record(4.0);
     r2.histogram("sweep.cell_wall_s").record(1.0);
     std::ofstream(dir_ / "metrics-w2.jsonl") << journal_line(r2, "w2", 10.0) << "\n";
@@ -152,10 +148,6 @@ TEST_F(ReportTest, MergesManifestHistoryAndJournals) {
   EXPECT_EQ(w2->steals, 1u);
   EXPECT_DOUBLE_EQ(w2->wall_s, 5.0);
 
-  EXPECT_EQ(s.cache_hits, 3u);
-  EXPECT_EQ(s.cache_misses, 3u);
-  EXPECT_DOUBLE_EQ(s.cache_hit_rate, 0.5);
-
   // The per-worker wall-time histograms folded across both journals.
   bool saw_cell_wall = false;
   for (const ReportPhase& p : s.phases) {
@@ -186,7 +178,8 @@ TEST_F(ReportTest, RendersSchemaTaggedJsonAndMarkdown) {
   ASSERT_TRUE(build_report(opt, &s, &error)) << error;
 
   const std::string json = render_report_json(s);
-  EXPECT_EQ(json.find("{\"schema\":\"elephant-report-v1\""), 0u);
+  EXPECT_EQ(json.find("{\"schema\":\"elephant-report-v2\""), 0u);
+  EXPECT_EQ(json.find("\"cache\""), std::string::npos);  // the journal is the store
   EXPECT_NE(json.find("\"completed\":3"), std::string::npos);
   EXPECT_NE(json.find("\"steals\":1"), std::string::npos);
   EXPECT_NE(json.find("\"episode_cells\":[{\"id\":\"cellB\""), std::string::npos);
@@ -216,8 +209,9 @@ TEST_F(ReportTest, ExplicitJournalListSkipsDiscovery) {
   SweepSummary s;
   std::string error;
   ASSERT_TRUE(build_report(opt, &s, &error)) << error;
-  EXPECT_EQ(s.cache_hits, 2u);
-  EXPECT_EQ(s.cache_misses, 1u);
+  // Only w1's journal was read: its one cell_wall_s sample, not w2's two.
+  ASSERT_EQ(s.phases.size(), 2u);
+  for (const ReportPhase& p : s.phases) EXPECT_EQ(p.count, 1u) << p.name;
   const ReportWorker* w2 = worker(s, "w2");
   ASSERT_NE(w2, nullptr);
   EXPECT_DOUBLE_EQ(w2->elapsed_s, 0.0);  // no journal read for w2

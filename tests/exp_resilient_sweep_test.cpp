@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -12,6 +13,7 @@
 #include "exp/manifest.hpp"
 #include "exp/work_queue.hpp"
 #include "test_util.hpp"
+#include "workload/workload.hpp"
 
 namespace elephant::exp {
 namespace {
@@ -57,7 +59,6 @@ TEST_F(ResilientSweepTest, ThrowingConfigIsIsolated) {
   configs.insert(configs.begin() + 7, poisoned_config());
 
   SweepOptions opts;
-  opts.use_cache = false;
   opts.threads = 2;
   const SweepReport report = run_sweep_resilient(configs, opts);
 
@@ -75,7 +76,6 @@ TEST_F(ResilientSweepTest, ThrowingConfigIsIsolated) {
 
 TEST_F(ResilientSweepTest, EventBudgetRecordsTimeoutWithoutRetry) {
   SweepOptions opts;
-  opts.use_cache = false;
   opts.threads = 1;
   opts.max_retries = 3;     // must NOT be spent on a deterministic budget trip
   opts.run_event_budget = 500;
@@ -88,7 +88,6 @@ TEST_F(ResilientSweepTest, EventBudgetRecordsTimeoutWithoutRetry) {
 
 TEST_F(ResilientSweepTest, FailuresAreRetriedWithReseed) {
   SweepOptions opts;
-  opts.use_cache = false;
   opts.threads = 1;
   opts.max_retries = 2;
   const SweepReport report = run_sweep_resilient({poisoned_config()}, opts);
@@ -190,12 +189,14 @@ TEST_F(ResilientSweepTest, ManifestLoadToleratesTornTailAndKeepsLatest) {
   first.index = 0;
   first.id = "cell-a";
   first.status = RunStatus::kFailed;
+  first.result.repetitions = 1;  // a success line holds one run
   ManifestEntry second = first;
   second.status = RunStatus::kOk;  // later line for the same id supersedes
   ManifestEntry other;
   other.index = 1;
   other.id = "cell-b";
   other.status = RunStatus::kOk;
+  other.result.repetitions = 1;
 
   {
     std::ofstream out(manifest_path());
@@ -220,7 +221,6 @@ TEST_F(ResilientSweepTest, SweepJournalsEveryCell) {
   auto configs = quick_batch(3);
   configs.push_back(poisoned_config());
   SweepOptions opts;
-  opts.use_cache = false;
   opts.threads = 1;
   opts.manifest_path = manifest_path();
   (void)run_sweep_resilient(configs, opts);
@@ -237,7 +237,6 @@ TEST_F(ResilientSweepTest, SweepJournalsEveryCell) {
 TEST_F(ResilientSweepTest, ResumeSkipsJournaledCellsAndRerunsFailures) {
   auto configs = quick_batch(4);
   SweepOptions opts;
-  opts.use_cache = false;
   opts.threads = 1;
   opts.manifest_path = manifest_path();
   const SweepReport first = run_sweep_resilient(configs, opts);
@@ -279,7 +278,6 @@ TEST_F(ResilientSweepTest, FailedCellLeavesDefaultResult) {
   auto configs = quick_batch(2);
   configs.push_back(poisoned_config());
   SweepOptions opts;
-  opts.use_cache = false;
   opts.threads = 1;
   const SweepReport report = run_sweep_resilient(configs, opts);
   ASSERT_EQ(report.records.size(), 3u);
@@ -308,7 +306,6 @@ TEST_F(ResilientSweepTest, UnusableManifestFailsLoudly) {
   // create_directories and open fail, and the sweep must refuse to start.
   std::ofstream(dir_ / "blocker") << "not a directory";
   SweepOptions opts;
-  opts.use_cache = false;
   opts.threads = 1;
   opts.manifest_path = dir_ / "blocker" / "m.jsonl";
   EXPECT_THROW((void)run_sweep_resilient(quick_batch(1), opts), std::runtime_error);
@@ -318,7 +315,6 @@ TEST_F(ResilientSweepTest, NonPositiveLeaseIsRejected) {
   // A manifest sweep always runs the leased queue; a lease that is not > 0
   // would make every claim stealable the moment it lands.
   SweepOptions opts;
-  opts.use_cache = false;
   opts.threads = 1;
   opts.manifest_path = manifest_path();
   for (const double lease_s : {0.0, -1.0}) {
@@ -348,7 +344,6 @@ TEST_F(ResilientSweepTest, AppendRepairsTornTailBeforeWriting) {
 TEST_F(ResilientSweepTest, PreSetCancelSkipsEveryCell) {
   std::atomic<bool> cancel{true};
   SweepOptions opts;
-  opts.use_cache = false;
   opts.threads = 2;
   opts.cancel = &cancel;
   const SweepReport report = run_sweep_resilient(quick_batch(3), opts);
@@ -367,7 +362,6 @@ TEST_F(ResilientSweepTest, TwoInProcessWorkersShareOneManifest) {
   auto configs = quick_batch(6, /*duration_s=*/1);
   auto run_worker = [&](const std::string& id, SweepReport* out) {
     SweepOptions opts;
-    opts.use_cache = false;
     opts.threads = 1;
     opts.manifest_path = manifest_path();
     opts.resume = true;
@@ -411,6 +405,251 @@ TEST_F(ResilientSweepTest, ReportCountsByStatus) {
   EXPECT_EQ(report.count(RunStatus::kOk), 2u);
   EXPECT_EQ(report.completed(), 3u);
   EXPECT_EQ(report.failed(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// The journal is the run cache: a resumed sweep serves a run from its success
+// line and simulates only what the journal lacks. These pin, for journal
+// lines, the guarantees the per-run cache files used to give: a line is
+// keyed by the run's full id, served bit for bit, and a damaged line is
+// never served — the run is simulated again and its fresh line supersedes.
+
+class CacheTest : public ResilientSweepTest {
+ protected:
+  /// A one-run sweep of `cfg` resumed from the journal.
+  RunRecord sweep(const ExperimentConfig& cfg) {
+    return sweep_all({cfg}).at(0);
+  }
+  std::vector<RunRecord> sweep_all(const std::vector<ExperimentConfig>& configs) {
+    SweepOptions opts;
+    opts.threads = 1;
+    opts.manifest_path = manifest_path();
+    opts.resume = true;
+    return run_sweep_resilient(configs, opts).records;
+  }
+  void write_journal(const std::string& text) { std::ofstream(manifest_path()) << text; }
+};
+
+ExperimentConfig cache_config() {
+  return test::quick_config(cca::CcaKind::kCubic, cca::CcaKind::kCubic, aqm::AqmKind::kFifo,
+                            2.0, 100e6, 1);
+}
+
+/// A success line for `cfg` with numbers no simulation produces, so a served
+/// run is told apart from a simulated one.
+ManifestEntry fake_line(const ExperimentConfig& cfg) {
+  ManifestEntry e;
+  e.id = cfg.id();
+  e.status = RunStatus::kOk;
+  e.attempts = 1;
+  e.result.repetitions = 1;
+  e.result.sender_bps[0] = 4.2e8;
+  e.result.sender_bps[1] = 5.8e8;
+  e.result.jain2 = 0.973;
+  e.result.utilization = 0.99;
+  e.result.retx_segments = 1234;
+  e.result.rtos = 3;
+  return e;
+}
+
+std::string fake_text(const ExperimentConfig& cfg) {
+  return SweepManifest::format_line(fake_line(cfg)) + "\n";
+}
+
+/// `line` with the value of numeric field `key` replaced by `value`.
+std::string with_field(std::string line, const std::string& key, const std::string& value) {
+  const std::size_t at = line.find("\"" + key + "\":");
+  const std::size_t from = at + key.size() + 3;
+  line.replace(from, line.find_first_of(",}", from) - from, value);
+  return line;
+}
+
+bool served(const RunRecord& rec) { return rec.resumed && rec.attempts == 0; }
+
+TEST_F(CacheTest, MissOnEmptyCache) {
+  const RunRecord rec = sweep(cache_config());
+  EXPECT_FALSE(rec.resumed);
+  EXPECT_EQ(rec.attempts, 1);
+  EXPECT_EQ(test::terminal_entries(manifest_path()).count(cache_config().id()), 1u);
+}
+
+TEST_F(CacheTest, StoreThenLoadRoundTrips) {
+  write_journal(fake_text(cache_config()));
+  const RunRecord rec = sweep(cache_config());
+  ASSERT_TRUE(served(rec));
+  EXPECT_EQ(rec.result.repetitions, 1);
+  EXPECT_EQ(rec.result.sender_bps[0], 4.2e8);
+  EXPECT_EQ(rec.result.sender_bps[1], 5.8e8);
+  EXPECT_EQ(rec.result.jain2, 0.973);
+  EXPECT_EQ(rec.result.utilization, 0.99);
+  EXPECT_EQ(rec.result.retx_segments, 1234);
+  EXPECT_EQ(rec.result.rtos, 3);
+}
+
+TEST_F(CacheTest, DifferentConfigsDoNotCollide) {
+  const ExperimentConfig a = cache_config();
+  ExperimentConfig b = a;
+  b.buffer_bdp = 16;
+  write_journal(fake_text(a));
+  const std::vector<RunRecord> recs = sweep_all({a, b});
+  EXPECT_TRUE(served(recs[0]));
+  EXPECT_FALSE(recs[1].resumed);
+  EXPECT_EQ(recs[1].attempts, 1);
+}
+
+TEST_F(CacheTest, DisabledCacheStoresNothing) {
+  // A sweep without a journal simulates and stores nothing anywhere.
+  SweepOptions opts;
+  opts.threads = 1;
+  ASSERT_EQ(run_sweep_resilient({cache_config()}, opts).completed(), 1u);
+  EXPECT_TRUE(std::filesystem::is_empty(dir_));
+}
+
+TEST_F(CacheTest, CorruptFileIsAMiss) {
+  write_journal("garbage\n");
+  const RunRecord rec = sweep(cache_config());
+  EXPECT_FALSE(rec.resumed);
+  EXPECT_EQ(rec.attempts, 1);
+}
+
+TEST_F(CacheTest, MangledNumericFieldRejectedAndDeleted) {
+  // A mangled number fails the whole line, so it is never served: resume
+  // simulates the run again and its fresh line supersedes the damaged one.
+  const std::string good = SweepManifest::format_line(fake_line(cache_config()));
+  ManifestEntry e;
+  ASSERT_TRUE(SweepManifest::parse_line(good, &e));
+  for (const char* key : {"s1_bps", "jain2", "util"}) {
+    for (const char* junk : {"4x8", "\"0.9\"", "", "0.9.1", "abc"}) {
+      EXPECT_FALSE(SweepManifest::parse_line(with_field(good, key, junk), &e))
+          << key << "=" << junk;
+    }
+  }
+  write_journal(with_field(good, "s1_bps", "4x8") + "\n");
+  const RunRecord rec = sweep(cache_config());
+  EXPECT_EQ(rec.attempts, 1);
+  EXPECT_NE(rec.result.sender_bps[0], 4.2e8);
+  EXPECT_NE(test::terminal_entries(manifest_path()).at(cache_config().id()).result.jain2, 0.973);
+}
+
+TEST_F(CacheTest, NonFiniteValuesRejectedAndDeleted) {
+  const std::string good = SweepManifest::format_line(fake_line(cache_config()));
+  ManifestEntry e;
+  for (const char* key : {"s1_bps", "jain2", "util"}) {
+    for (const char* bad : {"nan", "NaN", "inf", "-inf", "Infinity", "1e999"}) {
+      EXPECT_FALSE(SweepManifest::parse_line(with_field(good, key, bad), &e))
+          << key << "=" << bad;
+    }
+  }
+  write_journal(with_field(good, "jain2", "nan") + "\n" + with_field(good, "util", "inf") +
+                "\n");
+  const RunRecord rec = sweep(cache_config());
+  EXPECT_FALSE(rec.resumed);
+  EXPECT_EQ(rec.attempts, 1);
+  EXPECT_TRUE(std::isfinite(rec.result.jain2));
+}
+
+TEST_F(CacheTest, TruncatedEntryRejectedAndDeleted) {
+  // A line cut short by a crash mid-write: required fields missing.
+  const std::string good = SweepManifest::format_line(fake_line(cache_config()));
+  write_journal(good.substr(0, good.find(",\"jain2\"")) + "}\n");
+  const RunRecord rec = sweep(cache_config());
+  EXPECT_FALSE(rec.resumed);
+  EXPECT_EQ(rec.attempts, 1);
+}
+
+TEST_F(CacheTest, EvictionThenStoreRegenerates) {
+  write_journal("garbage\n");
+  const RunRecord first = sweep(cache_config());
+  ASSERT_EQ(first.attempts, 1);
+  const RunRecord second = sweep(cache_config());
+  ASSERT_TRUE(served(second));
+  EXPECT_EQ(second.result.jain2, first.result.jain2);
+  EXPECT_EQ(second.result.utilization, first.result.utilization);
+}
+
+TEST_F(CacheTest, SeedIsPartOfTheKey) {
+  ExperimentConfig a = cache_config();
+  a.seed = 1;
+  ExperimentConfig b = a;
+  b.seed = 2;
+  EXPECT_NE(a.id(), b.id());
+  write_journal(fake_text(a));
+  const std::vector<RunRecord> recs = sweep_all({a, b});
+  EXPECT_TRUE(served(recs[0]));
+  EXPECT_EQ(recs[1].attempts, 1);
+}
+
+TEST_F(CacheTest, WorkloadIsPartOfTheKey) {
+  const ExperimentConfig paper = cache_config();  // default workload
+  ExperimentConfig mice = paper;
+  mice.workload = workload::WorkloadSpec::mice_elephants();
+  ExperimentConfig web = paper;
+  web.workload = workload::WorkloadSpec::poisson_web();
+  ExperimentConfig more_mice = mice;
+  more_mice.workload.classes[1].count += 1;  // same preset, one knob turned
+
+  // Only the elephant-only run is journaled: the queue serves it and leaves
+  // every workload variant to be claimed.
+  write_journal(fake_text(paper));
+  LeasedWorkQueue::Options opt;
+  opt.worker_id = "w0";
+  opt.resume = true;
+  LeasedWorkQueue q(manifest_path(),
+                    {{0, paper.id()}, {1, mice.id()}, {2, web.id()}, {3, more_mice.id()}}, opt);
+  for (const std::size_t want : {1u, 2u, 3u}) {
+    std::size_t got = 99;
+    ASSERT_EQ(q.try_claim(&got), LeasedWorkQueue::Claim::kClaimed);
+    EXPECT_EQ(got, want);
+  }
+  std::size_t got = 99;
+  EXPECT_EQ(q.try_claim(&got), LeasedWorkQueue::Claim::kWaitLeased);
+  ASSERT_TRUE(q.latest(paper.id()).has_value());
+  EXPECT_TRUE(q.latest(paper.id())->success());
+}
+
+TEST_F(CacheTest, ClassRowsRoundTrip) {
+  ExperimentConfig cfg = cache_config();
+  cfg.workload = workload::WorkloadSpec::mice_elephants();
+  ManifestEntry e = fake_line(cfg);
+  ClassResult elephants;
+  elephants.name = "elephants";
+  elephants.flows = 2;
+  elephants.throughput_bps = 9e7;
+  elephants.share = 0.9;
+  elephants.jain = 0.98;
+  ClassResult mice;
+  mice.name = "mice";
+  mice.flows = 40;
+  mice.completed = 38;
+  mice.fct_p50_s = 0.12;
+  mice.fct_p99_s = 1.7;
+  mice.slowdown_p95 = 11.0;
+  e.result.classes = {elephants, mice};
+  write_journal(SweepManifest::format_line(e) + "\n");
+
+  const RunRecord rec = sweep(cfg);
+  ASSERT_TRUE(served(rec));
+  ASSERT_EQ(rec.result.classes.size(), 2u);
+  EXPECT_EQ(rec.result.classes[0].name, "elephants");
+  EXPECT_EQ(rec.result.classes[0].jain, 0.98);
+  EXPECT_EQ(rec.result.classes[1].name, "mice");
+  EXPECT_EQ(rec.result.classes[1].flows, 40u);
+  EXPECT_EQ(rec.result.classes[1].completed, 38u);
+  EXPECT_EQ(rec.result.classes[1].fct_p50_s, 0.12);
+  EXPECT_EQ(rec.result.classes[1].fct_p99_s, 1.7);
+  EXPECT_EQ(rec.result.classes[1].slowdown_p95, 11.0);
+}
+
+TEST_F(CacheTest, LegacyEntryWithoutChecksumStillLoads) {
+  // Journal lines carry no checksum. A success line in the oldest format
+  // still resumed (no wall_s, classes or episodes block) is served as is.
+  write_journal("{\"i\":0,\"id\":\"" + cache_config().id() +
+                "\",\"status\":\"ok\",\"attempts\":1,\"reps\":1,\"s1_bps\":4.2e8,"
+                "\"s2_bps\":5.8e8,\"jain2\":0.973,\"util\":0.99,\"retx\":1234,\"rtos\":3,"
+                "\"error\":\"\"}\n");
+  const RunRecord rec = sweep(cache_config());
+  ASSERT_TRUE(served(rec));
+  EXPECT_EQ(rec.result.jain2, 0.973);
 }
 
 }  // namespace

@@ -72,7 +72,7 @@ TEST(Runner, DifferentSeedsDifferentMicrostate) {
 TEST(Runner, AveragedResultAveragesAcrossSeeds) {
   auto cfg = test::quick_config(CcaKind::kCubic, CcaKind::kCubic, aqm::AqmKind::kFifo, 2.0,
                                 100e6, 5);
-  const auto avg = run_averaged(cfg, 2, /*use_cache=*/false);
+  const auto avg = run_averaged(cfg, 2);
   EXPECT_EQ(avg.repetitions, 2);
   EXPECT_GT(avg.utilization, 0.3);
   EXPECT_LE(avg.jain2, 1.0);

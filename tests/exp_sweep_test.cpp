@@ -1,9 +1,18 @@
 #include "exp/sweep.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <stdexcept>
 
+#include "bench_util.hpp"
+#include "exp/manifest.hpp"
+#include "sim/random.hpp"
 #include "test_util.hpp"
 
 namespace elephant::exp {
@@ -19,7 +28,6 @@ std::vector<ExperimentConfig> tiny_matrix() {
 
 TEST(Sweep, ResultsInInputOrder) {
   SweepOptions opts;
-  opts.use_cache = false;
   opts.threads = 1;
   const SweepReport report = run_sweep_resilient(tiny_matrix(), opts);
   ASSERT_EQ(report.records.size(), 2u);
@@ -30,7 +38,6 @@ TEST(Sweep, ResultsInInputOrder) {
 
 TEST(Sweep, ProgressCallbackSeesEveryConfig) {
   SweepOptions opts;
-  opts.use_cache = false;
   std::atomic<int> calls{0};
   std::size_t last_total = 0;
   opts.on_result = [&](const AveragedResult&, std::size_t, std::size_t total) {
@@ -44,10 +51,8 @@ TEST(Sweep, ProgressCallbackSeesEveryConfig) {
 
 TEST(Sweep, MultiThreadedMatchesSingleThreaded) {
   SweepOptions serial;
-  serial.use_cache = false;
   serial.threads = 1;
   SweepOptions parallel;
-  parallel.use_cache = false;
   parallel.threads = 2;
   const SweepReport a = run_sweep_resilient(tiny_matrix(), serial);
   const SweepReport b = run_sweep_resilient(tiny_matrix(), parallel);
@@ -68,10 +73,165 @@ TEST(Sweep, AveragingAcrossRepsIsMean) {
   ExperimentConfig cfg2 = cfg;
   cfg2.seed = cfg.seed + 1000003;
   ExperimentResult r2 = run_experiment(cfg2);
-  const auto avg = average(cfg, {r1, r2});
+  const auto avg = average(cfg, {summarize(r1), summarize(r2)});
   EXPECT_EQ(avg.repetitions, 2);
   EXPECT_NEAR(avg.utilization, (r1.utilization + r2.utilization) / 2, 1e-12);
   EXPECT_NEAR(avg.sender_bps[0], (r1.sender_bps[0] + r2.sender_bps[0]) / 2, 1e-6);
+}
+
+TEST(Sweep, NonPositiveRepetitionsAreRejected) {
+  SweepOptions opts;
+  for (const int reps : {0, -1}) {
+    opts.repetitions = reps;
+    EXPECT_THROW((void)run_sweep_resilient(tiny_matrix(), opts), std::invalid_argument);
+    EXPECT_THROW((void)run_averaged(tiny_matrix()[0], reps), std::invalid_argument);
+  }
+}
+
+/// Per-seed journaling: one line per (config, seed) run.
+class SweepJournalTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("elephant_sweep_journal_" + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  [[nodiscard]] std::filesystem::path journal() const { return dir_ / "runs.jsonl"; }
+
+  SweepReport sweep(const std::vector<ExperimentConfig>& configs, int reps,
+                    const std::atomic<bool>* cancel = nullptr) {
+    SweepOptions opts;
+    opts.threads = 1;
+    opts.repetitions = reps;
+    opts.manifest_path = journal();
+    opts.resume = true;
+    opts.cancel = cancel;
+    return run_sweep_resilient(configs, opts);
+  }
+
+  /// Terminal lines in journal order.
+  [[nodiscard]] std::vector<ManifestEntry> terminal_lines() const {
+    std::vector<ManifestEntry> out;
+    std::ifstream in(journal());
+    std::string line;
+    while (std::getline(in, line)) {
+      ManifestEntry e;
+      if (SweepManifest::parse_line(line, &e) && e.terminal()) out.push_back(std::move(e));
+    }
+    return out;
+  }
+
+  std::filesystem::path dir_;
+};
+
+std::vector<ExperimentConfig> short_matrix() {
+  auto m = tiny_matrix();
+  for (auto& cfg : m) cfg.duration = sim::Time::seconds(1);
+  return m;
+}
+
+/// Run r of `cfg`: its seed is sub-stream r of the cell's.
+ExperimentConfig run_of(const ExperimentConfig& cfg, int r) {
+  ExperimentConfig run = cfg;
+  run.seed = sim::derive_seed(cfg.seed, static_cast<std::uint64_t>(r));
+  return run;
+}
+
+void expect_same(const AveragedResult& got, const AveragedResult& want) {
+  EXPECT_EQ(got.repetitions, want.repetitions);
+  EXPECT_EQ(got.sender_bps[0], want.sender_bps[0]);
+  EXPECT_EQ(got.sender_bps[1], want.sender_bps[1]);
+  EXPECT_EQ(got.jain2, want.jain2);
+  EXPECT_EQ(got.utilization, want.utilization);
+  EXPECT_EQ(got.retx_segments, want.retx_segments);
+  EXPECT_EQ(got.rtos, want.rtos);
+  EXPECT_EQ(got.classes.size(), want.classes.size());
+  EXPECT_EQ(got.episodes, want.episodes);
+  EXPECT_EQ(got.episode_worst_jain, want.episode_worst_jain);
+  EXPECT_EQ(got.config.id(), want.config.id());
+}
+
+TEST_F(SweepJournalTest, ThreeRepSweepJournalsOneLinePerSeed) {
+  const auto configs = short_matrix();
+  const SweepReport report = sweep(configs, 3);
+  ASSERT_EQ(report.records.size(), 2u);
+
+  const std::vector<ManifestEntry> lines = terminal_lines();
+  ASSERT_EQ(lines.size(), 6u);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    EXPECT_EQ(report.records[i].status, RunStatus::kOk);
+    EXPECT_EQ(report.records[i].attempts, 3);
+    expect_same(report.records[i].result, run_averaged(configs[i], 3));
+    for (int r = 0; r < 3; ++r) {
+      const auto it = std::find_if(lines.begin(), lines.end(), [&](const ManifestEntry& e) {
+        return e.id == run_of(configs[i], r).id();
+      });
+      ASSERT_NE(it, lines.end()) << "cell " << i << " seed " << r;
+      EXPECT_EQ(it->index, i * 3 + static_cast<std::size_t>(r));
+      EXPECT_EQ(it->result.repetitions, 1);
+    }
+  }
+}
+
+TEST_F(SweepJournalTest, FiveRepResumeOverThreeRepJournalSimulatesOnlyNewSeeds) {
+  const ExperimentConfig cfg = short_matrix()[0];
+  ASSERT_EQ(sweep({cfg}, 3).records[0].attempts, 3);
+  const RunRecord five = sweep({cfg}, 5).records[0];
+  EXPECT_EQ(five.attempts, 2);  // seeds 3 and 4 only
+  EXPECT_FALSE(five.resumed);
+  expect_same(five.result, run_averaged(cfg, 5));
+
+  const std::vector<ManifestEntry> lines = terminal_lines();
+  ASSERT_EQ(lines.size(), 5u);
+  EXPECT_EQ(lines[3].id, run_of(cfg, 3).id());
+  EXPECT_EQ(lines[4].id, run_of(cfg, 4).id());
+}
+
+TEST_F(SweepJournalTest, DrainedMidCellResumesOnlyMissingRuns) {
+  const ExperimentConfig cfg = short_matrix()[0];
+  const RunRecord full = sweep({cfg}, 3).records[0];
+  // A worker drained (or killed) after two of the cell's three runs leaves
+  // exactly their lines behind.
+  const std::vector<ManifestEntry> lines = terminal_lines();
+  ASSERT_EQ(lines.size(), 3u);
+  std::filesystem::remove(journal());
+  ASSERT_TRUE(test::append_journal(journal(), {lines[0], lines[1]}));
+
+  // A drained pass over that journal reports the cell skipped, not done.
+  const std::atomic<bool> cancel{true};
+  const RunRecord drained = sweep({cfg}, 3, &cancel).records[0];
+  EXPECT_EQ(drained.status, RunStatus::kSkipped);
+  EXPECT_EQ(drained.attempts, 0);
+  EXPECT_FALSE(drained.resumed);
+
+  const RunRecord resumed = sweep({cfg}, 3).records[0];
+  EXPECT_EQ(resumed.status, RunStatus::kOk);
+  EXPECT_EQ(resumed.attempts, 1);  // seed 2 only
+  expect_same(resumed.result, full.result);
+  const std::vector<ManifestEntry> after = terminal_lines();
+  ASSERT_EQ(after.size(), 3u);
+  EXPECT_EQ(after[2].id, run_of(cfg, 2).id());
+}
+
+TEST_F(SweepJournalTest, SecondBenchRunAppendsNoCompletionLine) {
+  const char* old_dir = std::getenv("ELEPHANT_RESULTS_DIR");
+  const std::string saved = old_dir != nullptr ? old_dir : "";
+  ::setenv("ELEPHANT_RESULTS_DIR", dir_.c_str(), 1);
+  ::unsetenv("ELEPHANT_REPS");
+  const ExperimentConfig cfg = short_matrix()[0];
+  const AveragedResult first = bench::run(cfg);
+  const AveragedResult second = bench::run(cfg);
+  if (old_dir != nullptr) {
+    ::setenv("ELEPHANT_RESULTS_DIR", saved.c_str(), 1);
+  } else {
+    ::unsetenv("ELEPHANT_RESULTS_DIR");
+  }
+  EXPECT_EQ(terminal_lines().size(), 1u);
+  expect_same(second, first);
+  expect_same(first, run_averaged(cfg, 1));
 }
 
 }  // namespace

@@ -46,6 +46,7 @@ class WorkQueueTest : public ::testing::Test {
     e.id = id;
     e.status = RunStatus::kOk;
     e.attempts = 1;
+    e.result.repetitions = 1;  // one run per line; other success lines are refused
     e.result.jain2 = 0.5 + static_cast<double>(index) * 0.01;
     return e;
   }
@@ -318,6 +319,53 @@ TEST_F(WorkQueueTest, ConcurrentWorkersConvergeExactlyOnce) {
   const auto counts = terminal_counts();
   ASSERT_EQ(counts.size(), static_cast<std::size_t>(kCells));
   for (const auto& [id, n] : counts) EXPECT_EQ(n, 1) << id;
+}
+
+TEST_F(WorkQueueTest, SuccessLineWithOtherRepsIsRefusedByLine) {
+  // A per-cell multi-rep success line (or a made-up reps:0 one) would be
+  // served as one run's numbers; the queue refuses it and names the line.
+  for (const int reps : {5, 0}) {
+    ManifestEntry multi = success(1, "cell-1");
+    multi.result.repetitions = reps;
+    {
+      std::ofstream out(manifest_path(), std::ios::trunc);
+      out << SweepManifest::format_line(success(0, "cell-0")) << '\n'
+          << SweepManifest::format_line(multi) << '\n';
+    }
+    LeasedWorkQueue::Options opt;
+    opt.worker_id = "w0";
+    opt.resume = true;
+    LeasedWorkQueue q(manifest_path(), cells(3), opt);
+    EXPECT_FALSE(q.healthy()) << "reps " << reps;
+    EXPECT_NE(q.error().find("line 2 of " + manifest_path().string()), std::string::npos)
+        << q.error();
+    EXPECT_NE(q.error().find("\"cell-1\" with reps " + std::to_string(reps)),
+              std::string::npos)
+        << q.error();
+    std::size_t got = 99;
+    EXPECT_EQ(q.try_claim(&got), LeasedWorkQueue::Claim::kWaitLeased);
+    EXPECT_EQ(got, 99u);
+  }
+}
+
+TEST_F(WorkQueueTest, RefusalIgnoresForeignIdsAndFailureLines) {
+  // Only a success this queue would serve is refused: a multi-rep line for
+  // an id outside the sweep, or a failure line (reps 0 by format), is fine.
+  ManifestEntry foreign = success(9, "other-sweep-cell");
+  foreign.result.repetitions = 5;
+  ManifestEntry failed;
+  failed.index = 0;
+  failed.id = "cell-0";
+  failed.status = RunStatus::kFailed;
+  ASSERT_TRUE(test::append_journal(manifest_path(), {foreign, failed}));
+  LeasedWorkQueue::Options opt;
+  opt.worker_id = "w0";
+  opt.resume = true;
+  LeasedWorkQueue q(manifest_path(), cells(1), opt);
+  EXPECT_TRUE(q.healthy()) << q.error();
+  std::size_t got = 99;
+  EXPECT_EQ(q.try_claim(&got), LeasedWorkQueue::Claim::kClaimed);
+  EXPECT_EQ(got, 0u);
 }
 
 }  // namespace

@@ -186,7 +186,7 @@ TEST(WorkloadRunner, OnOffSourcesSendButNeverComplete) {
 
 TEST(WorkloadRunner, AveragedRunCarriesClasses) {
   ExperimentConfig cfg = mixed_cell();
-  const AveragedResult avg = run_averaged(cfg, /*reps=*/2, /*use_cache=*/false);
+  const AveragedResult avg = run_averaged(cfg, /*reps=*/2);
   ASSERT_EQ(avg.classes.size(), 2u);
   EXPECT_EQ(avg.classes[1].name, "mice");
   EXPECT_EQ(avg.classes[1].flows, 12u);

@@ -175,7 +175,6 @@ TEST_F(HeartbeatTest, SweepPublishesProgressMetricsAndJournal) {
 
   MetricsRegistry reg;
   exp::SweepOptions opts;
-  opts.use_cache = false;
   opts.threads = 2;
   opts.metrics = &reg;
   opts.stats_interval_s = 0.01;
@@ -206,7 +205,6 @@ TEST_F(HeartbeatTest, SweepOwnsRegistryWhenOnlyIntervalIsSet) {
   auto cfg = test::quick_config(cca::CcaKind::kCubic, cca::CcaKind::kCubic,
                                 aqm::AqmKind::kFifo, 2.0, 100e6, 1);
   exp::SweepOptions opts;
-  opts.use_cache = false;
   opts.threads = 1;
   opts.stats_interval_s = 0.01;
   opts.metrics_path = jsonl();

@@ -19,12 +19,12 @@ namespace elephant::test {
                                       std::uint32_t size = 8900);
 
 /// A quick, small experiment config for integration tests: low bandwidth so
-/// wall time stays negligible, cache disabled by the caller.
+/// wall time stays negligible.
 [[nodiscard]] exp::ExperimentConfig quick_config(cca::CcaKind cca1, cca::CcaKind cca2,
                                                  aqm::AqmKind aqm, double buffer_bdp = 2.0,
                                                  double bw = 100e6, double duration_s = 30);
 
-/// run_experiment without touching the global on-disk cache.
+/// run_experiment: a fresh simulation, never served from a sweep journal.
 [[nodiscard]] exp::ExperimentResult run_uncached(const exp::ExperimentConfig& cfg);
 
 /// Append `entries` to the sweep journal at `path` under its cross-process

@@ -163,12 +163,12 @@ TEST(TraceIntegration, TracingIsObservational) {
 }
 
 TEST(TraceIntegration, RunAveragedBypassesCacheWhenTracing) {
-  // A cache hit would skip the simulation and emit no trace; run_averaged
-  // must therefore ignore the cache while a tracer is attached.
+  // run_averaged always simulates (results are reused only by resuming a
+  // sweep journal), so a tracer attached to it always records.
   trace::NullSink sink;
   trace::Tracer tracer(sink, 1 << 10);
   auto cfg = traced_config(&tracer);
-  const auto avg = run_averaged(cfg, 1, /*use_cache=*/true);
+  const auto avg = run_averaged(cfg, 1);
   EXPECT_EQ(avg.repetitions, 1);
   EXPECT_GT(tracer.recorded(), 0u);
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate an `elephant report --json` document (elephant-report-v1).
+"""Validate an `elephant report --json` document (elephant-report-v2).
 
 CI's report-smoke gate: the merged sweep report must carry the schema tag,
 every section the renderer promises, and internally consistent accounting —
@@ -47,12 +47,13 @@ def main():
     except (OSError, json.JSONDecodeError) as e:
         return fail(f"cannot parse {args.report}: {e}")
 
-    if doc.get("schema") != "elephant-report-v1":
-        return fail(f"schema tag is {doc.get('schema')!r}, want 'elephant-report-v1'")
+    if doc.get("schema") != "elephant-report-v2":
+        return fail(f"schema tag is {doc.get('schema')!r}, want 'elephant-report-v2'")
+    if "cache" in doc:
+        return fail("unexpected 'cache' block: the sweep journal is the only result store")
 
     errors = []
-    check_fields(doc, [("manifest", str), ("cells", dict), ("cache", dict),
-                       ("workers", list), ("phases", list),
+    check_fields(doc, [("manifest", str), ("cells", dict), ("workers", list), ("phases", list),
                        ("slowest_cells", list), ("episode_cells", list)],
                  "report", errors)
     if errors:
@@ -65,9 +66,6 @@ def main():
                          ("failed", NUMBER), ("claims", NUMBER),
                          ("steals", NUMBER), ("wall_s_total", NUMBER)],
                  "cells", errors)
-    cache = doc["cache"]
-    check_fields(cache, [("hits", NUMBER), ("misses", NUMBER),
-                         ("hit_rate", NUMBER)], "cache", errors)
 
     for i, w in enumerate(doc["workers"]):
         check_fields(w, [("id", str), ("cells", NUMBER), ("claims", NUMBER),
@@ -96,8 +94,6 @@ def main():
     if attributed != cells["completed"]:
         return fail(f"sum of per-worker cells ({attributed}) != completed "
                     f"({cells['completed']})")
-    if not 0.0 <= cache["hit_rate"] <= 1.0:
-        return fail(f"cache hit_rate {cache['hit_rate']} outside [0, 1]")
     for row in doc["episode_cells"]:
         if not row["cause"]:
             return fail(f"episode cell {row['id']} has an empty cause tag")

@@ -19,19 +19,24 @@
 // classes' size distribution with an empirical CDF file of
 // "<bytes> <cum_prob>" lines.
 //
-// `run` prints one row; `sweep` prints a table over all buffer sizes for the
-// selected slice, using (and filling) the shared on-disk result cache.
-// Sweeps run under the resilient engine: a crashing or budget-tripping cell
-// is reported and skipped, --manifest journals every cell to a JSONL file,
-// and --resume (which needs --manifest) re-executes only cells without a
-// successful journal entry.
+// `run` prints one row and always simulates; `sweep` prints a table over all
+// buffer sizes for the selected slice. Sweeps run under the resilient
+// engine: a crashing or budget-tripping run is reported and skipped, and
+// every run — one (config, seed) pair, `--reps` of them per cell — is
+// journaled as one JSONL line. The journal is the only result store:
+// --manifest names it, and --resume (which needs --manifest) re-executes
+// only runs without a successful journal line. Without --manifest a sweep
+// journals to $ELEPHANT_RESULTS_DIR/runs.jsonl (default results/) and
+// resumes from it, so repeated sweeps and the figure programs share runs.
+// A success line whose "reps" is not 1 is refused (exit 1): each line must
+// hold exactly one run. --reps and ELEPHANT_REPS must be integers >= 1.
 //
 // A manifest always makes the sweep a crash-tolerant shared work queue:
 // start N `elephant sweep ... --manifest M --resume --worker-id wK` processes
-// on one host and they divide the cells through per-cell leases in the
-// journal (a SIGKILLed worker's in-flight cells are stolen after --lease-s,
+// on one host and they divide the runs through per-run leases in the
+// journal (a SIGKILLed worker's in-flight runs are stolen after --lease-s,
 // which must be a number > 0).
-// SIGINT/SIGTERM drain gracefully: the in-flight cell finishes and is
+// SIGINT/SIGTERM drain gracefully: the in-flight run finishes and is
 // journaled, nothing new is claimed, and the exit code reports the drain.
 //
 // sweep exit codes: 0 all cells succeeded; 1 some cells permanently failed
@@ -51,11 +56,13 @@
 #include <cstring>
 #include <atomic>
 #include <exception>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unistd.h>
 #include <vector>
 
+#include <filesystem>
 #include <fstream>
 
 #include "exp/config.hpp"
@@ -113,7 +120,7 @@ extern "C" void on_drain_signal(int) {
                "fairness episodes (run and sweep): --episodes turns on the windowed\n"
                "share-imbalance detector; --episode-window S, --episode-enter J,\n"
                "--episode-exit J tune it; --episodes-out FILE appends episodes.jsonl\n"
-               "(run only). Episode knobs are part of the cell identity (cache key).\n"
+               "(run only). Episode knobs are part of the cell identity (journal id).\n"
                "report: merge a sweep's manifest + per-worker metrics journals +\n"
                "episode summaries into one document (markdown to stdout; --json and\n"
                "--md write files; --metrics may repeat, default: metrics*.jsonl next\n"
@@ -125,10 +132,12 @@ extern "C" void on_drain_signal(int) {
                "write a replayable choice trace. --replay re-executes a stored trace,\n"
                "verifies the end-state hash, and writes a flight-recorder CSV of the\n"
                "failure.\n"
-               "sweep --manifest: cells are leased through the journal, so N sweeps\n"
+               "sweep --manifest: runs are leased through the journal, so N sweeps\n"
                "with the same --manifest plus --resume and unique --worker-id values\n"
                "share the work, and a killed worker's cells are re-claimed after\n"
-               "--lease-s (> 0, default 60). --resume requires --manifest.\n"
+               "--lease-s (> 0, default 60). --resume requires --manifest. Without\n"
+               "--manifest, sweep journals to $ELEPHANT_RESULTS_DIR/runs.jsonl and\n"
+               "resumes from it. --reps (or ELEPHANT_REPS) must be an integer >= 1.\n"
                "exit codes: 0 ok, 1 failed cells or abort, 2 usage, 3 signal drain\n");
   std::exit(2);
 }
@@ -150,7 +159,7 @@ struct Args {
   std::string cmd;
   exp::ExperimentConfig cfg;
   std::string pairs = "all";
-  int reps = exp::default_repetitions();
+  int reps = 0;  ///< 0 until --reps or ELEPHANT_REPS sets it
   int threads = 0;
   int retries = 0;
   std::uint64_t event_budget = 0;
@@ -205,7 +214,11 @@ Args parse(int argc, char** argv) {
     } else if (!std::strcmp(arg, "--ecn")) {
       a.cfg.ecn = true;
     } else if (!std::strcmp(arg, "--reps")) {
-      a.reps = std::atoi(need(i));
+      const char* text = need(i);
+      if (!exp::parse_repetitions(text, &a.reps)) {
+        std::fprintf(stderr, "--reps: '%s' is not an integer >= 1\n", text);
+        std::exit(2);
+      }
     } else if (!std::strcmp(arg, "--pairs")) {
       a.pairs = need(i);
     } else if (!std::strcmp(arg, "--threads")) {
@@ -340,6 +353,14 @@ Args parse(int argc, char** argv) {
       usage();
     }
   }
+  if (a.reps == 0 && (a.cmd == "run" || a.cmd == "sweep")) {
+    try {
+      a.reps = exp::default_repetitions();
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      std::exit(2);
+    }
+  }
   if (a.cfg.episodes.enabled && !a.cfg.episodes.valid()) {
     std::fprintf(stderr,
                  "invalid episode thresholds: need window > 0 and "
@@ -461,8 +482,11 @@ int cmd_sweep(const Args& a) {
   opts.max_retries = a.retries;
   opts.run_event_budget = a.event_budget;
   opts.run_wall_budget_seconds = a.wall_budget_s;
-  opts.manifest_path = a.manifest;
-  opts.resume = a.resume;
+  // The journal is the result store: without --manifest, runs land in (and
+  // resume from) the shared default journal.
+  opts.manifest_path = a.manifest.empty() ? exp::default_journal_path()
+                                          : std::filesystem::path(a.manifest);
+  opts.resume = a.resume || a.manifest.empty();
   opts.worker_id = a.worker_id;
   opts.lease_s = a.lease_s;
   opts.backoff_base_s = a.backoff_s;
