@@ -30,66 +30,26 @@ FlowFactory::FlowFactory(sim::Scheduler& sched, net::Dumbbell& net,
                          const obs::TcpMetrics* metrics)
     : sched_(sched), net_(net), cfg_(cfg), metrics_(metrics) {
   if (cfg_.workload.is_paper_default()) {
-    build_legacy(cell_rng);
-  } else {
-    build_workload();
+    build_paper(cell_rng);
+    return;
+  }
+  for (int ci = 0; ci < static_cast<int>(cfg_.workload.classes.size()); ++ci) {
+    build_class(ci, cfg_.workload.classes[static_cast<std::size_t>(ci)]);
   }
 }
 
-void FlowFactory::build_legacy(sim::Rng& rng) {
+void FlowFactory::build_paper(sim::Rng& rng) {
   const std::uint32_t n_flows = std::max<std::uint32_t>(cfg_.effective_flows(), 1);
   // Split across the two sender nodes; odd counts give the extra flow to
   // side 0 (cca1) deterministically, instead of silently dropping it.
   const std::uint32_t per_side[2] = {(n_flows + 1) / 2, n_flows / 2};
-  const std::uint32_t agg = cfg_.effective_aggregation();
-
   for (int side = 0; side < 2; ++side) {
-    const cca::CcaKind kind = side == 0 ? cfg_.cca1 : cfg_.cca2;
     for (std::uint32_t i = 0; i < per_side[side]; ++i) {
-      const net::FlowId flow = static_cast<net::FlowId>(flows_.size() + 1);
-      net::Host& client = net_.client(side);
-      net::Host& server = net_.server(side);
-
-      cca::CcaParams cp;
-      cp.mss_bytes = cfg_.mss;
-      cp.initial_cwnd_segments = std::max<double>(10.0, agg);
-      cp.min_cwnd_segments = std::max<double>(2.0, agg);
-      cp.seed = rng.next_u64();
-
-      tcp::TcpSenderConfig sc;
-      sc.flow = flow;
-      sc.src = client.id();
-      sc.dst = server.id();
-      sc.mss = cfg_.mss;
-      sc.agg = agg;
-      sc.ecn = cfg_.ecn;
-      sc.pace_always = cfg_.pace_all;
+      const std::uint64_t cca_seed = rng.next_u64();
       // Stagger starts within half a second, like scripted iperf3 launches.
-      sc.start_time = sim::Time::seconds(0.5 * rng.next_double());
-
-      tcp::TcpReceiver* receiver =
-          receivers_.emplace(sched_, server, client.id(), flow).second;
-      tcp::TcpSender* sender =
-          senders_.emplace(sched_, client, sc, ccas_.make(kind, cp)).second;
-      FlowInstance& inst = *flows_.emplace().second;
-      inst.sender = sender;
-      inst.receiver = receiver;
-      inst.owner = this;
-      inst.side = side;
-      inst.start_time = sc.start_time;
-      if (cfg_.tracer != nullptr) sender->set_tracer(cfg_.tracer);
-      if (metrics_ != nullptr) sender->set_metrics(metrics_);
-      sender->set_scoreboard_ledger(&scoreboard_ledger_);
-      client.register_endpoint(flow, sender);
-      server.register_endpoint(flow, receiver);
-      sender->start();
+      const sim::Time start = sim::Time::seconds(0.5 * rng.next_double());
+      spawn(-1, side, start, 0, cca_seed, 0);
     }
-  }
-}
-
-void FlowFactory::build_workload() {
-  for (int ci = 0; ci < static_cast<int>(cfg_.workload.classes.size()); ++ci) {
-    build_class(ci, cfg_.workload.classes[static_cast<std::size_t>(ci)]);
   }
 }
 
@@ -129,7 +89,7 @@ void FlowFactory::build_class(int ci, const workload::TrafficClass& tc) {
       std::uint64_t cca_seed = 0;
       std::uint64_t app_seed = 0;
       seeds_for(fi, &cca_seed, &app_seed);
-      spawn(ci, tc, side_for(fi, tc.count), t, bytes, cca_seed, app_seed);
+      spawn(ci, side_for(fi, tc.count), t, bytes, cca_seed, app_seed);
     }
     return;
   }
@@ -145,20 +105,23 @@ void FlowFactory::build_class(int ci, const workload::TrafficClass& tc) {
     std::uint64_t cca_seed = 0;
     std::uint64_t app_seed = 0;
     seeds_for(fi, &cca_seed, &app_seed);
-    spawn(ci, tc, side_for(fi, n), start, bytes, cca_seed, app_seed);
+    spawn(ci, side_for(fi, n), start, bytes, cca_seed, app_seed);
   }
 }
 
-FlowInstance& FlowFactory::spawn(int ci, const workload::TrafficClass& tc, int side,
-                                 sim::Time start, std::uint64_t bytes,
+FlowInstance& FlowFactory::spawn(int ci, int side, sim::Time start, std::uint64_t bytes,
                                  std::uint64_t cca_seed, std::uint64_t app_seed) {
   using workload::ClassKind;
+  const workload::TrafficClass* tc =
+      ci >= 0 ? &cfg_.workload.classes[static_cast<std::size_t>(ci)] : nullptr;
+  const ClassKind kind = tc != nullptr ? tc->kind : ClassKind::kElephant;
   const net::FlowId flow = static_cast<net::FlowId>(flows_.size() + 1);
   net::Host& client = net_.client(side);
   net::Host& server = net_.server(side);
   const std::uint32_t agg = cfg_.effective_aggregation();
-  const cca::CcaKind kind =
-      tc.cca_from_pair ? (side == 0 ? cfg_.cca1 : cfg_.cca2) : tc.cca;
+  const cca::CcaKind cca_kind = tc == nullptr || tc->cca_from_pair
+                                    ? (side == 0 ? cfg_.cca1 : cfg_.cca2)
+                                    : tc->cca;
 
   cca::CcaParams cp;
   cp.mss_bytes = cfg_.mss;
@@ -175,34 +138,38 @@ FlowInstance& FlowFactory::spawn(int ci, const workload::TrafficClass& tc, int s
   sc.ecn = cfg_.ecn;
   sc.pace_always = cfg_.pace_all;
   sc.start_time = start;
-  if (tc.kind == ClassKind::kFinite) {
+  if (kind == ClassKind::kFinite) {
     sc.transfer_units = tcp::bytes_to_units(bytes, cfg_.mss, agg);
-  } else if (tc.kind == ClassKind::kOnOff) {
+  } else if (kind == ClassKind::kOnOff) {
     sc.app_limited = true;
   }
 
   tcp::TcpReceiver* receiver =
       receivers_.emplace(sched_, server, client.id(), flow).second;
   tcp::TcpSender* sender =
-      senders_.emplace(sched_, client, sc, ccas_.make(kind, cp)).second;
+      senders_.emplace(sched_, client, sc, ccas_.make(cca_kind, cp)).second;
   FlowInstance& inst = *flows_.emplace().second;
   inst.sender = sender;
   inst.receiver = receiver;
   inst.owner = this;
-  inst.traffic = &cfg_.workload.classes[static_cast<std::size_t>(ci)];
   inst.side = side;
-  inst.cls = ci;
-  inst.kind = tc.kind;
-  inst.transfer_bytes = bytes;
   inst.start_time = start;
-  inst.app_rng = sim::Rng(app_seed);
+  if (tc != nullptr) {
+    inst.traffic = tc;
+    inst.cls = ci;
+    inst.kind = kind;
+    inst.transfer_bytes = bytes;
+    inst.app_rng = sim::Rng(app_seed);
+  }
   if (cfg_.tracer != nullptr) sender->set_tracer(cfg_.tracer);
   if (metrics_ != nullptr) sender->set_metrics(metrics_);
   sender->set_scoreboard_ledger(&scoreboard_ledger_);
   client.register_endpoint(flow, sender);
   server.register_endpoint(flow, receiver);
 
-  if (cfg_.tracer != nullptr) {
+  // Paper elephants emit no kFlowStart: their traces predate the workload
+  // records, and every trace record is part of the determinism digest.
+  if (tc != nullptr && cfg_.tracer != nullptr) {
     trace::TraceRecord r;
     r.t = start;
     r.type = trace::RecordType::kFlowStart;
@@ -213,14 +180,14 @@ FlowInstance& FlowFactory::spawn(int ci, const workload::TrafficClass& tc, int s
     cfg_.tracer->record(r);
   }
 
-  if (tc.kind == ClassKind::kFinite) {
+  if (kind == ClassKind::kFinite) {
     sender->set_on_complete(&FlowFactory::flow_complete_thunk, &inst);
-  } else if (tc.kind == ClassKind::kOnOff) {
+  } else if (kind == ClassKind::kOnOff) {
     sender->set_on_app_idle(&FlowFactory::app_idle_thunk, &inst);
   }
 
   sender->start();
-  if (tc.kind == ClassKind::kOnOff) {
+  if (kind == ClassKind::kOnOff) {
     // First burst; held by the sender until start_time.
     sender->offer_bytes(bytes);
   }

@@ -29,22 +29,22 @@ struct FlowInstance {
   tcp::TcpSender* sender = nullptr;
   tcp::TcpReceiver* receiver = nullptr;
   FlowFactory* owner = nullptr;  ///< back-pointer for static callback thunks
-  const workload::TrafficClass* traffic = nullptr;  ///< null in the legacy path
+  const workload::TrafficClass* traffic = nullptr;  ///< null for paper elephants
   int side = 0;
-  int cls = -1;  ///< index into WorkloadSpec::classes; -1 in the legacy path
+  int cls = -1;  ///< index into WorkloadSpec::classes; -1 for paper elephants
   workload::ClassKind kind = workload::ClassKind::kElephant;
   std::uint64_t transfer_bytes = 0;  ///< 0 = unbounded
   sim::Time start_time = sim::Time::zero();
   sim::Rng app_rng{1};  ///< on/off think-time and burst-size stream
 };
 
-/// Instantiates every flow of an experiment cell from its WorkloadSpec.
-///
-/// Two construction paths:
-///  - Default (empty) workload: byte-for-byte the historical two-sender
-///    elephant setup — same object construction order and the same draws, in
-///    the same order, from the shared cell RNG, so the golden-digest
-///    determinism tests hold across the refactor.
+/// Instantiates every flow of an experiment cell. spawn() is the only code
+/// that wires a sender, a receiver and a CCA together; the two builders differ
+/// only in where each flow's side, start time and seeds come from:
+///  - Paper default (empty workload): build_paper() splits the cell's flows
+///    across the two senders and draws each flow's CCA seed, then its start
+///    time, from the shared cell RNG, in the order the golden digests pin.
+///    These flows carry no traffic class and emit no kFlowStart record.
 ///  - Non-default workload: each traffic class draws arrivals, sizes, and
 ///    per-flow CCA seeds from its own RNG sub-stream (sim::derive_seed of the
 ///    cell seed and the class index), so adding or editing one class never
@@ -105,11 +105,12 @@ class FlowFactory {
   void load(sim::SnapshotReader& r);
 
  private:
-  void build_legacy(sim::Rng& cell_rng);
-  void build_workload();
+  void build_paper(sim::Rng& cell_rng);
   void build_class(int ci, const workload::TrafficClass& tc);
-  FlowInstance& spawn(int ci, const workload::TrafficClass& tc, int side, sim::Time start,
-                      std::uint64_t bytes, std::uint64_t cca_seed, std::uint64_t app_seed);
+  /// Build and start one flow. `ci` < 0 is a paper elephant: the side's CCA
+  /// from the pair, no class fields, and `bytes`/`app_seed` unused.
+  FlowInstance& spawn(int ci, int side, sim::Time start, std::uint64_t bytes,
+                      std::uint64_t cca_seed, std::uint64_t app_seed);
 
   /// Static callback thunks: a FlowInstance* is the whole closure.
   static void flow_complete_thunk(void* ctx);

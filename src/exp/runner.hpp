@@ -21,15 +21,15 @@ struct FlowResult {
   std::uint64_t rtos = 0;
   double srtt_ms = 0;
 
-  // Workload bookkeeping; defaults describe a legacy elephant.
-  std::string cls;                   ///< traffic-class name ("" in the legacy path)
+  // Workload bookkeeping; defaults describe a paper elephant.
+  std::string cls;                   ///< traffic-class name ("" for paper elephants)
   std::uint64_t transfer_bytes = 0;  ///< finite transfer size; 0 = unbounded
   bool completed = false;            ///< finite flow fully acknowledged
   double fct_s = 0;                  ///< flow-completion time; 0 if not completed
 };
 
 /// Per-traffic-class aggregate of one run; populated only for non-default
-/// workloads (the legacy elephant-only path reports no classes).
+/// workloads (the paper default reports no classes).
 struct ClassResult {
   std::string name;
   std::uint32_t flows = 0;      ///< instantiated

@@ -95,13 +95,12 @@ struct TrafficClass {
 
 /// The full traffic description of one experiment cell.
 ///
-/// An empty class list is the paper's elephant-only workload and runs the
-/// legacy hard-coded two-sender setup: flow construction order, RNG stream
-/// consumption, and therefore every packet timestamp stay bit-identical to
-/// pre-workload builds (guarded by the golden-digest tests). Non-empty specs
-/// instantiate flows through exp::FlowFactory with per-flow RNG sub-streams
-/// derived via sim::derive_seed, so adding a class never perturbs another
-/// class's randomness.
+/// An empty class list is the paper's elephant-only workload: its flows draw
+/// their seeds and start times from the shared cell RNG, so every packet
+/// timestamp stays bit-identical to pre-workload builds (guarded by the
+/// golden-digest tests). Non-empty specs draw per-flow RNG sub-streams via
+/// sim::derive_seed, so adding a class never perturbs another class's
+/// randomness. exp::FlowFactory builds both.
 struct WorkloadSpec {
   std::vector<TrafficClass> classes;
 
