@@ -9,12 +9,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
+#include <string>
 #include <vector>
 
-#include "metrics/flow_monitor.hpp"
-#include "net/topology.hpp"
-#include "sim/random.hpp"
+#include "exp/cell.hpp"
 
 int main(int argc, char** argv) {
   using namespace elephant;
@@ -26,50 +24,74 @@ int main(int argc, char** argv) {
   for (int i = 4; i < argc; ++i) kinds.push_back(cca::cca_kind_from_string(argv[i]));
   if (kinds.empty()) kinds = {cca::CcaKind::kBbrV1, cca::CcaKind::kCubic};
 
-  sim::Scheduler sched;
-  sim::Rng rng(99);
-  net::DumbbellConfig topo;
-  topo.bottleneck_bps = mbps * 1e6;
-  topo.bottleneck_buffer_bytes =
-      static_cast<std::size_t>(2.0 * topo.bottleneck_bps * 0.062 / 8.0);
-  net::Dumbbell net(sched, topo);
-
-  std::vector<std::unique_ptr<tcp::Flow>> flows;
-  metrics::FlowMonitor monitor;
+  // One single-flow elephant class per CCA, alternating sides, each started
+  // within the first 200 ms.
+  exp::ExperimentConfig cfg;
+  cfg.aqm = aqm::AqmKind::kFifo;
+  cfg.buffer_bdp = 2.0;
+  cfg.bottleneck_bps = mbps * 1e6;
+  cfg.duration = sim::Time::seconds(seconds);
+  cfg.seed = 99;
   for (std::size_t i = 0; i < kinds.size(); ++i) {
-    tcp::FlowConfig fc;
-    fc.id = static_cast<net::FlowId>(i + 1);
-    fc.cca = kinds[i];
-    fc.seed = rng.next_u64();
-    fc.start_time = sim::Time::seconds(0.2 * rng.next_double());
-    const int side = static_cast<int>(i % 2);
-    flows.push_back(std::make_unique<tcp::Flow>(sched, net.client(side), net.server(side), fc));
-    monitor.watch(*flows.back());
-    flows.back()->start();
+    workload::TrafficClass tc;
+    tc.name = cca::to_string(kinds[i]);
+    tc.cca = kinds[i];
+    tc.count = 1;
+    tc.side = static_cast<int>(i % 2);
+    tc.start_window = sim::Time::milliseconds(200);
+    cfg.workload.classes.push_back(tc);
   }
+  exp::Cell cell(cfg);
+  const exp::FlowFactory& flows = cell.flows();
+
+  struct Sample {
+    double t_s, cwnd, pipe, srtt_ms, pacing_bps, goodput_bps;
+    std::uint64_t retx_units, rtos;
+  };
+  std::vector<std::vector<Sample>> samples(flows.size());
+  std::vector<double> last_bytes(flows.size(), 0.0);
 
   std::printf("Tracing %zu flows over %.0f Mb/s FIFO (2 BDP) for %.0f s...\n", kinds.size(),
               mbps, seconds);
   // Sample once per simulated second between scheduler calls.
-  const sim::Time end = sim::Time::seconds(seconds);
+  const sim::Time end = cell.duration();
   for (sim::Time t = sim::Time::seconds(1); t <= end; t += sim::Time::seconds(1)) {
-    sched.run_until(t);
-    monitor.sample(t);
+    cell.run_chunk(0, t);
+    for (std::size_t i = 0; i < flows.size(); ++i) {
+      const tcp::TcpSender& tx = *flows.flow(i).sender;
+      const auto bytes = static_cast<double>(flows.flow(i).receiver->delivered_bytes());
+      samples[i].push_back({t.sec(), tx.cc().cwnd_segments(), tx.pipe_segments(),
+                            tx.rtt().srtt().ms(), tx.cc().pacing_rate_bps(),
+                            (bytes - last_bytes[i]) * 8.0, tx.stats().retx_units,
+                            tx.stats().rtos});
+      last_bytes[i] = bytes;
+    }
   }
-  sched.run_until(end);
+  cell.run_chunk(0, end);
 
   std::ofstream out(out_path);
-  monitor.write_csv(out);
+  out << "label,flow,t_s,cwnd_segments,pipe_segments,srtt_ms,pacing_bps,goodput_bps,"
+         "retx_units,rtos\n";
+  std::vector<std::string> labels;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const tcp::TcpSender& tx = *flows.flow(i).sender;
+    labels.push_back(tx.cc().name() + "-" + std::to_string(tx.config().flow));
+    for (const Sample& s : samples[i]) {
+      out << labels[i] << ',' << tx.config().flow << ',' << s.t_s << ',' << s.cwnd << ','
+          << s.pipe << ',' << s.srtt_ms << ',' << s.pacing_bps << ',' << s.goodput_bps << ','
+          << s.retx_units << ',' << s.rtos << '\n';
+    }
+  }
   std::printf("Wrote %s (%zu samples per flow)\n", out_path,
-              monitor.series().empty() ? 0 : monitor.series()[0].samples.size());
+              samples.empty() ? 0 : samples[0].size());
 
-  for (const auto& s : monitor.series()) {
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    if (samples[i].empty()) continue;
     double sum = 0;
-    for (const auto& p : s.samples) sum += p.goodput_bps;
+    for (const Sample& s : samples[i]) sum += s.goodput_bps;
     std::printf("  %-10s avg %8.2f Mb/s, final cwnd %7.0f segs, %llu retx\n",
-                s.label.c_str(), sum / s.samples.size() / 1e6,
-                s.samples.back().cwnd_segments,
-                static_cast<unsigned long long>(s.samples.back().retx_units));
+                labels[i].c_str(), sum / samples[i].size() / 1e6, samples[i].back().cwnd,
+                static_cast<unsigned long long>(samples[i].back().retx_units));
   }
   return 0;
 }

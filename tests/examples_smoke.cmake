@@ -1,0 +1,45 @@
+# The examples run end to end: quickstart, cca_trace and elephant_transfer
+# each simulate a few seconds at 50-100 Mb/s and must exit 0. cca_trace must
+# write its CSV header plus one row per flow per simulated second, and
+# elephant_transfer one table row per second.
+#
+#   cmake -DEXAMPLES=<dir holding the example binaries> -DWORKDIR=<scratch dir> \
+#         -P examples_smoke.cmake
+file(REMOVE_RECURSE "${WORKDIR}")
+file(MAKE_DIRECTORY "${WORKDIR}")
+
+function(expect_ok out_var)
+  execute_process(COMMAND ${ARGN} WORKING_DIRECTORY "${WORKDIR}"
+                  RESULT_VARIABLE got OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT got STREQUAL "0")
+    message(FATAL_ERROR "${ARGN}: exit ${got}, want 0\n${out}${err}")
+  endif()
+  set(${out_var} "${out}" PARENT_SCOPE)
+endfunction()
+
+expect_ok(out "${EXAMPLES}/quickstart" bbr1 cubic fifo 2 0.1 2)
+
+set(csv "${WORKDIR}/cca_trace.csv")
+expect_ok(out "${EXAMPLES}/cca_trace" "${csv}" 50 3 bbr1 cubic)
+file(STRINGS "${csv}" rows)
+list(POP_FRONT rows header)
+if(NOT header MATCHES "^label,flow,t_s,cwnd_segments,")
+  message(FATAL_ERROR "cca_trace: unexpected CSV header '${header}'")
+endif()
+set(seen "")
+foreach(row IN LISTS rows)
+  string(REPLACE "," ";" fields "${row}")
+  list(GET fields 1 flow)
+  list(GET fields 2 t)
+  string(APPEND seen "${flow}@${t} ")
+endforeach()
+if(NOT seen STREQUAL "1@1 1@2 1@3 2@1 2@2 2@3 ")
+  message(FATAL_ERROR "cca_trace: rows are '${seen}', want one per flow per second")
+endif()
+
+expect_ok(out "${EXAMPLES}/elephant_transfer" bbr2 cubic 0.1 3)
+string(REGEX MATCHALL "\n +[0-9]+ +[0-9.]+ +[0-9.]+" table "${out}")
+list(LENGTH table n)
+if(NOT n EQUAL 3)
+  message(FATAL_ERROR "elephant_transfer: ${n} per-second rows, want 3\n${out}")
+endif()

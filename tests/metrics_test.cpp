@@ -3,8 +3,6 @@
 #include <array>
 
 #include "metrics/fairness.hpp"
-#include "metrics/timeseries.hpp"
-#include "sim/scheduler.hpp"
 
 namespace elephant::metrics {
 namespace {
@@ -60,52 +58,6 @@ TEST(Utilization, HalfLink) {
 TEST(Utilization, ZeroBandwidthGuard) {
   const std::array<double, 1> flows = {5e8};
   EXPECT_DOUBLE_EQ(link_utilization(flows, 0), 0.0);
-}
-
-/// Drive `ts` the way callers do: run the scheduler to each whole second up
-/// to `seconds`, sampling between calls, then run out the remainder.
-void run_sampled(sim::Scheduler& sched, TimeSeries& ts, double seconds) {
-  const sim::Time end = sim::Time::seconds(seconds);
-  for (sim::Time t = sim::Time::seconds(1); t <= end; t += sim::Time::seconds(1)) {
-    sched.run_until(t);
-    ts.sample(t);
-  }
-  sched.run_until(end);
-}
-
-TEST(TimeSeries, SamplesAtInterval) {
-  sim::Scheduler sched;
-  double counter = 0;
-  TimeSeries ts([&] { return counter; });
-  sched.schedule_at(sim::Time::seconds(0.5), [&] { counter = 10; });
-  sched.schedule_at(sim::Time::seconds(1.5), [&] { counter = 30; });
-  run_sampled(sched, ts, 3.5);
-  ASSERT_EQ(ts.points().size(), 3u);
-  EXPECT_DOUBLE_EQ(ts.points()[0].value, 10);
-  EXPECT_DOUBLE_EQ(ts.points()[1].value, 30);
-  EXPECT_DOUBLE_EQ(ts.points()[2].value, 30);
-  EXPECT_EQ(ts.points()[0].t, sim::Time::seconds(1.0));
-}
-
-TEST(TimeSeries, DeltasDifference) {
-  sim::Scheduler sched;
-  double counter = 0;
-  TimeSeries ts([&] { return counter += 5; });
-  run_sampled(sched, ts, 3.5);
-  const auto d = ts.deltas();
-  ASSERT_EQ(d.size(), 3u);
-  EXPECT_DOUBLE_EQ(d[0].value, 5);
-  EXPECT_DOUBLE_EQ(d[1].value, 5);
-  EXPECT_DOUBLE_EQ(d[2].value, 5);
-}
-
-TEST(TimeSeries, UnboundedByDefault) {
-  sim::Scheduler sched;
-  TimeSeries ts([] { return 1.0; });
-  run_sampled(sched, ts, 100.5);
-  EXPECT_EQ(ts.points().size(), 100u);
-  // Sampling adds no scheduler event.
-  EXPECT_EQ(sched.executed_events(), 0u);
 }
 
 }  // namespace
