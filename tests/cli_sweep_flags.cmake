@@ -1,11 +1,13 @@
-# `elephant sweep` must refuse a lease that is not a number > 0, and --resume
-# without a manifest to resume from, with exit status 2; a valid manifest
-# sweep still runs. `run` and `sweep` both refuse a --reps or ELEPHANT_REPS
-# that is not an integer >= 1 with exit status 2. A sweep without --manifest
-# journals to $ELEPHANT_RESULTS_DIR/runs.jsonl and resumes from it.
+# `elephant sweep` must refuse a lease that is not a number > 0, a pool,
+# retry or budget flag that is not a number in its range (an integer where a
+# count is meant), and --resume without a manifest to resume from, with exit
+# status 2; a valid manifest sweep still runs. `run` and `sweep` both refuse a
+# --reps or ELEPHANT_REPS that is not an integer >= 1 with exit status 2. A
+# sweep without --manifest journals to $ELEPHANT_RESULTS_DIR/runs.jsonl and
+# resumes from it.
 #
 #   cmake -DELEPHANT=<path to elephant> -DWORKDIR=<scratch dir> -P cli_sweep_flags.cmake
-set(sweep sweep --pairs intra --bw 100e6 --duration 0.2)
+set(sweep sweep --pairs intra --bw 100e6 --duration 1)
 set(ENV{ELEPHANT_RESULTS_DIR} "${WORKDIR}/results")
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
@@ -29,9 +31,16 @@ expect_exit(2 ${manifest} --lease-s -1)
 expect_exit(2 ${manifest} --lease-s abc)
 expect_exit(2 ${manifest} --lease-s 5x)
 expect_exit(2 --resume)
+expect_exit(2 ${manifest} --threads 1.5)
+expect_exit(2 ${manifest} --threads -1)
+expect_exit(2 ${manifest} --retries x)
+expect_exit(2 ${manifest} --event-budget 1e3)
+expect_exit(2 ${manifest} --wall-budget -1)
+expect_exit(2 ${manifest} --backoff -1)
+expect_exit(2 ${manifest} --stats-interval abc)
 expect_exit(0 ${manifest} --lease-s 5)
 
-set(run run --bw 100e6 --duration 0.2)
+set(run run --bw 100e6 --duration 1)
 foreach(bad 0 -1 abc 1.5 2x "")
   expect_exit(2 ${manifest} --reps "${bad}")
   expect_cmd_exit(2 ${run} --reps "${bad}")
