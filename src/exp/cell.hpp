@@ -67,6 +67,8 @@ class Cell {
   /// under the config's watchdog budgets (throwing RunTimeout on a budget
   /// stop) and finalize. Attached observers (episode probe, queue-depth
   /// tracing) sample between scheduler calls, never from inside the queue.
+  /// With cfg.check_invariants, a run in which no flow delivered a byte
+  /// throws InvariantViolation.
   ExperimentResult run_to_completion();
 
   /// Aggregate results and (when configured) check invariants against the

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "exp/cell.hpp"
+#include "exp/status.hpp"
 #include "test_util.hpp"
 
 namespace elephant::exp {
@@ -155,6 +157,32 @@ TEST(Runner, ThroughputWindowExcludesStaggeredStart) {
     const double window = dur - f.start_s;
     EXPECT_GT(window, 0.0);
   }
+}
+
+TEST(Runner, DeadCellFailsInvariants) {
+  // A buffer below one packet drops every data packet, so no flow delivers
+  // a byte. With every rate at 0 Jain's index reads 1.0; the invariant
+  // checker refuses the run instead of letting it average in as fair.
+  auto cfg = test::quick_config(CcaKind::kCubic, CcaKind::kCubic, aqm::AqmKind::kFifo, 2.0,
+                                100e6, 3);
+  cfg.buffer_bdp = 1000.0 / cfg.bdp_bytes();
+  ASSERT_LT(cfg.buffer_bytes(), cfg.mss);
+  EXPECT_THROW((void)run_experiment(cfg), InvariantViolation);
+
+  cfg.check_invariants = false;
+  const ExperimentResult res = run_experiment(cfg);
+  EXPECT_EQ(res.sender_bps[0] + res.sender_bps[1], 0.0);
+  EXPECT_DOUBLE_EQ(res.jain2, 1.0);
+}
+
+TEST(Runner, FinalizeBeforeFirstDeliveryIsNotDead) {
+  // The model checker finalizes at horizons that can end before the first
+  // delivery; only a full run is held to the delivered-bytes check.
+  const auto cfg = test::quick_config(CcaKind::kCubic, CcaKind::kCubic, aqm::AqmKind::kFifo,
+                                      2.0, 100e6, 3);
+  Cell cell(cfg);
+  cell.run_chunk(0, sim::Time::milliseconds(10));
+  EXPECT_NO_THROW((void)cell.finalize());
 }
 
 }  // namespace
