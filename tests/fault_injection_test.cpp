@@ -27,6 +27,18 @@ TEST(FaultPlan, SignatureIsStableAndSensitive) {
   EXPECT_NE(a.signature(), c.signature());
   EXPECT_EQ(FaultPlan{}.signature(), "");
   EXPECT_EQ(a.signature().size(), 16u);
+  // Signatures are journal keys that `--resume` matches, so their exact text
+  // is pinned, not just their (in)equality.
+  EXPECT_EQ(a.signature(), "d688058d73cc189c");
+  FaultPlan mixed = FaultPlan::degrade(sim::Time::seconds(2), 0.35, sim::Time::seconds(3));
+  for (const FaultEvent& e :
+       FaultPlan::loss_burst(sim::Time::milliseconds(7500), 0.125).events) {
+    mixed.add(e);
+  }
+  mixed.add(FaultPlan::jitter_spike(sim::Time::seconds(9), sim::Time::microseconds(250),
+                                    sim::Time::seconds(1))
+                .events.front());
+  EXPECT_EQ(mixed.signature(), "32ac2b61bd8f303b");
 }
 
 TEST(FaultPlan, LinkFlapBuilderSpacesCycles) {

@@ -197,6 +197,11 @@ TEST(Workload, EmpiricalSignatureHashesThePointTable) {
   EXPECT_NE(a.signature(), b.signature());
   const SizeSpec c = SizeSpec::empirical({{0.5, 1000.0}, {1.0, 5000.0}});
   EXPECT_EQ(a.signature(), c.signature());
+  // A journal key that `--resume` matches: the exact text is pinned.
+  EXPECT_EQ(a.signature(), "emp2:919f3f85bf80480d");
+  EXPECT_EQ(SizeSpec::empirical({{0.1, 1460.0}, {0.6, 64e3}, {0.95, 1.5e6}, {1.0, 2.5e7}})
+                .signature(),
+            "emp4:e7506ec042e7b13e");
 }
 
 TEST(Workload, ToStringCoversAllEnumerators) {
