@@ -1,28 +1,23 @@
 #include "exp/result_digest.hpp"
 
+#include <bit>
 #include <cstdio>
-#include <cstring>
 
-#include "trace/sinks.hpp"
+#include "sim/snapshot.hpp"
 
 namespace elephant::exp {
 
 namespace {
 
-std::uint64_t bits(double d) {
-  std::uint64_t u;
-  static_assert(sizeof(u) == sizeof(d));
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
+std::uint64_t bits(double d) { return std::bit_cast<std::uint64_t>(d); }
 
 }  // namespace
 
 std::uint64_t metrics_digest(const ExperimentResult& res) {
   // Field order is part of the contract: the golden digests in
   // tests/determinism_digest_test.cpp were captured with exactly this fold.
-  std::uint64_t h = 14695981039346656037ull;  // FNV-1a offset basis
-  auto fold = trace::DigestSink::fold;
+  std::uint64_t h = sim::kFnvOffset;
+  auto fold = sim::fnv1a_fold;
   h = fold(h, bits(res.sender_bps[0]));
   h = fold(h, bits(res.sender_bps[1]));
   h = fold(h, bits(res.jain2));

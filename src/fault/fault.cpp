@@ -1,5 +1,6 @@
 #include "fault/fault.hpp"
 
+#include <bit>
 #include <cassert>
 #include <cstdio>
 
@@ -16,22 +17,6 @@ constexpr const char* kKindNames[kFaultKindCount] = {
     "link_down", "rate_scale", "loss_burst", "reorder", "duplicate", "jitter",
 };
 
-/// FNV-1a over the event fields; stable across platforms so run ids are.
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (i * 8)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t bits(double d) {
-  std::uint64_t u;
-  static_assert(sizeof(u) == sizeof(d));
-  __builtin_memcpy(&u, &d, sizeof(u));
-  return u;
-}
-
 }  // namespace
 
 const char* to_string(FaultKind kind) {
@@ -42,13 +27,14 @@ const char* to_string(FaultKind kind) {
 
 std::string FaultPlan::signature() const {
   if (events.empty()) return "";
-  std::uint64_t h = 14695981039346656037ull;
+  // FNV-1a over the event fields; stable across platforms so run ids are.
+  std::uint64_t h = sim::kFnvOffset;
   for (const FaultEvent& e : events) {
-    h = fnv1a(h, static_cast<std::uint64_t>(e.at.ns()));
-    h = fnv1a(h, static_cast<std::uint64_t>(e.kind));
-    h = fnv1a(h, bits(e.value));
-    h = fnv1a(h, static_cast<std::uint64_t>(e.duration.ns()));
-    h = fnv1a(h, static_cast<std::uint64_t>(e.delay.ns()));
+    h = sim::fnv1a_fold(h, static_cast<std::uint64_t>(e.at.ns()));
+    h = sim::fnv1a_fold(h, static_cast<std::uint64_t>(e.kind));
+    h = sim::fnv1a_fold(h, std::bit_cast<std::uint64_t>(e.value));
+    h = sim::fnv1a_fold(h, static_cast<std::uint64_t>(e.duration.ns()));
+    h = sim::fnv1a_fold(h, static_cast<std::uint64_t>(e.delay.ns()));
   }
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));

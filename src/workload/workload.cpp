@@ -1,10 +1,13 @@
 #include "workload/workload.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+
+#include "sim/snapshot.hpp"
 
 namespace elephant::workload {
 
@@ -175,18 +178,10 @@ std::string SizeSpec::signature() const {
     case SizeDist::kEmpirical: {
       // FNV-1a over the point table: two empirical specs collide only if the
       // tables are identical.
-      std::uint64_t h = 14695981039346656037ull;
-      auto fold = [&h](double d) {
-        std::uint64_t u = 0;
-        __builtin_memcpy(&u, &d, sizeof(u));
-        for (int i = 0; i < 8; ++i) {
-          h ^= (u >> (8 * i)) & 0xff;
-          h *= 1099511628211ull;
-        }
-      };
+      std::uint64_t h = sim::kFnvOffset;
       for (const auto& [p, b] : cdf) {
-        fold(p);
-        fold(b);
+        h = sim::fnv1a_fold(h, std::bit_cast<std::uint64_t>(p));
+        h = sim::fnv1a_fold(h, std::bit_cast<std::uint64_t>(b));
       }
       std::snprintf(buf, sizeof(buf), "emp%zu:%016llx", cdf.size(),
                     static_cast<unsigned long long>(h));
