@@ -7,15 +7,12 @@
 //
 // Build & run:
 //   cmake -B build && cmake --build build
-//   ./build/examples/trace_replay [cca1] [cca2] [aqm] [out.csv|out.jsonl]
+//   ./build/examples/trace_replay [cca1] [cca2] [aqm] [out.csv]
 //
-// The extension picks the codec: .jsonl writes JSON lines, anything else CSV.
+// The output is CSV (t_ns,type,flow,seq,v0,v1,v2); tools/trace2csv filters it.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <memory>
 #include <string>
 
 #include "exp/config.hpp"
@@ -44,18 +41,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s for writing\n", out_path.c_str());
     return 1;
   }
-  const bool jsonl = out_path.size() > 6 && out_path.rfind(".jsonl") == out_path.size() - 6;
-  std::unique_ptr<trace::TraceSink> sink;
-  if (jsonl) {
-    sink = std::make_unique<trace::JsonlSink>(out);
-  } else {
-    sink = std::make_unique<trace::CsvSink>(out);
-  }
-  trace::Tracer tracer(*sink);
+  trace::CsvSink sink(out);
+  trace::Tracer tracer(sink);
   cfg.tracer = &tracer;
 
-  std::printf("Tracing: %s -> %s (%s)\n", cfg.label().c_str(), out_path.c_str(),
-              jsonl ? "jsonl" : "csv");
+  std::printf("Tracing: %s -> %s\n", cfg.label().c_str(), out_path.c_str());
   const exp::ExperimentResult res = exp::run_experiment(cfg);
 
   std::printf("  sender1 (%s): %8.2f Mb/s\n", cca::to_string(cfg.cca1).c_str(),

@@ -322,23 +322,17 @@ Cell::Cell(const ExperimentConfig& cfg)
   // touch the registry. The bundles live on the cell for the whole run.
   if (cfg_.metrics != nullptr) {
     obs::MetricsRegistry& reg = *cfg_.metrics;
-    sched_metrics_.events_executed =
-        &reg.gauge("sim.events_executed", "Events executed by the cell scheduler");
+    sched_metrics_.events_executed = &reg.gauge("sim.events_executed");
     sched_metrics_.heap_depth = &reg.gauge("sim.heap_depth");
-    sched_metrics_.heap_peak =
-        &reg.gauge("sim.heap_peak", "High-water mark of the event heap");
-    sched_metrics_.run_wall_s = &reg.histogram(
-        "prof.sched_run_s", "Wall seconds per scheduler run_until call");
+    sched_metrics_.heap_peak = &reg.gauge("sim.heap_peak");
+    sched_metrics_.run_wall_s = &reg.histogram("prof.sched_run_s");
     sched_.set_metrics(&sched_metrics_);
-    queue_metrics_.sojourn_s = &reg.histogram(
-        "queue.sojourn_s", "Bottleneck queueing delay per dequeued packet");
+    queue_metrics_.sojourn_s = &reg.histogram("queue.sojourn_s");
     net_->bottleneck().set_metrics(&queue_metrics_);
     tcp_metrics_.cwnd_segments = &reg.gauge("tcp.cwnd_segments");
     tcp_metrics_.srtt_s = &reg.histogram("tcp.srtt_s");
-    prof_run_s_ = &reg.histogram("prof.cell_run_s",
-                                 "Wall seconds in the cell's event loop");
-    prof_finalize_s_ = &reg.histogram(
-        "prof.cell_finalize_s", "Wall seconds aggregating and checking results");
+    prof_run_s_ = &reg.histogram("prof.cell_run_s");
+    prof_finalize_s_ = &reg.histogram("prof.cell_finalize_s");
   }
 
   // All flows — paper elephants or a full WorkloadSpec mix — come from the
@@ -358,12 +352,10 @@ Cell::Cell(const ExperimentConfig& cfg)
   sched_.set_choice_hook(cfg_.choice_hook);
 
   if (cfg_.metrics != nullptr) {
-    cfg_.metrics
-        ->histogram("prof.cell_setup_s",
-                    "Wall seconds constructing topology, faults, and flows")
-        .record(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              wall_start_)
-                    .count());
+    cfg_.metrics->histogram("prof.cell_setup_s")
+        .record(
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start_)
+                .count());
   }
 }
 
@@ -465,10 +457,7 @@ ExperimentResult Cell::finalize() {
   if (probe_) {
     res.episodes = probe_->episodes();
     if (cfg_.metrics != nullptr) {
-      cfg_.metrics
-          ->counter("episodes.count",
-                    "Fairness episodes detected across runs")
-          .add(res.episodes.size());
+      cfg_.metrics->counter("episodes.count").add(res.episodes.size());
       for (const obs::Episode& e : res.episodes) {
         cfg_.metrics->histogram("episodes.worst_jain").record(e.worst_jain);
         cfg_.metrics->histogram("episodes.duration_s").record(e.end_s - e.start_s);

@@ -3,23 +3,26 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <stdexcept>
+#include <string_view>
+
+#include "obs/json.hpp"
 
 namespace elephant::exp {
 
-namespace {
-
 double duration_scale() {
   static const double scale = [] {
-    if (const char* env = std::getenv("ELEPHANT_DURATION_SCALE")) {
-      const double v = std::atof(env);
-      if (v > 0) return v;
+    const char* env = std::getenv("ELEPHANT_DURATION_SCALE");
+    if (env == nullptr) return 1.0;
+    double v = 0;
+    if (!obs::json::scan_number(std::string_view(env), &v) || !std::isfinite(v) || v <= 0) {
+      throw std::invalid_argument(std::string("ELEPHANT_DURATION_SCALE='") + env +
+                                  "' is not a finite positive number");
     }
-    return 1.0;
+    return v;
   }();
   return scale;
 }
-
-}  // namespace
 
 std::uint32_t ExperimentConfig::paper_flows_for(double bps) {
   if (bps <= 100e6) return 2;

@@ -128,6 +128,11 @@ struct ExperimentConfig {
   [[nodiscard]] std::string label() const;
 };
 
+/// Run-length multiplier for default durations: the ELEPHANT_DURATION_SCALE
+/// env var, default 1. Throws std::invalid_argument when it is set but not a
+/// finite positive number.
+[[nodiscard]] double duration_scale();
+
 /// Short bandwidth label ("100M", "25G").
 [[nodiscard]] std::string bw_label(double bps);
 

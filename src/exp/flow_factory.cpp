@@ -2,20 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 #include "trace/trace.hpp"
 
 namespace elephant::exp {
 
 namespace {
-
-/// Exponential with the given mean; u ∈ [0, 1) so 1−u ∈ (0, 1] keeps the log
-/// finite. Mean 0 (or negative) degenerates to 0.
-double exponential(sim::Rng& rng, double mean) {
-  if (!(mean > 0)) return 0;
-  return -mean * std::log(1.0 - rng.next_double());
-}
 
 /// Hard cap on instantiated flows per run: an over-eager Poisson rate should
 /// degrade into a truncated arrival sequence, not an out-of-memory kill.
@@ -82,7 +74,7 @@ void FlowFactory::build_class(int ci, const workload::TrafficClass& tc) {
     sim::Time t = tc.start_offset;
     for (std::uint32_t fi = 0; flows_.size() < kMaxFlows; ++fi) {
       if (tc.count != 0 && fi >= tc.count) break;
-      t += sim::Time::seconds(exponential(class_rng, 1.0 / tc.arrival_rate_hz));
+      t += sim::Time::seconds(class_rng.next_exponential(1.0 / tc.arrival_rate_hz));
       if (t >= duration) break;
       const std::uint64_t bytes =
           tc.kind == ClassKind::kElephant ? 0 : tc.size.sample(class_rng);
@@ -232,7 +224,7 @@ void FlowFactory::flow_complete_thunk(void* ctx) {
 void FlowFactory::app_idle_thunk(void* ctx) {
   auto* f = static_cast<FlowInstance*>(ctx);
   const workload::TrafficClass& tc = *f->traffic;
-  const sim::Time think = sim::Time::seconds(exponential(f->app_rng, tc.off_mean.sec()));
+  const sim::Time think = sim::Time::seconds(f->app_rng.next_exponential(tc.off_mean.sec()));
   // The one-pointer capture stays inside the scheduler callback's inline
   // buffer.
   f->owner->sched_.schedule_in(think, [f] {

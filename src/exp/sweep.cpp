@@ -49,11 +49,6 @@ std::vector<ExperimentConfig> make_matrix(
   return out;
 }
 
-std::vector<ExperimentConfig> paper_matrix(std::uint64_t seed) {
-  return make_matrix(paper_cca_pairs(), paper_aqms(), paper_buffer_bdps(), paper_bandwidths(),
-                     seed);
-}
-
 std::size_t SweepReport::count(RunStatus s) const {
   std::size_t n = 0;
   for (const RunRecord& r : records) {
@@ -330,10 +325,7 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
     RunRecord rec = run_one(runs[k], options, local ? &*local : nullptr);
     rec.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
     if (local) {
-      local
-          ->histogram("sweep.cell_wall_s",
-                      "Wall seconds per sweep run (all attempts, this worker)")
-          .record(rec.wall_s);
+      local->histogram("sweep.cell_wall_s").record(rec.wall_s);
       reg->merge_from(*local);
       if (rec.attempts > 1) reg->counter("sweep.retries").add(rec.attempts - 1);
       if (!rec.success()) reg->counter("sweep.cells_failed").add(1);

@@ -24,9 +24,6 @@ namespace elephant::exp {
     const std::vector<aqm::AqmKind>& aqms, const std::vector<double>& buffer_bdps,
     const std::vector<double>& bandwidths, std::uint64_t seed = 42);
 
-/// The full paper matrix (9 pairs × 3 AQMs × 6 buffers × 5 bandwidths).
-[[nodiscard]] std::vector<ExperimentConfig> paper_matrix(std::uint64_t seed = 42);
-
 /// Outcome of one sweep cell: the fold of its `repetitions` runs. `result`
 /// is meaningful only when `succeeded(status)`; otherwise `error` carries the
 /// exception text of the worst run's final attempt.

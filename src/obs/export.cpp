@@ -1,6 +1,5 @@
 #include "obs/export.hpp"
 
-#include <cctype>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -9,19 +8,6 @@
 namespace elephant::obs {
 
 namespace {
-
-std::string prom_name(std::string_view name) {
-  std::string out;
-  out.reserve(name.size());
-  for (const char c : name) {
-    const bool ok = std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == ':';
-    out.push_back(ok ? c : '_');
-  }
-  if (!out.empty() && std::isdigit(static_cast<unsigned char>(out.front()))) {
-    out.insert(out.begin(), '_');
-  }
-  return out;
-}
 
 void append_double(double v, std::string* out) {
   if (!std::isfinite(v)) v = 0;  // JSON has no Inf/NaN literals
@@ -36,61 +22,7 @@ void append_u64(std::uint64_t v, std::string* out) {
   if (n > 0) out->append(buf, static_cast<std::size_t>(n));
 }
 
-// Exposition-format help escaping: only backslash and line feed are special
-// in a HELP line (text runs to end of line).
-void append_prom_help(std::string_view name, std::string_view help,
-                      std::string* out) {
-  if (help.empty()) return;
-  *out += "# HELP " + std::string(name) + ' ';
-  for (const char c : help) {
-    switch (c) {
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      default: out->push_back(c);
-    }
-  }
-  *out += '\n';
-}
-
 }  // namespace
-
-void write_prometheus(const MetricsRegistry& reg, std::string* out) {
-  std::lock_guard lock(reg.mutex());
-  reg.for_each_counter([&](const std::string& name, const Counter& c) {
-    const std::string n = prom_name(name);
-    append_prom_help(n, reg.help_text(name), out);
-    *out += "# TYPE " + n + " counter\n" + n + " ";
-    append_u64(c.value(), out);
-    *out += '\n';
-  });
-  reg.for_each_gauge([&](const std::string& name, const Gauge& g) {
-    const std::string n = prom_name(name);
-    append_prom_help(n, reg.help_text(name), out);
-    *out += "# TYPE " + n + " gauge\n" + n + " ";
-    append_double(g.value(), out);
-    *out += '\n';
-  });
-  reg.for_each_histogram([&](const std::string& name, const LogLinHistogram& h) {
-    const std::string n = prom_name(name);
-    append_prom_help(n, reg.help_text(name), out);
-    *out += "# TYPE " + n + " summary\n";
-    for (const auto& [q, label] :
-         {std::pair{0.5, "0.5"}, std::pair{0.95, "0.95"}, std::pair{0.99, "0.99"}}) {
-      *out += n + "{quantile=\"" + label + "\"} ";
-      append_double(h.quantile(q), out);
-      *out += '\n';
-    }
-    *out += n + "_sum ";
-    append_double(h.sum(), out);
-    *out += '\n' + n + "_count ";
-    append_u64(h.count(), out);
-    *out += '\n' + n + "_min ";
-    append_double(h.min(), out);
-    *out += '\n' + n + "_max ";
-    append_double(h.max(), out);
-    *out += '\n';
-  });
-}
 
 void append_json(const MetricsRegistry& reg, std::string* out, bool include_histograms) {
   std::lock_guard lock(reg.mutex());

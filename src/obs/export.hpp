@@ -7,12 +7,6 @@
 
 namespace elephant::obs {
 
-/// Append a Prometheus text-format snapshot of the registry: counters as
-/// `counter`, gauges as `gauge`, histograms as `summary` (p50/p95/p99 plus
-/// _sum/_count/_min/_max). Metric names are sanitized to [a-zA-Z0-9_:]
-/// (dots become underscores). Takes the registry mutex.
-void write_prometheus(const MetricsRegistry& reg, std::string* out);
-
 /// Append one JSON object (no trailing newline) with the registry contents:
 ///   {"counters":{...},"gauges":{...},"histograms":{"name":{"count":..,
 ///    "sum":..,"min":..,"max":..,"mean":..,"p50":..,"p95":..,"p99":..}}}

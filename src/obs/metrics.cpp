@@ -17,33 +17,8 @@ LogLinHistogram& MetricsRegistry::histogram(std::string_view name) {
   return histograms_.try_emplace(std::string(name)).first->second;
 }
 
-Counter& MetricsRegistry::counter(std::string_view name, std::string_view help) {
-  std::lock_guard lock(mu_);
-  if (!help.empty()) help_.try_emplace(std::string(name), std::string(help));
-  return counters_.try_emplace(std::string(name)).first->second;
-}
-
-Gauge& MetricsRegistry::gauge(std::string_view name, std::string_view help) {
-  std::lock_guard lock(mu_);
-  if (!help.empty()) help_.try_emplace(std::string(name), std::string(help));
-  return gauges_.try_emplace(std::string(name)).first->second;
-}
-
-LogLinHistogram& MetricsRegistry::histogram(std::string_view name,
-                                            std::string_view help) {
-  std::lock_guard lock(mu_);
-  if (!help.empty()) help_.try_emplace(std::string(name), std::string(help));
-  return histograms_.try_emplace(std::string(name)).first->second;
-}
-
-std::string_view MetricsRegistry::help_text(std::string_view name) const {
-  const auto it = help_.find(name);
-  return it != help_.end() ? std::string_view(it->second) : std::string_view();
-}
-
 void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   // The source is quiescent (contract), so only this registry needs locking.
-  // Registration helpers re-lock; collect the work first, then apply.
   std::scoped_lock lock(mu_);
   for (const auto& [name, c] : other.counters_) {
     counters_.try_emplace(name).first->second.add(c.value());
@@ -53,9 +28,6 @@ void MetricsRegistry::merge_from(const MetricsRegistry& other) {
   }
   for (const auto& [name, h] : other.histograms_) {
     histograms_.try_emplace(name).first->second.merge(h);
-  }
-  for (const auto& [name, help] : other.help_) {
-    help_.try_emplace(name, help);
   }
 }
 

@@ -45,7 +45,7 @@ class Gauge {
 /// Thread contract: Counter/Gauge updates are atomic and safe from any
 /// thread. Histogram writes are single-writer (one registry per running
 /// cell); writing a *shared* registry's histogram requires holding mutex(),
-/// which is also what merge_from() and the export writers take.
+/// which is also what merge_from() and the JSON writer take.
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -56,28 +56,16 @@ class MetricsRegistry {
   [[nodiscard]] Gauge& gauge(std::string_view name);
   [[nodiscard]] LogLinHistogram& histogram(std::string_view name);
 
-  /// Find-or-create with a one-line description attached on first sight —
-  /// the Prometheus writer emits it as `# HELP`. An empty help string, or a
-  /// name that already has one, leaves the stored text unchanged.
-  [[nodiscard]] Counter& counter(std::string_view name, std::string_view help);
-  [[nodiscard]] Gauge& gauge(std::string_view name, std::string_view help);
-  [[nodiscard]] LogLinHistogram& histogram(std::string_view name,
-                                           std::string_view help);
-
-  /// Description registered for `name`, or an empty view. Called with
-  /// mutex() held (the export writers) or after registration has quiesced.
-  [[nodiscard]] std::string_view help_text(std::string_view name) const;
-
   /// Fold another registry into this one: counters add, gauges take the
   /// source value, histograms merge bucket-wise. Locks this registry; the
   /// source must be quiescent (its run has finished).
   void merge_from(const MetricsRegistry& other);
 
   /// Guards histogram access on shared registries and is taken internally by
-  /// merge_from() and the writers in export.hpp.
+  /// merge_from() and append_json().
   [[nodiscard]] std::mutex& mutex() const { return mu_; }
 
-  /// Visitors used by the export writers; called with mutex() held.
+  /// Visitors used by the JSON writer; called with mutex() held.
   template <typename F>
   void for_each_counter(F&& f) const {
     for (const auto& [name, c] : counters_) f(name, c);
@@ -94,11 +82,10 @@ class MetricsRegistry {
  private:
   mutable std::mutex mu_;
   // std::map: node stability makes every returned reference permanent, and
-  // iteration order is deterministic for the exporters.
+  // iteration order is deterministic for the JSON writer.
   std::map<std::string, Counter, std::less<>> counters_;
   std::map<std::string, Gauge, std::less<>> gauges_;
   std::map<std::string, LogLinHistogram, std::less<>> histograms_;
-  std::map<std::string, std::string, std::less<>> help_;
 };
 
 /// RAII wall-clock timer: records elapsed seconds into a histogram on

@@ -56,14 +56,8 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
 }
 
 double Rng::next_exponential(double mean) {
-  // Avoid log(0) by nudging the uniform sample away from zero.
-  double u = next_double();
-  if (u <= 0.0) u = 0x1.0p-53;
-  return -mean * std::log(u);
-}
-
-Rng Rng::split() {
-  return Rng(next_u64() ^ 0xA5A5A5A55A5A5A5AULL);
+  if (!(mean > 0)) return 0;
+  return -mean * std::log(1.0 - next_double());
 }
 
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t stream_id) {

@@ -7,11 +7,11 @@
 
 namespace elephant::trace {
 
-/// Text encodings for trace records, shared by the file sinks (writers) and
-/// the trace2csv tool / round-trip tests (readers).
+/// The trace text encoding, shared by CsvSink (writer) and the trace2csv
+/// tool / round-trip tests (reader).
 ///
-/// Both encodings are lossless: time is emitted as integer nanoseconds and
-/// the value slots with max_digits10 precision, so parse(format(r)) == r.
+/// The encoding is lossless: time is emitted as integer nanoseconds and the
+/// value slots with max_digits10 precision, so parse_csv(append_csv(r)) == r.
 
 /// CSV column header (no trailing newline): t_ns,type,flow,seq,v0,v1,v2
 [[nodiscard]] std::string csv_header();
@@ -19,16 +19,8 @@ namespace elephant::trace {
 /// Append one record as a CSV row (with trailing '\n').
 void append_csv(const TraceRecord& r, std::string* out);
 
-/// Append one record as a JSON object line (with trailing '\n').
-void append_jsonl(const TraceRecord& r, std::string* out);
-
 /// Parse one CSV row. Returns false on the header row, blank lines, or
 /// malformed input: every numeric field must be consumed in full.
 [[nodiscard]] bool parse_csv(std::string_view line, TraceRecord* out);
-
-/// Parse one JSONL line as written by append_jsonl with the strict
-/// obs::json reader. Key order independent; returns false on malformed or
-/// torn input or unknown record types.
-[[nodiscard]] bool parse_jsonl(std::string_view line, TraceRecord* out);
 
 }  // namespace elephant::trace

@@ -28,19 +28,10 @@ bool record_type_from_string(std::string_view name, RecordType* out) {
   return false;
 }
 
-Tracer::Tracer(TraceSink& sink, std::size_t capacity, Overflow overflow)
-    : sink_(sink), ring_(capacity == 0 ? 1 : capacity), overflow_(overflow) {}
+Tracer::Tracer(TraceSink& sink, std::size_t capacity)
+    : sink_(sink), ring_(capacity == 0 ? 1 : capacity) {}
 
 Tracer::~Tracer() { flush(); }
-
-void Tracer::enable(RecordType type, bool on) {
-  const std::uint32_t bit = 1u << static_cast<unsigned>(type);
-  if (on) {
-    mask_ |= bit;
-  } else {
-    mask_ &= ~bit;
-  }
-}
 
 void Tracer::enable_only(std::initializer_list<RecordType> types) {
   mask_ = 0;
@@ -53,15 +44,7 @@ void Tracer::drain() {
 }
 
 void Tracer::flush() {
-  if (overflow_ == Overflow::kOverwrite && wrapped_) {
-    // Oldest surviving record sits at head_; emit the two spans in order.
-    sink_.write({ring_.data() + head_, ring_.size() - head_});
-    sink_.write({ring_.data(), head_});
-    wrapped_ = false;
-    head_ = 0;
-  } else {
-    drain();
-  }
+  drain();
   sink_.flush();
 }
 

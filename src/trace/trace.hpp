@@ -57,15 +57,8 @@ class TraceSink {
   virtual void flush() {}
 };
 
-/// What to do when the ring fills.
-enum class Overflow {
-  kDrain,      ///< hand the full ring to the sink and keep recording (tracing mode)
-  kOverwrite,  ///< overwrite the oldest records; flush() emits the last N
-               ///< in order (post-mortem flight-recorder mode)
-};
-
 /// The flight recorder: a fixed-capacity ring of typed records with a
-/// per-type enable mask.
+/// per-type enable mask. A full ring drains to the sink, so no record is lost.
 ///
 /// Instrumented components hold a `Tracer*` that is null by default, so the
 /// hot path cost when tracing is off is a single predictable branch. When
@@ -75,8 +68,7 @@ class Tracer {
  public:
   static constexpr std::size_t kDefaultCapacity = 4096;
 
-  explicit Tracer(TraceSink& sink, std::size_t capacity = kDefaultCapacity,
-                  Overflow overflow = Overflow::kDrain);
+  explicit Tracer(TraceSink& sink, std::size_t capacity = kDefaultCapacity);
   ~Tracer();
 
   Tracer(const Tracer&) = delete;
@@ -86,44 +78,28 @@ class Tracer {
     if (!(mask_ & (1u << static_cast<unsigned>(r.type)))) return;
     ring_[head_] = r;
     ++recorded_;
-    if (++head_ == ring_.size()) {
-      if (overflow_ == Overflow::kDrain) {
-        drain();
-      } else {
-        head_ = 0;
-        wrapped_ = true;
-      }
-    }
+    if (++head_ == ring_.size()) drain();
   }
 
   [[nodiscard]] bool enabled(RecordType type) const {
     return (mask_ & (1u << static_cast<unsigned>(type))) != 0;
   }
-  void enable(RecordType type, bool on);
   void enable_only(std::initializer_list<RecordType> types);
-  void enable_all() { mask_ = kAllMask; }
 
-  /// Drain buffered records to the sink (in chronological order for
-  /// kOverwrite) and flush the sink. Idempotent; called by the destructor.
+  /// Drain buffered records to the sink and flush the sink. Idempotent;
+  /// called by the destructor.
   void flush();
 
-  /// Records accepted by the mask since construction (including any that
-  /// were overwritten in kOverwrite mode).
+  /// Records accepted by the mask since construction.
   [[nodiscard]] std::uint64_t recorded() const { return recorded_; }
-  [[nodiscard]] std::size_t capacity() const { return ring_.size(); }
-  [[nodiscard]] Overflow overflow_policy() const { return overflow_; }
 
  private:
-  static constexpr std::uint32_t kAllMask = (1u << kRecordTypeCount) - 1;
-
   void drain();
 
   TraceSink& sink_;
   std::vector<TraceRecord> ring_;
   std::size_t head_ = 0;
-  bool wrapped_ = false;
-  Overflow overflow_;
-  std::uint32_t mask_ = kAllMask;
+  std::uint32_t mask_ = (1u << kRecordTypeCount) - 1;
   std::uint64_t recorded_ = 0;
 };
 

@@ -2,7 +2,8 @@
 # is not a number in its range (an integer where a count is meant), with exit
 # status 2 instead of silently running a different cell, and still run a
 # valid lossy cell. A cell whose buffer holds less than one packet delivers
-# nothing and fails the invariant checker with exit status 1.
+# nothing and fails the invariant checker with exit status 1. An
+# ELEPHANT_DURATION_SCALE that is not a finite number > 0 exits 2 at start-up.
 #
 #   cmake -DELEPHANT=<path to elephant> -DWORKDIR=<scratch dir> -P cli_loss_flags.cmake
 set(cell run --cca1 cubic --cca2 cubic --bw 10e6 --bdp 1 --duration 1)
@@ -43,5 +44,12 @@ expect_exit(2 --rtt 0)
 expect_exit(2 --episode-window 0)
 expect_exit(2 --episode-enter 1.5)
 expect_exit(2 --check-digest 1)
+set(ENV{ELEPHANT_DURATION_SCALE} abc)
+expect_exit(2)
+set(ENV{ELEPHANT_DURATION_SCALE} 0.01x)
+expect_exit(2)
+set(ENV{ELEPHANT_DURATION_SCALE} 0)
+expect_exit(2)
+unset(ENV{ELEPHANT_DURATION_SCALE})
 expect_exit(1 --bdp 0.001)
 expect_exit(0 --loss 0.01)

@@ -4,9 +4,11 @@
 # status 2; a valid manifest sweep still runs. `run` and `sweep` both refuse a
 # --reps or ELEPHANT_REPS that is not an integer >= 1 with exit status 2. A
 # sweep without --manifest journals to $ELEPHANT_RESULTS_DIR/runs.jsonl and
-# resumes from it.
+# resumes from it. chaos_sweep refuses a numeric flag that is not a number in
+# its range with exit status 2 before it starts a worker.
 #
-#   cmake -DELEPHANT=<path to elephant> -DWORKDIR=<scratch dir> -P cli_sweep_flags.cmake
+#   cmake -DELEPHANT=<path to elephant> -DCHAOS=<path to chaos_sweep> -DWORKDIR=<scratch dir> \
+#         -P cli_sweep_flags.cmake
 set(sweep sweep --pairs intra --bw 100e6 --duration 1)
 set(ENV{ELEPHANT_RESULTS_DIR} "${WORKDIR}/results")
 file(REMOVE_RECURSE "${WORKDIR}")
@@ -65,3 +67,13 @@ file(READ "${journal}" second)
 if(first STREQUAL "" OR NOT first STREQUAL second)
   message(FATAL_ERROR "default journal ${journal} missing or grew on a resumed sweep")
 endif()
+
+set(chaos --elephant "${ELEPHANT}" --workdir "${WORKDIR}/chaos")
+foreach(bad "--workers;0" "--workers;2x" "--kills;x" "--lease-s;0" "--duration;abc"
+            "--kill-interval-ms;-1" "--timeout-s;1e9x" "--seed;1.5")
+  execute_process(COMMAND ${CHAOS} ${chaos} ${bad}
+                  RESULT_VARIABLE got OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT got STREQUAL "2")
+    message(FATAL_ERROR "chaos_sweep ${bad}: exit ${got}, want 2\n${err}")
+  endif()
+endforeach()

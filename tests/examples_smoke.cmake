@@ -1,10 +1,12 @@
 # The examples run end to end: quickstart, cca_trace and elephant_transfer
 # each simulate a few seconds at 50-100 Mb/s and must exit 0. cca_trace must
 # write its CSV header plus one row per flow per simulated second, and
-# elephant_transfer one table row per second.
+# elephant_transfer one table row per second. trace_replay's CSV, piped
+# through trace2csv --type queue_depth, keeps the header and at least one
+# row; a trace2csv --flow that is not a flow id exits 2.
 #
-#   cmake -DEXAMPLES=<dir holding the example binaries> -DWORKDIR=<scratch dir> \
-#         -P examples_smoke.cmake
+#   cmake -DEXAMPLES=<dir holding the example binaries> -DTRACE2CSV=<path to trace2csv> \
+#         -DWORKDIR=<scratch dir> -P examples_smoke.cmake
 file(REMOVE_RECURSE "${WORKDIR}")
 file(MAKE_DIRECTORY "${WORKDIR}")
 
@@ -42,4 +44,18 @@ string(REGEX MATCHALL "\n +[0-9]+ +[0-9.]+ +[0-9.]+" table "${out}")
 list(LENGTH table n)
 if(NOT n EQUAL 3)
   message(FATAL_ERROR "elephant_transfer: ${n} per-second rows, want 3\n${out}")
+endif()
+
+set(trace "${WORKDIR}/trace.csv")
+expect_ok(out "${EXAMPLES}/trace_replay" bbr1 cubic fifo "${trace}")
+execute_process(COMMAND "${TRACE2CSV}" - --type queue_depth INPUT_FILE "${trace}"
+                RESULT_VARIABLE got OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT got STREQUAL "0" OR NOT out MATCHES "^t_ns,type,flow,seq,v0,v1,v2\n[0-9]+,queue_depth,")
+  message(FATAL_ERROR "trace2csv --type queue_depth: exit ${got}, want 0, the CSV header "
+                      "and a queue_depth row\n${err}")
+endif()
+execute_process(COMMAND "${TRACE2CSV}" "${trace}" --flow x
+                RESULT_VARIABLE got OUTPUT_QUIET ERROR_QUIET)
+if(NOT got STREQUAL "2")
+  message(FATAL_ERROR "trace2csv --flow x: exit ${got}, want 2")
 endif()

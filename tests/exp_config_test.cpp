@@ -79,7 +79,10 @@ TEST(Config, BwLabels) {
 }
 
 TEST(Config, PaperMatrixHas810Cells) {
-  EXPECT_EQ(paper_matrix().size(), 810u);
+  EXPECT_EQ(make_matrix(paper_cca_pairs(), paper_aqms(), paper_buffer_bdps(),
+                        paper_bandwidths())
+                .size(),
+            810u);
 }
 
 TEST(Config, PaperAxesMatchTable1) {

@@ -12,7 +12,6 @@
 #include "obs/heartbeat.hpp"
 #include "obs/journal.hpp"
 #include "obs/metrics.hpp"
-#include "trace/codec.hpp"
 
 namespace elephant::exp {
 namespace {
@@ -150,21 +149,6 @@ std::string heartbeat_line() {
   return line;
 }
 
-std::string trace_line() {
-  trace::TraceRecord r;
-  r.t = sim::Time::nanoseconds(1'000'000'007);
-  r.type = trace::RecordType::kCwndUpdate;
-  r.flow = 3;
-  r.seq = 18446744073709551615ull;
-  r.v0 = 1.25;
-  r.v1 = -2.5e-9;
-  r.v2 = 0.48000000000000004;
-  std::string line;
-  trace::append_jsonl(r, &line);
-  line.pop_back();
-  return line;
-}
-
 class TornLine : public ::testing::TestWithParam<JsonWriter> {};
 
 TEST_P(TornLine, EveryStrictPrefixIsRejected) {
@@ -189,11 +173,6 @@ INSTANTIATE_TEST_SUITE_P(
                    [](const std::string& l) {
                      obs::JournalSnapshot snap;
                      return obs::parse_journal_line(l, &snap);
-                   }},
-        JsonWriter{"trace", trace_line,
-                   [](const std::string& l) {
-                     trace::TraceRecord r;
-                     return trace::parse_jsonl(l, &r);
                    }}),
     [](const ::testing::TestParamInfo<JsonWriter>& info) {
       return std::string(info.param.name);

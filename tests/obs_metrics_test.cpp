@@ -90,27 +90,6 @@ TEST(ScopedTimer, RecordsOneSampleAndNullIsInert) {
   EXPECT_EQ(h.count(), 1u);
 }
 
-TEST(Export, PrometheusTextHasTypedSanitizedMetrics) {
-  MetricsRegistry reg;
-  reg.counter("queue.dropped_overflow").add(3);
-  reg.gauge("sim.heap_depth").set(12);
-  LogLinHistogram& h = reg.histogram("queue.sojourn_s");
-  for (int i = 1; i <= 100; ++i) h.record(0.001 * i);
-
-  std::string out;
-  write_prometheus(reg, &out);
-
-  // Dots sanitized, types declared, quantiles present.
-  EXPECT_NE(out.find("# TYPE queue_dropped_overflow counter"), std::string::npos);
-  EXPECT_NE(out.find("queue_dropped_overflow 3"), std::string::npos);
-  EXPECT_NE(out.find("# TYPE sim_heap_depth gauge"), std::string::npos);
-  EXPECT_NE(out.find("# TYPE queue_sojourn_s summary"), std::string::npos);
-  EXPECT_NE(out.find("queue_sojourn_s{quantile=\"0.5\"}"), std::string::npos);
-  EXPECT_NE(out.find("queue_sojourn_s{quantile=\"0.99\"}"), std::string::npos);
-  EXPECT_NE(out.find("queue_sojourn_s_count 100"), std::string::npos);
-  EXPECT_EQ(out.find("queue.sojourn_s"), std::string::npos);  // no raw dots
-}
-
 TEST(Export, JsonSnapshotHasAllSectionsAndOmitsHistogramsOnRequest) {
   MetricsRegistry reg;
   reg.counter("sim.events").add(42);
@@ -142,9 +121,6 @@ TEST(Export, EmptyRegistrySnapshotsAreWellFormed) {
   std::string json;
   append_json(reg, &json);
   EXPECT_EQ(json, "{\"counters\":{},\"gauges\":{},\"histograms\":{}}");
-  std::string prom;
-  write_prometheus(reg, &prom);
-  EXPECT_TRUE(prom.empty());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Systematic codec round-trip over every record kind, including the newest
-// ones (kFault, kFlowStart, kFlowEnd), through the same per-line auto-detect
-// dispatch trace2csv uses. Guards the "lossless round trip" contract for the
-// full record-type enum, not just the kinds a particular sink happens to emit.
+// Systematic CSV round-trip over every record kind, including the newest
+// ones (kFault, kFlowStart, kFlowEnd), through the parser trace2csv uses.
+// Guards the "lossless round trip" contract for the full record-type enum,
+// not just the kinds a particular sink happens to emit.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -33,12 +33,6 @@ std::vector<TraceRecord> one_of_each() {
   return records;
 }
 
-/// trace2csv's per-line format dispatch (trace2csv.cpp): JSONL if the line
-/// opens an object, CSV otherwise.
-bool parse_autodetect(const std::string& line, TraceRecord* out) {
-  return line.front() == '{' ? parse_jsonl(line, out) : parse_csv(line, out);
-}
-
 TEST(CodecRoundTrip, EveryRecordTypeThroughCsv) {
   for (const TraceRecord& r : one_of_each()) {
     std::string line;
@@ -46,30 +40,18 @@ TEST(CodecRoundTrip, EveryRecordTypeThroughCsv) {
     ASSERT_FALSE(line.empty());
     line.pop_back();  // strip trailing '\n' as getline would
     TraceRecord back;
-    ASSERT_TRUE(parse_autodetect(line, &back)) << line;
-    EXPECT_EQ(back, r) << to_string(r.type) << ": " << line;
-  }
-}
-
-TEST(CodecRoundTrip, EveryRecordTypeThroughJsonl) {
-  for (const TraceRecord& r : one_of_each()) {
-    std::string line;
-    append_jsonl(r, &line);
-    line.pop_back();
-    ASSERT_EQ(line.front(), '{') << line;  // must route to the JSONL parser
-    TraceRecord back;
-    ASSERT_TRUE(parse_autodetect(line, &back)) << line;
+    ASSERT_TRUE(parse_csv(line, &back)) << line;
     EXPECT_EQ(back, r) << to_string(r.type) << ": " << line;
   }
 }
 
 TEST(CodecRoundTrip, MixedFormatStreamParsesLikeTrace2Csv) {
-  // Concatenated CSV + JSONL traces with interleaved headers, as trace2csv
+  // Concatenated CSV traces, header rows mixed in with records, as trace2csv
   // sees when files are cat'd together: every record parses, headers don't.
   const auto records = one_of_each();
   std::string stream = csv_header() + '\n';
   for (std::size_t i = 0; i < records.size(); ++i) {
-    (i % 2 == 0 ? append_csv : append_jsonl)(records[i], &stream);
+    append_csv(records[i], &stream);
     if (i == 5) stream += csv_header() + '\n';  // second file's header
   }
 
@@ -82,7 +64,7 @@ TEST(CodecRoundTrip, MixedFormatStreamParsesLikeTrace2Csv) {
     start = end + 1;
     if (line.empty()) continue;
     TraceRecord r;
-    if (parse_autodetect(line, &r)) {
+    if (parse_csv(line, &r)) {
       parsed.push_back(r);
     } else {
       ++skipped;
@@ -104,14 +86,12 @@ TEST(CodecRoundTrip, FaultRecordSlotsSurviveBothCodecs) {
   r.v0 = 3;       // FaultKind as double
   r.v1 = 0.02;    // magnitude (e.g. 20 ms extra delay)
   r.v2 = 1;       // apply
-  for (const bool json : {false, true}) {
-    std::string line;
-    (json ? append_jsonl : append_csv)(r, &line);
-    line.pop_back();
-    TraceRecord back;
-    ASSERT_TRUE(parse_autodetect(line, &back)) << line;
-    EXPECT_EQ(back, r) << line;
-  }
+  std::string line;
+  append_csv(r, &line);
+  line.pop_back();
+  TraceRecord back;
+  ASSERT_TRUE(parse_csv(line, &back)) << line;
+  EXPECT_EQ(back, r) << line;
 }
 
 TEST(CodecRoundTrip, FlowLifecycleRecordsKeepClassAndFctPrecision) {
@@ -128,34 +108,29 @@ TEST(CodecRoundTrip, FlowLifecycleRecordsKeepClassAndFctPrecision) {
   end.v2 = 0.48012299999999998;  // FCT seconds, full double precision
 
   for (const TraceRecord& r : {start, end}) {
-    for (const bool json : {false, true}) {
-      std::string line;
-      (json ? append_jsonl : append_csv)(r, &line);
-      line.pop_back();
-      TraceRecord back;
-      ASSERT_TRUE(parse_autodetect(line, &back)) << line;
-      EXPECT_EQ(back, r) << line;
-    }
+    std::string line;
+    append_csv(r, &line);
+    line.pop_back();
+    TraceRecord back;
+    ASSERT_TRUE(parse_csv(line, &back)) << line;
+    EXPECT_EQ(back, r) << line;
   }
 }
 
 TEST(CodecRoundTrip, InfiniteValueRoundTrips) {
-  // %.17g spells +inf as "inf", which is not a JSON number. The codecs are
-  // lossless for every double the recorder is handed, so the strict JSON
-  // reader must still take it.
+  // %.17g spells +inf as "inf". The codec is lossless for every double the
+  // recorder is handed, so the strict number scanner must still take it.
   TraceRecord r;
   r.t = sim::Time::nanoseconds(42);
   r.type = RecordType::kCwndUpdate;
   r.v0 = std::numeric_limits<double>::infinity();
   r.v1 = -std::numeric_limits<double>::infinity();
-  for (const bool json : {false, true}) {
-    std::string line;
-    (json ? append_jsonl : append_csv)(r, &line);
-    line.pop_back();
-    TraceRecord back;
-    ASSERT_TRUE(parse_autodetect(line, &back)) << line;
-    EXPECT_EQ(back, r) << line;
-  }
+  std::string line;
+  append_csv(r, &line);
+  line.pop_back();
+  TraceRecord back;
+  ASSERT_TRUE(parse_csv(line, &back)) << line;
+  EXPECT_EQ(back, r) << line;
 }
 
 }  // namespace

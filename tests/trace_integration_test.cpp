@@ -98,56 +98,44 @@ TEST(TraceIntegration, QueueDepthSamplesContinueAfterTheQueueDrains) {
 }
 
 TEST(TraceIntegration, CsvAndJsonlRoundTripTheWholeRun) {
+  // The same config traced twice, once into memory and once as CSV text.
+  // Only the series the acceptance criteria care about, to keep text small;
+  // the small ring forces mid-run drains.
+  auto trace_run = [](trace::TraceSink& sink) {
+    trace::Tracer tracer(sink, 1 << 10);
+    tracer.enable_only({trace::RecordType::kCwndUpdate, trace::RecordType::kQueueDepth});
+    (void)test::run_uncached(traced_config(&tracer));
+  };
   trace::MemorySink memory;
+  trace_run(memory);
   std::ostringstream csv_text;
-  std::ostringstream jsonl_text;
-  trace::CsvSink csv(csv_text);
-  trace::JsonlSink jsonl(jsonl_text);
-  trace::TeeSink tee({&memory, &csv, &jsonl});
-  trace::Tracer tracer(tee, 1 << 10);  // small ring: forces mid-run drains
-  // Only the series the acceptance criteria care about, to keep text small.
-  tracer.enable_only({trace::RecordType::kCwndUpdate, trace::RecordType::kQueueDepth});
-  const auto cfg = traced_config(&tracer);
-  (void)test::run_uncached(cfg);
+  {
+    trace::CsvSink csv(csv_text);
+    trace_run(csv);
+  }
 
   const auto& truth = memory.records();
   ASSERT_FALSE(truth.empty());
 
-  // CSV: header then one row per record, each parsing back bit-exact.
-  {
-    std::istringstream in(csv_text.str());
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line, trace::csv_header());
-    std::size_t i = 0;
-    while (std::getline(in, line)) {
-      trace::TraceRecord r;
-      ASSERT_TRUE(trace::parse_csv(line, &r)) << line;
-      ASSERT_LT(i, truth.size());
-      EXPECT_EQ(r, truth[i]) << "csv row " << i;
-      ++i;
-    }
-    EXPECT_EQ(i, truth.size());
+  // Header then one row per record, each parsing back bit-exact.
+  std::istringstream in(csv_text.str());
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, trace::csv_header());
+  std::size_t i = 0;
+  while (std::getline(in, line)) {
+    trace::TraceRecord r;
+    ASSERT_TRUE(trace::parse_csv(line, &r)) << line;
+    ASSERT_LT(i, truth.size());
+    EXPECT_EQ(r, truth[i]) << "csv row " << i;
+    ++i;
   }
-  // JSONL: one object per line, same guarantee.
-  {
-    std::istringstream in(jsonl_text.str());
-    std::string line;
-    std::size_t i = 0;
-    while (std::getline(in, line)) {
-      trace::TraceRecord r;
-      ASSERT_TRUE(trace::parse_jsonl(line, &r)) << line;
-      ASSERT_LT(i, truth.size());
-      EXPECT_EQ(r, truth[i]) << "jsonl row " << i;
-      ++i;
-    }
-    EXPECT_EQ(i, truth.size());
-  }
+  EXPECT_EQ(i, truth.size());
 }
 
 TEST(TraceIntegration, TracingIsObservational) {
   // Attaching a tracer must not change the experiment's outcome.
-  trace::NullSink sink;
+  trace::DigestSink sink;
   trace::Tracer tracer(sink, 1 << 10);
   const auto traced_cfg = traced_config(&tracer);
   auto plain_cfg = traced_cfg;
@@ -162,10 +150,10 @@ TEST(TraceIntegration, TracingIsObservational) {
   EXPECT_GT(tracer.recorded(), 0u);
 }
 
-TEST(TraceIntegration, RunAveragedBypassesCacheWhenTracing) {
+TEST(TraceIntegration, RunAveragedAlwaysRecordsWhenTracing) {
   // run_averaged always simulates (results are reused only by resuming a
   // sweep journal), so a tracer attached to it always records.
-  trace::NullSink sink;
+  trace::DigestSink sink;
   trace::Tracer tracer(sink, 1 << 10);
   auto cfg = traced_config(&tracer);
   const auto avg = run_averaged(cfg, 1);

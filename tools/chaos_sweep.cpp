@@ -17,7 +17,8 @@
 //     for the same id bit for bit — crashes and lease steals never change
 //     what is computed.
 //
-// Exit 0 when all assertions hold; 1 with a diagnostic otherwise.
+// Exit 0 when all assertions hold; 1 with a diagnostic otherwise; 2 when a
+// numeric flag is not a number in its range.
 //
 //   chaos_sweep --elephant BIN --workdir DIR [--workers 3] [--kills 5]
 //               [--lease-s 2] [--duration 600] [--kill-interval-ms 700]
@@ -35,14 +36,17 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "exp/manifest.hpp"
 #include "exp/status.hpp"
+#include "obs/json.hpp"
 
 namespace {
 
@@ -67,6 +71,19 @@ struct Options {
 [[noreturn]] void die(const std::string& msg) {
   std::fprintf(stderr, "chaos_sweep: FAIL: %s\n", msg.c_str());
   std::exit(1);
+}
+
+/// The value of `flag` as one number in [lo, hi]; anything else is a usage
+/// error, not a silently different chaos run.
+template <typename T>
+T flag_value(const char* flag, const char* text, T lo, T hi) {
+  T v{};
+  if (!elephant::obs::json::scan_number(std::string_view(text), &v) || !(v >= lo && v <= hi)) {
+    std::fprintf(stderr, "chaos_sweep: %s '%s' is not a number in [%.10g, %.10g]\n", flag,
+                 text, static_cast<double>(lo), static_cast<double>(hi));
+    std::exit(2);
+  }
+  return v;
 }
 
 pid_t spawn_worker(const Options& opt, const std::string& worker_id,
@@ -148,19 +165,19 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(arg, "--workdir")) {
       opt.workdir = need();
     } else if (!std::strcmp(arg, "--workers")) {
-      opt.workers = std::atoi(need());
+      opt.workers = flag_value(arg, need(), 1, 64);
     } else if (!std::strcmp(arg, "--kills")) {
-      opt.kills = std::atoi(need());
+      opt.kills = flag_value(arg, need(), 0, 1000000);
     } else if (!std::strcmp(arg, "--lease-s")) {
-      opt.lease_s = std::atof(need());
+      opt.lease_s = flag_value(arg, need(), 1e-3, 3600.0);
     } else if (!std::strcmp(arg, "--duration")) {
-      opt.duration_s = std::atof(need());
+      opt.duration_s = flag_value(arg, need(), 1e-3, 1e9);
     } else if (!std::strcmp(arg, "--kill-interval-ms")) {
-      opt.kill_interval_ms = std::atoi(need());
+      opt.kill_interval_ms = flag_value(arg, need(), 0, 3600000);
     } else if (!std::strcmp(arg, "--timeout-s")) {
-      opt.timeout_s = std::atof(need());
+      opt.timeout_s = flag_value(arg, need(), 1e-3, 1e6);
     } else if (!std::strcmp(arg, "--seed")) {
-      opt.seed = static_cast<unsigned>(std::atoi(need()));
+      opt.seed = flag_value(arg, need(), 0u, std::numeric_limits<unsigned>::max());
     } else {
       die(std::string("unknown option ") + arg);
     }

@@ -404,13 +404,16 @@ Args parse(int argc, char** argv) {
       usage();
     }
   }
-  if (a.reps == 0 && (a.cmd == "run" || a.cmd == "sweep")) {
-    try {
+  // The env knobs are read here so a junk value is a usage error, not a
+  // silent default.
+  try {
+    if (a.reps == 0 && (a.cmd == "run" || a.cmd == "sweep")) {
       a.reps = exp::default_repetitions();
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      std::exit(2);
     }
+    (void)exp::duration_scale();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
   }
   if (a.cfg.episodes.enabled && !a.cfg.episodes.valid()) {
     std::fprintf(stderr,

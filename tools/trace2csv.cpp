@@ -1,22 +1,24 @@
 // trace2csv: normalize a flight-recorder trace to CSV on stdout.
 //
-// Reads a trace written by CsvSink or JsonlSink (format auto-detected per
-// line, so concatenated or mixed files work), optionally filters by record
-// type and/or flow, and emits canonical CSV. The round trip is lossless:
-// timestamps stay integer nanoseconds and values keep max_digits10 form.
+// Reads a trace written by CsvSink (concatenated files work: their extra
+// header rows are skipped), optionally filters by record type and/or flow,
+// and emits canonical CSV. The round trip is lossless: timestamps stay
+// integer nanoseconds and values keep max_digits10 form. A --flow that is not
+// a whole non-negative integer is a usage error (exit 2).
 //
 // Usage:
 //   trace2csv <trace-file> [--type cwnd_update] [--flow 3]
 //   trace2csv -            # read stdin
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
+#include <string_view>
 
+#include "obs/json.hpp"
 #include "trace/codec.hpp"
 #include "trace/trace.hpp"
 
@@ -48,7 +50,12 @@ int main(int argc, char** argv) {
       if (!record_type_from_string(argv[++i], &t)) return usage(argv[0]);
       only_type = t;
     } else if (std::strcmp(argv[i], "--flow") == 0 && i + 1 < argc) {
-      only_flow = static_cast<std::uint32_t>(std::strtoul(argv[++i], nullptr, 10));
+      std::uint32_t flow = 0;
+      if (!elephant::obs::json::scan_number(std::string_view(argv[++i]), &flow)) {
+        std::fprintf(stderr, "--flow: '%s' is not a flow id\n", argv[i]);
+        return usage(argv[0]);
+      }
+      only_flow = flow;
     } else if (argv[i][0] != '-' || std::strcmp(argv[i], "-") == 0) {
       if (!path.empty()) return usage(argv[0]);  // two trace files
       path = argv[i];
@@ -78,8 +85,7 @@ int main(int argc, char** argv) {
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     TraceRecord r;
-    const bool ok = line.front() == '{' ? parse_jsonl(line, &r) : parse_csv(line, &r);
-    if (!ok) {
+    if (!parse_csv(line, &r)) {
       // Headers of concatenated CSV files land here too; count silently
       // unless nothing at all parses.
       ++skipped;
