@@ -8,6 +8,8 @@
 //      simulation's aggregation substitution.
 
 #include <cstdio>
+#include <iterator>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "exp/config.hpp"
@@ -37,44 +39,40 @@ int main() {
   base.buffer_bdp = 2;
   base.bottleneck_bps = 500e6;
 
-  std::printf("\n[1] host pacing for loss-based CCAs (bbr1 vs cubic, FIFO, 2 BDP, 500M)\n");
-  report("ack-clocked (default)", bench::run(base));
-  {
-    auto paced = base;
-    paced.pace_all = true;
-    report("paced at 2*cwnd/srtt", bench::run(paced));
-  }
-
-  std::printf("\n[2] ECN with RED (bbr2 vs cubic, 2 BDP, 500M)\n");
-  {
-    auto red = base;
-    red.cca1 = CcaKind::kBbrV2;
-    red.aqm = aqm::AqmKind::kRed;
-    report("RED, ECN off (paper setup)", bench::run(red));
-    auto ecn = red;
-    ecn.ecn = true;
-    report("RED, ECN on", bench::run(ecn));
-  }
-
-  std::printf("\n[3] plain CoDel vs FQ-CoDel (bbr1 vs cubic, 2 BDP, 500M)\n");
-  {
-    auto codel = base;
-    codel.aqm = aqm::AqmKind::kCodel;
-    report("codel (single queue)", bench::run(codel));
-    auto fq = base;
-    fq.aqm = aqm::AqmKind::kFqCodel;
-    report("fq_codel (per-flow queues)", bench::run(fq));
-  }
-
-  std::printf("\n[4] TSO aggregation sensitivity (cubic vs cubic, FIFO, 2 BDP, 1G)\n");
-  for (const std::uint32_t agg : {1u, 2u, 4u, 8u}) {
-    auto cfg = base;
+  // The ten cells of the four studies, in print order, as one sweep.
+  std::vector<exp::ExperimentConfig> cfgs(6, base);
+  cfgs[1].pace_all = true;
+  cfgs[2].cca1 = cfgs[3].cca1 = CcaKind::kBbrV2;
+  cfgs[2].aqm = cfgs[3].aqm = aqm::AqmKind::kRed;
+  cfgs[3].ecn = true;
+  cfgs[4].aqm = aqm::AqmKind::kCodel;
+  cfgs[5].aqm = aqm::AqmKind::kFqCodel;
+  const std::uint32_t aggs[] = {1, 2, 4, 8};
+  for (const std::uint32_t agg : aggs) {
+    auto& cfg = cfgs.emplace_back(base);
     cfg.cca1 = CcaKind::kCubic;
     cfg.bottleneck_bps = 1e9;
     cfg.aggregation = agg;
+  }
+  const std::vector<exp::AveragedResult> res = bench::run(cfgs);
+
+  std::printf("\n[1] host pacing for loss-based CCAs (bbr1 vs cubic, FIFO, 2 BDP, 500M)\n");
+  report("ack-clocked (default)", res[0]);
+  report("paced at 2*cwnd/srtt", res[1]);
+
+  std::printf("\n[2] ECN with RED (bbr2 vs cubic, 2 BDP, 500M)\n");
+  report("RED, ECN off (paper setup)", res[2]);
+  report("RED, ECN on", res[3]);
+
+  std::printf("\n[3] plain CoDel vs FQ-CoDel (bbr1 vs cubic, 2 BDP, 500M)\n");
+  report("codel (single queue)", res[4]);
+  report("fq_codel (per-flow queues)", res[5]);
+
+  std::printf("\n[4] TSO aggregation sensitivity (cubic vs cubic, FIFO, 2 BDP, 1G)\n");
+  for (std::size_t i = 0; i < std::size(aggs); ++i) {
     char label[32];
-    std::snprintf(label, sizeof(label), "aggregation = %u segments", agg);
-    report(label, bench::run(cfg));
+    std::snprintf(label, sizeof(label), "aggregation = %u segments", aggs[i]);
+    report(label, res[6 + i]);
   }
   return 0;
 }

@@ -1,29 +1,44 @@
 #include "bench_util.hpp"
 
 #include <cstdio>
+#include <cstdlib>
+#include <exception>
 #include <stdexcept>
 
 #include "exp/sweep.hpp"
 
 namespace elephant::bench {
 
-exp::AveragedResult run(const exp::ExperimentConfig& cfg) {
-  std::fprintf(stderr, "  [run] %-45s ...", cfg.label().c_str());
-  std::fflush(stderr);
+std::vector<exp::AveragedResult> run(const std::vector<exp::ExperimentConfig>& cfgs) {
   exp::SweepOptions opts;
   opts.repetitions = exp::default_repetitions();
-  opts.threads = 1;
   opts.manifest_path = exp::default_journal_path();
   opts.resume = true;
-  const exp::RunRecord rec = exp::run_sweep_resilient({cfg}, opts).records.front();
-  if (!rec.success()) {
-    throw std::runtime_error(cfg.label() + ": " + to_string(rec.status) + ": " + rec.error);
+  opts.on_result = [](const exp::AveragedResult& res, std::size_t done, std::size_t total) {
+    std::fprintf(stderr, "  [run %zu/%zu] %-45s J=%.3f util=%.3f\n", done, total,
+                 res.config.label().c_str(), res.jain2, res.utilization);
+  };
+  const exp::SweepReport report = exp::run_sweep_resilient(cfgs, opts);
+  std::vector<exp::AveragedResult> out;
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    const exp::RunRecord& rec = report.records[i];
+    if (!rec.success()) {
+      throw std::runtime_error(cfgs[i].label() + ": " + to_string(rec.status) + ": " +
+                               rec.error);
+    }
+    out.push_back(rec.result);
   }
-  std::fprintf(stderr, " J=%.3f util=%.3f\n", rec.result.jain2, rec.result.utilization);
-  return rec.result;
+  return out;
 }
 
 void print_banner(const std::string& title, const std::string& paper_claim) {
+  try {
+    (void)exp::default_repetitions();
+    (void)exp::duration_scale();
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
   std::printf("\n================================================================\n");
   std::printf("%s\n", title.c_str());
   std::printf("----------------------------------------------------------------\n");

@@ -8,14 +8,16 @@
 
 namespace elephant::bench {
 
-/// Run one configuration with the bench defaults: ELEPHANT_REPS repetitions
-/// (default 1) as a one-cell sweep resumed from the shared run journal
-/// (exp::default_journal_path()), so figure programs share runs and a
-/// re-run simulates only what the journal lacks. Prints progress to stderr
-/// so long sweeps are watchable; throws std::runtime_error if a run fails.
-[[nodiscard]] exp::AveragedResult run(const exp::ExperimentConfig& cfg);
+/// Run `cfgs` as one sweep over all cores, ELEPHANT_REPS repetitions each
+/// (default 1), resumed from the shared journal (exp::default_journal_path()),
+/// so the bench programs share runs and a re-run simulates only what the
+/// journal lacks. Prints progress to stderr. Returns results in input order;
+/// throws std::runtime_error naming the first config whose run failed.
+[[nodiscard]] std::vector<exp::AveragedResult> run(
+    const std::vector<exp::ExperimentConfig>& cfgs);
 
-/// Banner for a reproduced figure/table, including the scaling caveats.
+/// Banner for a reproduced figure/table, including the scaling caveats. A
+/// bad ELEPHANT_REPS or ELEPHANT_DURATION_SCALE exits 2 before it prints.
 void print_banner(const std::string& title, const std::string& paper_claim);
 
 /// "bbr1 vs cubic" style pair label.

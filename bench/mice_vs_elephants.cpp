@@ -44,7 +44,7 @@ void panel(aqm::AqmKind aqm) {
     cfg.duration = sim::Time::seconds(40);
     cfg.workload = workload::WorkloadSpec::mice_elephants();
 
-    const auto res = bench::run(cfg);
+    const auto res = bench::run({cfg})[0];
     const exp::ClassResult* mice = find_class(res, "mice");
     const exp::ClassResult* elephants = find_class(res, "elephants");
     if (mice == nullptr) {

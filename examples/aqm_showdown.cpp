@@ -5,8 +5,8 @@
 // Usage: aqm_showdown [cca1] [cca2] [mbps]
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.hpp"
 #include "exp/config.hpp"
 #include "exp/runner.hpp"
 
@@ -16,9 +16,9 @@ int main(int argc, char** argv) {
   cca::CcaKind cca1 = cca::CcaKind::kBbrV1;
   cca::CcaKind cca2 = cca::CcaKind::kCubic;
   double mbps = 100;
-  if (argc > 1) cca1 = cca::cca_kind_from_string(argv[1]);
-  if (argc > 2) cca2 = cca::cca_kind_from_string(argv[2]);
-  if (argc > 3) mbps = std::atof(argv[3]);
+  if (argc > 1) cca1 = examples::cca_arg(argv[1]);
+  if (argc > 2) cca2 = examples::cca_arg(argv[2]);
+  if (argc > 3) mbps = examples::positive_arg("mbps", argv[3]);
 
   std::printf("AQM showdown: %s vs %s at %.0f Mb/s (30 s per cell)\n\n",
               cca::to_string(cca1).c_str(), cca::to_string(cca2).c_str(), mbps);

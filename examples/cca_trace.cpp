@@ -7,21 +7,21 @@
 //   e.g. cca_trace trace.csv 500 60 bbr1 cubic
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "example_args.hpp"
 #include "exp/cell.hpp"
 
 int main(int argc, char** argv) {
   using namespace elephant;
 
   const char* out_path = argc > 1 ? argv[1] : "cca_trace.csv";
-  const double mbps = argc > 2 ? std::atof(argv[2]) : 100;
-  const double seconds = argc > 3 ? std::atof(argv[3]) : 60;
+  const double mbps = argc > 2 ? examples::positive_arg("mbps", argv[2]) : 100;
+  const double seconds = argc > 3 ? examples::positive_arg("seconds", argv[3]) : 60;
   std::vector<cca::CcaKind> kinds;
-  for (int i = 4; i < argc; ++i) kinds.push_back(cca::cca_kind_from_string(argv[i]));
+  for (int i = 4; i < argc; ++i) kinds.push_back(examples::cca_arg(argv[i]));
   if (kinds.empty()) kinds = {cca::CcaKind::kBbrV1, cca::CcaKind::kCubic};
 
   // One single-flow elephant class per CCA, alternating sides, each started

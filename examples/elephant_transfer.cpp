@@ -6,8 +6,8 @@
 // Usage: elephant_transfer [cca1] [cca2] [gbps] [seconds]
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.hpp"
 #include "exp/cell.hpp"
 
 int main(int argc, char** argv) {
@@ -25,10 +25,10 @@ int main(int argc, char** argv) {
   cfg.seed = 2024;
   double gbps = 1.0;
   double seconds = 30.0;
-  if (argc > 1) cfg.cca1 = cca::cca_kind_from_string(argv[1]);
-  if (argc > 2) cfg.cca2 = cca::cca_kind_from_string(argv[2]);
-  if (argc > 3) gbps = std::atof(argv[3]);
-  if (argc > 4) seconds = std::atof(argv[4]);
+  if (argc > 1) cfg.cca1 = examples::cca_arg(argv[1]);
+  if (argc > 2) cfg.cca2 = examples::cca_arg(argv[2]);
+  if (argc > 3) gbps = examples::positive_arg("gbps", argv[3]);
+  if (argc > 4) seconds = examples::positive_arg("seconds", argv[4]);
   cfg.bottleneck_bps = gbps * 1e9;
   cfg.duration = sim::Time::seconds(seconds);
 

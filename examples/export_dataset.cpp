@@ -8,10 +8,10 @@
 //   e.g. export_dataset dataset fifo 1     -> dataset_runs.csv, dataset_flows.csv
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
+#include "example_args.hpp"
 #include "exp/config.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
@@ -21,13 +21,13 @@ int main(int argc, char** argv) {
 
   std::string prefix = argc > 1 ? argv[1] : "dataset";
   const std::string aqm_arg = argc > 2 ? argv[2] : "all";
-  const double max_bw = (argc > 3 ? std::atof(argv[3]) : 1.0) * 1e9;
+  const double max_bw = (argc > 3 ? examples::positive_arg("max_bw_gbps", argv[3]) : 1.0) * 1e9;
 
   std::vector<aqm::AqmKind> aqms;
   if (aqm_arg == "all") {
     aqms = exp::paper_aqms();
   } else {
-    aqms = {aqm::aqm_kind_from_string(aqm_arg)};
+    aqms = {examples::aqm_arg(aqm_arg.c_str())};
   }
   std::vector<double> bws;
   for (const double bw : exp::paper_bandwidths()) {

@@ -6,9 +6,9 @@
 // Usage: fairness_matrix [aqm] [mbps] [buffer_bdp]
 
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
+#include "example_args.hpp"
 #include "exp/config.hpp"
 #include "exp/runner.hpp"
 
@@ -19,9 +19,9 @@ int main(int argc, char** argv) {
   aqm::AqmKind aqm = aqm::AqmKind::kFifo;
   double mbps = 100;
   double bdp = 2.0;
-  if (argc > 1) aqm = aqm::aqm_kind_from_string(argv[1]);
-  if (argc > 2) mbps = std::atof(argv[2]);
-  if (argc > 3) bdp = std::atof(argv[3]);
+  if (argc > 1) aqm = examples::aqm_arg(argv[1]);
+  if (argc > 2) mbps = examples::positive_arg("mbps", argv[2]);
+  if (argc > 3) bdp = examples::positive_arg("buffer_bdp", argv[3]);
 
   const std::vector<CcaKind> all = {CcaKind::kReno, CcaKind::kCubic, CcaKind::kHtcp,
                                     CcaKind::kBbrV1, CcaKind::kBbrV2};

@@ -4,11 +4,11 @@
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
-//   ./build/examples/quickstart [cca1] [cca2] [aqm] [buffer_bdp] [bw_gbps]
+//   ./build/examples/quickstart [cca1] [cca2] [aqm] [buffer_bdp] [bw_gbps] [seconds] [seed]
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "example_args.hpp"
 #include "exp/config.hpp"
 #include "exp/runner.hpp"
 
@@ -23,13 +23,13 @@ int main(int argc, char** argv) {
   cfg.bottleneck_bps = 1e9;
   cfg.duration = sim::Time::seconds(30);
 
-  if (argc > 1) cfg.cca1 = cca::cca_kind_from_string(argv[1]);
-  if (argc > 2) cfg.cca2 = cca::cca_kind_from_string(argv[2]);
-  if (argc > 3) cfg.aqm = aqm::aqm_kind_from_string(argv[3]);
-  if (argc > 4) cfg.buffer_bdp = std::atof(argv[4]);
-  if (argc > 5) cfg.bottleneck_bps = std::atof(argv[5]) * 1e9;
-  if (argc > 6) cfg.duration = sim::Time::seconds(std::atof(argv[6]));
-  if (argc > 7) cfg.seed = static_cast<std::uint64_t>(std::atoll(argv[7]));
+  if (argc > 1) cfg.cca1 = examples::cca_arg(argv[1]);
+  if (argc > 2) cfg.cca2 = examples::cca_arg(argv[2]);
+  if (argc > 3) cfg.aqm = examples::aqm_arg(argv[3]);
+  if (argc > 4) cfg.buffer_bdp = examples::positive_arg("buffer_bdp", argv[4]);
+  if (argc > 5) cfg.bottleneck_bps = examples::positive_arg("bw_gbps", argv[5]) * 1e9;
+  if (argc > 6) cfg.duration = sim::Time::seconds(examples::positive_arg("seconds", argv[6]));
+  if (argc > 7) cfg.seed = examples::seed_arg(argv[7]);
 
   std::printf("Running: %s  (%u flows, %.0f s simulated)\n", cfg.label().c_str(),
               cfg.effective_flows(), cfg.effective_duration().sec());

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <string>
 
+#include "example_args.hpp"
 #include "exp/config.hpp"
 #include "exp/runner.hpp"
 #include "trace/sinks.hpp"
@@ -31,9 +32,9 @@ int main(int argc, char** argv) {
   cfg.duration = sim::Time::seconds(30);
   std::string out_path = "trace.csv";
 
-  if (argc > 1) cfg.cca1 = cca::cca_kind_from_string(argv[1]);
-  if (argc > 2) cfg.cca2 = cca::cca_kind_from_string(argv[2]);
-  if (argc > 3) cfg.aqm = aqm::aqm_kind_from_string(argv[3]);
+  if (argc > 1) cfg.cca1 = examples::cca_arg(argv[1]);
+  if (argc > 2) cfg.cca2 = examples::cca_arg(argv[2]);
+  if (argc > 3) cfg.aqm = examples::aqm_arg(argv[3]);
   if (argc > 4) out_path = argv[4];
 
   std::ofstream out(out_path, std::ios::trunc);

@@ -12,6 +12,7 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -193,6 +194,16 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
     runs[k] = configs[k / reps];
     runs[k].seed = sim::derive_seed(runs[k].seed, k % reps);
     ids[k] = runs[k].id();
+  }
+  // Two runs under one id would share one journal slot: the second is never
+  // marked done and a manifest sweep waits on it forever.
+  {
+    std::vector<std::string_view> sorted(ids.begin(), ids.end());
+    std::sort(sorted.begin(), sorted.end());
+    const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
+    if (dup != sorted.end()) {
+      throw std::invalid_argument("sweep lists run id " + std::string(*dup) + " twice");
+    }
   }
 
   // Sweep telemetry registry is provisioned below; the queue wants it at

@@ -116,7 +116,8 @@ struct SweepOptions {
 /// marks its own record and the sweep carries on. Run r of cell i is
 /// journaled under its own config id at index i·reps + r. Records are one
 /// per cell, in input order; a cell's result is bit-identical to
-/// run_averaged(cfg, reps). Throws std::invalid_argument when reps < 1.
+/// run_averaged(cfg, reps). Throws std::invalid_argument when reps < 1 or
+/// when two runs share an id (a config listed twice).
 [[nodiscard]] SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
                                               const SweepOptions& options = {});
 

@@ -3,7 +3,8 @@
 # write its CSV header plus one row per flow per simulated second, and
 # elephant_transfer one table row per second. trace_replay's CSV, piped
 # through trace2csv --type queue_depth, keeps the header and at least one
-# row; a trace2csv --flow that is not a flow id exits 2.
+# row; a trace2csv --flow that is not a flow id exits 2. An example given a
+# number that is not all number (abc, 2x) or an unknown CCA name exits 2.
 #
 #   cmake -DEXAMPLES=<dir holding the example binaries> -DTRACE2CSV=<path to trace2csv> \
 #         -DWORKDIR=<scratch dir> -P examples_smoke.cmake
@@ -19,7 +20,25 @@ function(expect_ok out_var)
   set(${out_var} "${out}" PARENT_SCOPE)
 endfunction()
 
+function(expect_usage_error)
+  execute_process(COMMAND ${ARGN} WORKING_DIRECTORY "${WORKDIR}"
+                  RESULT_VARIABLE got OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT got STREQUAL "2")
+    message(FATAL_ERROR "${ARGN}: exit ${got}, want 2\n${err}")
+  endif()
+endfunction()
+
 expect_ok(out "${EXAMPLES}/quickstart" bbr1 cubic fifo 2 0.1 2)
+expect_usage_error("${EXAMPLES}/quickstart" bbr1 cubic fifo 2 abc 2)
+expect_usage_error("${EXAMPLES}/quickstart" bbr1 cubic fifo 2 0.1 2x)
+expect_usage_error("${EXAMPLES}/quickstart" bbr9 cubic fifo 2 0.1 2)
+expect_usage_error("${EXAMPLES}/cca_trace" "${WORKDIR}/bad.csv" abc 3 bbr1 cubic)
+expect_usage_error("${EXAMPLES}/cca_trace" "${WORKDIR}/bad.csv" 50 3 bbr9)
+expect_usage_error("${EXAMPLES}/elephant_transfer" bbr2 cubic 0.1 2x)
+expect_usage_error("${EXAMPLES}/aqm_showdown" bbr1 cubic abc)
+expect_usage_error("${EXAMPLES}/fairness_matrix" fifo 100 2x)
+expect_usage_error("${EXAMPLES}/export_dataset" "${WORKDIR}/bad" fifo abc)
+expect_usage_error("${EXAMPLES}/trace_replay" bbr9 cubic fifo "${WORKDIR}/bad.csv")
 
 set(csv "${WORKDIR}/cca_trace.csv")
 expect_ok(out "${EXAMPLES}/cca_trace" "${csv}" 50 3 bbr1 cubic)

@@ -222,16 +222,41 @@ TEST_F(SweepJournalTest, SecondBenchRunAppendsNoCompletionLine) {
   ::setenv("ELEPHANT_RESULTS_DIR", dir_.c_str(), 1);
   ::unsetenv("ELEPHANT_REPS");
   const ExperimentConfig cfg = short_matrix()[0];
-  const AveragedResult first = bench::run(cfg);
-  const AveragedResult second = bench::run(cfg);
+  const ExperimentConfig other = short_matrix()[1];
+  const std::vector<AveragedResult> first = bench::run({cfg});
+  const std::vector<AveragedResult> second = bench::run({cfg});
+  const std::size_t lines_after_rerun = terminal_lines().size();
+  const std::vector<AveragedResult> pair = bench::run({other, cfg});
   if (old_dir != nullptr) {
     ::setenv("ELEPHANT_RESULTS_DIR", saved.c_str(), 1);
   } else {
     ::unsetenv("ELEPHANT_RESULTS_DIR");
   }
-  EXPECT_EQ(terminal_lines().size(), 1u);
-  expect_same(second, first);
-  expect_same(first, run_averaged(cfg, 1));
+  EXPECT_EQ(lines_after_rerun, 1u);
+  ASSERT_EQ(first.size(), 1u);
+  ASSERT_EQ(second.size(), 1u);
+  expect_same(second[0], first[0]);
+  expect_same(first[0], run_averaged(cfg, 1));
+  // A two-config list comes back in input order; only the new cell is run.
+  EXPECT_EQ(terminal_lines().size(), 2u);
+  ASSERT_EQ(pair.size(), 2u);
+  expect_same(pair[0], run_averaged(other, 1));
+  expect_same(pair[1], first[0]);
+}
+
+TEST_F(SweepJournalTest, DuplicateRunIdIsRejected) {
+  const ExperimentConfig cfg = short_matrix()[0];
+  try {
+    (void)sweep({cfg, cfg}, 1);
+    FAIL() << "a config listed twice must be refused";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(cfg.id()), std::string::npos) << e.what();
+  }
+  // Refused before any run is claimed: the journal stays empty.
+  EXPECT_TRUE(terminal_lines().empty());
+  SweepOptions opts;
+  opts.threads = 1;
+  EXPECT_THROW((void)run_sweep_resilient({cfg, cfg}, opts), std::invalid_argument);
 }
 
 }  // namespace

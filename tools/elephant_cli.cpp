@@ -27,7 +27,7 @@
 // --manifest names it, and --resume (which needs --manifest) re-executes
 // only runs without a successful journal line. Without --manifest a sweep
 // journals to $ELEPHANT_RESULTS_DIR/runs.jsonl (default results/) and
-// resumes from it, so repeated sweeps and the figure programs share runs.
+// resumes from it, so repeated sweeps and the bench programs share runs.
 // A success line whose "reps" is not 1 is refused (exit 1): each line must
 // hold exactly one run. --reps and ELEPHANT_REPS must be integers >= 1.
 //
