@@ -34,36 +34,33 @@ AqmKind aqm_kind_from_string(const std::string& name) {
 
 std::unique_ptr<QueueDisc> make_queue_disc(AqmKind kind, sim::Scheduler& sched,
                                            std::size_t limit_bytes, std::uint64_t seed,
-                                           const AqmOptions& opts) {
+                                           bool ecn) {
   switch (kind) {
     case AqmKind::kFifo:
       return std::make_unique<FifoQueue>(sched, limit_bytes);
     case AqmKind::kRed:
     case AqmKind::kRedAdaptive: {
-      RedConfig cfg = opts.red;
+      RedConfig cfg;
       cfg.limit_bytes = limit_bytes;
-      cfg.ecn = opts.ecn;
-      cfg.adaptive = kind == AqmKind::kRedAdaptive || cfg.adaptive;
+      cfg.ecn = ecn;
+      cfg.adaptive = kind == AqmKind::kRedAdaptive;
       return std::make_unique<RedQueue>(sched, cfg, seed);
     }
     case AqmKind::kFqCodel: {
       FqCodelConfig cfg;
       cfg.memory_limit_bytes = limit_bytes;
-      cfg.flows = opts.fq_flows;
-      cfg.quantum = opts.fq_quantum;
-      cfg.codel = opts.codel;
-      cfg.codel.ecn = opts.ecn;
+      cfg.codel.ecn = ecn;
       return std::make_unique<FqCodelQueue>(sched, cfg);
     }
     case AqmKind::kCodel: {
-      CodelParams params = opts.codel;
-      params.ecn = opts.ecn;
+      CodelParams params;
+      params.ecn = ecn;
       return std::make_unique<CodelQueue>(sched, limit_bytes, params);
     }
     case AqmKind::kPie: {
-      PieConfig cfg = opts.pie;
+      PieConfig cfg;
       cfg.limit_bytes = limit_bytes;
-      cfg.ecn = opts.ecn;
+      cfg.ecn = ecn;
       return std::make_unique<PieQueue>(sched, cfg, seed);
     }
   }

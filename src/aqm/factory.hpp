@@ -20,20 +20,11 @@ enum class AqmKind { kFifo, kRed, kFqCodel, kCodel, kRedAdaptive, kPie };
 [[nodiscard]] std::string to_string(AqmKind kind);
 [[nodiscard]] AqmKind aqm_kind_from_string(const std::string& name);
 
-/// Extra knobs beyond the buffer size; defaults match the paper's `tc` setup.
-struct AqmOptions {
-  bool ecn = false;
-  RedConfig red{};          ///< limit is overwritten by `limit_bytes`
-  PieConfig pie{};          ///< limit is overwritten by `limit_bytes`
-  CodelParams codel{};
-  std::uint32_t fq_flows = 1024;
-  std::uint32_t fq_quantum = 9066;
-};
-
-/// Build a queue disc of `kind` with `limit_bytes` of buffer.
+/// Build a queue disc of `kind` with `limit_bytes` of buffer. Every other
+/// knob is its config struct's default, which matches the paper's `tc`
+/// setup; `ecn` makes the AQMs mark ECN-capable packets instead of dropping.
 [[nodiscard]] std::unique_ptr<QueueDisc> make_queue_disc(AqmKind kind, sim::Scheduler& sched,
                                                          std::size_t limit_bytes,
-                                                         std::uint64_t seed,
-                                                         const AqmOptions& opts = {});
+                                                         std::uint64_t seed, bool ecn = false);
 
 }  // namespace elephant::aqm

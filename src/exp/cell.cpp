@@ -49,7 +49,7 @@ net::DumbbellConfig make_dumbbell_config(const ExperimentConfig& cfg, sim::Rng& 
   topo.bottleneck_bps = cfg.bottleneck_bps;
   topo.aqm = cfg.aqm;
   topo.bottleneck_buffer_bytes = static_cast<std::size_t>(cfg.buffer_bytes());
-  topo.aqm_options.ecn = cfg.ecn;
+  topo.ecn = cfg.ecn;
   topo.random_loss = cfg.random_loss;
   topo.ge_loss = cfg.ge_loss;
   topo.seed = rng.next_u64();
@@ -229,64 +229,62 @@ ExperimentResult finalize_experiment(const ExperimentConfig& cfg, sim::Time dura
     }
   }
 
-  if (cfg.check_invariants) {
-    auto fail = [&](const std::string& what) {
-      throw InvariantViolation("run " + cfg.id() + ": " + what);
-    };
-    const aqm::QueueStats& qs = res.bottleneck;
-    const auto backlog_pkts = static_cast<std::uint64_t>(bottleneck.qdisc().packet_length());
-    const auto backlog_bytes = static_cast<std::uint64_t>(bottleneck.qdisc().byte_length());
-    // Packet conservation at the bottleneck: every accepted packet either
-    // left the queue, was dropped after acceptance (CoDel-style dequeue
-    // drops land in dropped_early; FQ-CoDel overflow evicts an already
-    // accepted victim into dropped_overflow), or is still queued.
-    if (qs.enqueued < qs.dequeued + backlog_pkts ||
-        qs.enqueued > qs.dequeued + qs.dropped_early + qs.dropped_overflow + backlog_pkts) {
-      fail("bottleneck packet conservation violated: enqueued=" +
-           std::to_string(qs.enqueued) + " dequeued=" + std::to_string(qs.dequeued) +
-           " early=" + std::to_string(qs.dropped_early) +
-           " overflow=" + std::to_string(qs.dropped_overflow) +
-           " backlog=" + std::to_string(backlog_pkts));
+  auto fail = [&](const std::string& what) {
+    throw InvariantViolation("run " + cfg.id() + ": " + what);
+  };
+  const aqm::QueueStats& qs = res.bottleneck;
+  const auto backlog_pkts = static_cast<std::uint64_t>(bottleneck.qdisc().packet_length());
+  const auto backlog_bytes = static_cast<std::uint64_t>(bottleneck.qdisc().byte_length());
+  // Packet conservation at the bottleneck: every accepted packet either
+  // left the queue, was dropped after acceptance (CoDel-style dequeue
+  // drops land in dropped_early; FQ-CoDel overflow evicts an already
+  // accepted victim into dropped_overflow), or is still queued.
+  if (qs.enqueued < qs.dequeued + backlog_pkts ||
+      qs.enqueued > qs.dequeued + qs.dropped_early + qs.dropped_overflow + backlog_pkts) {
+    fail("bottleneck packet conservation violated: enqueued=" +
+         std::to_string(qs.enqueued) + " dequeued=" + std::to_string(qs.dequeued) +
+         " early=" + std::to_string(qs.dropped_early) +
+         " overflow=" + std::to_string(qs.dropped_overflow) +
+         " backlog=" + std::to_string(backlog_pkts));
+  }
+  // Byte conservation: bytes handed to the link (the port's tx counter)
+  // plus the backlog never exceed the accepted bytes, and the gap is
+  // bounded by the dropped bytes.
+  const std::uint64_t tx = bottleneck.tx_bytes();
+  if (qs.bytes_enqueued < tx + backlog_bytes ||
+      qs.bytes_enqueued > tx + backlog_bytes + qs.bytes_dropped) {
+    fail("bottleneck byte conservation violated: bytes_enqueued=" +
+         std::to_string(qs.bytes_enqueued) + " tx_bytes=" + std::to_string(tx) +
+         " backlog=" + std::to_string(backlog_bytes) +
+         " dropped=" + std::to_string(qs.bytes_dropped));
+  }
+  for (std::size_t i = 0; i < factory.size(); ++i) {
+    const FlowInstance& inst = factory.flow(i);
+    const double cwnd = inst.sender->cc().cwnd_segments();
+    const double floor = inst.sender->cc().params().min_cwnd_segments;
+    if (!(cwnd >= floor - 1e-9) || !std::isfinite(cwnd)) {
+      fail("flow " + std::to_string(inst.sender->config().flow) + " cwnd " +
+           std::to_string(cwnd) + " below floor " + std::to_string(floor));
     }
-    // Byte conservation: bytes handed to the link (the port's tx counter)
-    // plus the backlog never exceed the accepted bytes, and the gap is
-    // bounded by the dropped bytes.
-    const std::uint64_t tx = bottleneck.tx_bytes();
-    if (qs.bytes_enqueued < tx + backlog_bytes ||
-        qs.bytes_enqueued > tx + backlog_bytes + qs.bytes_dropped) {
-      fail("bottleneck byte conservation violated: bytes_enqueued=" +
-           std::to_string(qs.bytes_enqueued) + " tx_bytes=" + std::to_string(tx) +
-           " backlog=" + std::to_string(backlog_bytes) +
-           " dropped=" + std::to_string(qs.bytes_dropped));
+    // A finite flow that reports completion must have delivered the whole
+    // object to its receiver (byte conservation end to end).
+    if (inst.sender->completed() &&
+        inst.receiver->delivered_bytes() <
+            std::uint64_t{inst.sender->config().transfer_units} *
+                inst.sender->config().mss * inst.sender->config().agg) {
+      fail("flow " + std::to_string(inst.sender->config().flow) +
+           " completed but delivered only " +
+           std::to_string(inst.receiver->delivered_bytes()) + " bytes");
     }
-    for (std::size_t i = 0; i < factory.size(); ++i) {
-      const FlowInstance& inst = factory.flow(i);
-      const double cwnd = inst.sender->cc().cwnd_segments();
-      const double floor = inst.sender->cc().params().min_cwnd_segments;
-      if (!(cwnd >= floor - 1e-9) || !std::isfinite(cwnd)) {
-        fail("flow " + std::to_string(inst.sender->config().flow) + " cwnd " +
-             std::to_string(cwnd) + " below floor " + std::to_string(floor));
-      }
-      // A finite flow that reports completion must have delivered the whole
-      // object to its receiver (byte conservation end to end).
-      if (inst.sender->completed() &&
-          inst.receiver->delivered_bytes() <
-              std::uint64_t{inst.sender->config().transfer_units} *
-                  inst.sender->config().mss * inst.sender->config().agg) {
-        fail("flow " + std::to_string(inst.sender->config().flow) +
-             " completed but delivered only " +
-             std::to_string(inst.receiver->delivered_bytes()) + " bytes");
-      }
+  }
+  for (const FlowResult& fr : res.flows) {
+    if (!(fr.throughput_bps >= 0) || !std::isfinite(fr.throughput_bps)) {
+      fail("flow " + std::to_string(fr.flow) + " throughput " +
+           std::to_string(fr.throughput_bps) + " is negative or non-finite");
     }
-    for (const FlowResult& fr : res.flows) {
-      if (!(fr.throughput_bps >= 0) || !std::isfinite(fr.throughput_bps)) {
-        fail("flow " + std::to_string(fr.flow) + " throughput " +
-             std::to_string(fr.throughput_bps) + " is negative or non-finite");
-      }
-      if (fr.completed && !(fr.fct_s > 0 && std::isfinite(fr.fct_s))) {
-        fail("flow " + std::to_string(fr.flow) + " completed with bad FCT " +
-             std::to_string(fr.fct_s));
-      }
+    if (fr.completed && !(fr.fct_s > 0 && std::isfinite(fr.fct_s))) {
+      fail("flow " + std::to_string(fr.flow) + " completed with bad FCT " +
+           std::to_string(fr.fct_s));
     }
   }
 
@@ -436,15 +434,13 @@ ExperimentResult Cell::run_to_completion() {
   // rate at 0, Jain's index reads 1.0 and the dead cell would average in as
   // fair. Checked here, not in finalize(): the model checker finalizes at
   // horizons that may end before the first delivery.
-  if (cfg_.check_invariants) {
-    bool delivered = false;
-    for (std::size_t i = 0; i < factory_->size() && !delivered; ++i) {
-      delivered = factory_->flow(i).receiver->delivered_bytes() > 0;
-    }
-    if (!delivered) {
-      throw InvariantViolation("run " + cfg_.id() + ": no flow delivered a byte in " +
-                               duration_.to_string());
-    }
+  bool delivered = false;
+  for (std::size_t i = 0; i < factory_->size() && !delivered; ++i) {
+    delivered = factory_->flow(i).receiver->delivered_bytes() > 0;
+  }
+  if (!delivered) {
+    throw InvariantViolation("run " + cfg_.id() + ": no flow delivered a byte in " +
+                             duration_.to_string());
   }
   return res;
 }

@@ -67,15 +67,16 @@ class Cell {
   /// under the config's watchdog budgets (throwing RunTimeout on a budget
   /// stop) and finalize. Attached observers (episode probe, queue-depth
   /// tracing) sample between scheduler calls, never from inside the queue.
-  /// With cfg.check_invariants, a run in which no flow delivered a byte
-  /// throws InvariantViolation.
+  /// A run in which no flow delivered a byte throws InvariantViolation.
   ExperimentResult run_to_completion();
 
-  /// Aggregate results and (when configured) check invariants against the
-  /// current state. Normally called once the clock reached duration();
-  /// calling mid-run is safe — conservation and cwnd invariants hold at
-  /// every event boundary — but per-flow throughputs are then averaged over
-  /// the flow's full configured window, not the elapsed part.
+  /// Aggregate results and check invariants against the current state
+  /// (conservation at the bottleneck, cwnd floor, finite throughput; a
+  /// breach throws InvariantViolation). Normally called once the clock
+  /// reached duration(); calling mid-run is safe — conservation and cwnd
+  /// invariants hold at every event boundary — but per-flow throughputs are
+  /// then averaged over the flow's full configured window, not the elapsed
+  /// part.
   ExperimentResult finalize();
 
   /// Capture the full simulation state. Requires cfg.tracer == nullptr.

@@ -62,10 +62,6 @@ struct ExperimentConfig {
   /// identity — a timed-out run never journals a result.
   std::uint64_t max_events = 0;
   double max_wall_seconds = 0;
-  /// Post-run invariant checks (byte/packet conservation at the bottleneck,
-  /// cwnd floor, finite throughput, and at least one delivered byte in a full
-  /// run); violations throw InvariantViolation.
-  bool check_invariants = true;
 
   /// Optional flight recorder attached to every sender and the bottleneck
   /// port for the run. Not part of the experiment identity: excluded from

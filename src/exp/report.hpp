@@ -55,7 +55,7 @@ struct ReportCellRow {
 struct SweepSummary {
   std::string manifest;
   std::size_t cells_total = 0;  ///< distinct ids with a terminal journal line
-  std::size_t completed = 0;    ///< ok + retried (latest terminal per id)
+  std::size_t completed = 0;    ///< ok (latest terminal per id)
   std::size_t failed = 0;       ///< failed + timed out
   std::size_t claims = 0;       ///< total claim lines
   std::size_t steals = 0;       ///< lease takeovers

@@ -11,10 +11,9 @@ namespace elephant::exp {
 /// cell until the lease expires (see work_queue.hpp). kSkipped never reaches
 /// the journal; it marks report slots for cells a drained sweep left behind.
 enum class RunStatus {
-  kOk,        ///< completed on the first attempt
-  kRetried,   ///< completed after one or more reseeded retries
-  kFailed,    ///< every attempt threw (config error, invariant violation, ...)
-  kTimedOut,  ///< every attempt exceeded a watchdog budget
+  kOk,        ///< simulated to completion
+  kFailed,    ///< the attempt threw (config error, invariant violation, ...)
+  kTimedOut,  ///< the attempt exceeded a watchdog budget
   kClaimed,   ///< journal only: leased by a worker, result pending
   kSkipped,   ///< report only: never attempted (graceful drain)
 };
@@ -23,8 +22,6 @@ enum class RunStatus {
   switch (s) {
     case RunStatus::kOk:
       return "ok";
-    case RunStatus::kRetried:
-      return "retried";
     case RunStatus::kFailed:
       return "failed";
     case RunStatus::kTimedOut:
@@ -38,8 +35,8 @@ enum class RunStatus {
 }
 
 [[nodiscard]] inline bool run_status_from_string(std::string_view name, RunStatus* out) {
-  for (const RunStatus s : {RunStatus::kOk, RunStatus::kRetried, RunStatus::kFailed,
-                            RunStatus::kTimedOut, RunStatus::kClaimed}) {
+  for (const RunStatus s :
+       {RunStatus::kOk, RunStatus::kFailed, RunStatus::kTimedOut, RunStatus::kClaimed}) {
     if (name == to_string(s)) {
       *out = s;
       return true;
@@ -48,10 +45,8 @@ enum class RunStatus {
   return false;
 }
 
-/// A run produced a result (ok or after retries).
-[[nodiscard]] inline bool succeeded(RunStatus s) {
-  return s == RunStatus::kOk || s == RunStatus::kRetried;
-}
+/// A run produced a result.
+[[nodiscard]] inline bool succeeded(RunStatus s) { return s == RunStatus::kOk; }
 
 /// Thrown by run_experiment when a watchdog budget (wall clock or executed
 /// events) is exceeded — the run is killed cleanly instead of hanging its

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -58,25 +57,13 @@ std::size_t SweepReport::count(RunStatus s) const {
   return n;
 }
 
-std::size_t SweepReport::completed() const {
-  return count(RunStatus::kOk) + count(RunStatus::kRetried);
-}
+std::size_t SweepReport::completed() const { return count(RunStatus::kOk); }
 
 std::size_t SweepReport::failed() const {
   return count(RunStatus::kFailed) + count(RunStatus::kTimedOut);
 }
 
 std::size_t SweepReport::skipped() const { return count(RunStatus::kSkipped); }
-
-double retry_backoff_s(std::uint64_t seed, int attempt, double base_s) {
-  if (base_s <= 0 || attempt <= 0) return 0;
-  // Cap the exponent: past 2^20 the sweep has bigger problems than jitter.
-  const double expo = base_s * std::ldexp(1.0, std::min(attempt - 1, 20));
-  const std::uint64_t r =
-      sim::derive_seed(seed, 0x300000000ULL + static_cast<std::uint64_t>(attempt));
-  const double u = static_cast<double>(r >> 11) * 0x1.0p-53;  // uniform [0, 1)
-  return expo * (0.5 + u);
-}
 
 namespace {
 
@@ -99,57 +86,37 @@ bool interruptible_sleep(double delay_s, const SweepOptions& options) {
   return !cancelled(options);
 }
 
-/// Execute one run with isolation: budgets applied, failures caught, up to
-/// `max_retries` reseeded re-attempts for plain failures, each preceded by
-/// exponential backoff with deterministic jitter (a crash from transient
-/// host pressure — OOM, disk stall — deserves breathing room, and jitter
-/// decorrelates workers retrying neighboring runs). Budget trips are
-/// deterministic, so retrying them would just burn the same budget again.
+/// Simulate one run once, at its own seed, under the sweep's budgets. A
+/// throw is caught and recorded: a budget trip as timed out, anything else
+/// as failed. The simulator is deterministic, so a failed run is attempted
+/// again only by a later resumed sweep, at the same seed, never here.
 RunRecord run_one(const ExperimentConfig& run, const SweepOptions& options,
                   obs::MetricsRegistry* run_metrics) {
+  ExperimentConfig cfg = run;
+  cfg.metrics = run_metrics;
+  if (cfg.max_events == 0) cfg.max_events = options.run_event_budget;
+  if (cfg.max_wall_seconds == 0) cfg.max_wall_seconds = options.run_wall_budget_seconds;
   RunRecord rec;
-  for (int attempt = 0; attempt <= options.max_retries; ++attempt) {
-    if (attempt > 0 &&
-        !interruptible_sleep(retry_backoff_s(run.seed, attempt, options.backoff_base_s),
-                             options)) {
-      return rec;  // drained mid-backoff: report the last failure as-is
-    }
-    ExperimentConfig cfg = run;
-    cfg.metrics = run_metrics;
-    if (cfg.max_events == 0) cfg.max_events = options.run_event_budget;
-    if (cfg.max_wall_seconds == 0) cfg.max_wall_seconds = options.run_wall_budget_seconds;
-    // Reseed retries: a crash tied to one RNG stream (e.g. a pathological
-    // packet interleaving) should not condemn the run. Attempt 0 is the
-    // run's own seed; retries draw from a dedicated sub-stream block so they
-    // can never collide with the repetition streams of a cell's base seed.
-    cfg.seed = attempt == 0 ? run.seed
-                            : sim::derive_seed(run.seed,
-                                               0x100000000ULL + static_cast<std::uint64_t>(attempt));
-    rec.attempts = attempt + 1;
-    try {
-      rec.result = summarize(run_experiment(cfg));
-      rec.status = attempt == 0 ? RunStatus::kOk : RunStatus::kRetried;
-      rec.error.clear();
-      return rec;
-    } catch (const RunTimeout& e) {
-      rec.status = RunStatus::kTimedOut;
-      rec.error = e.what();
-      return rec;
-    } catch (const std::exception& e) {
-      rec.status = RunStatus::kFailed;
-      rec.error = e.what();
-    } catch (...) {
-      rec.status = RunStatus::kFailed;
-      rec.error = "unknown exception";
-    }
+  rec.attempts = 1;
+  try {
+    rec.result = summarize(run_experiment(cfg));
+  } catch (const RunTimeout& e) {
+    rec.status = RunStatus::kTimedOut;
+    rec.error = e.what();
+  } catch (const std::exception& e) {
+    rec.status = RunStatus::kFailed;
+    rec.error = e.what();
+  } catch (...) {
+    rec.status = RunStatus::kFailed;
+    rec.error = "unknown exception";
   }
   return rec;
 }
 
-/// Rank for "a cell's status is its worst run's status": ok < retried <
-/// skipped (drained) < failed or timed out.
+/// Rank for "a cell's status is its worst run's status": ok < skipped
+/// (drained) < failed or timed out.
 int severity(RunStatus s) {
-  return succeeded(s) ? static_cast<int>(s) : s == RunStatus::kSkipped ? 2 : 3;
+  return succeeded(s) ? 0 : s == RunStatus::kSkipped ? 1 : 2;
 }
 
 /// One cell's record from its runs, in seed order.
@@ -180,6 +147,13 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
     throw std::invalid_argument("sweep repetitions must be >= 1, got " +
                                 std::to_string(options.repetitions));
   }
+  if (options.manifest_path.empty()) {
+    throw std::invalid_argument("sweep needs a manifest: the journal is its result store");
+  }
+  if (!(options.lease_s > 0)) {
+    throw std::invalid_argument("sweep lease_s must be > 0, got " +
+                                std::to_string(options.lease_s));
+  }
   SweepReport report;
   report.records.resize(configs.size());
   if (configs.empty()) return report;
@@ -196,7 +170,7 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
     ids[k] = runs[k].id();
   }
   // Two runs under one id would share one journal slot: the second is never
-  // marked done and a manifest sweep waits on it forever.
+  // marked done and the sweep waits on it forever.
   {
     std::vector<std::string_view> sorted(ids.begin(), ids.end());
     std::sort(sorted.begin(), sorted.end());
@@ -215,30 +189,23 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
     reg = &*owned_registry;
   }
 
-  // A manifest makes the sweep a leased work queue over its journal, so any
-  // number of worker processes can share it (see work_queue.hpp).
-  std::optional<LeasedWorkQueue> queue;
-  if (!options.manifest_path.empty()) {
-    if (!(options.lease_s > 0)) {
-      throw std::invalid_argument("sweep lease_s must be > 0, got " +
-                                  std::to_string(options.lease_s));
-    }
-    std::vector<std::pair<std::size_t, std::string>> cells;
-    cells.reserve(runs.size());
-    for (std::size_t k = 0; k < runs.size(); ++k) cells.emplace_back(k, ids[k]);
-    LeasedWorkQueue::Options qopt;
-    qopt.worker_id =
-        options.worker_id.empty() ? "pid" + std::to_string(::getpid()) : options.worker_id;
-    qopt.lease_s = options.lease_s;
-    qopt.resume = options.resume;
-    qopt.metrics = reg;
-    queue.emplace(options.manifest_path, std::move(cells), std::move(qopt));
-    if (!queue->healthy()) {
-      // An unusable journal means no durable record of anything this sweep
-      // does — fail now, loudly, instead of simulating for hours into a void.
-      throw std::runtime_error("sweep manifest unusable (" + options.manifest_path.string() +
-                               "): " + queue->error());
-    }
+  // The sweep is a leased work queue over its journal, so any number of
+  // worker processes can share it (see work_queue.hpp).
+  std::vector<std::pair<std::size_t, std::string>> cells;
+  cells.reserve(runs.size());
+  for (std::size_t k = 0; k < runs.size(); ++k) cells.emplace_back(k, ids[k]);
+  LeasedWorkQueue::Options qopt;
+  qopt.worker_id =
+      options.worker_id.empty() ? "pid" + std::to_string(::getpid()) : options.worker_id;
+  qopt.lease_s = options.lease_s;
+  qopt.resume = options.resume;
+  qopt.metrics = reg;
+  LeasedWorkQueue queue(options.manifest_path, std::move(cells), std::move(qopt));
+  if (!queue.healthy()) {
+    // An unusable journal means no durable record of anything this sweep
+    // does — fail now, loudly, instead of simulating for hours into a void.
+    throw std::runtime_error("sweep manifest unusable (" + options.manifest_path.string() +
+                             "): " + queue.error());
   }
 
   int threads = options.threads;
@@ -248,7 +215,6 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
   }
   threads = std::min<int>(threads, static_cast<int>(runs.size()));
 
-  std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
   // Guards outcomes/touched/published while workers run; the pool join is
   // the happens-before edge for the reads after it. Runs still untouched
@@ -284,11 +250,9 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
       const std::string name = options.worker_id.empty()
                                    ? "metrics.jsonl"
                                    : "metrics-" + options.worker_id + ".jsonl";
-      hb.jsonl_path = options.manifest_path.empty()
-                          ? std::filesystem::path(name)
-                          : options.manifest_path.parent_path() / name;
+      hb.jsonl_path = options.manifest_path.parent_path() / name;
     }
-    if (queue) hb.worker_tag = queue->worker_id();
+    hb.worker_tag = queue.worker_id();
     // Shared-registry histograms change only under merge_from's lock, so
     // live ticks may include them.
     hb.histograms_in_ticks = true;
@@ -338,7 +302,6 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
     if (local) {
       local->histogram("sweep.cell_wall_s").record(rec.wall_s);
       reg->merge_from(*local);
-      if (rec.attempts > 1) reg->counter("sweep.retries").add(rec.attempts - 1);
       if (!rec.success()) reg->counter("sweep.cells_failed").add(1);
     }
     eta.record_cell(rec.wall_s);
@@ -348,7 +311,7 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
   // A run this worker did not execute, as the journal records it: terminal
   // lines only (per-flow detail is not journaled; the aggregates are).
   auto from_journal = [&](std::size_t k) -> std::optional<RunRecord> {
-    const std::optional<ManifestEntry> e = queue ? queue->latest(ids[k]) : std::nullopt;
+    const std::optional<ManifestEntry> e = queue.latest(ids[k]);
     if (!e || !e->terminal()) return std::nullopt;
     RunRecord rec;
     rec.status = e->status;
@@ -379,18 +342,13 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
                       ++cells_published, configs.size());
   };
 
-  // The next run for this thread, or nullopt when it should stop. With a
-  // manifest, runs are leased through the shared journal, so any number of
-  // processes (and this process's threads) interleave safely; without one,
-  // an atomic counter scans the runs in order.
+  // The next run for this thread, or nullopt when it should stop. Runs are
+  // leased through the shared journal, so any number of processes (and this
+  // process's threads) interleave safely.
   auto next_run = [&]() -> std::optional<std::size_t> {
-    if (!queue) {
-      const std::size_t k = next.fetch_add(1);
-      return k < runs.size() ? std::optional(k) : std::nullopt;
-    }
-    while (queue->healthy()) {  // a failed journal write aborts the sweep
+    while (queue.healthy()) {  // a failed journal write aborts the sweep
       std::size_t k = 0;
-      switch (queue->try_claim(&k)) {
+      switch (queue.try_claim(&k)) {
         case LeasedWorkQueue::Claim::kClaimed:
           return k;
         case LeasedWorkQueue::Claim::kAllDone:
@@ -411,17 +369,15 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
       const std::optional<std::size_t> k = next_run();
       if (!k) return;
       RunRecord rec = execute_run(*k);
-      if (queue) {
-        ManifestEntry e;
-        e.index = *k;
-        e.id = ids[*k];
-        e.status = rec.status;
-        e.attempts = rec.attempts;
-        e.result = rec.result;
-        e.wall_s = rec.wall_s;
-        e.error = rec.error;
-        queue->complete(e);
-      }
+      ManifestEntry e;
+      e.index = *k;
+      e.id = ids[*k];
+      e.status = rec.status;
+      e.attempts = rec.attempts;
+      e.result = rec.result;
+      e.wall_s = rec.wall_s;
+      e.error = rec.error;
+      queue.complete(e);
       publish(*k, std::move(rec));
     }
   };
@@ -439,7 +395,7 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
   // worker (or a prior resumed run) produced a terminal outcome, else mark
   // kSkipped — a drained sweep must not let default-constructed records
   // masquerade as successes.
-  if (queue) queue->refresh();
+  queue.refresh();
   for (std::size_t k = 0; k < runs.size(); ++k) {
     if (touched[k]) continue;
     if (std::optional<RunRecord> served = from_journal(k)) {
@@ -463,9 +419,9 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
   // failed (disk full, unlinked manifest) or a peer journaled a line this
   // build refuses, surface it as an error rather than returning a report
   // whose durable record is silently incomplete.
-  if (queue && !queue->healthy()) {
+  if (!queue.healthy()) {
     throw std::runtime_error("sweep aborted: manifest unusable (" +
-                             options.manifest_path.string() + "): " + queue->error());
+                             options.manifest_path.string() + "): " + queue.error());
   }
   return report;
 }

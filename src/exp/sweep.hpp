@@ -26,10 +26,10 @@ namespace elephant::exp {
 
 /// Outcome of one sweep cell: the fold of its `repetitions` runs. `result`
 /// is meaningful only when `succeeded(status)`; otherwise `error` carries the
-/// exception text of the worst run's final attempt.
+/// exception text of the worst run.
 struct RunRecord {
   RunStatus status = RunStatus::kOk;  ///< the worst status among the cell's runs
-  int attempts = 0;    ///< simulation attempts actually made, summed over runs
+  int attempts = 0;    ///< runs simulated here (one attempt each; 0 if served)
   bool resumed = false;  ///< every run satisfied from the journal, none re-run
   double wall_s = 0;   ///< wall seconds this worker spent on the cell's runs
   std::string error;
@@ -42,47 +42,36 @@ struct SweepReport {
   std::vector<RunRecord> records;  ///< one per config, input order
 
   [[nodiscard]] std::size_t count(RunStatus s) const;
-  [[nodiscard]] std::size_t completed() const;  ///< ok + retried
+  [[nodiscard]] std::size_t completed() const;  ///< ok
   [[nodiscard]] std::size_t failed() const;     ///< failed + timed out
   [[nodiscard]] std::size_t skipped() const;    ///< never attempted (drained)
 };
 
-/// Deterministic retry backoff: base · 2^(attempt-1) · U with U ∈ [0.5, 1.5)
-/// derived from sim::derive_seed(seed, 0x300000000 + attempt) — the jitter is
-/// a pure function of (cell seed, attempt), so re-running a sweep reproduces
-/// its retry schedule exactly while distinct cells still decorrelate.
-/// `attempt` is 1-based (the first retry); returns 0 when base_s <= 0.
-[[nodiscard]] double retry_backoff_s(std::uint64_t seed, int attempt, double base_s);
-
 struct SweepOptions {
   /// Runs per cell; must be >= 1. Run r of a cell simulates seed
-  /// sim::derive_seed(cell seed, r) and is the unit of work: leases, retries,
-  /// budgets and journal lines each apply to one run.
+  /// sim::derive_seed(cell seed, r) and is the unit of work: leases, budgets
+  /// and journal lines each apply to one run, and each run is simulated once
+  /// per sweep, at its own seed.
   int repetitions = 1;
   int threads = 0;  ///< 0 → hardware concurrency
-  /// Extra simulation attempts (with a reseeded RNG) after a failure before
-  /// the run is recorded as failed. 0 disables retry.
-  int max_retries = 0;
   /// Per-run watchdog budgets, applied to every run (0 = unlimited). A run
-  /// that trips either budget is recorded as timed out, never retried.
+  /// that trips either budget is recorded as timed out.
   std::uint64_t run_event_budget = 0;
   double run_wall_budget_seconds = 0;
   /// Append-only JSONL journal of run outcomes, one line per run; the only
-  /// result store. Empty path disables it. A manifest makes the sweep a
-  /// leased work queue (see work_queue.hpp): runs are claimed through the
-  /// journal, so any number of sweep processes can share one manifest and a
-  /// killed worker costs at most its in-flight runs (stolen after lease_s).
+  /// result store, and required. The sweep is a leased work queue over it
+  /// (see work_queue.hpp): runs are claimed through the journal, so any
+  /// number of sweep processes can share one manifest and a killed worker
+  /// costs at most its in-flight runs (stolen after lease_s).
   std::filesystem::path manifest_path;
   /// Satisfy runs whose id already has a *successful* manifest entry from
-  /// the journal instead of re-running them. Requires manifest_path.
+  /// the journal instead of re-running them; a journaled failure is
+  /// attempted again, at the run's own seed.
   bool resume = false;
   /// Unique id of this worker process; "" derives "pid<pid>".
   std::string worker_id;
-  /// Lease duration in seconds; must be > 0 when a manifest is set.
+  /// Lease duration in seconds; must be > 0.
   double lease_s = 60;
-  /// First-retry backoff delay (doubles per further attempt, with
-  /// deterministic jitter — see retry_backoff_s). 0 retries immediately.
-  double backoff_base_s = 0.25;
   /// Graceful drain flag (e.g. set from a SIGTERM handler): when it becomes
   /// true, workers finish and journal their in-flight runs, claim nothing
   /// further, and return; a cell with an unattempted run is kSkipped.
@@ -96,10 +85,10 @@ struct SweepOptions {
   /// Each run simulates against its own thread-local registry, merged into
   /// this one when the run finishes — workers never contend and histograms
   /// stay single-writer. On top of the per-run metrics the sweep adds
-  /// sweep.cells_{done,failed,resumed}, sweep.retries and a
-  /// sweep.cell_wall_s histogram, all counting units of work (one run each;
-  /// a cell at reps 1). Null with stats_interval_s > 0 provisions an
-  /// internal registry for the heartbeat's lifetime.
+  /// sweep.cells_{done,failed,resumed} and a sweep.cell_wall_s histogram,
+  /// all counting units of work (one run each; a cell at reps 1). Null with
+  /// stats_interval_s > 0 provisions an internal registry for the
+  /// heartbeat's lifetime.
   obs::MetricsRegistry* metrics = nullptr;
   /// Wall-clock self-profiling period: > 0 runs a heartbeat thread that
   /// appends one JSON snapshot per tick to `metrics_path` and prints
@@ -107,7 +96,7 @@ struct SweepOptions {
   /// 0 (default) disables the heartbeat.
   double stats_interval_s = 0;
   /// Heartbeat JSONL destination. Empty → "metrics.jsonl" next to the
-  /// manifest, or in the working directory when there is no manifest.
+  /// manifest.
   std::filesystem::path metrics_path;
 };
 
@@ -116,8 +105,9 @@ struct SweepOptions {
 /// marks its own record and the sweep carries on. Run r of cell i is
 /// journaled under its own config id at index i·reps + r. Records are one
 /// per cell, in input order; a cell's result is bit-identical to
-/// run_averaged(cfg, reps). Throws std::invalid_argument when reps < 1 or
-/// when two runs share an id (a config listed twice).
+/// run_averaged(cfg, reps). Throws std::invalid_argument when reps < 1,
+/// when manifest_path is empty, when lease_s is not > 0 or when two runs
+/// share an id (a config listed twice).
 [[nodiscard]] SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
                                               const SweepOptions& options = {});
 

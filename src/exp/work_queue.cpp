@@ -185,20 +185,22 @@ LeasedWorkQueue::Claim LeasedWorkQueue::try_claim(std::size_t* index) {
   const double now = unix_now();
   const std::size_t npos = cells_.size();
   std::size_t pick = npos;
-  bool all_done = true;
+  // Only another worker's live lease is worth waiting for: the runs this
+  // worker holds are kept alive by the renewer and completed by the threads
+  // running them, so a thread with nothing else to claim can stop.
+  bool foreign_lease = false;
   for (std::size_t slot = 0; slot < cells_.size(); ++slot) {
     CellState& s = state_[slot];
     if (s.phase == Phase::kLeased && s.lease_until <= now) {
       s.phase = Phase::kUnclaimed;  // expired: stealable (keep s.worker for accounting)
     }
-    if (s.phase == Phase::kDone) continue;
-    all_done = false;
     if (s.phase == Phase::kUnclaimed) {
       pick = slot;
       break;
     }
+    foreign_lease = foreign_lease || (s.phase == Phase::kLeased && held_.count(slot) == 0);
   }
-  if (pick == npos) return all_done ? Claim::kAllDone : Claim::kWaitLeased;
+  if (pick == npos) return foreign_lease ? Claim::kWaitLeased : Claim::kAllDone;
 
   const ManifestEntry c = claim_entry(pick, now + options_.lease_s);
   if (!manifest_.append_locked(c)) {

@@ -66,8 +66,8 @@ class LeasedWorkQueue {
 
   enum class Claim {
     kClaimed,     ///< *index holds the claimed cell; run it, then complete()
-    kWaitLeased,  ///< nothing claimable now, but live leases remain — poll
-    kAllDone,     ///< every cell has a terminal outcome (or resumed success)
+    kWaitLeased,  ///< nothing claimable now, but other workers' live leases remain — poll
+    kAllDone,     ///< nothing left for this worker: every cell is done or leased by it
   };
 
   /// `cells` is the sweep's (config index, config id) list in run order.

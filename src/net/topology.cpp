@@ -40,7 +40,7 @@ Dumbbell::Dumbbell(sim::Scheduler& sched, const DumbbellConfig& cfg) : sched_(sc
   // the experiment's AQM (the `tc` target in the paper). The reverse
   // direction is an unshaped 100G trunk.
   auto bottleneck_q = aqm::make_queue_disc(cfg_.aqm, sched_, cfg_.bottleneck_buffer_bytes,
-                                           cfg_.seed, cfg_.aqm_options);
+                                           cfg_.seed, cfg_.ecn);
   bottleneck_ = add_port(std::move(bottleneck_q), cfg_.bottleneck_bps, cfg_.trunk_delay,
                          router2_.get(), "r1->r2(bottleneck)");
   if (cfg_.random_loss > 0 || cfg_.ge_loss.enabled()) {

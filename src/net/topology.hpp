@@ -29,7 +29,7 @@ struct DumbbellConfig {
 
   aqm::AqmKind aqm = aqm::AqmKind::kFifo;
   std::size_t bottleneck_buffer_bytes = 1 << 20;
-  aqm::AqmOptions aqm_options{};
+  bool ecn = false;  ///< bottleneck AQM marks ECN-capable packets instead of dropping
 
   /// Edge buffers: deep enough never to be the binding constraint.
   std::size_t access_buffer_bytes = std::size_t{512} << 20;

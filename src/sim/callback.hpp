@@ -17,8 +17,7 @@ namespace elephant::sim {
 /// on the fault-perturbed delivery path, fault-plan events) are placed in
 /// fixed-size blocks recycled through a thread-local free list: after the
 /// first few events of a run the slab is warm and the steady state performs
-/// zero heap allocations. Captures beyond the block size (none today) fall
-/// back to plain `operator new`.
+/// zero heap allocations. A capture beyond the block size does not compile.
 class InplaceCallback {
  public:
   /// Inline capture budget. 64 bytes covers every hot-path lambda in the
@@ -39,15 +38,12 @@ class InplaceCallback {
     if constexpr (sizeof(D) <= kInlineSize && alignof(D) <= alignof(std::max_align_t)) {
       ::new (static_cast<void*>(storage_.inline_bytes)) D(std::forward<F>(f));
       vt_ = &vtable_for<D, Store::kInline>();
-    } else if constexpr (sizeof(D) <= kBlockSize &&
-                         alignof(D) <= alignof(std::max_align_t)) {
+    } else {
+      static_assert(sizeof(D) <= kBlockSize && alignof(D) <= alignof(std::max_align_t),
+                    "capture exceeds InplaceCallback's pooled block");
       storage_.heap = pool_alloc();
       ::new (storage_.heap) D(std::forward<F>(f));
       vt_ = &vtable_for<D, Store::kPooled>();
-    } else {
-      storage_.heap = ::operator new(sizeof(D), std::align_val_t{alignof(D)});
-      ::new (storage_.heap) D(std::forward<F>(f));
-      vt_ = &vtable_for<D, Store::kDirect>();
     }
   }
 
@@ -96,12 +92,12 @@ class InplaceCallback {
   }
 
  private:
-  enum class Store : unsigned char { kInline, kPooled, kDirect };
+  enum class Store : unsigned char { kInline, kPooled };
 
   struct VTable {
     void (*invoke)(void*);
     /// Move-construct into `dst` and destroy the source (inline captures
-    /// only; pooled/direct captures relocate by pointer swap).
+    /// only; pooled captures relocate by pointer swap).
     void (*relocate)(void* dst, void* src);
     void (*destroy_free)(void*);
     /// Copy-construct the capture into a fresh callback; null when the
@@ -168,11 +164,7 @@ class InplaceCallback {
         /*destroy_free=*/
         [](void* obj) {
           static_cast<D*>(obj)->~D();
-          if constexpr (S == Store::kPooled) {
-            pool_free(obj);
-          } else if constexpr (S == Store::kDirect) {
-            ::operator delete(obj, std::align_val_t{alignof(D)});
-          }
+          if constexpr (S == Store::kPooled) pool_free(obj);
         },
         /*clone=*/clone_for<D>(),
         /*store=*/S,

@@ -42,7 +42,7 @@ TEST_P(AllocSteadyState, NoAllocationsAfterWarmup) {
   net::DumbbellConfig topo;
   topo.bottleneck_bps = 100e6;
   topo.aqm = GetParam();
-  topo.aqm_options.ecn = GetParam() != aqm::AqmKind::kFifo;
+  topo.ecn = GetParam() != aqm::AqmKind::kFifo;
   topo.bottleneck_buffer_bytes = std::size_t{16} << 20;  // deep: no loss
   net::Dumbbell net(sched, topo);
 
@@ -54,7 +54,7 @@ TEST_P(AllocSteadyState, NoAllocationsAfterWarmup) {
   sc.src = net.client(0).id();
   sc.dst = net.server(0).id();
   sc.mss = 8900;
-  sc.ecn = topo.aqm_options.ecn;
+  sc.ecn = topo.ecn;
 
   tcp::TcpReceiver receiver(sched, net.server(0), net.client(0).id(), 1);
   tcp::TcpSender sender(sched, net.client(0), sc,

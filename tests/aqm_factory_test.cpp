@@ -30,26 +30,11 @@ TEST(AqmFactory, AppliesLimit) {
 
 TEST(AqmFactory, EcnOptionFlowsThrough) {
   sim::Scheduler sched;
-  AqmOptions opts;
-  opts.ecn = true;
-  auto red = make_queue_disc(AqmKind::kRed, sched, 1 << 20, 1, opts);
+  auto red = make_queue_disc(AqmKind::kRed, sched, 1 << 20, 1, /*ecn=*/true);
   ASSERT_NE(red, nullptr);
   const QueueDisc& base = *red;
   ASSERT_EQ(typeid(base), typeid(RedQueue));
   EXPECT_TRUE(static_cast<const RedQueue&>(base).config().ecn);
-}
-
-TEST(AqmFactory, FqCodelOptionsApplied) {
-  sim::Scheduler sched;
-  AqmOptions opts;
-  opts.fq_flows = 64;
-  opts.fq_quantum = 1500;
-  auto q = make_queue_disc(AqmKind::kFqCodel, sched, 1 << 20, 1, opts);
-  const QueueDisc& base = *q;
-  ASSERT_EQ(typeid(base), typeid(FqCodelQueue));
-  const auto& typed = static_cast<const FqCodelQueue&>(base);
-  EXPECT_EQ(typed.config().flows, 64u);
-  EXPECT_EQ(typed.config().quantum, 1500u);
 }
 
 TEST(AqmFactory, RedSeedDeterminism) {

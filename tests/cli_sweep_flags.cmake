@@ -1,7 +1,9 @@
-# `elephant sweep` must refuse a lease that is not a number > 0, a pool,
-# retry or budget flag that is not a number in its range (an integer where a
-# count is meant), and --resume without a manifest to resume from, with exit
-# status 2; a valid manifest sweep still runs. `run` and `sweep` both refuse a
+# `elephant sweep` must refuse a lease that is not a number > 0, a pool or
+# budget flag that is not a number in its range (an integer where a count is
+# meant), --resume without a manifest to resume from, and the retry flags
+# older builds took (--retries, --backoff: every run is one attempt at its
+# own seed, so they are unknown options now), with exit status 2; a valid
+# manifest sweep still runs. `run` and `sweep` both refuse a
 # --reps or ELEPHANT_REPS that is not an integer >= 1 with exit status 2. A
 # sweep without --manifest journals to $ELEPHANT_RESULTS_DIR/runs.jsonl and
 # resumes from it. chaos_sweep refuses a numeric flag that is not a number in
@@ -35,10 +37,10 @@ expect_exit(2 ${manifest} --lease-s 5x)
 expect_exit(2 --resume)
 expect_exit(2 ${manifest} --threads 1.5)
 expect_exit(2 ${manifest} --threads -1)
-expect_exit(2 ${manifest} --retries x)
+expect_exit(2 ${manifest} --retries 1)
 expect_exit(2 ${manifest} --event-budget 1e3)
 expect_exit(2 ${manifest} --wall-budget -1)
-expect_exit(2 ${manifest} --backoff -1)
+expect_exit(2 ${manifest} --backoff 0.25)
 expect_exit(2 ${manifest} --stats-interval abc)
 expect_exit(0 ${manifest} --lease-s 5)
 

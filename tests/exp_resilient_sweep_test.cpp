@@ -60,6 +60,7 @@ TEST_F(ResilientSweepTest, ThrowingConfigIsIsolated) {
 
   SweepOptions opts;
   opts.threads = 2;
+  opts.manifest_path = manifest_path();
   const SweepReport report = run_sweep_resilient(configs, opts);
 
   ASSERT_EQ(report.records.size(), 20u);
@@ -77,7 +78,7 @@ TEST_F(ResilientSweepTest, ThrowingConfigIsIsolated) {
 TEST_F(ResilientSweepTest, EventBudgetRecordsTimeoutWithoutRetry) {
   SweepOptions opts;
   opts.threads = 1;
-  opts.max_retries = 3;     // must NOT be spent on a deterministic budget trip
+  opts.manifest_path = manifest_path();
   opts.run_event_budget = 500;
   const SweepReport report = run_sweep_resilient(quick_batch(1), opts);
   ASSERT_EQ(report.records.size(), 1u);
@@ -86,14 +87,41 @@ TEST_F(ResilientSweepTest, EventBudgetRecordsTimeoutWithoutRetry) {
   EXPECT_NE(report.records[0].error.find("event budget"), std::string::npos);
 }
 
-TEST_F(ResilientSweepTest, FailuresAreRetriedWithReseed) {
+TEST_F(ResilientSweepTest, FailedRunIsOneAttemptResumeRetriesItsOwnSeed) {
+  // A throwing run is attempted once and journaled as failed under its own
+  // id (which carries its seed); a resumed sweep attempts that same run
+  // again, and no other seed's numbers ever stand in for it.
+  const ExperimentConfig poisoned = poisoned_config();
   SweepOptions opts;
   opts.threads = 1;
-  opts.max_retries = 2;
-  const SweepReport report = run_sweep_resilient({poisoned_config()}, opts);
-  ASSERT_EQ(report.records.size(), 1u);
-  EXPECT_EQ(report.records[0].status, RunStatus::kFailed);
-  EXPECT_EQ(report.records[0].attempts, 3);  // initial + 2 retries
+  opts.manifest_path = manifest_path();
+  const SweepReport first = run_sweep_resilient({poisoned}, opts);
+  ASSERT_EQ(first.records.size(), 1u);
+  EXPECT_EQ(first.records[0].status, RunStatus::kFailed);
+  EXPECT_EQ(first.records[0].attempts, 1);
+
+  opts.resume = true;
+  const SweepReport second = run_sweep_resilient({poisoned}, opts);
+  ASSERT_EQ(second.records.size(), 1u);
+  EXPECT_EQ(second.records[0].status, RunStatus::kFailed);
+  EXPECT_EQ(second.records[0].attempts, 1);
+  EXPECT_FALSE(second.records[0].resumed);
+  EXPECT_EQ(second.records[0].error, first.records[0].error);
+
+  std::ifstream in(manifest_path());
+  std::string line;
+  int failures = 0;
+  while (std::getline(in, line)) {
+    ManifestEntry e;
+    ASSERT_TRUE(SweepManifest::parse_line(line, &e)) << line;
+    EXPECT_EQ(e.id, poisoned.id());
+    if (e.terminal()) {
+      EXPECT_EQ(e.status, RunStatus::kFailed);
+      EXPECT_EQ(e.attempts, 1);
+      ++failures;
+    }
+  }
+  EXPECT_EQ(failures, 2);
 }
 
 TEST_F(ResilientSweepTest, ManifestLineRoundTrips) {
@@ -279,26 +307,12 @@ TEST_F(ResilientSweepTest, FailedCellLeavesDefaultResult) {
   configs.push_back(poisoned_config());
   SweepOptions opts;
   opts.threads = 1;
+  opts.manifest_path = manifest_path();
   const SweepReport report = run_sweep_resilient(configs, opts);
   ASSERT_EQ(report.records.size(), 3u);
   EXPECT_GT(report.records[0].result.utilization, 0.0);
   EXPECT_GT(report.records[1].result.utilization, 0.0);
   EXPECT_EQ(report.records[2].result.repetitions, 0);  // failed cell: default-constructed
-}
-
-TEST_F(ResilientSweepTest, BackoffIsDeterministicJitteredAndExponential) {
-  // Same (seed, attempt) → same delay, always within [0.5, 1.5)·base·2^(k-1).
-  const double d1 = retry_backoff_s(42, 1, 0.25);
-  EXPECT_DOUBLE_EQ(d1, retry_backoff_s(42, 1, 0.25));
-  EXPECT_GE(d1, 0.125);
-  EXPECT_LT(d1, 0.375);
-  const double d2 = retry_backoff_s(42, 2, 0.25);
-  EXPECT_GE(d2, 0.25);
-  EXPECT_LT(d2, 0.75);
-  // Different seeds decorrelate, and the degenerate inputs cost nothing.
-  EXPECT_NE(retry_backoff_s(42, 1, 0.25), retry_backoff_s(43, 1, 0.25));
-  EXPECT_EQ(retry_backoff_s(42, 0, 0.25), 0.0);
-  EXPECT_EQ(retry_backoff_s(42, 1, 0.0), 0.0);
 }
 
 TEST_F(ResilientSweepTest, UnusableManifestFailsLoudly) {
@@ -345,6 +359,7 @@ TEST_F(ResilientSweepTest, PreSetCancelSkipsEveryCell) {
   std::atomic<bool> cancel{true};
   SweepOptions opts;
   opts.threads = 2;
+  opts.manifest_path = manifest_path();
   opts.cancel = &cancel;
   const SweepReport report = run_sweep_resilient(quick_batch(3), opts);
   ASSERT_EQ(report.records.size(), 3u);
@@ -398,13 +413,14 @@ TEST_F(ResilientSweepTest, ReportCountsByStatus) {
   SweepReport report;
   report.records.resize(5);
   report.records[0].status = RunStatus::kOk;
-  report.records[1].status = RunStatus::kRetried;
+  report.records[1].status = RunStatus::kSkipped;
   report.records[2].status = RunStatus::kFailed;
   report.records[3].status = RunStatus::kTimedOut;
   report.records[4].status = RunStatus::kOk;
   EXPECT_EQ(report.count(RunStatus::kOk), 2u);
-  EXPECT_EQ(report.completed(), 3u);
+  EXPECT_EQ(report.completed(), 2u);
   EXPECT_EQ(report.failed(), 2u);
+  EXPECT_EQ(report.skipped(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -498,10 +514,11 @@ TEST_F(CacheTest, DifferentConfigsDoNotCollide) {
 }
 
 TEST_F(CacheTest, DisabledCacheStoresNothing) {
-  // A sweep without a journal simulates and stores nothing anywhere.
+  // The journal is the only result store: a sweep without one is refused
+  // before it simulates or stores anything.
   SweepOptions opts;
   opts.threads = 1;
-  ASSERT_EQ(run_sweep_resilient({cache_config()}, opts).completed(), 1u);
+  EXPECT_THROW((void)run_sweep_resilient({cache_config()}, opts), std::invalid_argument);
   EXPECT_TRUE(std::filesystem::is_empty(dir_));
 }
 
@@ -601,8 +618,10 @@ TEST_F(CacheTest, WorkloadIsPartOfTheKey) {
     ASSERT_EQ(q.try_claim(&got), LeasedWorkQueue::Claim::kClaimed);
     EXPECT_EQ(got, want);
   }
+  // The paper run is served and this queue holds the rest: nothing is left
+  // for it to claim or wait for.
   std::size_t got = 99;
-  EXPECT_EQ(q.try_claim(&got), LeasedWorkQueue::Claim::kWaitLeased);
+  EXPECT_EQ(q.try_claim(&got), LeasedWorkQueue::Claim::kAllDone);
   ASSERT_TRUE(q.latest(paper.id()).has_value());
   EXPECT_TRUE(q.latest(paper.id())->success());
 }

@@ -168,11 +168,12 @@ TEST(Runner, DeadCellFailsInvariants) {
   cfg.buffer_bdp = 1000.0 / cfg.bdp_bytes();
   ASSERT_LT(cfg.buffer_bytes(), cfg.mss);
   EXPECT_THROW((void)run_experiment(cfg), InvariantViolation);
-
-  cfg.check_invariants = false;
-  const ExperimentResult res = run_experiment(cfg);
-  EXPECT_EQ(res.sender_bps[0] + res.sender_bps[1], 0.0);
-  EXPECT_DOUBLE_EQ(res.jain2, 1.0);
+  try {
+    (void)run_experiment(cfg);
+  } catch (const InvariantViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("no flow delivered a byte"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Runner, FinalizeBeforeFirstDeliveryIsNotDead) {

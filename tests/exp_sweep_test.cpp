@@ -27,8 +27,10 @@ std::vector<ExperimentConfig> tiny_matrix() {
 }
 
 TEST(Sweep, ResultsInInputOrder) {
+  const test::TempJournal journal("sweep_order");
   SweepOptions opts;
   opts.threads = 1;
+  opts.manifest_path = journal.path();
   const SweepReport report = run_sweep_resilient(tiny_matrix(), opts);
   ASSERT_EQ(report.records.size(), 2u);
   EXPECT_EQ(report.records[0].result.config.cca1, cca::CcaKind::kCubic);
@@ -37,7 +39,9 @@ TEST(Sweep, ResultsInInputOrder) {
 }
 
 TEST(Sweep, ProgressCallbackSeesEveryConfig) {
+  const test::TempJournal journal("sweep_progress");
   SweepOptions opts;
+  opts.manifest_path = journal.path();
   std::atomic<int> calls{0};
   std::size_t last_total = 0;
   opts.on_result = [&](const AveragedResult&, std::size_t, std::size_t total) {
@@ -50,9 +54,13 @@ TEST(Sweep, ProgressCallbackSeesEveryConfig) {
 }
 
 TEST(Sweep, MultiThreadedMatchesSingleThreaded) {
+  // Without resume the second sweep ignores the first one's lines and
+  // simulates every run again.
+  const test::TempJournal journal("sweep_threads");
   SweepOptions serial;
   serial.threads = 1;
-  SweepOptions parallel;
+  serial.manifest_path = journal.path();
+  SweepOptions parallel = serial;
   parallel.threads = 2;
   const SweepReport a = run_sweep_resilient(tiny_matrix(), serial);
   const SweepReport b = run_sweep_resilient(tiny_matrix(), parallel);
@@ -64,7 +72,10 @@ TEST(Sweep, MultiThreadedMatchesSingleThreaded) {
 }
 
 TEST(Sweep, EmptyInputIsEmptyOutput) {
-  EXPECT_TRUE(run_sweep_resilient({}, SweepOptions{}).records.empty());
+  const test::TempJournal journal("sweep_empty");
+  SweepOptions opts;
+  opts.manifest_path = journal.path();
+  EXPECT_TRUE(run_sweep_resilient({}, opts).records.empty());
 }
 
 TEST(Sweep, AveragingAcrossRepsIsMean) {
@@ -254,9 +265,45 @@ TEST_F(SweepJournalTest, DuplicateRunIdIsRejected) {
   }
   // Refused before any run is claimed: the journal stays empty.
   EXPECT_TRUE(terminal_lines().empty());
-  SweepOptions opts;
-  opts.threads = 1;
-  EXPECT_THROW((void)run_sweep_resilient({cfg, cfg}, opts), std::invalid_argument);
+}
+
+TEST_F(SweepJournalTest, RetriedLineFromOlderBuildIsResimulatedAtItsOwnSeed) {
+  // Older builds journaled a reseeded retry as "retried" under the run's id:
+  // another seed's numbers. This build does not parse such a line, so a
+  // resumed sweep simulates that run again at its own seed.
+  const ExperimentConfig cfg = short_matrix()[0];
+  ASSERT_EQ(sweep({cfg}, 3).records[0].attempts, 3);
+  const std::vector<ManifestEntry> lines = terminal_lines();
+  ASSERT_EQ(lines.size(), 3u);
+  ManifestEntry reseeded = lines[1];
+  reseeded.attempts = 2;
+  reseeded.result.jain2 = 0.123;
+  std::string retried = SweepManifest::format_line(reseeded);
+  const std::string ok_status = "\"status\":\"ok\"";
+  retried.replace(retried.find(ok_status), ok_status.size(), "\"status\":\"retried\"");
+  ManifestEntry unused;
+  EXPECT_FALSE(SweepManifest::parse_line(retried, &unused));
+  std::filesystem::remove(journal());
+  ASSERT_TRUE(test::append_journal(journal(), {lines[0], lines[2]}));
+  std::ofstream(journal(), std::ios::app) << retried << '\n';
+
+  const RunRecord resumed = sweep({cfg}, 3).records[0];
+  EXPECT_EQ(resumed.status, RunStatus::kOk);
+  EXPECT_EQ(resumed.attempts, 1);  // seed 1 only
+  expect_same(resumed.result, run_averaged(cfg, 3));
+  const std::vector<ManifestEntry> after = terminal_lines();
+  ASSERT_EQ(after.size(), 3u);
+  EXPECT_EQ(after[2].id, run_of(cfg, 1).id());
+  EXPECT_EQ(after[2].index, 1u);
+  EXPECT_EQ(after[2].attempts, 1);
+  const AveragedResult own_seed = run_averaged(run_of(cfg, 1), 1);
+  EXPECT_EQ(after[2].result.repetitions, 1);
+  EXPECT_EQ(after[2].result.sender_bps[0], own_seed.sender_bps[0]);
+  EXPECT_EQ(after[2].result.sender_bps[1], own_seed.sender_bps[1]);
+  EXPECT_EQ(after[2].result.jain2, own_seed.jain2);
+  EXPECT_EQ(after[2].result.utilization, own_seed.utilization);
+  EXPECT_EQ(after[2].result.retx_segments, own_seed.retx_segments);
+  EXPECT_EQ(after[2].result.rtos, own_seed.rtos);
 }
 
 }  // namespace

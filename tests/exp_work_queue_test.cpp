@@ -84,6 +84,20 @@ TEST_F(WorkQueueTest, ClaimsInSweepOrderThenReportsAllDone) {
   EXPECT_EQ(q.try_claim(&unused), LeasedWorkQueue::Claim::kAllDone);
 }
 
+TEST_F(WorkQueueTest, OwnLeasesDoNotStallSiblingThreads) {
+  // Every unfinished cell is leased by this worker: its renewer keeps the
+  // leases alive and the threads holding them finish them, so a sibling
+  // thread asking for more work is done rather than told to poll.
+  LeasedWorkQueue::Options opt;
+  opt.worker_id = "w0";
+  opt.lease_s = 60;
+  LeasedWorkQueue q(manifest_path(), cells(2), opt);
+  std::size_t got = 99;
+  ASSERT_EQ(q.try_claim(&got), LeasedWorkQueue::Claim::kClaimed);
+  ASSERT_EQ(q.try_claim(&got), LeasedWorkQueue::Claim::kClaimed);
+  EXPECT_EQ(q.try_claim(&got), LeasedWorkQueue::Claim::kAllDone);
+}
+
 TEST_F(WorkQueueTest, LiveLeaseBlocksOtherWorkersExpiredLeaseIsStolen) {
   // A foreign claim with a live lease parks the cell; one with an expired
   // lease is stolen (the dead-worker takeover path), counted as a steal.

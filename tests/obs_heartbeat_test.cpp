@@ -163,7 +163,7 @@ TEST_F(HeartbeatTest, SubMinimumIntervalClampsUpNormalIntervalUnchanged) {
 }
 
 // End-to-end: a self-profiling sweep fills the shared registry and writes the
-// heartbeat journal next to nothing in particular (explicit metrics_path).
+// heartbeat journal to an explicit metrics_path.
 TEST_F(HeartbeatTest, SweepPublishesProgressMetricsAndJournal) {
   std::vector<exp::ExperimentConfig> configs;
   for (int i = 0; i < 3; ++i) {
@@ -179,6 +179,7 @@ TEST_F(HeartbeatTest, SweepPublishesProgressMetricsAndJournal) {
   opts.metrics = &reg;
   opts.stats_interval_s = 0.01;
   opts.metrics_path = jsonl();
+  opts.manifest_path = dir_ / "runs.jsonl";
   const exp::SweepReport report = run_sweep_resilient(configs, opts);
   ASSERT_EQ(report.completed(), 3u);
 
@@ -208,6 +209,7 @@ TEST_F(HeartbeatTest, SweepOwnsRegistryWhenOnlyIntervalIsSet) {
   opts.threads = 1;
   opts.stats_interval_s = 0.01;
   opts.metrics_path = jsonl();
+  opts.manifest_path = dir_ / "runs.jsonl";
   const exp::SweepReport report = run_sweep_resilient({cfg}, opts);
   ASSERT_EQ(report.completed(), 1u);
 

@@ -35,10 +35,10 @@ TEST(InplaceCallback, SmallCaptureStaysInline) {
 }
 
 TEST(InplaceCallback, LargeCaptureGoesOutOfLine) {
-  std::array<std::uint64_t, 32> payload{};  // 256 B > inline and pooled-block fit
-  payload[31] = 42;
+  std::array<std::uint64_t, 16> payload{};  // 128 B: past inline, fits a pooled block
+  payload[15] = 42;
   std::uint64_t seen = 0;
-  InplaceCallback cb([payload, &seen] { seen = payload[31]; });
+  InplaceCallback cb([payload, &seen] { seen = payload[15]; });
   EXPECT_FALSE(cb.is_inline());
   cb();
   EXPECT_EQ(seen, 42u);

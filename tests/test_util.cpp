@@ -1,5 +1,7 @@
 #include "test_util.hpp"
 
+#include <unistd.h>
+
 #include <fstream>
 
 namespace elephant::test {
@@ -73,5 +75,14 @@ std::map<std::string, exp::ManifestEntry> terminal_entries(const std::filesystem
   }
   return latest;
 }
+
+TempJournal::TempJournal(const std::string& tag)
+    : dir_(std::filesystem::temp_directory_path() /
+           ("elephant_" + tag + "_" + std::to_string(::getpid()))) {
+  std::filesystem::remove_all(dir_);
+  std::filesystem::create_directories(dir_);
+}
+
+TempJournal::~TempJournal() { std::filesystem::remove_all(dir_); }
 
 }  // namespace elephant::test

@@ -49,4 +49,19 @@ namespace elephant::test {
 [[nodiscard]] std::map<std::string, exp::ManifestEntry> terminal_entries(
     const std::filesystem::path& path);
 
+/// A sweep journal path in a fresh temporary directory named after `tag`
+/// and this process; the directory is removed with the object.
+class TempJournal {
+ public:
+  explicit TempJournal(const std::string& tag);
+  ~TempJournal();
+  TempJournal(const TempJournal&) = delete;
+  TempJournal& operator=(const TempJournal&) = delete;
+
+  [[nodiscard]] std::filesystem::path path() const { return dir_ / "runs.jsonl"; }
+
+ private:
+  std::filesystem::path dir_;
+};
+
 }  // namespace elephant::test

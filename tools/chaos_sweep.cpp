@@ -108,8 +108,6 @@ pid_t spawn_worker(const Options& opt, const std::string& worker_id,
       "--reps",     "1",
       "--duration", std::to_string(opt.duration_s),
       "--threads",  "1",
-      "--retries",  "0",
-      "--backoff",  "0.1",
       "--manifest", manifest.string(),
       "--resume",
       "--lease-s",  std::to_string(opt.lease_s),

@@ -6,11 +6,13 @@
 //                  [--workload PRESET] [--workload-cdf FILE]
 //                  [--stats-interval S] [--metrics FILE]
 //   elephant sweep [--aqm A] [--bw BPS] [--pairs inter|intra|all] [--reps N]
-//                  [--threads N] [--retries N] [--event-budget N]
+//                  [--threads N] [--event-budget N]
 //                  [--wall-budget S] [--manifest PATH] [--resume]
-//                  [--worker-id ID] [--lease-s S] [--backoff S]
+//                  [--worker-id ID] [--lease-s S]
 //                  [--workload PRESET] [--workload-cdf FILE]
 //                  [--stats-interval S] [--metrics FILE]
+//   elephant explore ...  (bounded schedule exploration; see usage)
+//   elephant report --manifest PATH ...  (merge a sweep's journals)
 //   elephant list  (CCAs, AQMs, workload presets, and the paper's axis values)
 //
 // --workload mixes extra traffic classes (mice, Poisson web transfers, on/off
@@ -25,9 +27,11 @@
 // every run — one (config, seed) pair, `--reps` of them per cell — is
 // journaled as one JSONL line. The journal is the only result store:
 // --manifest names it, and --resume (which needs --manifest) re-executes
-// only runs without a successful journal line. Without --manifest a sweep
-// journals to $ELEPHANT_RESULTS_DIR/runs.jsonl (default results/) and
-// resumes from it, so repeated sweeps and the bench programs share runs.
+// only runs without a successful journal line; a journaled failure is
+// attempted again at its own seed (each run is one attempt per sweep).
+// Without --manifest a sweep journals to $ELEPHANT_RESULTS_DIR/runs.jsonl
+// (default results/) and resumes from it, so repeated sweeps and the bench
+// programs share runs.
 // A success line whose "reps" is not 1 is refused (exit 1): each line must
 // hold exactly one run. --reps and ELEPHANT_REPS must be integers >= 1.
 //
@@ -103,7 +107,7 @@ extern "C" void on_drain_signal(int) {
 
 [[noreturn]] void usage() {
   std::fprintf(stderr,
-               "usage: elephant <run|sweep|list> [options]\n"
+               "usage: elephant <run|sweep|explore|report|list> [options]\n"
                "  run   --cca1 bbr1 --cca2 cubic --aqm fifo --bdp 2 --bw 1e9\n"
                "        [--flows N] [--duration S] [--seed S] [--rtt MS]\n"
                "        [--loss P] [--ecn] [--reps N]\n"
@@ -111,9 +115,9 @@ extern "C" void on_drain_signal(int) {
                "        [--workload-cdf FILE]\n"
                "        [--stats-interval S] [--metrics FILE]\n"
                "  sweep --aqm fifo --bw 1e9 [--pairs inter|intra|all] [--reps N]\n"
-               "        [--threads N] [--retries N] [--event-budget N]\n"
+               "        [--threads N] [--event-budget N]\n"
                "        [--wall-budget S] [--manifest PATH] [--resume]\n"
-               "        [--worker-id ID] [--lease-s S] [--backoff S]\n"
+               "        [--worker-id ID] [--lease-s S]\n"
                "        [--workload PRESET] [--workload-cdf FILE]\n"
                "        [--stats-interval S] [--metrics FILE]\n"
                "  explore [run config flags] [--fault-loss T:RATE:DUR]\n"
@@ -143,9 +147,10 @@ extern "C" void on_drain_signal(int) {
                "sweep --manifest: runs are leased through the journal, so N sweeps\n"
                "with the same --manifest plus --resume and unique --worker-id values\n"
                "share the work, and a killed worker's cells are re-claimed after\n"
-               "--lease-s (> 0, default 60). --resume requires --manifest. Without\n"
-               "--manifest, sweep journals to $ELEPHANT_RESULTS_DIR/runs.jsonl and\n"
-               "resumes from it. --reps (or ELEPHANT_REPS) must be an integer >= 1.\n"
+               "--lease-s (> 0, default 60). --resume requires --manifest and\n"
+               "re-attempts failed runs at their own seed. Without --manifest,\n"
+               "sweep journals to $ELEPHANT_RESULTS_DIR/runs.jsonl and resumes\n"
+               "from it. --reps (or ELEPHANT_REPS) must be an integer >= 1.\n"
                "numeric flags are strict: a value outside the flag's range, or a\n"
                "non-integer count, seed or budget, is a usage error.\n"
                "exit codes: 0 ok, 1 failed cells or abort, 2 usage, 3 signal drain\n");
@@ -209,14 +214,12 @@ struct Args {
   std::string pairs = "all";
   int reps = 0;  ///< 0 until --reps or ELEPHANT_REPS sets it
   int threads = 0;
-  int retries = 0;
   std::uint64_t event_budget = 0;
   double wall_budget_s = 0;
   std::string manifest;
   bool resume = false;
   std::string worker_id;
   double lease_s = 60;
-  double backoff_s = 0.25;
   double stats_interval_s = 0;
   std::string metrics_path;
   std::vector<std::string> report_metrics;  ///< explicit journals for `report`
@@ -274,8 +277,6 @@ Args parse(int argc, char** argv) {
       a.pairs = need(i);
     } else if (!std::strcmp(arg, "--threads")) {
       a.threads = bounded_integer("--threads", "count", need(i), 0, 1024);
-    } else if (!std::strcmp(arg, "--retries")) {
-      a.retries = bounded_integer("--retries", "count", need(i), 0, 1000);
     } else if (!std::strcmp(arg, "--event-budget")) {
       a.event_budget =
           bounded_integer<std::uint64_t>("--event-budget", "events", need(i), 0, kAnyCount);
@@ -289,8 +290,6 @@ Args parse(int argc, char** argv) {
       a.worker_id = need(i);
     } else if (!std::strcmp(arg, "--lease-s")) {
       a.lease_s = positive_number("--lease-s", "lease", need(i), 1e9);
-    } else if (!std::strcmp(arg, "--backoff")) {
-      a.backoff_s = bounded_number("--backoff", "seconds", need(i), 0, 3600);
     } else if (!std::strcmp(arg, "--stats-interval")) {
       a.stats_interval_s = bounded_number("--stats-interval", "seconds", need(i), 0, 1e9);
     } else if (!std::strcmp(arg, "--metrics")) {
@@ -529,7 +528,6 @@ int cmd_sweep(const Args& a) {
   exp::SweepOptions opts;
   opts.repetitions = a.reps;
   opts.threads = a.threads;
-  opts.max_retries = a.retries;
   opts.run_event_budget = a.event_budget;
   opts.run_wall_budget_seconds = a.wall_budget_s;
   // The journal is the result store: without --manifest, runs land in (and
@@ -539,7 +537,6 @@ int cmd_sweep(const Args& a) {
   opts.resume = a.resume || a.manifest.empty();
   opts.worker_id = a.worker_id;
   opts.lease_s = a.lease_s;
-  opts.backoff_base_s = a.backoff_s;
   opts.cancel = &g_cancel;
   opts.stats_interval_s = a.stats_interval_s;
   opts.metrics_path = a.metrics_path;
@@ -573,8 +570,7 @@ int cmd_sweep(const Args& a) {
     std::printf("\n");
   }
 
-  std::printf("sweep: %zu ok, %zu retried, %zu failed, %zu timed out",
-              report.count(exp::RunStatus::kOk), report.count(exp::RunStatus::kRetried),
+  std::printf("sweep: %zu ok, %zu failed, %zu timed out", report.count(exp::RunStatus::kOk),
               report.count(exp::RunStatus::kFailed),
               report.count(exp::RunStatus::kTimedOut));
   if (report.skipped() > 0) std::printf(", %zu skipped", report.skipped());
