@@ -42,6 +42,33 @@ exp::ExperimentConfig fault_cell() {
   return cfg;
 }
 
+// The cell `elephant explore` builds from `--cca1 A --cca2 B --aqm Q --bw 20e6
+// --flows 2 --duration 1 --seed S` (the default 2 BDP buffer).
+exp::ExperimentConfig cli_cell(cca::CcaKind cca1, cca::CcaKind cca2, aqm::AqmKind aqm,
+                               std::uint64_t seed) {
+  exp::ExperimentConfig cfg;
+  cfg.cca1 = cca1;
+  cfg.cca2 = cca2;
+  cfg.aqm = aqm;
+  cfg.bottleneck_bps = 20e6;
+  cfg.total_flows = 2;
+  cfg.duration = sim::Time::seconds(1);
+  cfg.seed = seed;
+  return cfg;
+}
+
+// ... plus `--fault-loss 0.2:0.05:0.5`.
+exp::ExperimentConfig cli_fault_cell() {
+  exp::ExperimentConfig cfg =
+      cli_cell(cca::CcaKind::kCubic, cca::CcaKind::kBbrV1, aqm::AqmKind::kFifo, 7);
+  for (const fault::FaultEvent& e :
+       fault::FaultPlan::loss_burst(sim::Time::seconds(0.2), 0.05, sim::Time::seconds(0.5))
+           .events) {
+    cfg.fault_plan.add(e);
+  }
+  return cfg;
+}
+
 TEST(ChoiceTrace, SerializeParseRoundTrip) {
   mc::ChoiceTrace t;
   t.config_id = "cubic_vs_bbr1-fifo-bdp1-20M";
@@ -259,6 +286,76 @@ TEST(McExplorer, ArrivalLossBranchesAndReplays) {
   EXPECT_TRUE(rep.ok());
 
   std::remove(path.c_str());
+}
+
+// Exact exploration statistics on two CLI cells. Every count depends on the
+// schedules the engine runs and on the end-state hashes that dedup them, so
+// a change to either shows up here as a changed number.
+TEST(McExplorer, StatsMatchGolden) {
+  struct Case {
+    const char* name;
+    exp::ExperimentConfig cfg;
+    std::uint32_t depth;
+    std::uint64_t schedules;
+    mc::ExploreStats want;
+  };
+  exp::ExperimentConfig red_loss =
+      cli_cell(cca::CcaKind::kBbrV2, cca::CcaKind::kCubic, aqm::AqmKind::kRed, 5);
+  red_loss.random_loss = 0.01;
+  mc::ExploreStats fault_want;
+  fault_want.schedules_run = 60;
+  fault_want.distinct_states = 60;
+  fault_want.max_choice_points = 137;
+  fault_want.frontier_left = 17;
+  mc::ExploreStats red_want;
+  red_want.schedules_run = 60;
+  red_want.distinct_states = 54;
+  red_want.duplicate_states = 6;
+  red_want.max_choice_points = 330;
+  red_want.frontier_left = 34;
+  const Case cases[] = {
+      // --fault-loss 0.2:0.05:0.5 --depth 8 --schedules 60
+      {"fault burst", cli_fault_cell(), 8, 60, fault_want},
+      // bbr2 vs cubic, red, --loss 0.01 --depth 10 --schedules 60
+      {"red arrival loss", red_loss, 10, 60, red_want},
+  };
+  for (const Case& c : cases) {
+    mc::ExplorerOptions opts;
+    opts.max_depth = c.depth;
+    opts.max_schedules = c.schedules;
+    mc::Explorer explorer(c.cfg, opts);
+    const mc::ExploreStats st = explorer.explore();
+    EXPECT_EQ(st.schedules_run, c.want.schedules_run) << c.name;
+    EXPECT_EQ(st.distinct_states, c.want.distinct_states) << c.name;
+    EXPECT_EQ(st.duplicate_states, c.want.duplicate_states) << c.name;
+    EXPECT_EQ(st.truncated, c.want.truncated) << c.name;
+    EXPECT_EQ(st.max_choice_points, c.want.max_choice_points) << c.name;
+    EXPECT_EQ(st.frontier_left, c.want.frontier_left) << c.name;
+    EXPECT_EQ(st.violations, c.want.violations) << c.name;
+  }
+}
+
+// tests/data/jain_floor_counterexample.v3.trace was written by
+//   elephant explore --cca1 cubic --cca2 bbr1 --aqm fifo --bw 20e6 --flows 2
+//     --duration 1 --seed 7 --fault-loss 0.2:0.05:0.5 --depth 6
+//     --schedules 20 --jain-floor 0.99 --trace-out FILE
+// It must keep replaying onto the same end state: the state hash is FNV
+// over the components' save() bytes, so a changed schedule or a changed
+// save() layout fails here.
+TEST(McExplorer, CheckedInTraceReplays) {
+  const exp::ExperimentConfig cfg = cli_fault_cell();
+  mc::ChoiceTrace stored;
+  std::string error;
+  ASSERT_TRUE(mc::ChoiceTrace::read_file(
+      std::string(ELEPHANT_TEST_DATA_DIR) + "/jain_floor_counterexample.v3.trace", &stored,
+      &error))
+      << error;
+  EXPECT_EQ(stored.config_id, cfg.id());
+  EXPECT_EQ(stored.state_hash, 0x134fca53d33cd51eull);
+  const mc::Explorer::ReplayReport rep = mc::Explorer::replay(cfg, stored);
+  EXPECT_EQ(rep.end_state_hash, 0x134fca53d33cd51eull);
+  EXPECT_EQ(rep.oracle, "jain_floor");
+  EXPECT_TRUE(rep.ok());
 }
 
 // Replay against the wrong cell must refuse via the config identity echo.
