@@ -135,12 +135,6 @@ class CodelQueue : public QueueDisc {
     save_packets(w, queue_);
     w.put_pod(state_);
   }
-  void load(sim::SnapshotReader& r) override {
-    QueueDisc::load(r);
-    bytes_ = static_cast<std::size_t>(r.get_u64());
-    load_packets(r, &queue_);
-    r.get_pod(&state_);
-  }
 
  private:
   struct Access {

@@ -35,10 +35,4 @@ void FifoQueue::save(sim::SnapshotWriter& w) const {
   save_packets(w, queue_);
 }
 
-void FifoQueue::load(sim::SnapshotReader& r) {
-  QueueDisc::load(r);
-  bytes_ = static_cast<std::size_t>(r.get_u64());
-  load_packets(r, &queue_);
-}
-
 }  // namespace elephant::aqm

@@ -23,7 +23,6 @@ class FifoQueue : public QueueDisc {
   [[nodiscard]] std::size_t limit_bytes() const { return limit_bytes_; }
 
   void save(sim::SnapshotWriter& w) const override;
-  void load(sim::SnapshotReader& r) override;
 
  private:
   std::size_t limit_bytes_;

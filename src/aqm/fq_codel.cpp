@@ -18,7 +18,9 @@ FqCodelQueue::FqCodelQueue(sim::Scheduler& sched, FqCodelConfig cfg)
   assert(cfg_.memory_limit_bytes > 0);
   stale_list_.reserve(cfg_.flows);
   for (std::uint32_t i = 0; i < leaves_; ++i) tree_[leaves_ + i] = i;
-  rebuild_tree();
+  // Every backlog is zero, so each internal node holds the lowest bucket
+  // below it.
+  for (std::uint32_t k = leaves_ - 1; k != 0; --k) tree_[k] = tree_[2 * k];
 }
 
 std::uint32_t FqCodelQueue::bucket_of(net::FlowId flow) const {
@@ -64,16 +66,6 @@ void FqCodelQueue::reseat(std::uint32_t b) {
     // climb passes through here and repairs the ancestors.
     if (node == win && win != b) return;
     node = win;
-  }
-}
-
-void FqCodelQueue::rebuild_tree() {
-  for (const std::uint32_t b : stale_list_) stale_[b] = 0;
-  stale_list_.clear();
-  for (std::uint32_t k = leaves_ - 1; k != 0; --k) {
-    const std::uint32_t left = tree_[2 * k];
-    const std::uint32_t right = tree_[2 * k + 1];
-    tree_[k] = backlogs_[right] > backlogs_[left] ? right : left;
   }
 }
 

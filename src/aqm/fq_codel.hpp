@@ -65,24 +65,6 @@ class FqCodelQueue : public QueueDisc {
     w.put_u64(total_bytes_);
     w.put_u64(total_packets_);
   }
-  void load(sim::SnapshotReader& r) override {
-    QueueDisc::load(r);
-    const std::uint64_t nq = r.get_u64();
-    assert(nq == queues_.size() && "bucket count is fixed at construction");
-    for (std::uint64_t i = 0; i < nq && i < queues_.size(); ++i) {
-      SubQueue& sq = queues_[static_cast<std::size_t>(i)];
-      load_packets(r, &sq.pkts);
-      backlogs_[static_cast<std::size_t>(i)] = static_cast<std::size_t>(r.get_u64());
-      sq.deficit = r.get_i64();
-      r.get_pod(&sq.codel);
-      sq.in_list = static_cast<ListState>(r.get_u8());
-    }
-    load_flow_list(r, &new_flows_);
-    load_flow_list(r, &old_flows_);
-    total_bytes_ = static_cast<std::size_t>(r.get_u64());
-    total_packets_ = static_cast<std::size_t>(r.get_u64());
-    rebuild_tree();
-  }
 
  private:
   enum class ListState : std::uint8_t { kNone, kNew, kOld };
@@ -111,11 +93,6 @@ class FqCodelQueue : public QueueDisc {
     w.put_u64(list.size());
     for (std::size_t i = 0; i < list.size(); ++i) w.put_u32(list[i]);
   }
-  static void load_flow_list(sim::SnapshotReader& r, FlowList* list) {
-    const std::uint64_t n = r.get_u64();
-    list->clear();
-    for (std::uint64_t i = 0; i < n; ++i) list->push_back(r.get_u32());
-  }
 
   /// `backlogs_[b]` changed: queue b's leaf for re-seating.
   void mark_stale(std::uint32_t b);
@@ -124,9 +101,6 @@ class FqCodelQueue : public QueueDisc {
   /// Restore the tournament invariant on the path from bucket `b`'s leaf to
   /// the root after `backlogs_[b]` changed.
   void reseat(std::uint32_t b);
-  /// Recompute every internal node bottom-up and drop the stale marks
-  /// (after load()).
-  void rebuild_tree();
   void drop_from_fattest();
   /// DRR loop; instantiated with and without flight-recorder hooks so the
   /// untraced dequeue path carries no tracing code (see dequeue()).

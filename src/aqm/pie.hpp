@@ -56,21 +56,6 @@ class PieQueue : public QueueDisc {
     w.put_pod(dq_start_);
     w.put_f64(avg_drain_rate_);
   }
-  void load(sim::SnapshotReader& r) override {
-    QueueDisc::load(r);
-    r.get_pod(&rng_);
-    load_packets(r, &queue_);
-    bytes_ = static_cast<std::size_t>(r.get_u64());
-    prob_ = r.get_f64();
-    r.get_pod(&cur_delay_);
-    r.get_pod(&old_delay_);
-    r.get_pod(&next_update_);
-    r.get_pod(&burst_left_);
-    in_measurement_ = r.get_bool();
-    dq_count_bytes_ = static_cast<std::size_t>(r.get_u64());
-    r.get_pod(&dq_start_);
-    avg_drain_rate_ = r.get_f64();
-  }
 
  private:
   void update_probability();

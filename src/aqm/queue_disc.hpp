@@ -55,12 +55,11 @@ class QueueDisc {
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
   [[nodiscard]] trace::Tracer* tracer() const { return tracer_; }
 
-  /// Snapshot the discipline's full mutable state (queued packets and
-  /// algorithm variables included). Implementations override both, call the
-  /// base first (it serializes the counters), then append their own fields
-  /// in a fixed order.
+  /// Serialize the discipline's full mutable state (queued packets and
+  /// algorithm variables included) for the cell's state hash.
+  /// Implementations override it, call the base first (it serializes the
+  /// counters), then append their own fields in a fixed order.
   virtual void save(sim::SnapshotWriter& w) const { w.put_pod(stats_); }
-  virtual void load(sim::SnapshotReader& r) { r.get_pod(&stats_); }
 
   /// Trace emitters for implementations; each is a no-op (one predictable
   /// branch) when no tracer is attached. Public so the shared codel_dequeue
@@ -79,16 +78,11 @@ class QueueDisc {
  protected:
   [[nodiscard]] sim::Time now() const { return sched_->now(); }
 
-  /// Packet-queue (de)serialization shared by every discipline: a u64
+  /// Packet-queue serialization shared by every discipline: a u64
   /// count, then the packet PODs front to back.
   static void save_packets(sim::SnapshotWriter& w, const sim::RingDeque<net::Packet>& q) {
     w.put_u64(q.size());
     for (std::size_t i = 0; i < q.size(); ++i) w.put_pod(q[i]);
-  }
-  static void load_packets(sim::SnapshotReader& r, sim::RingDeque<net::Packet>* q) {
-    const std::uint64_t n = r.get_u64();
-    q->clear();
-    for (std::uint64_t i = 0; i < n; ++i) q->push_back(r.get<net::Packet>());
   }
 
   sim::Scheduler* sched_;

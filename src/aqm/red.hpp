@@ -68,17 +68,6 @@ class RedQueue : public QueueDisc {
     w.put_f64(max_p_);
     w.put_pod(next_adapt_);
   }
-  void load(sim::SnapshotReader& r) override {
-    QueueDisc::load(r);
-    r.get_pod(&rng_);
-    load_packets(r, &queue_);
-    bytes_ = static_cast<std::size_t>(r.get_u64());
-    avg_ = r.get_f64();
-    count_ = r.get_i64();
-    r.get_pod(&idle_since_);
-    max_p_ = r.get_f64();
-    r.get_pod(&next_adapt_);
-  }
 
  private:
   /// Probability of an early drop/mark for the current average queue.

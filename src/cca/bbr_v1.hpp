@@ -69,28 +69,6 @@ class BbrV1 : public CongestionControl {
     w.put_f64(pacing_rate_bps_);
     w.put_bool(pacing_initialized_);
   }
-  void load(sim::SnapshotReader& r) override {
-    r.get_pod(&rng_);
-    mode_ = static_cast<Mode>(r.get_u8());
-    r.get_pod(&max_bw_);
-    round_count_ = r.get_i64();
-    r.get_pod(&min_rtt_);
-    r.get_pod(&min_rtt_stamp_);
-    r.get_pod(&probe_rtt_done_);
-    probe_rtt_round_done_ = r.get_bool();
-    full_bw_reached_ = r.get_bool();
-    full_bw_ = r.get_f64();
-    r.get_pod(&full_bw_count_);
-    r.get_pod(&cycle_index_);
-    r.get_pod(&cycle_start_);
-    saw_loss_in_round_ = r.get_bool();
-    pacing_gain_ = r.get_f64();
-    cwnd_gain_ = r.get_f64();
-    cwnd_ = r.get_f64();
-    prior_cwnd_ = r.get_f64();
-    pacing_rate_bps_ = r.get_f64();
-    pacing_initialized_ = r.get_bool();
-  }
 
  private:
   [[nodiscard]] double bdp_segments(double gain) const;

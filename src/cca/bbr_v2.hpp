@@ -89,38 +89,6 @@ class BbrV2 : public CongestionControl {
     w.put_f64(prior_cwnd_);
     w.put_f64(pacing_rate_bps_);
   }
-  void load(sim::SnapshotReader& r) override {
-    r.get_pod(&rng_);
-    mode_ = static_cast<Mode>(r.get_u8());
-    phase_ = static_cast<Phase>(r.get_u8());
-    r.get_pod(&max_bw_);
-    round_count_ = r.get_i64();
-    r.get_pod(&min_rtt_);
-    r.get_pod(&min_rtt_stamp_);
-    r.get_pod(&probe_rtt_done_);
-    probe_rtt_round_done_ = r.get_bool();
-    full_bw_reached_ = r.get_bool();
-    full_bw_ = r.get_f64();
-    r.get_pod(&full_bw_count_);
-    r.get_pod(&startup_lossy_rounds_);
-    inflight_hi_ = r.get_f64();
-    inflight_lo_ = r.get_f64();
-    lost_in_round_ = r.get_f64();
-    delivered_in_round_ = r.get_f64();
-    ece_in_round_ = r.get_bool();
-    loss_round_ = r.get_bool();
-    r.get_pod(&phase_start_);
-    r.get_pod(&cruise_duration_);
-    probe_up_hit_hi_ = r.get_bool();
-    probe_up_rounds_ = r.get_f64();
-    probe_up_acks_ = r.get_f64();
-    probe_up_cnt_ = r.get_f64();
-    pacing_gain_ = r.get_f64();
-    cwnd_gain_ = r.get_f64();
-    cwnd_ = r.get_f64();
-    prior_cwnd_ = r.get_f64();
-    pacing_rate_bps_ = r.get_f64();
-  }
 
  private:
   [[nodiscard]] double bdp_segments(double gain) const;

@@ -69,11 +69,11 @@ class CongestionControl {
 
   [[nodiscard]] const CcaParams& params() const { return params_; }
 
-  /// Snapshot the controller's mutable state (sim::Snapshottable contract).
-  /// Defaults are no-ops for stateless stubs; every shipped algorithm
-  /// overrides both. `params_` is immutable and not stored.
+  /// Serialize the controller's mutable state for the cell's state hash
+  /// (see sim::SnapshotWriter). The default is a no-op for stateless stubs;
+  /// every shipped algorithm overrides it. `params_` is immutable and not
+  /// stored.
   virtual void save(sim::SnapshotWriter& w) const { (void)w; }
-  virtual void load(sim::SnapshotReader& r) { (void)r; }
 
  protected:
   CcaParams params_;

@@ -47,18 +47,6 @@ class Cubic : public CongestionControl {
     w.put_pod(hs_prev_round_min_rtt_);
     w.put_pod(hs_samples_);
   }
-  void load(sim::SnapshotReader& r) override {
-    cwnd_ = r.get_f64();
-    ssthresh_ = r.get_f64();
-    w_max_ = r.get_f64();
-    k_ = r.get_f64();
-    r.get_pod(&epoch_start_);
-    w_est_ = r.get_f64();
-    est_accum_ = r.get_f64();
-    r.get_pod(&hs_round_min_rtt_);
-    r.get_pod(&hs_prev_round_min_rtt_);
-    r.get_pod(&hs_samples_);
-  }
 
  private:
   void enter_congestion_avoidance(sim::Time now);

@@ -50,19 +50,6 @@ class Htcp : public CongestionControl {
     w.put_pod(epoch_start_);
     w.put_f64(last_bw_);
   }
-  void load(sim::SnapshotReader& r) override {
-    cwnd_ = r.get_f64();
-    ssthresh_ = r.get_f64();
-    alpha_ = r.get_f64();
-    beta_ = r.get_f64();
-    acked_accum_ = r.get_f64();
-    r.get_pod(&last_congestion_);
-    r.get_pod(&epoch_rtt_min_);
-    r.get_pod(&epoch_rtt_max_);
-    epoch_throughput_ = r.get_f64();
-    r.get_pod(&epoch_start_);
-    last_bw_ = r.get_f64();
-  }
 
  private:
   void update_alpha(sim::Time now, sim::Time rtt);

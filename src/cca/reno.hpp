@@ -28,11 +28,6 @@ class Reno : public CongestionControl {
     w.put_f64(ssthresh_);
     w.put_f64(acked_accum_);
   }
-  void load(sim::SnapshotReader& r) override {
-    cwnd_ = r.get_f64();
-    ssthresh_ = r.get_f64();
-    acked_accum_ = r.get_f64();
-  }
 
  private:
   double cwnd_;

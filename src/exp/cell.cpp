@@ -1,7 +1,6 @@
 #include "exp/cell.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <span>
 #include <string>
@@ -463,38 +462,12 @@ ExperimentResult Cell::finalize() {
   return res;
 }
 
-void Cell::serialize_components(sim::SnapshotWriter& w) const {
+std::uint64_t Cell::state_hash() const {
+  sim::SnapshotWriter w;
   w.put_pod(rng_);
   net_->save(w);
   if (faults_) faults_->save(w);
   factory_->save(w);
-}
-
-sim::Snapshot Cell::snapshot() const {
-  assert(cfg_.tracer == nullptr && "snapshots require tracing off (traces cannot rewind)");
-  sim::Snapshot s;
-  s.scheduler = sched_.save_image();
-  sim::SnapshotWriter w;
-  serialize_components(w);
-  s.components = std::move(w).take();
-  s.state_hash = sim::fnv1a_bytes(sim::fnv1a_fold(sim::kFnvOffset, sched_.state_hash()),
-                                  s.components.data(), s.components.size());
-  return s;
-}
-
-void Cell::restore(const sim::Snapshot& snap) {
-  sched_.restore_image(snap.scheduler);
-  sim::SnapshotReader r(snap.components);
-  r.get_pod(&rng_);
-  net_->load(r);
-  if (faults_) faults_->load(r);
-  factory_->load(r);
-  assert(r.exhausted() && "snapshot layout mismatch: trailing bytes after restore");
-}
-
-std::uint64_t Cell::state_hash() const {
-  sim::SnapshotWriter w;
-  serialize_components(w);
   return sim::fnv1a_bytes(sim::fnv1a_fold(sim::kFnvOffset, sched_.state_hash()),
                           w.bytes().data(), w.bytes().size());
 }

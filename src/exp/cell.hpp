@@ -17,18 +17,20 @@
 
 namespace elephant::exp {
 
-/// One experiment cell held open for stepping, snapshotting, and restoring —
-/// the only cell runner: run_experiment() (construct, run to the configured
-/// duration, finalize) and the model checker (src/mc: run a bounded chunk,
-/// snapshot, branch, restore, repeat) both drive it.
+/// One experiment cell held open for stepping and state hashing — the only
+/// cell runner: run_experiment() (construct, run to the configured
+/// duration, finalize) and the model checker (src/mc: build a fresh cell per
+/// schedule, run it in bounded chunks to the horizon, hash the end state)
+/// both drive it.
 ///
 /// Construction replays the historical run_experiment() setup byte for
 /// byte: the same objects constructed in the same order with the same draws
 /// from the cell RNG, so golden digests are unchanged with mc off
-/// (tests/determinism_digest_test.cpp pins this).
+/// (tests/determinism_digest_test.cpp pins this). A freshly built cell is
+/// therefore a complete, reproducible t = 0 state; nothing is ever rewound.
 ///
-/// Snapshot layout, in fixed registration order:
-///   1. scheduler image (heap + every slot with its callback cloned)
+/// State-hash layout, in fixed order:
+///   1. scheduler pending-event digest (Scheduler::state_hash)
 ///   2. cell RNG
 ///   3. dumbbell: every port (qdisc decorator chains included), host and
 ///      router counters, in construction order
@@ -36,10 +38,9 @@ namespace elephant::exp {
 ///   5. flow factory: per flow, app RNG + sender (scoreboard and CCA
 ///      included) + receiver, in slab order
 ///
-/// Components are restored in place — `[this]` captures inside cloned
-/// scheduler callbacks stay valid because no component object ever moves.
-/// Snapshots require tracing off (a flight-recorder file cannot be rewound);
-/// counterexample replay re-runs the choice trace from scratch instead.
+/// Items 2–5 are the components' save() bytes. Observers (tracer, metrics,
+/// episode probe) are never serialized, so a traced cell hashes exactly as
+/// an untraced one does.
 class Cell {
  public:
   explicit Cell(const ExperimentConfig& cfg);
@@ -56,8 +57,8 @@ class Cell {
 
   /// Execute at most `max_events` further events (0 = unbounded), never past
   /// `deadline`. Returns why the chunk stopped; on kEventBudget the clock
-  /// stays at the last executed event, so snapshots taken here sit exactly
-  /// on an event boundary.
+  /// stays at the last executed event, so a state hash taken here sits
+  /// exactly on an event boundary.
   sim::Scheduler::StopReason run_chunk(std::uint64_t max_events, sim::Time deadline);
   sim::Scheduler::StopReason run_chunk(std::uint64_t max_events) {
     return run_chunk(max_events, duration_);
@@ -79,18 +80,11 @@ class Cell {
   /// part.
   ExperimentResult finalize();
 
-  /// Capture the full simulation state. Requires cfg.tracer == nullptr.
-  [[nodiscard]] sim::Snapshot snapshot() const;
-  /// Restore a snapshot taken from *this cell* (same config, same process).
-  /// A snapshot can be restored any number of times (DFS backtracking).
-  void restore(const sim::Snapshot& snap);
   /// Hash of the full simulation state (scheduler pending-event digest plus
   /// every component's serialized bytes) for explored-state deduplication.
   [[nodiscard]] std::uint64_t state_hash() const;
 
  private:
-  void serialize_components(sim::SnapshotWriter& w) const;
-
   ExperimentConfig cfg_;  ///< stable copy: the factory holds a reference
   std::chrono::steady_clock::time_point wall_start_;
   sim::Scheduler sched_;

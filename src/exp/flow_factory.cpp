@@ -1,7 +1,6 @@
 #include "exp/flow_factory.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "trace/trace.hpp"
 
@@ -193,17 +192,6 @@ void FlowFactory::save(sim::SnapshotWriter& w) const {
     w.put_pod(f.app_rng);
     f.sender->save(w);
     f.receiver->save(w);
-  }
-}
-
-void FlowFactory::load(sim::SnapshotReader& r) {
-  const std::uint64_t n = r.get_u64();
-  assert(n == flows_.size() && "flow set is fixed at construction");
-  for (std::size_t i = 0; i < flows_.size() && i < n; ++i) {
-    FlowInstance& f = flow(i);
-    r.get_pod(&f.app_rng);
-    f.sender->load(r);
-    f.receiver->load(r);
   }
 }
 

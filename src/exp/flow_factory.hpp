@@ -94,15 +94,12 @@ class FlowFactory {
     return scoreboard_ledger_.peak;
   }
 
-  /// Snapshot every flow's transport state in slab (construction) order
-  /// (sim::Snapshottable contract): per flow, the on/off app RNG, the
-  /// sender (scoreboard + CCA included), and the receiver. The flow set is
-  /// fixed at construction — even Poisson arrivals are instantiated
-  /// up-front with future start times — so the stored count is a
-  /// cross-check, never a resize. The shared scoreboard ledger stays exact
-  /// through Scoreboard::load's swap accounting.
+  /// Serialize every flow's transport state in slab (construction) order
+  /// for the cell's state hash: the flow count, then per flow the on/off
+  /// app RNG, the sender (scoreboard + CCA included), and the receiver. The
+  /// flow set is fixed at construction — even Poisson arrivals are
+  /// instantiated up-front with future start times.
   void save(sim::SnapshotWriter& w) const;
-  void load(sim::SnapshotReader& r);
 
  private:
   void build_paper(sim::Rng& cell_rng);

@@ -18,8 +18,8 @@ namespace elephant::exp {
 /// versions without the simulation behaving differently), the latter is
 /// wall-clock noise.
 ///
-/// This is THE metrics digest: the golden determinism tests, the snapshot
-/// round-trip tests, `elephant run --check-digest`, and the explorer's
+/// This is THE metrics digest: the golden determinism tests, the chunked-run
+/// tests, `elephant run --check-digest`, and the explorer's
 /// replay verification all fold exactly these fields in exactly this order,
 /// so their values are directly comparable.
 [[nodiscard]] std::uint64_t metrics_digest(const ExperimentResult& res);

@@ -123,14 +123,6 @@ void ArrivalLoss::save(sim::SnapshotWriter& w) const {
   w.put_u64(bytes_dropped_);
 }
 
-void ArrivalLoss::load(sim::SnapshotReader& r) {
-  r.get_pod(&rng_);
-  r.get_pod(&ge_rng_);
-  bad_ = r.get_bool();
-  drops_ = r.get_u64();
-  bytes_dropped_ = r.get_u64();
-}
-
 FaultInjector::FaultInjector(sim::Scheduler& sched, net::Port& target, std::uint64_t seed,
                              trace::Tracer* tracer)
     : sched_(sched), target_(target), tracer_(tracer), rng_(seed),
@@ -222,13 +214,6 @@ void FaultInjector::save(sim::SnapshotWriter& w) const {
   w.put_pod(link_down_depth_);
   w.put_u64(applied_);
   w.put_u64(reverted_);
-}
-
-void FaultInjector::load(sim::SnapshotReader& r) {
-  r.get_pod(&rng_);
-  r.get_pod(&link_down_depth_);
-  applied_ = r.get_u64();
-  reverted_ = r.get_u64();
 }
 
 }  // namespace elephant::fault

@@ -13,7 +13,6 @@ class Port;
 }
 namespace elephant::sim {
 class Scheduler;
-class SnapshotReader;
 class SnapshotWriter;
 }  // namespace elephant::sim
 namespace elephant::trace {
@@ -133,7 +132,6 @@ class ArrivalLoss {
   [[nodiscard]] bool in_bad_state() const { return bad_; }
 
   void save(sim::SnapshotWriter& w) const;
-  void load(sim::SnapshotReader& r);
 
  private:
   double rate_;
@@ -160,11 +158,10 @@ class FaultInjector {
   [[nodiscard]] std::uint64_t applied() const { return applied_; }
   [[nodiscard]] std::uint64_t reverted() const { return reverted_; }
 
-  /// Snapshot the injector's mutable state (sim::Snapshottable contract):
-  /// the fault RNG, outage nesting depth, and apply/revert counters. The
-  /// scheduled apply/revert events themselves live in the scheduler image.
+  /// Serialize the injector's mutable state for the cell's state hash: the
+  /// fault RNG, outage nesting depth, and apply/revert counters. The
+  /// scheduled apply/revert events are covered by the scheduler's hash.
   void save(sim::SnapshotWriter& w) const;
-  void load(sim::SnapshotReader& r);
 
  private:
   void apply(const FaultEvent& e, std::size_t index);

@@ -41,8 +41,8 @@ struct ChoiceRec {
 /// The config line is an identity echo: replay refuses to run against a
 /// different cell than the one that produced the trace. The parser is
 /// strict: every number must be exactly one number, the row count must be
-/// exact, and a v1 or v2 file (older snapshot layout or choice catalog, so
-/// its state_hash can never match) is rejected as such.
+/// exact, and a v1 or v2 file (older serialized-state layout or choice
+/// catalog, so its state_hash can never match) is rejected as such.
 struct ChoiceTrace {
   std::string config_id;
   std::string oracle;

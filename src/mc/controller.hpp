@@ -18,7 +18,8 @@ namespace elephant::mc {
 /// the first k decisions while everything after runs free. Because execution
 /// is deterministic given the branch sequence, a plan that is a prefix of a
 /// previously recorded trace re-creates that run's state at its k-th choice
-/// point — this is what lets the DFS branch without per-prefix snapshots.
+/// point — this is what lets the DFS branch from a fresh cell per plan,
+/// without storing any state.
 ///
 /// In replay mode the controller additionally validates each encountered
 /// point against the recorded trace (same kind, same branch count) and

@@ -25,12 +25,13 @@ struct ScheduleParams {
   std::uint64_t retx_storm = 0;
 };
 
-ScheduleParams resolve(const exp::Cell& cell, double horizon_s, double window_s,
+ScheduleParams resolve(const exp::ExperimentConfig& cfg, double horizon_s, double window_s,
                        double jain_floor, std::uint64_t retx_storm,
                        std::uint64_t max_events) {
+  const sim::Time duration = cfg.effective_duration();
   ScheduleParams p;
-  p.horizon = horizon_s > 0 ? sim::Time::seconds(horizon_s) : cell.duration();
-  if (p.horizon > cell.duration()) p.horizon = cell.duration();
+  p.horizon = horizon_s > 0 ? sim::Time::seconds(horizon_s) : duration;
+  if (p.horizon > duration) p.horizon = duration;
   p.starvation_window = window_s > 0 ? sim::Time::seconds(window_s) : sim::Time::zero();
   p.window = window_s > 0 ? p.starvation_window : p.horizon;
   p.max_events = max_events;
@@ -44,6 +45,7 @@ struct ScheduleOutcome {
   std::string oracle;  ///< empty = clean schedule
   std::string detail;
   double at_s = 0;
+  std::uint64_t hash = 0;  ///< end-state hash (exp::Cell::state_hash)
 };
 
 std::string fmt(const char* format, ...) __attribute__((format(printf, 1, 2)));
@@ -56,7 +58,7 @@ std::string fmt(const char* format, ...) {
   return buf;
 }
 
-/// Drive one schedule from the cell's current state to the horizon,
+/// Drive one schedule from the cell's t = 0 state to the horizon,
 /// evaluating the windowed oracles at probe boundaries and the end-state
 /// oracles (invariants, Jain floor) at the horizon. The first violation
 /// stops the schedule.
@@ -142,12 +144,24 @@ ScheduleOutcome run_schedule(exp::Cell& cell, const ScheduleParams& p) {
   return out;
 }
 
+/// One schedule from t = 0: build a fresh cell for `cfg`, run it under `p`,
+/// and hash its end state. The caller has already reset the controller
+/// behind cfg.choice_hook to the plan; cell construction consumes no choice
+/// points, so the plan starts at the first event either way.
+ScheduleOutcome run_fresh(const exp::ExperimentConfig& cfg, const ScheduleParams& p) {
+  exp::Cell cell(cfg);
+  ScheduleOutcome out = run_schedule(cell, p);
+  out.hash = cell.state_hash();
+  return out;
+}
+
 }  // namespace
 
 Explorer::Explorer(const exp::ExperimentConfig& cfg, ExplorerOptions opts)
     : cfg_(cfg), opts_(std::move(opts)) {
-  // Exploration is snapshot-driven: no tracer (snapshots assert it off), no
-  // metrics registry (pointless churn across thousands of restores).
+  // Exploration runs untraced (a flight recorder would interleave thousands
+  // of schedules into one file) and without a metrics registry (pointless
+  // churn across thousands of cells); replay() traces the one that matters.
   cfg_.tracer = nullptr;
   cfg_.metrics = nullptr;
 }
@@ -156,10 +170,8 @@ ExploreStats Explorer::explore() {
   ScheduleController controller;
   exp::ExperimentConfig cfg = cfg_;
   cfg.choice_hook = &controller;
-  exp::Cell cell(cfg);
-  const sim::Snapshot root = cell.snapshot();
   const ScheduleParams params =
-      resolve(cell, opts_.horizon_s, opts_.starvation_window_s, opts_.jain_floor,
+      resolve(cfg, opts_.horizon_s, opts_.starvation_window_s, opts_.jain_floor,
               opts_.retx_storm_segments, opts_.max_schedule_events);
 
   ExploreStats st;
@@ -171,16 +183,14 @@ ExploreStats Explorer::explore() {
     const std::vector<std::uint32_t> plan = std::move(frontier.back());
     frontier.pop_back();
 
-    cell.restore(root);
     controller.reset(plan);
-    const ScheduleOutcome out = run_schedule(cell, params);
+    const ScheduleOutcome out = run_fresh(cfg, params);
     ++st.schedules_run;
     if (out.truncated) ++st.truncated;
 
     const std::vector<ChoiceRec>& tr = controller.trace();
     st.max_choice_points = std::max<std::uint64_t>(st.max_choice_points, tr.size());
-    const std::uint64_t hash = cell.state_hash();
-    const bool fresh = seen.insert(hash).second;
+    const bool fresh = seen.insert(out.hash).second;
     if (fresh) {
       ++st.distinct_states;
     } else {
@@ -196,7 +206,7 @@ ExploreStats Explorer::explore() {
       v.trace.oracle = out.oracle;
       v.trace.detail = out.detail;
       v.trace.at_s = out.at_s;
-      v.trace.state_hash = hash;
+      v.trace.state_hash = out.hash;
       v.trace.horizon_s = params.horizon.sec();
       v.trace.window_s = opts_.starvation_window_s;
       v.trace.jain_floor = opts_.jain_floor;
@@ -204,9 +214,9 @@ ExploreStats Explorer::explore() {
       v.trace.max_schedule_events = opts_.max_schedule_events;
       v.trace.choices = tr;
       if (violations_.empty() && !opts_.trace_out.empty()) {
-        // An unwritable path surfaces when the CLI tells the user where the
-        // trace went; the violation itself is still reported either way.
-        (void)v.trace.write_file(opts_.trace_out);
+        // Written at once, so a long exploration cut short keeps it; the
+        // violation is reported whether or not the write succeeded.
+        st.trace_written = v.trace.write_file(opts_.trace_out);
       }
       violations_.push_back(std::move(v));
     }
@@ -250,19 +260,18 @@ Explorer::ReplayReport Explorer::replay(const exp::ExperimentConfig& base,
   cfg.metrics = nullptr;
   cfg.choice_hook = &controller;
 
-  // One pass: observers sample between scheduler calls and hold no
-  // snapshotted state, so the traced run executes, and hashes, exactly what
-  // the untraced exploration did.
-  exp::Cell cell(cfg);
+  // One pass through the explorer's own schedule step: observers sample
+  // between scheduler calls and are never serialized, so the traced run
+  // executes, and hashes, exactly what the untraced exploration did.
   const ScheduleParams params =
-      resolve(cell, ct.horizon_s, ct.window_s, ct.jain_floor, ct.retx_storm_segments,
+      resolve(cfg, ct.horizon_s, ct.window_s, ct.jain_floor, ct.retx_storm_segments,
               ct.max_schedule_events);
   controller.reset_replay(&ct.choices);
-  const ScheduleOutcome out = run_schedule(cell, params);
+  const ScheduleOutcome out = run_fresh(cfg, params);
   if (flight_recorder != nullptr) flight_recorder->flush();
   rep.diverged = controller.diverged();
   rep.divergence_at = controller.divergence_at();
-  rep.end_state_hash = cell.state_hash();
+  rep.end_state_hash = out.hash;
   rep.hash_matches = rep.end_state_hash == ct.state_hash;
   rep.oracle = out.oracle;
   rep.detail = out.detail;

@@ -57,13 +57,17 @@ struct ExploreStats {
   std::uint64_t max_choice_points = 0; ///< longest choice sequence seen
   std::uint64_t frontier_left = 0;     ///< plans still queued when the budget hit
   std::uint64_t violations = 0;
+  /// The first counterexample's trace reached ExplorerOptions::trace_out
+  /// (false when no violation was found, no path was set, or the write
+  /// failed).
+  bool trace_written = false;
 };
 
 /// Bounded-depth systematic schedule exploration over one experiment cell.
 ///
-/// The loop: construct the cell once and snapshot its t=0 state; then for
-/// each queued plan, restore the root snapshot, run the schedule to the
-/// horizon under the plan (recording every choice point), hash the end
+/// The loop: for each queued plan, build a fresh cell (a freshly built cell
+/// *is* the t = 0 state — construction is deterministic), run the schedule to
+/// the horizon under the plan (recording every choice point), hash the end
 /// state, and evaluate the oracles. A fresh end-state hash expands the
 /// frontier — every unexplored branch of the first `max_depth` choice points
 /// becomes a child plan (the recorded prefix plus one flipped branch); a

@@ -51,15 +51,11 @@ class Router : public Node {
   [[nodiscard]] std::uint64_t forwarded() const { return forwarded_; }
   [[nodiscard]] std::uint64_t no_route_drops() const { return no_route_drops_; }
 
-  /// Snapshot the mutable state (counters only — the route table is static
+  /// Serialize the mutable state (counters only — the route table is static
   /// after topology construction).
   void save(sim::SnapshotWriter& w) const {
     w.put_u64(forwarded_);
     w.put_u64(no_route_drops_);
-  }
-  void load(sim::SnapshotReader& r) {
-    forwarded_ = r.get_u64();
-    no_route_drops_ = r.get_u64();
   }
 
  private:
@@ -96,16 +92,11 @@ class Host : public Node {
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
   [[nodiscard]] std::uint64_t no_endpoint_drops() const { return no_endpoint_drops_; }
 
-  /// Snapshot the mutable state (counters only — the NIC binding and the
-  /// endpoint table are static after cell setup; the model checker never
-  /// snapshots across a flow-registration boundary).
+  /// Serialize the mutable state (counters only — the NIC binding and the
+  /// endpoint table are fixed at cell setup).
   void save(sim::SnapshotWriter& w) const {
     w.put_u64(delivered_);
     w.put_u64(no_endpoint_drops_);
-  }
-  void load(sim::SnapshotReader& r) {
-    delivered_ = r.get_u64();
-    no_endpoint_drops_ = r.get_u64();
   }
 
  private:

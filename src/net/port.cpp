@@ -163,25 +163,4 @@ void Port::save(sim::SnapshotWriter& w) const {
   if (arrival_loss_) arrival_loss_->save(w);
 }
 
-void Port::load(sim::SnapshotReader& r) {
-  r.get_pod(&busy_until_);
-  up_ = r.get_bool();
-  rate_bps_ = r.get_f64();
-  r.get_pod(&perturb_);
-  fault_lost_ = r.get_u64();
-  fault_reordered_ = r.get_u64();
-  fault_duplicated_ = r.get_u64();
-  tx_packets_ = r.get_u64();
-  tx_bytes_ = r.get_u64();
-  const std::uint64_t n = r.get_u64();
-  line_.clear();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    InFlight f;
-    r.get_pod(&f);
-    line_.push_back(std::move(f));
-  }
-  qdisc_->load(r);
-  if (arrival_loss_) arrival_loss_->load(r);
-}
-
 }  // namespace elephant::net

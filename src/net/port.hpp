@@ -106,16 +106,15 @@ class Port {
   [[nodiscard]] std::uint64_t fault_reordered() const { return fault_reordered_; }
   [[nodiscard]] std::uint64_t fault_duplicated() const { return fault_duplicated_; }
 
-  // --- model-checking snapshot surface ---
+  // --- state-hash surface (model checking) ---
 
   /// Serialize the port's mutable state: link/serialization scalars, fault
   /// perturbation and counters, the in-flight delay line, the attached
   /// queue discipline (which serializes itself, derived state included), and
   /// the arrival-loss stage when there is one.
-  /// Timer armed-ness is not written here — it lives in the scheduler image,
-  /// and the timers' slots survive restore untouched.
+  /// Timer armed-ness is not written here — the scheduler's own state hash
+  /// covers it.
   void save(sim::SnapshotWriter& w) const;
-  void load(sim::SnapshotReader& r);
 
  private:
   void try_transmit();

@@ -72,22 +72,14 @@ class Dumbbell {
     return 2 * (cfg_.client_delay + cfg_.trunk_delay + cfg_.server_delay);
   }
 
-  /// Snapshot every port (qdiscs included) and node counter, in the fixed
-  /// construction order, implementing the sim::Snapshottable contract for
-  /// the whole topology.
+  /// Serialize every port (qdiscs included) and node counter, in the fixed
+  /// construction order, for the cell's state hash.
   void save(sim::SnapshotWriter& w) const {
     for (const auto& p : ports_) p->save(w);
     for (const auto& h : clients_) h->save(w);
     for (const auto& h : servers_) h->save(w);
     router1_->save(w);
     router2_->save(w);
-  }
-  void load(sim::SnapshotReader& r) {
-    for (const auto& p : ports_) p->load(r);
-    for (const auto& h : clients_) h->load(r);
-    for (const auto& h : servers_) h->load(r);
-    router1_->load(r);
-    router2_->load(r);
   }
 
  private:

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <new>
 #include <type_traits>
@@ -72,25 +71,6 @@ class InplaceCallback {
     return vt_ != nullptr && vt_->store == Store::kInline;
   }
 
-  /// True when clone() is legal: empty, or holding a copy-constructible
-  /// capture. Every capture the engine schedules is copy-constructible
-  /// (raw pointers, PODs, packets, std::function shims), which is what makes
-  /// scheduler snapshots possible; a move-only capture would trip the
-  /// clone() assert the first time a snapshot is taken over it.
-  [[nodiscard]] bool cloneable() const { return vt_ == nullptr || vt_->clone != nullptr; }
-
-  /// Deep-copy the held capture (copy constructor of the capture type).
-  /// Used by the scheduler's snapshot image so one captured state can be
-  /// restored many times. Asserts cloneable().
-  [[nodiscard]] InplaceCallback clone() const {
-    InplaceCallback copy;
-    if (vt_ != nullptr) {
-      assert(vt_->clone != nullptr && "cannot snapshot a move-only capture");
-      vt_->clone(object(), copy);
-    }
-    return copy;
-  }
-
  private:
   enum class Store : unsigned char { kInline, kPooled };
 
@@ -100,9 +80,6 @@ class InplaceCallback {
     /// only; pooled captures relocate by pointer swap).
     void (*relocate)(void* dst, void* src);
     void (*destroy_free)(void*);
-    /// Copy-construct the capture into a fresh callback; null when the
-    /// capture type is not copy-constructible.
-    void (*clone)(const void* src, InplaceCallback& dst);
     Store store;
   };
 
@@ -141,17 +118,6 @@ class InplaceCallback {
     p.free_head = block;
   }
 
-  template <typename D>
-  static constexpr auto clone_for() -> void (*)(const void*, InplaceCallback&) {
-    if constexpr (std::is_copy_constructible_v<D>) {
-      return [](const void* src, InplaceCallback& dst) {
-        dst = InplaceCallback(*static_cast<const D*>(src));
-      };
-    } else {
-      return nullptr;
-    }
-  }
-
   template <typename D, Store S>
   static const VTable& vtable_for() {
     static constexpr VTable vt{
@@ -166,7 +132,6 @@ class InplaceCallback {
           static_cast<D*>(obj)->~D();
           if constexpr (S == Store::kPooled) pool_free(obj);
         },
-        /*clone=*/clone_for<D>(),
         /*store=*/S,
     };
     return vt;
@@ -175,11 +140,6 @@ class InplaceCallback {
   void* object() {
     return vt_->store == Store::kInline ? static_cast<void*>(storage_.inline_bytes)
                                         : storage_.heap;
-  }
-  [[nodiscard]] const void* object() const {
-    return vt_->store == Store::kInline
-               ? static_cast<const void*>(storage_.inline_bytes)
-               : storage_.heap;
   }
 
   void steal(InplaceCallback& other) {

@@ -401,56 +401,6 @@ Scheduler::StopReason Scheduler::run_until(Time deadline, const RunLimits& limit
   return reason;
 }
 
-// --- model-checking snapshot support ---------------------------------------
-
-Scheduler::Image Scheduler::save_image() const {
-  Image img;
-  img.now = now_;
-  img.next_seq = next_seq_;
-  img.executed = executed_;
-  img.heap = heap_;
-  img.heap_pos = heap_pos_;
-  img.free_slots = free_slots_;
-  img.slots.reserve(slot_count());
-  for (std::uint32_t i = 0; i < slot_count(); ++i) {
-    const Slot& s = slot_at(i);
-    assert(s.state != SlotState::kTimerFiring &&
-           "snapshots may only be taken between events");
-    Slot c;
-    c.at = s.at;
-    c.seq = s.seq;
-    c.gen = s.gen;
-    c.state = s.state;
-    if (s.cb) c.cb = s.cb.clone();
-    img.slots.push_back(std::move(c));
-  }
-  return img;
-}
-
-void Scheduler::restore_image(const Image& img) {
-  now_ = img.now;
-  next_seq_ = img.next_seq;
-  executed_ = img.executed;
-  heap_ = img.heap;
-  free_slots_ = img.free_slots;
-  // Slots past the image's count go back to their default state, exactly
-  // as freshly grown ones; the chunks themselves are kept for reuse.
-  const auto count = static_cast<std::uint32_t>(img.slots.size());
-  for (std::uint32_t i = count; i < slot_count(); ++i) slot_at(i) = Slot{};
-  heap_pos_ = img.heap_pos;
-  grow_slots(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const Slot& s = img.slots[i];
-    Slot& c = slot_at(i);
-    c.at = s.at;
-    c.seq = s.seq;
-    c.gen = s.gen;
-    c.state = s.state;
-    c.cb = s.cb ? s.cb.clone() : Callback{};  // image stays restorable again later
-  }
-  // heap_peak_ is telemetry, not behavior: keep the high-water mark.
-}
-
 std::uint64_t Scheduler::state_hash() const {
   static_assert(sizeof(Time) == sizeof(std::uint64_t));
   // Armed slots in arrival (seq) order: relative order is behavior (it is

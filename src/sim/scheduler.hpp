@@ -150,18 +150,6 @@ class Scheduler {
   void set_choice_hook(ChoiceHook* hook) { choice_hook_ = hook; }
   [[nodiscard]] ChoiceHook* choice_hook() const { return choice_hook_; }
 
-  /// Deep copy of the scheduler's full state: counters, heap, free list, and
-  /// every slot with its callback *cloned* (captures are copy-constructed).
-  /// Captured only between events — save_image() asserts no slot is
-  /// mid-fire. Restoring clones from the image again, so one image can seed
-  /// arbitrarily many restores (DFS backtracking). Slot indices and
-  /// generations are preserved, so TimerHandles and EventIds held by
-  /// components remain valid across a restore, and `[this]` captures stay
-  /// correct because components are restored in place.
-  struct Image;
-  [[nodiscard]] Image save_image() const;
-  void restore_image(const Image& img);
-
   /// Digest of the pending-event state (now, each armed slot's identity,
   /// deadline and kind, in arrival order) for explored-state deduplication.
   /// Excludes executed-event and peak counters, and excludes absolute
@@ -319,20 +307,6 @@ class Scheduler {
   /// (seq, heap position) scratch for the tie choice point; member so the
   /// per-event path stays allocation-free once warm.
   std::vector<std::pair<std::uint64_t, std::uint32_t>> tie_scratch_;
-};
-
-/// Deep-copyable image of a Scheduler (see Scheduler::save_image()). Slots
-/// hold cloned callbacks, so the image is independent of the live scheduler
-/// and move-only (callbacks are). Defined out of line because it names the
-/// private Slot/HeapEntry types.
-struct Scheduler::Image {
-  Time now{};
-  std::uint64_t next_seq = 1;
-  std::uint64_t executed = 0;
-  std::vector<Slot> slots;
-  std::vector<std::uint32_t> heap_pos;
-  std::vector<HeapEntry> heap;
-  std::vector<std::uint32_t> free_slots;
 };
 
 using TimerHandle = Scheduler::TimerHandle;

@@ -345,11 +345,9 @@ class Scoreboard {
     }
   }
 
-  /// Snapshot the full window state — scalars, ring geometry, parallel
-  /// arrays, and flag bitmaps (sim::Snapshottable contract). The ledger
-  /// pointer is wiring, not state: load() keeps the attached ledger and
-  /// swaps the restored window's byte count in for the current one, so a
-  /// restore across a grow() or release() leaves the shared account exact.
+  /// Serialize the full window state — scalars, ring geometry, parallel
+  /// arrays, and flag bitmaps — for the cell's state hash. The ledger
+  /// pointer is wiring, not state, and is not stored.
   void save(sim::SnapshotWriter& w) const {
     w.put_u64(una_);
     w.put_u64(next_seq_);
@@ -371,36 +369,6 @@ class Scoreboard {
     w.put_pod_span(win_.sacked, words);
     w.put_pod_span(win_.lost, words);
     w.put_pod_span(win_.delivered, words);
-  }
-  void load(sim::SnapshotReader& r) {
-    if (ledger_ != nullptr) ledger_->current -= memory_bytes();
-    free_window(win_, capacity_);
-    win_ = Window{};
-    una_ = r.get_u64();
-    next_seq_ = r.get_u64();
-    pipe_units_ = r.get_u64();
-    lost_pending_ = r.get_u64();
-    min_unresolved_ = r.get_u64();
-    highest_sacked_ = r.get_u64();
-    r.get_pod(&latest_sacked_sent_time_);
-    capacity_ = r.get_u64();
-    mask_ = r.get_u64();
-    peak_bytes_ = static_cast<std::size_t>(r.get_u64());
-    win_ = alloc_window(capacity_);
-    const std::size_t n = static_cast<std::size_t>(capacity_);
-    const std::size_t words = bitmap_words(capacity_);
-    r.get_pod_span(win_.sent_time, n);
-    r.get_pod_span(win_.delivered_time_at_send, n);
-    r.get_pod_span(win_.delivered_at_send, n);
-    r.get_pod_span(win_.retx, n);
-    r.get_pod_span(win_.inflight, words);
-    r.get_pod_span(win_.sacked, words);
-    r.get_pod_span(win_.lost, words);
-    r.get_pod_span(win_.delivered, words);
-    if (ledger_ != nullptr) {
-      ledger_->current += memory_bytes();
-      ledger_->peak = std::max(ledger_->peak, ledger_->current);
-    }
   }
 
  private:

@@ -41,8 +41,8 @@ class TcpReceiver : public net::PacketHandler {
   [[nodiscard]] std::uint64_t acks_sent() const { return acks_sent_; }
   [[nodiscard]] std::uint64_t duplicate_units() const { return duplicate_units_; }
 
-  /// Snapshot the reassembly and delayed-ACK state (sim::Snapshottable
-  /// contract). The ACK timer's armed-ness lives in the scheduler image;
+  /// Serialize the reassembly and delayed-ACK state for the cell's state
+  /// hash. The ACK timer's armed-ness is covered by the scheduler's hash;
   /// only the mirror flag is stored here.
   void save(sim::SnapshotWriter& w) const {
     w.put_u64(rcv_next_);
@@ -61,25 +61,6 @@ class TcpReceiver : public net::PacketHandler {
     w.put_u64(ooo_packets_);
     w.put_u64(acks_sent_);
     w.put_u64(duplicate_units_);
-  }
-  void load(sim::SnapshotReader& r) {
-    rcv_next_ = r.get_u64();
-    const std::uint64_t n = r.get_u64();
-    ooo_.clear();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const std::uint64_t start = r.get_u64();
-      ooo_[start] = r.get_u64();
-    }
-    last_recv_unit_ = r.get_u64();
-    unacked_count_ = r.get_u32();
-    pending_ce_ = r.get_bool();
-    ack_timer_armed_ = r.get_bool();
-    peer_ecn_ = r.get_bool();
-    delivered_bytes_ = r.get_u64();
-    received_packets_ = r.get_u64();
-    ooo_packets_ = r.get_u64();
-    acks_sent_ = r.get_u64();
-    duplicate_units_ = r.get_u64();
   }
 
  private:

@@ -388,25 +388,4 @@ void TcpSender::save(sim::SnapshotWriter& w) const {
   cc_->save(w);
 }
 
-void TcpSender::load(sim::SnapshotReader& r) {
-  r.get_pod(&rtt_);
-  r.get_pod(&stats_);
-  sb_.load(r);
-  delivered_segments_ = r.get_f64();
-  r.get_pod(&delivered_time_);
-  next_round_delivered_ = r.get_f64();
-  recovery_point_ = r.get_u64();
-  r.get_pod(&rto_deadline_);
-  rto_armed_ = r.get_bool();
-  rto_backoff_ = r.get_u32();
-  r.get_pod(&next_pace_time_);
-  pace_armed_ = r.get_bool();
-  started_ = r.get_bool();
-  stopped_ = r.get_bool();
-  r.get_pod(&completion_time_);
-  app_limit_units_ = r.get_u64();
-  app_idle_notified_ = r.get_bool();
-  cc_->load(r);
-}
-
 }  // namespace elephant::tcp

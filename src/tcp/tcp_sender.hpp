@@ -155,12 +155,11 @@ class TcpSender : public net::PacketHandler {
   /// Completion instant (zero until completed) — the FCT numerator.
   [[nodiscard]] sim::Time completion_time() const { return completion_time_; }
 
-  /// Snapshot the full transport state (sim::Snapshottable contract): RTT
+  /// Serialize the full transport state for the cell's state hash: RTT
   /// estimator, counters, scoreboard, delivery-rate state, recovery point,
-  /// RTO/pacing deadlines, and the plugged CCA's state. Timer armed-ness
-  /// lives in the scheduler image; callbacks and wiring are not stored.
+  /// RTO/pacing deadlines, and the plugged CCA's state. Timer armed-ness is
+  /// covered by the scheduler's hash; callbacks and wiring are not stored.
   void save(sim::SnapshotWriter& w) const;
-  void load(sim::SnapshotReader& r);
 
  private:
   [[nodiscard]] double cwnd_segments() const;
@@ -226,7 +225,7 @@ class TcpSender : public net::PacketHandler {
   // Telemetry handles (null = metrics off; ACK path pays one branch).
   const obs::TcpMetrics* metrics_ = nullptr;
   // Last traced cwnd/pacing (dedups kCwndUpdate records). Observer state:
-  // not snapshotted, so a tracer never changes the state hash.
+  // not serialized by save(), so a tracer never changes the state hash.
   double last_traced_cwnd_ = -1;
   double last_traced_pacing_ = -1;
 };

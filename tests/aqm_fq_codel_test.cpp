@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "sim/random.hpp"
-#include "sim/snapshot.hpp"
 #include "test_util.hpp"
 #include "trace/sinks.hpp"
 #include "trace/trace.hpp"
@@ -240,39 +239,24 @@ FqCodelConfig lockstep_cfg(std::uint32_t flows) {
 }
 
 /// Random traffic over 40 flows, mostly 1000-byte packets so backlogs tie
-/// often; seven enqueues in ten, so most enqueues overflow. Every queue in
-/// `queues` gets the same operations and must match `shadow` on each one.
-void drive(std::vector<TracedFq*> queues, ShadowFq& shadow, sim::Rng& rng, int steps,
-           std::uint64_t& seq) {
+/// often; seven enqueues in ten, so most enqueues overflow. The queue must
+/// match `shadow` on every operation.
+void drive(TracedFq& t, ShadowFq& shadow, sim::Rng& rng, int steps) {
+  std::uint64_t seq = 0;
   for (int step = 0; step < steps; ++step) {
     if (rng.next_below(10) < 7) {
       const auto flow = static_cast<net::FlowId>(rng.next_below(40));
       const std::uint32_t size = rng.next_below(4) == 0 ? 1500 : 1000;
-      const net::Packet p = test::make_packet(flow, seq++, size);
-      const std::vector<Victim> want = shadow.enqueue(queues.front()->q.bucket_of(flow), p);
-      for (TracedFq* t : queues) {
-        net::Packet copy = p;
-        EXPECT_TRUE(t->q.enqueue(std::move(copy)));
-        ASSERT_EQ(t->take_victims(), want) << "step " << step;
-      }
+      net::Packet p = test::make_packet(flow, seq++, size);
+      const std::vector<Victim> want = shadow.enqueue(t.q.bucket_of(flow), p);
+      EXPECT_TRUE(t.q.enqueue(std::move(p)));
+      ASSERT_EQ(t.take_victims(), want) << "step " << step;
     } else {
-      const bool backlogged = shadow.total > 0;
-      std::optional<net::Packet> first;
-      for (TracedFq* t : queues) {
-        const std::optional<net::Packet> out = t->q.dequeue();
-        ASSERT_EQ(out.has_value(), backlogged) << "step " << step;
-        if (!out) continue;
-        if (!first) {
-          first = out;
-          shadow.dequeued(t->q.bucket_of(out->flow), *out);
-        }
-        EXPECT_EQ(out->flow, first->flow) << "step " << step;
-        EXPECT_EQ(out->seq, first->seq) << "step " << step;
-      }
+      const std::optional<net::Packet> out = t.q.dequeue();
+      ASSERT_EQ(out.has_value(), shadow.total > 0) << "step " << step;
+      if (out) shadow.dequeued(t.q.bucket_of(out->flow), *out);
     }
-    for (TracedFq* t : queues) {
-      ASSERT_EQ(t->q.byte_length(), shadow.total) << "step " << step;
-    }
+    ASSERT_EQ(t.q.byte_length(), shadow.total) << "step " << step;
   }
 }
 
@@ -284,37 +268,8 @@ TEST_P(FqCodelLockstep, OverflowVictimsMatchFirstMaxScan) {
   TracedFq fq(sched, cfg);
   ShadowFq shadow(cfg.flows, cfg.memory_limit_bytes);
   sim::Rng rng(GetParam());
-  std::uint64_t seq = 0;
-  drive({&fq}, shadow, rng, 20000, seq);
+  drive(fq, shadow, rng, 20000);
   EXPECT_GT(fq.q.stats().dropped_overflow, 5000u) << "scenario invalid: too few overflows";
-}
-
-// A queue restored mid-overflow must pick the same victims as the original:
-// load() has to rebuild the victim search, not just the buckets.
-TEST_P(FqCodelLockstep, RestoredQueuePicksSameVictims) {
-  sim::Scheduler sched;
-  const FqCodelConfig cfg = lockstep_cfg(GetParam());
-  TracedFq live(sched, cfg);
-  ShadowFq shadow(cfg.flows, cfg.memory_limit_bytes);
-  sim::Rng rng(GetParam() + 1);
-  std::uint64_t seq = 0;
-  drive({&live}, shadow, rng, 5000, seq);
-  // Step on until the latest operation was an overflowing enqueue.
-  for (std::uint64_t drops = live.q.stats().dropped_overflow;;) {
-    drive({&live}, shadow, rng, 1, seq);
-    if (live.q.stats().dropped_overflow > drops) break;
-    drops = live.q.stats().dropped_overflow;
-  }
-
-  sim::SnapshotWriter w;
-  live.q.save(w);
-  TracedFq restored(sched, cfg);
-  sim::SnapshotReader r(w.bytes());
-  restored.q.load(r);
-  ASSERT_EQ(restored.q.byte_length(), live.q.byte_length());
-
-  drive({&live, &restored}, shadow, rng, 5000, seq);
-  EXPECT_EQ(restored.q.stats().dropped_overflow, live.q.stats().dropped_overflow);
 }
 
 INSTANTIATE_TEST_SUITE_P(BucketCounts, FqCodelLockstep, ::testing::Values(1u, 3u, 1000u, 1024u));

@@ -347,7 +347,7 @@ Args parse(int argc, char** argv) {
           bounded_integer<std::uint32_t>("--depth", "depth", need(i), 0, 1u << 20);
     } else if (!std::strcmp(arg, "--schedules")) {
       a.explore.max_schedules =
-          bounded_integer<std::uint64_t>("--schedules", "count", need(i), 0, kAnyCount);
+          bounded_integer<std::uint64_t>("--schedules", "count", need(i), 1, kAnyCount);
     } else if (!std::strcmp(arg, "--horizon")) {
       a.explore.horizon_s = bounded_number("--horizon", "seconds", need(i), 0, 1e9);
     } else if (!std::strcmp(arg, "--schedule-events")) {
@@ -663,6 +663,11 @@ int cmd_explore(const Args& a) {
   }
   if (!explorer.violations().empty()) {
     if (!a.explore.trace_out.empty()) {
+      if (!st.trace_written) {
+        std::fprintf(stderr, "explore: cannot write the counterexample trace to %s\n",
+                     a.explore.trace_out.c_str());
+        return 2;
+      }
       std::printf("counterexample trace written to %s — replay with:\n"
                   "  elephant explore --replay %s [same config flags]\n",
                   a.explore.trace_out.c_str(), a.explore.trace_out.c_str());
