@@ -1,9 +1,9 @@
-// Flows built by exp::FlowFactory. Paper-default construction is pinned byte
-// for byte: per flow, its id, side, start time, CCA seed and parameters, the
-// sender's wiring, the FlowInstance bookkeeping fields, and the factory's
-// snapshot bytes, plus the cell's full state hash at t = 0. Any change to how
-// the paper's elephants are drawn or wired moves these digests. The Flow
-// cases check one spawned flow end to end through exp::Cell.
+// Flows built by exp::FlowFactory. Paper-default construction is pinned: per
+// flow, its id, side, start time, CCA seed and parameters, the sender's
+// wiring and the FlowInstance bookkeeping fields, plus the metrics digest of
+// the same cell run to a 0.5 s horizon. Any change to how the paper's
+// elephants are drawn or wired moves these digests. The Flow cases check one
+// spawned flow end to end through exp::Cell.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 
 #include "exp/cell.hpp"
 #include "exp/config.hpp"
+#include "exp/result_digest.hpp"
 #include "sim/snapshot.hpp"
 #include "test_util.hpp"
 
@@ -25,8 +26,10 @@ std::uint64_t fold_double(std::uint64_t h, double v) {
   return sim::fnv1a_fold(h, bits);
 }
 
-/// Digest of every paper flow's construction-time state in slab order.
-std::uint64_t paper_flow_digest(const ExperimentConfig& cfg) {
+/// Digest of every paper flow's construction-time state in slab order, then
+/// of the cell's results at a 0.5 s horizon.
+std::uint64_t paper_flow_digest(ExperimentConfig cfg) {
+  cfg.duration = sim::Time::seconds(0.5);
   Cell cell(cfg);
   FlowFactory& flows = cell.flows();
   std::uint64_t h = sim::kFnvOffset;
@@ -59,10 +62,7 @@ std::uint64_t paper_flow_digest(const ExperimentConfig& cfg) {
     h = sim::fnv1a_fold(h, static_cast<std::uint64_t>(f.start_time.ns()));
     h = sim::fnv1a_fold(h, f.owner == &flows ? 1 : 0);
   }
-  sim::SnapshotWriter w;
-  flows.save(w);
-  h = sim::fnv1a_bytes(h, w.bytes().data(), w.bytes().size());
-  return sim::fnv1a_fold(h, cell.state_hash());
+  return sim::fnv1a_fold(h, metrics_digest(cell.run_to_completion()));
 }
 
 TEST(FlowFactory, PaperFlowsMatchGolden) {
@@ -94,9 +94,9 @@ TEST(FlowFactory, PaperFlowsMatchGolden) {
   odd.pace_all = true;
   odd.seed = 3;
 
-  EXPECT_EQ(paper_flow_digest(two), 0xc2184a7d6d780d7eULL);
-  EXPECT_EQ(paper_flow_digest(many), 0x0ac8df7d7db56cc7ULL);
-  EXPECT_EQ(paper_flow_digest(odd), 0xf3896cf52f09d302ULL);
+  EXPECT_EQ(paper_flow_digest(two), 0xc384d86768644ba7ULL);
+  EXPECT_EQ(paper_flow_digest(many), 0xeea0cd37936071f9ULL);
+  EXPECT_EQ(paper_flow_digest(odd), 0x5639c934d0562fd5ULL);
 }
 
 using workload::ClassKind;
