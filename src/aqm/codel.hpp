@@ -129,13 +129,6 @@ class CodelQueue : public QueueDisc {
   [[nodiscard]] std::string name() const override { return "codel"; }
   [[nodiscard]] const CodelState& state() const { return state_; }
 
-  void save(sim::SnapshotWriter& w) const override {
-    QueueDisc::save(w);
-    w.put_u64(bytes_);
-    save_packets(w, queue_);
-    w.put_pod(state_);
-  }
-
  private:
   struct Access {
     CodelQueue& q;

@@ -29,10 +29,4 @@ std::optional<net::Packet> FifoQueue::dequeue() {
   return p;
 }
 
-void FifoQueue::save(sim::SnapshotWriter& w) const {
-  QueueDisc::save(w);
-  w.put_u64(bytes_);
-  save_packets(w, queue_);
-}
-
 }  // namespace elephant::aqm

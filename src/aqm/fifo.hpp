@@ -22,8 +22,6 @@ class FifoQueue : public QueueDisc {
   [[nodiscard]] std::string name() const override { return "fifo"; }
   [[nodiscard]] std::size_t limit_bytes() const { return limit_bytes_; }
 
-  void save(sim::SnapshotWriter& w) const override;
-
  private:
   std::size_t limit_bytes_;
   std::size_t bytes_ = 0;

@@ -49,23 +49,6 @@ class FqCodelQueue : public QueueDisc {
   /// The hash bucket packets of `flow` queue in.
   [[nodiscard]] std::uint32_t bucket_of(net::FlowId flow) const;
 
-  void save(sim::SnapshotWriter& w) const override {
-    QueueDisc::save(w);
-    w.put_u64(queues_.size());
-    for (std::size_t i = 0; i < queues_.size(); ++i) {
-      const SubQueue& sq = queues_[i];
-      save_packets(w, sq.pkts);
-      w.put_u64(backlogs_[i]);
-      w.put_i64(sq.deficit);
-      w.put_pod(sq.codel);
-      w.put_u8(static_cast<std::uint8_t>(sq.in_list));
-    }
-    save_flow_list(w, new_flows_);
-    save_flow_list(w, old_flows_);
-    w.put_u64(total_bytes_);
-    w.put_u64(total_packets_);
-  }
-
  private:
   enum class ListState : std::uint8_t { kNone, kNew, kOld };
 
@@ -88,11 +71,6 @@ class FqCodelQueue : public QueueDisc {
     [[nodiscard]] std::size_t byte_length() const { return fq.backlogs_[bucket]; }
     net::Packet pop_front_packet();
   };
-
-  static void save_flow_list(sim::SnapshotWriter& w, const FlowList& list) {
-    w.put_u64(list.size());
-    for (std::size_t i = 0; i < list.size(); ++i) w.put_u32(list[i]);
-  }
 
   /// `backlogs_[b]` changed: queue b's leaf for re-seating.
   void mark_stale(std::uint32_t b);

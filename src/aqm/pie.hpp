@@ -41,22 +41,6 @@ class PieQueue : public QueueDisc {
   [[nodiscard]] sim::Time estimated_delay() const { return cur_delay_; }
   [[nodiscard]] const PieConfig& config() const { return cfg_; }
 
-  void save(sim::SnapshotWriter& w) const override {
-    QueueDisc::save(w);
-    w.put_pod(rng_);
-    save_packets(w, queue_);
-    w.put_u64(bytes_);
-    w.put_f64(prob_);
-    w.put_pod(cur_delay_);
-    w.put_pod(old_delay_);
-    w.put_pod(next_update_);
-    w.put_pod(burst_left_);
-    w.put_bool(in_measurement_);
-    w.put_u64(dq_count_bytes_);
-    w.put_pod(dq_start_);
-    w.put_f64(avg_drain_rate_);
-  }
-
  private:
   void update_probability();
 

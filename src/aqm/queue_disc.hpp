@@ -6,9 +6,7 @@
 #include <string>
 
 #include "net/packet.hpp"
-#include "sim/ring_deque.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/snapshot.hpp"
 #include "trace/trace.hpp"
 
 namespace elephant::aqm {
@@ -55,12 +53,6 @@ class QueueDisc {
   void set_tracer(trace::Tracer* tracer) { tracer_ = tracer; }
   [[nodiscard]] trace::Tracer* tracer() const { return tracer_; }
 
-  /// Serialize the discipline's full mutable state (queued packets and
-  /// algorithm variables included) for the cell's state hash.
-  /// Implementations override it, call the base first (it serializes the
-  /// counters), then append their own fields in a fixed order.
-  virtual void save(sim::SnapshotWriter& w) const { w.put_pod(stats_); }
-
   /// Trace emitters for implementations; each is a no-op (one predictable
   /// branch) when no tracer is attached. Public so the shared codel_dequeue
   /// algorithm and the port's arrival-loss stage can report drops against
@@ -77,13 +69,6 @@ class QueueDisc {
 
  protected:
   [[nodiscard]] sim::Time now() const { return sched_->now(); }
-
-  /// Packet-queue serialization shared by every discipline: a u64
-  /// count, then the packet PODs front to back.
-  static void save_packets(sim::SnapshotWriter& w, const sim::RingDeque<net::Packet>& q) {
-    w.put_u64(q.size());
-    for (std::size_t i = 0; i < q.size(); ++i) w.put_pod(q[i]);
-  }
 
   sim::Scheduler* sched_;
   QueueStats stats_;

@@ -57,18 +57,6 @@ class RedQueue : public QueueDisc {
   [[nodiscard]] double current_max_p() const { return max_p_; }
   [[nodiscard]] const RedConfig& config() const { return cfg_; }
 
-  void save(sim::SnapshotWriter& w) const override {
-    QueueDisc::save(w);
-    w.put_pod(rng_);
-    save_packets(w, queue_);
-    w.put_u64(bytes_);
-    w.put_f64(avg_);
-    w.put_i64(count_);
-    w.put_pod(idle_since_);
-    w.put_f64(max_p_);
-    w.put_pod(next_adapt_);
-  }
-
  private:
   /// Probability of an early drop/mark for the current average queue.
   [[nodiscard]] double drop_probability() const;

@@ -57,39 +57,6 @@ class BbrV2 : public CongestionControl {
   [[nodiscard]] double bw_estimate() const { return max_bw_.best(); }
   [[nodiscard]] sim::Time min_rtt() const { return min_rtt_; }
 
-  void save(sim::SnapshotWriter& w) const override {
-    w.put_pod(rng_);
-    w.put_u8(static_cast<std::uint8_t>(mode_));
-    w.put_u8(static_cast<std::uint8_t>(phase_));
-    w.put_pod(max_bw_);
-    w.put_i64(round_count_);
-    w.put_pod(min_rtt_);
-    w.put_pod(min_rtt_stamp_);
-    w.put_pod(probe_rtt_done_);
-    w.put_bool(probe_rtt_round_done_);
-    w.put_bool(full_bw_reached_);
-    w.put_f64(full_bw_);
-    w.put_pod(full_bw_count_);
-    w.put_pod(startup_lossy_rounds_);
-    w.put_f64(inflight_hi_);
-    w.put_f64(inflight_lo_);
-    w.put_f64(lost_in_round_);
-    w.put_f64(delivered_in_round_);
-    w.put_bool(ece_in_round_);
-    w.put_bool(loss_round_);
-    w.put_pod(phase_start_);
-    w.put_pod(cruise_duration_);
-    w.put_bool(probe_up_hit_hi_);
-    w.put_f64(probe_up_rounds_);
-    w.put_f64(probe_up_acks_);
-    w.put_f64(probe_up_cnt_);
-    w.put_f64(pacing_gain_);
-    w.put_f64(cwnd_gain_);
-    w.put_f64(cwnd_);
-    w.put_f64(prior_cwnd_);
-    w.put_f64(pacing_rate_bps_);
-  }
-
  private:
   [[nodiscard]] double bdp_segments(double gain) const;
   [[nodiscard]] double inflight_with_headroom() const;

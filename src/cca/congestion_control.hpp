@@ -5,7 +5,6 @@
 #include <string>
 
 #include "sim/random.hpp"
-#include "sim/snapshot.hpp"
 #include "sim/time.hpp"
 
 namespace elephant::cca {
@@ -68,12 +67,6 @@ class CongestionControl {
   [[nodiscard]] virtual std::string name() const = 0;
 
   [[nodiscard]] const CcaParams& params() const { return params_; }
-
-  /// Serialize the controller's mutable state for the cell's state hash
-  /// (see sim::SnapshotWriter). The default is a no-op for stateless stubs;
-  /// every shipped algorithm overrides it. `params_` is immutable and not
-  /// stored.
-  virtual void save(sim::SnapshotWriter& w) const { (void)w; }
 
  protected:
   CcaParams params_;

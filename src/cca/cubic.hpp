@@ -35,19 +35,6 @@ class Cubic : public CongestionControl {
   [[nodiscard]] double w_max() const { return w_max_; }
   [[nodiscard]] double k() const { return k_; }
 
-  void save(sim::SnapshotWriter& w) const override {
-    w.put_f64(cwnd_);
-    w.put_f64(ssthresh_);
-    w.put_f64(w_max_);
-    w.put_f64(k_);
-    w.put_pod(epoch_start_);
-    w.put_f64(w_est_);
-    w.put_f64(est_accum_);
-    w.put_pod(hs_round_min_rtt_);
-    w.put_pod(hs_prev_round_min_rtt_);
-    w.put_pod(hs_samples_);
-  }
-
  private:
   void enter_congestion_avoidance(sim::Time now);
   void hystart_update(const AckSample& ack);

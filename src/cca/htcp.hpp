@@ -37,20 +37,6 @@ class Htcp : public CongestionControl {
   [[nodiscard]] double alpha() const { return alpha_; }
   [[nodiscard]] double beta() const { return beta_; }
 
-  void save(sim::SnapshotWriter& w) const override {
-    w.put_f64(cwnd_);
-    w.put_f64(ssthresh_);
-    w.put_f64(alpha_);
-    w.put_f64(beta_);
-    w.put_f64(acked_accum_);
-    w.put_pod(last_congestion_);
-    w.put_pod(epoch_rtt_min_);
-    w.put_pod(epoch_rtt_max_);
-    w.put_f64(epoch_throughput_);
-    w.put_pod(epoch_start_);
-    w.put_f64(last_bw_);
-  }
-
  private:
   void update_alpha(sim::Time now, sim::Time rtt);
 

@@ -23,12 +23,6 @@ class Reno : public CongestionControl {
   [[nodiscard]] std::string name() const override { return "reno"; }
   [[nodiscard]] double ssthresh() const { return ssthresh_; }
 
-  void save(sim::SnapshotWriter& w) const override {
-    w.put_f64(cwnd_);
-    w.put_f64(ssthresh_);
-    w.put_f64(acked_accum_);
-  }
-
  private:
   double cwnd_;
   double ssthresh_;

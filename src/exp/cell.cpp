@@ -344,10 +344,6 @@ Cell::Cell(const ExperimentConfig& cfg)
                    faults_ ? &*faults_ : nullptr);
   }
 
-  // Installed after setup: construction consumes no choice points, and a
-  // null hook (the default) leaves every branch on its seeded outcome.
-  sched_.set_choice_hook(cfg_.choice_hook);
-
   if (cfg_.metrics != nullptr) {
     cfg_.metrics->histogram("prof.cell_setup_s")
         .record(
@@ -431,8 +427,8 @@ ExperimentResult Cell::run_to_completion() {
   ExperimentResult res = finalize();
   // A full run in which no flow delivered a byte measured nothing: with every
   // rate at 0, Jain's index reads 1.0 and the dead cell would average in as
-  // fair. Checked here, not in finalize(): the model checker finalizes at
-  // horizons that may end before the first delivery.
+  // fair. Checked here, not in finalize(): a caller stepping the cell with
+  // run_chunk() may finalize before the first delivery.
   bool delivered = false;
   for (std::size_t i = 0; i < factory_->size() && !delivered; ++i) {
     delivered = factory_->flow(i).receiver->delivered_bytes() > 0;
@@ -460,16 +456,6 @@ ExperimentResult Cell::finalize() {
     }
   }
   return res;
-}
-
-std::uint64_t Cell::state_hash() const {
-  sim::SnapshotWriter w;
-  w.put_pod(rng_);
-  net_->save(w);
-  if (faults_) faults_->save(w);
-  factory_->save(w);
-  return sim::fnv1a_bytes(sim::fnv1a_fold(sim::kFnvOffset, sched_.state_hash()),
-                          w.bytes().data(), w.bytes().size());
 }
 
 }  // namespace elephant::exp

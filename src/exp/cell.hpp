@@ -13,34 +13,19 @@
 #include "obs/metrics.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/snapshot.hpp"
 
 namespace elephant::exp {
 
-/// One experiment cell held open for stepping and state hashing — the only
-/// cell runner: run_experiment() (construct, run to the configured
-/// duration, finalize) and the model checker (src/mc: build a fresh cell per
-/// schedule, run it in bounded chunks to the horizon, hash the end state)
-/// both drive it.
+/// One experiment cell held open for stepping — the only cell runner:
+/// run_experiment() constructs one, runs it to the configured duration and
+/// finalizes it; the examples and the benchmark's traced variant step it in
+/// chunks with run_chunk().
 ///
 /// Construction replays the historical run_experiment() setup byte for
 /// byte: the same objects constructed in the same order with the same draws
-/// from the cell RNG, so golden digests are unchanged with mc off
+/// from the cell RNG, so golden digests are unchanged
 /// (tests/determinism_digest_test.cpp pins this). A freshly built cell is
 /// therefore a complete, reproducible t = 0 state; nothing is ever rewound.
-///
-/// State-hash layout, in fixed order:
-///   1. scheduler pending-event digest (Scheduler::state_hash)
-///   2. cell RNG
-///   3. dumbbell: every port (qdisc decorator chains included), host and
-///      router counters, in construction order
-///   4. fault injector (present only when the config has a fault plan)
-///   5. flow factory: per flow, app RNG + sender (scoreboard and CCA
-///      included) + receiver, in slab order
-///
-/// Items 2–5 are the components' save() bytes. Observers (tracer, metrics,
-/// episode probe) are never serialized, so a traced cell hashes exactly as
-/// an untraced one does.
 class Cell {
  public:
   explicit Cell(const ExperimentConfig& cfg);
@@ -57,8 +42,8 @@ class Cell {
 
   /// Execute at most `max_events` further events (0 = unbounded), never past
   /// `deadline`. Returns why the chunk stopped; on kEventBudget the clock
-  /// stays at the last executed event, so a state hash taken here sits
-  /// exactly on an event boundary.
+  /// stays at the last executed event, so the cell stops exactly on an event
+  /// boundary.
   sim::Scheduler::StopReason run_chunk(std::uint64_t max_events, sim::Time deadline);
   sim::Scheduler::StopReason run_chunk(std::uint64_t max_events) {
     return run_chunk(max_events, duration_);
@@ -79,10 +64,6 @@ class Cell {
   /// then averaged over the flow's full configured window, not the elapsed
   /// part.
   ExperimentResult finalize();
-
-  /// Hash of the full simulation state (scheduler pending-event digest plus
-  /// every component's serialized bytes) for explored-state deduplication.
-  [[nodiscard]] std::uint64_t state_hash() const;
 
  private:
   ExperimentConfig cfg_;  ///< stable copy: the factory holds a reference

@@ -15,10 +15,6 @@ namespace elephant::trace {
 class Tracer;
 }
 
-namespace elephant::sim {
-class ChoiceHook;
-}
-
 namespace elephant::obs {
 class MetricsRegistry;
 }
@@ -88,13 +84,6 @@ struct ExperimentConfig {
   /// existing journal ids); the jsonl sink path is presentation-only and
   /// excluded.
   obs::EpisodeOptions episodes{};
-
-  /// Optional model-checking choice hook (see sim/choice.hpp) installed on
-  /// the cell scheduler for the run: the explorer steers scheduler ties and
-  /// probabilistic fault outcomes through it. Null (the default) leaves
-  /// every choice on its seeded branch — mc off changes nothing. Excluded
-  /// from id() like the tracer: an explored run is never journaled.
-  sim::ChoiceHook* choice_hook = nullptr;
 
   /// BDP in bytes (paper Eq. 1): BW · RTT / 8.
   [[nodiscard]] double bdp_bytes() const { return bottleneck_bps * rtt.sec() / 8.0; }

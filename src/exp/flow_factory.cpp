@@ -185,16 +185,6 @@ FlowInstance& FlowFactory::spawn(int ci, int side, sim::Time start, std::uint64_
   return inst;
 }
 
-void FlowFactory::save(sim::SnapshotWriter& w) const {
-  w.put_u64(flows_.size());
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    const FlowInstance& f = flow(i);
-    w.put_pod(f.app_rng);
-    f.sender->save(w);
-    f.receiver->save(w);
-  }
-}
-
 void FlowFactory::flow_complete_thunk(void* ctx) {
   const FlowInstance& f = *static_cast<FlowInstance*>(ctx);
   if (f.owner->cfg_.tracer == nullptr) return;

@@ -94,13 +94,6 @@ class FlowFactory {
     return scoreboard_ledger_.peak;
   }
 
-  /// Serialize every flow's transport state in slab (construction) order
-  /// for the cell's state hash: the flow count, then per flow the on/off
-  /// app RNG, the sender (scoreboard + CCA included), and the receiver. The
-  /// flow set is fixed at construction — even Poisson arrivals are
-  /// instantiated up-front with future start times.
-  void save(sim::SnapshotWriter& w) const;
-
  private:
   void build_paper(sim::Rng& cell_rng);
   void build_class(int ci, const workload::TrafficClass& tc);

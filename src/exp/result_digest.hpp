@@ -19,9 +19,8 @@ namespace elephant::exp {
 /// wall-clock noise.
 ///
 /// This is THE metrics digest: the golden determinism tests, the chunked-run
-/// tests, `elephant run --check-digest`, and the explorer's
-/// replay verification all fold exactly these fields in exactly this order,
-/// so their values are directly comparable.
+/// tests and `elephant run --check-digest` all fold exactly these fields in
+/// exactly this order, so their values are directly comparable.
 [[nodiscard]] std::uint64_t metrics_digest(const ExperimentResult& res);
 
 /// Field-level comparison of two results over the same fields the digest

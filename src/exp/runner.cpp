@@ -12,9 +12,9 @@
 namespace elephant::exp {
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
-  // The engine lives in exp::Cell so the model checker can hold a run open
-  // for stepping and state hashing; constructing a cell and running it to
-  // completion is the historical behavior bit for bit.
+  // The engine lives in exp::Cell so a caller can hold a run open for
+  // stepping; constructing a cell and running it to completion is the
+  // historical behavior bit for bit.
   return Cell(cfg).run_to_completion();
 }
 

@@ -96,31 +96,20 @@ GilbertElliottParams GilbertElliottParams::from_loss(double stationary,
   return p;
 }
 
-bool ArrivalLoss::drop(std::uint32_t bytes, sim::ChoiceHook* hook) {
+bool ArrivalLoss::drop(std::uint32_t bytes) {
   bool lost = false;
   if (ge_.enabled()) {
     // Advance the chain, then apply the (new) state's loss probability.
-    if (chance(ge_rng_, bad_ ? ge_.p_bad_to_good : ge_.p_good_to_bad, hook,
-               sim::ChoiceKind::kGeTransition)) {
-      bad_ = !bad_;
-    }
+    if (chance(ge_rng_, bad_ ? ge_.p_bad_to_good : ge_.p_good_to_bad)) bad_ = !bad_;
     const double loss = bad_ ? ge_.loss_bad : ge_.loss_good;
-    lost = loss > 0 && chance(ge_rng_, loss, hook, sim::ChoiceKind::kGeLoss);
+    lost = loss > 0 && chance(ge_rng_, loss);
   }
-  if (!lost) lost = rate_ > 0 && chance(rng_, rate_, hook, sim::ChoiceKind::kArrivalLoss);
+  if (!lost) lost = rate_ > 0 && chance(rng_, rate_);
   if (lost) {
     ++drops_;
     bytes_dropped_ += bytes;
   }
   return lost;
-}
-
-void ArrivalLoss::save(sim::SnapshotWriter& w) const {
-  w.put_pod(rng_);
-  w.put_pod(ge_rng_);
-  w.put_bool(bad_);
-  w.put_u64(drops_);
-  w.put_u64(bytes_dropped_);
 }
 
 FaultInjector::FaultInjector(sim::Scheduler& sched, net::Port& target, std::uint64_t seed,
@@ -207,13 +196,6 @@ void FaultInjector::revert(const FaultEvent& e, std::size_t index) {
   target_.set_perturb(p);
   ++reverted_;
   record(e, index, /*applying=*/false);
-}
-
-void FaultInjector::save(sim::SnapshotWriter& w) const {
-  w.put_pod(rng_);
-  w.put_pod(link_down_depth_);
-  w.put_u64(applied_);
-  w.put_u64(reverted_);
 }
 
 }  // namespace elephant::fault

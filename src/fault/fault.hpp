@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "sim/choice.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 
@@ -13,7 +12,6 @@ class Port;
 }
 namespace elephant::sim {
 class Scheduler;
-class SnapshotWriter;
 }  // namespace elephant::sim
 namespace elephant::trace {
 class Tracer;
@@ -75,18 +73,9 @@ struct FaultPlan {
                                               sim::Time for_time = sim::Time::zero());
 };
 
-/// One probabilistic fault site that is also a model-checking choice point:
-/// the seeded draw is always consumed first (so the RNG stream, and the
-/// position of every later choice point, is the same whichever branch is
-/// taken), then an attached hook may flip the outcome. Branch 0 keeps the
-/// seeded outcome; a certain (p >= 1) or impossible (p <= 0) site offers no
-/// branch.
-[[nodiscard]] inline bool chance(sim::Rng& rng, double p, sim::ChoiceHook* hook,
-                                 sim::ChoiceKind kind) {
-  const bool hit = rng.next_double() < p;
-  if (hook != nullptr && p > 0 && p < 1.0 && hook->choose(kind, 2) != 0) return !hit;
-  return hit;
-}
+/// One probabilistic fault site: a single seeded draw, true with
+/// probability `p`.
+[[nodiscard]] inline bool chance(sim::Rng& rng, double p) { return rng.next_double() < p; }
 
 /// Two-state Gilbert–Elliott loss parameters: bursty loss, complementing the
 /// independent Bernoulli arrival loss. State advances per arriving packet;
@@ -116,8 +105,7 @@ struct GilbertElliottParams {
 /// "variable rates of packet loss" anomaly of the paper's §6. A two-state
 /// Gilbert–Elliott chain (bursty loss) decides first; a packet it lets
 /// through then takes one independent Bernoulli trial. Each process runs on
-/// its own seeded stream, so runs stay reproducible, and every draw is a
-/// model-checking choice point.
+/// its own seeded stream, so runs stay reproducible.
 class ArrivalLoss {
  public:
   ArrivalLoss(double rate, const GilbertElliottParams& ge, std::uint64_t seed)
@@ -125,13 +113,11 @@ class ArrivalLoss {
 
   /// Decide the fate of one arriving packet of `bytes`; true means it is
   /// lost (and counted).
-  [[nodiscard]] bool drop(std::uint32_t bytes, sim::ChoiceHook* hook);
+  [[nodiscard]] bool drop(std::uint32_t bytes);
 
   [[nodiscard]] std::uint64_t drops() const { return drops_; }
   [[nodiscard]] std::uint64_t bytes_dropped() const { return bytes_dropped_; }
   [[nodiscard]] bool in_bad_state() const { return bad_; }
-
-  void save(sim::SnapshotWriter& w) const;
 
  private:
   double rate_;
@@ -157,11 +143,6 @@ class FaultInjector {
 
   [[nodiscard]] std::uint64_t applied() const { return applied_; }
   [[nodiscard]] std::uint64_t reverted() const { return reverted_; }
-
-  /// Serialize the injector's mutable state for the cell's state hash: the
-  /// fault RNG, outage nesting depth, and apply/revert counters. The
-  /// scheduled apply/revert events are covered by the scheduler's hash.
-  void save(sim::SnapshotWriter& w) const;
 
  private:
   void apply(const FaultEvent& e, std::size_t index);

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "net/packet.hpp"
-#include "sim/snapshot.hpp"
 
 namespace elephant::net {
 
@@ -51,13 +50,6 @@ class Router : public Node {
   [[nodiscard]] std::uint64_t forwarded() const { return forwarded_; }
   [[nodiscard]] std::uint64_t no_route_drops() const { return no_route_drops_; }
 
-  /// Serialize the mutable state (counters only — the route table is static
-  /// after topology construction).
-  void save(sim::SnapshotWriter& w) const {
-    w.put_u64(forwarded_);
-    w.put_u64(no_route_drops_);
-  }
-
  private:
   std::unordered_map<NodeId, Port*> routes_;
   std::uint64_t forwarded_ = 0;
@@ -91,13 +83,6 @@ class Host : public Node {
 
   [[nodiscard]] std::uint64_t delivered() const { return delivered_; }
   [[nodiscard]] std::uint64_t no_endpoint_drops() const { return no_endpoint_drops_; }
-
-  /// Serialize the mutable state (counters only — the NIC binding and the
-  /// endpoint table are fixed at cell setup).
-  void save(sim::SnapshotWriter& w) const {
-    w.put_u64(delivered_);
-    w.put_u64(no_endpoint_drops_);
-  }
 
  private:
   Port* nic_ = nullptr;

@@ -1,7 +1,6 @@
 #include "net/port.hpp"
 
 #include <cassert>
-#include <type_traits>
 #include <utility>
 
 #include "net/node.hpp"
@@ -34,7 +33,7 @@ void Port::trace_queue_depth() {
 void Port::send(Packet&& p) {
   // A lost arrival still falls through to the service tail below, exactly
   // like a packet the qdisc refuses.
-  if (arrival_loss_ && arrival_loss_->drop(p.size, sched_.choice_hook())) [[unlikely]] {
+  if (arrival_loss_ && arrival_loss_->drop(p.size)) [[unlikely]] {
     qdisc_->trace_drop(p, /*early=*/true);
   } else {
     qdisc_->enqueue(std::move(p));
@@ -119,48 +118,23 @@ void Port::try_transmit() {
   if (fault_rng_ != nullptr) [[unlikely]] {
     // Link-level perturbations act after serialization, like a flaky wire:
     // the packet occupied the link either way.
-    //
-    // Each probabilistic site is a model-checking choice point (see
-    // fault::chance). Jitter is a continuous perturbation, not an enumerable
-    // one, and stays purely seeded.
-    sim::ChoiceHook* hook = sched_.choice_hook();
-    if (perturb_.loss_prob > 0 &&
-        fault::chance(*fault_rng_, perturb_.loss_prob, hook, sim::ChoiceKind::kFaultLoss)) {
+    if (perturb_.loss_prob > 0 && fault::chance(*fault_rng_, perturb_.loss_prob)) {
       ++fault_lost_;
       return;  // corrupted in flight
     }
     if (perturb_.jitter > sim::Time::zero()) {
       extra += perturb_.jitter * fault_rng_->next_double();
     }
-    if (perturb_.reorder_prob > 0 && fault::chance(*fault_rng_, perturb_.reorder_prob, hook,
-                                                   sim::ChoiceKind::kFaultReorder)) {
+    if (perturb_.reorder_prob > 0 && fault::chance(*fault_rng_, perturb_.reorder_prob)) {
       extra += perturb_.reorder_delay;
       ++fault_reordered_;
     }
-    if (perturb_.duplicate_prob > 0 && fault::chance(*fault_rng_, perturb_.duplicate_prob, hook,
-                                                     sim::ChoiceKind::kFaultDuplicate)) {
+    if (perturb_.duplicate_prob > 0 && fault::chance(*fault_rng_, perturb_.duplicate_prob)) {
       ++fault_duplicated_;
       deliver_in(tx + propagation_ + extra, Packet(*next));
     }
   }
   deliver_in(tx + propagation_ + extra, std::move(*next));
-}
-
-void Port::save(sim::SnapshotWriter& w) const {
-  static_assert(std::is_trivially_copyable_v<InFlight>);
-  w.put_pod(busy_until_);
-  w.put_bool(up_);
-  w.put_f64(rate_bps_);
-  w.put_pod(perturb_);
-  w.put_u64(fault_lost_);
-  w.put_u64(fault_reordered_);
-  w.put_u64(fault_duplicated_);
-  w.put_u64(tx_packets_);
-  w.put_u64(tx_bytes_);
-  w.put_u64(line_.size());
-  for (std::size_t i = 0; i < line_.size(); ++i) w.put_pod(line_[i]);
-  qdisc_->save(w);
-  if (arrival_loss_) arrival_loss_->save(w);
 }
 
 }  // namespace elephant::net

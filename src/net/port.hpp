@@ -11,7 +11,6 @@
 #include "sim/random.hpp"
 #include "sim/ring_deque.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/snapshot.hpp"
 #include "sim/time.hpp"
 
 namespace elephant::obs {
@@ -105,16 +104,6 @@ class Port {
   [[nodiscard]] std::uint64_t fault_lost() const { return fault_lost_; }
   [[nodiscard]] std::uint64_t fault_reordered() const { return fault_reordered_; }
   [[nodiscard]] std::uint64_t fault_duplicated() const { return fault_duplicated_; }
-
-  // --- state-hash surface (model checking) ---
-
-  /// Serialize the port's mutable state: link/serialization scalars, fault
-  /// perturbation and counters, the in-flight delay line, the attached
-  /// queue discipline (which serializes itself, derived state included), and
-  /// the arrival-loss stage when there is one.
-  /// Timer armed-ness is not written here — the scheduler's own state hash
-  /// covers it.
-  void save(sim::SnapshotWriter& w) const;
 
  private:
   void try_transmit();

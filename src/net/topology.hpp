@@ -72,16 +72,6 @@ class Dumbbell {
     return 2 * (cfg_.client_delay + cfg_.trunk_delay + cfg_.server_delay);
   }
 
-  /// Serialize every port (qdiscs included) and node counter, in the fixed
-  /// construction order, for the cell's state hash.
-  void save(sim::SnapshotWriter& w) const {
-    for (const auto& p : ports_) p->save(w);
-    for (const auto& h : clients_) h->save(w);
-    for (const auto& h : servers_) h->save(w);
-    router1_->save(w);
-    router2_->save(w);
-  }
-
  private:
   Port* add_port(std::unique_ptr<aqm::QueueDisc> q, double bps, sim::Time delay, Node* to,
                  std::string name);

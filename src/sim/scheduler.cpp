@@ -1,14 +1,10 @@
 #include "sim/scheduler.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <cassert>
 #include <chrono>
 #include <utility>
 
 #include "obs/metrics.hpp"
-#include "sim/choice.hpp"
-#include "sim/snapshot.hpp"
 
 namespace elephant::sim {
 
@@ -226,66 +222,27 @@ bool Scheduler::pop_one(Time deadline) {
     break;
   }
 
-  // The root is the FIFO pick. With a choice hook attached, a same-instant
-  // tie becomes a kSchedulerTie branch and the hook may fire a later-armed
-  // tied event first.
-  const std::uint32_t pos = choice_hook_ != nullptr ? choose_tied_entry() : 0;
-  fire_entry(pos);
+  fire_root();
   return true;
 }
 
-std::uint32_t Scheduler::choose_tied_entry() {
-  const Time at = heap_[0].at;
-  // Re-file any stale lazy-rearm entry still carrying this instant's key:
-  // its slot's authoritative deadline is later (or its FIFO rank moved), so
-  // it must not appear in the tie set. heap_update can shuffle positions, so
-  // restart the scan after each re-file; ties are rare and exploration cells
-  // are tiny, so the quadratic worst case is irrelevant.
-  for (bool changed = true; changed;) {
-    changed = false;
-    for (std::uint32_t i = 0; i < heap_.size(); ++i) {
-      if (heap_[i].at != at) continue;
-      const Slot& s = slot_at(heap_[i].slot);
-      if (s.state == SlotState::kTimerArmed && s.seq != heap_[i].seq) {
-        heap_[i].at = s.at;
-        heap_[i].seq = s.seq;
-        heap_update(i);
-        changed = true;
-        break;
-      }
-    }
-  }
-  tie_scratch_.clear();
-  for (std::uint32_t i = 0; i < heap_.size(); ++i) {
-    if (heap_[i].at == at) tie_scratch_.emplace_back(heap_[i].seq, i);
-  }
-  if (tie_scratch_.size() < 2) return 0;
-  std::sort(tie_scratch_.begin(), tie_scratch_.end());
-  assert(tie_scratch_[0].second == 0 && "root must be the lowest-seq tie");
-  const std::uint32_t branch = choice_hook_->choose(
-      ChoiceKind::kSchedulerTie, static_cast<std::uint32_t>(tie_scratch_.size()));
-  return tie_scratch_[branch < tie_scratch_.size() ? branch : 0].second;
-}
-
-void Scheduler::fire_entry(std::uint32_t pos) {
-  const std::uint32_t slot = heap_[pos].slot;
+void Scheduler::fire_root() {
+  const std::uint32_t slot = heap_[0].slot;
 
 #ifndef NDEBUG
-  // Same-instant ordering contract (see the class comment): without a hook,
-  // the fired entry must be the lowest-seq live entry among its instant's
-  // ties. Stale lazy-rearm entries (slot seq differs) are excluded — their
-  // slot's authoritative key is later. Debug builds only: O(heap) per event.
-  if (choice_hook_ == nullptr) {
-    for (const HeapEntry& e : heap_) {
-      const Slot& es = slot_at(e.slot);
-      const bool fresh = !(es.state == SlotState::kTimerArmed && es.seq != e.seq);
-      assert(!(fresh && e.at == heap_[pos].at && e.seq < heap_[pos].seq) &&
-             "same-instant FIFO tie-break violated");
-    }
+  // Same-instant ordering contract (see the class comment): the fired entry
+  // must be the lowest-seq live entry among its instant's ties. Stale
+  // lazy-rearm entries (slot seq differs) are excluded — their slot's
+  // authoritative key is later. Debug builds only: O(heap) per event.
+  for (const HeapEntry& e : heap_) {
+    const Slot& es = slot_at(e.slot);
+    const bool fresh = !(es.state == SlotState::kTimerArmed && es.seq != e.seq);
+    assert(!(fresh && e.at == heap_[0].at && e.seq < heap_[0].seq) &&
+           "same-instant FIFO tie-break violated");
   }
 #endif
 
-  now_ = heap_[pos].at;
+  now_ = heap_[0].at;
   ++executed_;
 
   // Slots never move (chunked storage), so this reference survives any
@@ -295,7 +252,7 @@ void Scheduler::fire_entry(std::uint32_t pos) {
     // Move the callback out and free the slot first, so the callback may
     // freely schedule new events (which can recycle this very slot) while
     // it runs.
-    heap_remove(pos);
+    heap_remove(0);
     Callback cb = std::move(s.cb);
     release_slot(slot);
     cb();
@@ -399,31 +356,6 @@ Scheduler::StopReason Scheduler::run_until(Time deadline, const RunLimits& limit
     }
   }
   return reason;
-}
-
-std::uint64_t Scheduler::state_hash() const {
-  static_assert(sizeof(Time) == sizeof(std::uint64_t));
-  // Armed slots in arrival (seq) order: relative order is behavior (it is
-  // the tie-break), absolute seq values are not — two identical states
-  // reached through different schedules would never dedup if we hashed them.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> armed;
-  armed.reserve(heap_.size());
-  for (std::uint32_t i = 0; i < slot_count(); ++i) {
-    const Slot& s = slot_at(i);
-    if (s.state == SlotState::kOneShot || s.state == SlotState::kTimerArmed) {
-      armed.emplace_back(s.seq, i);
-    }
-  }
-  std::sort(armed.begin(), armed.end());
-  std::uint64_t h = fnv1a_fold(kFnvOffset, std::bit_cast<std::uint64_t>(now_));
-  h = fnv1a_fold(h, armed.size());
-  for (const auto& [seq, i] : armed) {
-    const Slot& s = slot_at(i);
-    h = fnv1a_fold(h, i);
-    h = fnv1a_fold(h, std::bit_cast<std::uint64_t>(s.at));
-    h = fnv1a_fold(h, static_cast<std::uint64_t>(s.state));
-  }
-  return h;
 }
 
 void Scheduler::clear() {

@@ -14,8 +14,6 @@ struct SchedulerMetrics;
 
 namespace elephant::sim {
 
-class ChoiceHook;
-
 /// Opaque handle to a scheduled one-shot event; used to cancel it.
 ///
 /// Encodes a slot index and that slot's generation. A handle is live exactly
@@ -62,10 +60,7 @@ struct EventId {
 ///    events armed earlier for that instant (the seq is re-drawn);
 ///  - lazy re-keying (see timer_rearm) never changes fire order — pop_one()
 ///    re-files stale entries against the slot's authoritative (at, seq)
-///    before firing anything;
-///  - the model checker's kSchedulerTie choice point branches over exactly
-///    this tie set, with the FIFO pick as branch 0, so exploration off
-///    reproduces the contract bit-for-bit.
+///    before firing anything.
 ///
 /// Debug builds assert, on every fire, that no live same-instant entry with
 /// a smaller sequence number was bypassed; a dedicated regression test arms
@@ -140,21 +135,6 @@ class Scheduler {
   /// pointed-to handles must outlive the scheduler or be detached with
   /// nullptr. Null (the default) costs one untaken branch per run-loop exit.
   void set_metrics(const obs::SchedulerMetrics* metrics) { metrics_ = metrics; }
-
-  /// Attach a model-checking choice hook (null detaches, the default).
-  /// With a hook attached, a fire instant with two or more live entries
-  /// becomes a ChoiceKind::kSchedulerTie branch point — the hook picks which
-  /// tied event fires first (branch 0 = the FIFO pick). Components reach the
-  /// hook through their scheduler (see choice_hook()) for their own choice
-  /// points. A null hook costs one untaken branch per event.
-  void set_choice_hook(ChoiceHook* hook) { choice_hook_ = hook; }
-  [[nodiscard]] ChoiceHook* choice_hook() const { return choice_hook_; }
-
-  /// Digest of the pending-event state (now, each armed slot's identity,
-  /// deadline and kind, in arrival order) for explored-state deduplication.
-  /// Excludes executed-event and peak counters, and excludes absolute
-  /// sequence values (only their relative order matters for behavior).
-  [[nodiscard]] std::uint64_t state_hash() const;
 
   /// A re-armable timer owning one scheduler slot for its whole life.
   ///
@@ -284,11 +264,8 @@ class Scheduler {
   void heap_update(std::uint32_t pos);
 
   bool pop_one(Time deadline);
-  /// With a choice hook attached: re-file every stale same-instant entry,
-  /// collect the live tie set in seq order, and let the hook pick. Returns
-  /// the heap position of the entry to fire (0 when there is no tie).
-  [[nodiscard]] std::uint32_t choose_tied_entry();
-  void fire_entry(std::uint32_t pos);
+  /// Fire the heap root (the FIFO pick among its instant's ties).
+  void fire_root();
   void publish_metrics() const;
 
   Time now_ = Time::zero();
@@ -296,7 +273,6 @@ class Scheduler {
   std::uint64_t executed_ = 0;
   std::size_t heap_peak_ = 0;
   const obs::SchedulerMetrics* metrics_ = nullptr;
-  ChoiceHook* choice_hook_ = nullptr;
   /// Slot storage: fixed-size chunks, never reallocated (see kChunkSlots).
   std::vector<std::unique_ptr<Slot[]>> slot_chunks_;
   /// Per-slot index into heap_ (kNpos when absent); its size is the slot
@@ -304,9 +280,6 @@ class Scheduler {
   std::vector<std::uint32_t> heap_pos_;
   std::vector<HeapEntry> heap_;
   std::vector<std::uint32_t> free_slots_;
-  /// (seq, heap position) scratch for the tie choice point; member so the
-  /// per-event path stays allocation-free once warm.
-  std::vector<std::pair<std::uint64_t, std::uint32_t>> tie_scratch_;
 };
 
 using TimerHandle = Scheduler::TimerHandle;

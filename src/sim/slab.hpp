@@ -77,7 +77,7 @@ class Slab {
       free_.pop_back();
     } else {
       if (end_ == capacity()) {
-        chunks_.push_back(std::make_unique<Chunk>());
+        chunks_.push_back(std::make_unique_for_overwrite<Chunk>());
         live_.resize((capacity() + 63) / 64, 0);
       }
       i = end_++;

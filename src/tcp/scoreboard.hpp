@@ -10,7 +10,6 @@
 #include <optional>
 #include <type_traits>
 
-#include "sim/snapshot.hpp"
 #include "sim/time.hpp"
 
 namespace elephant::tcp {
@@ -343,32 +342,6 @@ class Scoreboard {
       ledger_->current += memory_bytes();
       ledger_->peak = std::max(ledger_->peak, ledger_->current);
     }
-  }
-
-  /// Serialize the full window state — scalars, ring geometry, parallel
-  /// arrays, and flag bitmaps — for the cell's state hash. The ledger
-  /// pointer is wiring, not state, and is not stored.
-  void save(sim::SnapshotWriter& w) const {
-    w.put_u64(una_);
-    w.put_u64(next_seq_);
-    w.put_u64(pipe_units_);
-    w.put_u64(lost_pending_);
-    w.put_u64(min_unresolved_);
-    w.put_u64(highest_sacked_);
-    w.put_pod(latest_sacked_sent_time_);
-    w.put_u64(capacity_);
-    w.put_u64(mask_);
-    w.put_u64(peak_bytes_);
-    const std::size_t n = static_cast<std::size_t>(capacity_);
-    const std::size_t words = bitmap_words(capacity_);
-    w.put_pod_span(win_.sent_time, n);
-    w.put_pod_span(win_.delivered_time_at_send, n);
-    w.put_pod_span(win_.delivered_at_send, n);
-    w.put_pod_span(win_.retx, n);
-    w.put_pod_span(win_.inflight, words);
-    w.put_pod_span(win_.sacked, words);
-    w.put_pod_span(win_.lost, words);
-    w.put_pod_span(win_.delivered, words);
   }
 
  private:

@@ -6,7 +6,6 @@
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/snapshot.hpp"
 
 namespace elephant::tcp {
 
@@ -40,28 +39,6 @@ class TcpReceiver : public net::PacketHandler {
   [[nodiscard]] std::uint64_t out_of_order_packets() const { return ooo_packets_; }
   [[nodiscard]] std::uint64_t acks_sent() const { return acks_sent_; }
   [[nodiscard]] std::uint64_t duplicate_units() const { return duplicate_units_; }
-
-  /// Serialize the reassembly and delayed-ACK state for the cell's state
-  /// hash. The ACK timer's armed-ness is covered by the scheduler's hash;
-  /// only the mirror flag is stored here.
-  void save(sim::SnapshotWriter& w) const {
-    w.put_u64(rcv_next_);
-    w.put_u64(ooo_.size());
-    for (const auto& [start, end] : ooo_) {
-      w.put_u64(start);
-      w.put_u64(end);
-    }
-    w.put_u64(last_recv_unit_);
-    w.put_u32(unacked_count_);
-    w.put_bool(pending_ce_);
-    w.put_bool(ack_timer_armed_);
-    w.put_bool(peer_ecn_);
-    w.put_u64(delivered_bytes_);
-    w.put_u64(received_packets_);
-    w.put_u64(ooo_packets_);
-    w.put_u64(acks_sent_);
-    w.put_u64(duplicate_units_);
-  }
 
  private:
   void send_ack();

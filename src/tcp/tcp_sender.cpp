@@ -365,27 +365,4 @@ void TcpSender::teardown_after_completion() {
   sb_.release();
 }
 
-void TcpSender::save(sim::SnapshotWriter& w) const {
-  static_assert(std::is_trivially_copyable_v<RttEstimator>);
-  static_assert(std::is_trivially_copyable_v<TcpSenderStats>);
-  w.put_pod(rtt_);
-  w.put_pod(stats_);
-  sb_.save(w);
-  w.put_f64(delivered_segments_);
-  w.put_pod(delivered_time_);
-  w.put_f64(next_round_delivered_);
-  w.put_u64(recovery_point_);
-  w.put_pod(rto_deadline_);
-  w.put_bool(rto_armed_);
-  w.put_u32(rto_backoff_);
-  w.put_pod(next_pace_time_);
-  w.put_bool(pace_armed_);
-  w.put_bool(started_);
-  w.put_bool(stopped_);
-  w.put_pod(completion_time_);
-  w.put_u64(app_limit_units_);
-  w.put_bool(app_idle_notified_);
-  cc_->save(w);
-}
-
 }  // namespace elephant::tcp

@@ -155,12 +155,6 @@ class TcpSender : public net::PacketHandler {
   /// Completion instant (zero until completed) — the FCT numerator.
   [[nodiscard]] sim::Time completion_time() const { return completion_time_; }
 
-  /// Serialize the full transport state for the cell's state hash: RTT
-  /// estimator, counters, scoreboard, delivery-rate state, recovery point,
-  /// RTO/pacing deadlines, and the plugged CCA's state. Timer armed-ness is
-  /// covered by the scheduler's hash; callbacks and wiring are not stored.
-  void save(sim::SnapshotWriter& w) const;
-
  private:
   [[nodiscard]] double cwnd_segments() const;
   [[nodiscard]] bool can_send_now() const;
@@ -224,8 +218,7 @@ class TcpSender : public net::PacketHandler {
   trace::Tracer* tracer_ = nullptr;
   // Telemetry handles (null = metrics off; ACK path pays one branch).
   const obs::TcpMetrics* metrics_ = nullptr;
-  // Last traced cwnd/pacing (dedups kCwndUpdate records). Observer state:
-  // not serialized by save(), so a tracer never changes the state hash.
+  // Last traced cwnd/pacing (dedups kCwndUpdate records). Observer state.
   double last_traced_cwnd_ = -1;
   double last_traced_pacing_ = -1;
 };

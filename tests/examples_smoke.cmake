@@ -3,7 +3,8 @@
 # write its CSV header plus one row per flow per simulated second, and
 # elephant_transfer one table row per second. trace_replay's CSV, piped
 # through trace2csv --type queue_depth, keeps the header and at least one
-# row; a trace2csv --flow that is not a flow id exits 2. An example given a
+# row; unfiltered, trace2csv reproduces it byte for byte; a trace2csv --flow
+# that is not a flow id exits 2. An example given a
 # number that is not all number (abc, 2x) or an unknown CCA name exits 2.
 #
 #   cmake -DEXAMPLES=<dir holding the example binaries> -DTRACE2CSV=<path to trace2csv> \
@@ -72,6 +73,17 @@ execute_process(COMMAND "${TRACE2CSV}" - --type queue_depth INPUT_FILE "${trace}
 if(NOT got STREQUAL "0" OR NOT out MATCHES "^t_ns,type,flow,seq,v0,v1,v2\n[0-9]+,queue_depth,")
   message(FATAL_ERROR "trace2csv --type queue_depth: exit ${got}, want 0, the CSV header "
                       "and a queue_depth row\n${err}")
+endif()
+set(roundtrip "${WORKDIR}/roundtrip.csv")
+execute_process(COMMAND "${TRACE2CSV}" "${trace}" OUTPUT_FILE "${roundtrip}"
+                RESULT_VARIABLE got ERROR_VARIABLE err)
+if(NOT got STREQUAL "0")
+  message(FATAL_ERROR "trace2csv ${trace}: exit ${got}, want 0\n${err}")
+endif()
+execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files "${trace}" "${roundtrip}"
+                RESULT_VARIABLE got)
+if(NOT got STREQUAL "0")
+  message(FATAL_ERROR "trace2csv ${trace} does not reproduce its input byte for byte")
 endif()
 execute_process(COMMAND "${TRACE2CSV}" "${trace}" --flow x
                 RESULT_VARIABLE got OUTPUT_QUIET ERROR_QUIET)

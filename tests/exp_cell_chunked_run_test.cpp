@@ -1,11 +1,10 @@
 // Chunked runs: a cell stopped mid-flight — at a deadline, or after an
 // executed-event budget that lands mid-instant — and then resumed must
-// produce results bit-identical to the uninterrupted run. The model
-// checker's probe windows stop and resume cells exactly this way.
+// produce results bit-identical to the uninterrupted run. The examples and
+// the benchmark's traced variant step cells through run_chunk() this way.
 // Exercised across the three paper AQMs, all five CCAs, a fault-injected
 // cell, an arrival-loss cell, and a finite-workload cell (whose completed
-// flows walk the scoreboard teardown/slab-release path mid-run). The state
-// hash the explorer dedups on must also ignore observers.
+// flows walk the scoreboard teardown/slab-release path mid-run).
 
 #include <gtest/gtest.h>
 
@@ -15,8 +14,6 @@
 #include "exp/config.hpp"
 #include "exp/result_digest.hpp"
 #include "fault/fault.hpp"
-#include "trace/sinks.hpp"
-#include "trace/trace.hpp"
 #include "workload/workload.hpp"
 
 namespace elephant {
@@ -114,33 +111,6 @@ TEST(ChunkedRun, FiniteWorkloadCell) {
   const std::uint64_t want = digest_uninterrupted(cfg);
   EXPECT_EQ(digest_chunked(cfg, /*by_events=*/false), want);
   EXPECT_EQ(digest_chunked(cfg, /*by_events=*/true), want);
-}
-
-// A tracer is an observer: it must leave the hashed state (scheduler slots
-// and every serialized component) exactly as an untraced cell has it, at
-// deadline and mid-instant event-budget boundaries alike.
-TEST(SnapshotRoundtrip, TracedCellHashesLikeUntraced) {
-  exp::ExperimentConfig cfg = tiny_cell();
-  cfg.fault_plan = fault::FaultPlan::loss_burst(sim::Time::seconds(0.3), 0.05,
-                                                sim::Time::seconds(0.3));
-  trace::DigestSink sink;
-  trace::Tracer tracer(sink, /*capacity=*/4096);
-  exp::ExperimentConfig traced_cfg = cfg;
-  traced_cfg.tracer = &tracer;
-  exp::Cell plain(cfg);
-  exp::Cell traced(traced_cfg);
-  EXPECT_EQ(traced.state_hash(), plain.state_hash()) << "after construction";
-  for (int step = 1; step <= 4; ++step) {
-    plain.run_chunk(/*max_events=*/7000);
-    traced.run_chunk(/*max_events=*/7000);
-    EXPECT_EQ(traced.state_hash(), plain.state_hash()) << "event chunk " << step;
-    const sim::Time deadline = sim::Time::seconds(0.2 * step);
-    plain.run_chunk(/*max_events=*/0, deadline);
-    traced.run_chunk(/*max_events=*/0, deadline);
-    EXPECT_EQ(traced.state_hash(), plain.state_hash()) << "deadline " << deadline.sec();
-  }
-  tracer.flush();
-  EXPECT_GT(sink.count(), 0u) << "the tracer recorded nothing";
 }
 
 }  // namespace

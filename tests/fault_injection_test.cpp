@@ -70,7 +70,7 @@ constexpr std::uint32_t kPkt = 8900;
 /// How many of `n` arrivals the stage drops (seeded outcomes, no hook).
 std::uint64_t drops_of(ArrivalLoss& loss, int n) {
   std::uint64_t d = 0;
-  for (int i = 0; i < n; ++i) d += loss.drop(kPkt, nullptr) ? 1 : 0;
+  for (int i = 0; i < n; ++i) d += loss.drop(kPkt) ? 1 : 0;
   return d;
 }
 
@@ -91,7 +91,7 @@ TEST(GilbertElliott, LossComesInBursts) {
   int losses = 0;
   bool in_run = false;
   for (int i = 0; i < 300000; ++i) {
-    if (loss.drop(kPkt, nullptr)) {
+    if (loss.drop(kPkt)) {
       ++losses;
       if (!in_run) ++runs;
       in_run = true;
@@ -140,8 +140,8 @@ TEST(ArrivalLoss, GilbertElliottDecidesBeforeBernoulli) {
   int ge_losses = 0;
   int bernoulli_losses = 0;
   for (int i = 0; i < 5000; ++i) {
-    const bool chain_lost = ge_only.drop(kPkt, nullptr);
-    const bool lost = full.drop(kPkt, nullptr);
+    const bool chain_lost = ge_only.drop(kPkt);
+    const bool lost = full.drop(kPkt);
     ASSERT_EQ(full.in_bad_state(), ge_only.in_bad_state()) << "packet " << i;
     if (chain_lost) {
       EXPECT_TRUE(lost) << "packet " << i << ": the chain dropped it";

@@ -3,15 +3,16 @@
 //   elephant run   [--cca1 K] [--cca2 K] [--aqm A] [--bdp X] [--bw BPS]
 //                  [--flows N] [--duration S] [--seed S] [--rtt MS]
 //                  [--loss P] [--ecn] [--reps N]
+//                  [--fault-loss T:RATE:DUR] [--fault-flap T:DOWN_MS:COUNT]
 //                  [--workload PRESET] [--workload-cdf FILE]
 //                  [--stats-interval S] [--metrics FILE]
 //   elephant sweep [--aqm A] [--bw BPS] [--pairs inter|intra|all] [--reps N]
 //                  [--threads N] [--event-budget N]
 //                  [--wall-budget S] [--manifest PATH] [--resume]
 //                  [--worker-id ID] [--lease-s S]
+//                  [--fault-loss T:RATE:DUR] [--fault-flap T:DOWN_MS:COUNT]
 //                  [--workload PRESET] [--workload-cdf FILE]
 //                  [--stats-interval S] [--metrics FILE]
-//   elephant explore ...  (bounded schedule exploration; see usage)
 //   elephant report --manifest PATH ...  (merge a sweep's journals)
 //   elephant list  (CCAs, AQMs, workload presets, and the paper's axis values)
 //
@@ -82,13 +83,9 @@
 #include "exp/result_digest.hpp"
 #include "exp/runner.hpp"
 #include "exp/sweep.hpp"
-#include "mc/choice_trace.hpp"
-#include "mc/explorer.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "trace/sinks.hpp"
-#include "trace/trace.hpp"
 
 namespace {
 
@@ -107,10 +104,11 @@ extern "C" void on_drain_signal(int) {
 
 [[noreturn]] void usage() {
   std::fprintf(stderr,
-               "usage: elephant <run|sweep|explore|report|list> [options]\n"
+               "usage: elephant <run|sweep|report|list> [options]\n"
                "  run   --cca1 bbr1 --cca2 cubic --aqm fifo --bdp 2 --bw 1e9\n"
                "        [--flows N] [--duration S] [--seed S] [--rtt MS]\n"
                "        [--loss P] [--ecn] [--reps N]\n"
+               "        [--fault-loss T:RATE:DUR] [--fault-flap T:DOWN_MS:COUNT]\n"
                "        [--workload paper|mice-elephants|poisson-web|onoff]\n"
                "        [--workload-cdf FILE]\n"
                "        [--stats-interval S] [--metrics FILE]\n"
@@ -118,14 +116,9 @@ extern "C" void on_drain_signal(int) {
                "        [--threads N] [--event-budget N]\n"
                "        [--wall-budget S] [--manifest PATH] [--resume]\n"
                "        [--worker-id ID] [--lease-s S]\n"
+               "        [--fault-loss T:RATE:DUR] [--fault-flap T:DOWN_MS:COUNT]\n"
                "        [--workload PRESET] [--workload-cdf FILE]\n"
                "        [--stats-interval S] [--metrics FILE]\n"
-               "  explore [run config flags] [--fault-loss T:RATE:DUR]\n"
-               "        [--fault-flap T:DOWN_MS:COUNT]\n"
-               "        [--depth N] [--schedules N] [--horizon S]\n"
-               "        [--schedule-events N] [--jain-floor X] [--starvation-window S]\n"
-               "        [--retx-storm N] [--trace-out FILE]\n"
-               "  explore --replay FILE [run config flags] [--replay-trace OUT.csv]\n"
                "  report --manifest PATH [--metrics FILE ...] [--json FILE]\n"
                "        [--md FILE] [--top N]\n"
                "  list\n"
@@ -139,11 +132,6 @@ extern "C" void on_drain_signal(int) {
                "to the manifest).\n"
                "run --check-digest N: execute the cell N times and fail (exit 1) with a\n"
                "field-level diff if any repetition's metrics digest drifts.\n"
-               "explore: bounded-depth systematic schedule exploration (scheduler ties,\n"
-               "fault, GE and --loss branches) with state-hash dedup; oracle violations\n"
-               "write a replayable choice trace. --replay re-executes a stored trace,\n"
-               "verifies the end-state hash, and writes a flight-recorder CSV of the\n"
-               "failure.\n"
                "sweep --manifest: runs are leased through the journal, so N sweeps\n"
                "with the same --manifest plus --resume and unique --worker-id values\n"
                "share the work, and a killed worker's cells are re-claimed after\n"
@@ -227,9 +215,6 @@ struct Args {
   std::string report_md;
   std::size_t report_top = 10;
   int check_digest = 0;
-  mc::ExplorerOptions explore;
-  std::string replay_path;
-  std::string replay_trace = "replay_trace.csv";
 };
 
 Args parse(int argc, char** argv) {
@@ -342,31 +327,6 @@ Args parse(int argc, char** argv) {
       }
     } else if (!std::strcmp(arg, "--check-digest")) {
       a.check_digest = bounded_integer("--check-digest", "runs", need(i), 2, 1000000);
-    } else if (!std::strcmp(arg, "--depth")) {
-      a.explore.max_depth =
-          bounded_integer<std::uint32_t>("--depth", "depth", need(i), 0, 1u << 20);
-    } else if (!std::strcmp(arg, "--schedules")) {
-      a.explore.max_schedules =
-          bounded_integer<std::uint64_t>("--schedules", "count", need(i), 1, kAnyCount);
-    } else if (!std::strcmp(arg, "--horizon")) {
-      a.explore.horizon_s = bounded_number("--horizon", "seconds", need(i), 0, 1e9);
-    } else if (!std::strcmp(arg, "--schedule-events")) {
-      a.explore.max_schedule_events =
-          bounded_integer<std::uint64_t>("--schedule-events", "events", need(i), 0, kAnyCount);
-    } else if (!std::strcmp(arg, "--jain-floor")) {
-      a.explore.jain_floor = bounded_number("--jain-floor", "Jain index", need(i), 0, 1);
-    } else if (!std::strcmp(arg, "--starvation-window")) {
-      a.explore.starvation_window_s =
-          bounded_number("--starvation-window", "seconds", need(i), 0, 1e9);
-    } else if (!std::strcmp(arg, "--retx-storm")) {
-      a.explore.retx_storm_segments =
-          bounded_integer<std::uint64_t>("--retx-storm", "segments", need(i), 0, kAnyCount);
-    } else if (!std::strcmp(arg, "--trace-out")) {
-      a.explore.trace_out = need(i);
-    } else if (!std::strcmp(arg, "--replay")) {
-      a.replay_path = need(i);
-    } else if (!std::strcmp(arg, "--replay-trace")) {
-      a.replay_trace = need(i);
     } else if (!std::strcmp(arg, "--workload")) {
       const char* name = need(i);
       if (!workload::WorkloadSpec::from_name(name, &a.cfg.workload)) {
@@ -601,83 +561,6 @@ int cmd_sweep(const Args& a) {
   return 0;
 }
 
-int cmd_explore(const Args& a) {
-  if (!a.replay_path.empty()) {
-    mc::ChoiceTrace trace;
-    std::string error;
-    if (!mc::ChoiceTrace::read_file(a.replay_path, &trace, &error)) {
-      std::fprintf(stderr, "explore --replay: %s\n", error.c_str());
-      return 2;
-    }
-    if (a.cfg.id() != trace.config_id) {
-      std::fprintf(stderr,
-                   "explore --replay: config mismatch\n  trace: %s\n  flags: %s\n"
-                   "pass the same configuration flags the trace was recorded with\n",
-                   trace.config_id.c_str(), a.cfg.id().c_str());
-      return 2;
-    }
-    std::ofstream csv(a.replay_trace, std::ios::trunc);
-    if (!csv) {
-      std::fprintf(stderr, "explore --replay: cannot write %s\n", a.replay_trace.c_str());
-      return 2;
-    }
-    trace::CsvSink sink(csv);
-    trace::Tracer recorder(sink, /*capacity=*/4096);
-    const mc::Explorer::ReplayReport rep =
-        mc::Explorer::replay(a.cfg, trace, &recorder);
-    std::printf("replay: %zu choice points, oracle=%s at t=%.6g s\n",
-                trace.choices.size(), rep.oracle.empty() ? "(none)" : rep.oracle.c_str(),
-                rep.at_s);
-    if (!rep.detail.empty()) std::printf("  %s\n", rep.detail.c_str());
-    std::printf("  end-state hash %016llx (stored %016llx) — %s\n",
-                static_cast<unsigned long long>(rep.end_state_hash),
-                static_cast<unsigned long long>(trace.state_hash),
-                rep.hash_matches ? "match" : "MISMATCH");
-    if (rep.diverged) {
-      std::fprintf(stderr, "  DIVERGED at choice point %zu — code drifted since the "
-                           "trace was recorded\n", rep.divergence_at);
-    }
-    std::printf("  flight recorder: %s\n", a.replay_trace.c_str());
-    if (!rep.ok()) {
-      std::fprintf(stderr, "replay: failed to reproduce the recorded failure\n");
-      return 1;
-    }
-    std::printf("replay: reproduced the recorded %s violation\n", trace.oracle.c_str());
-    return 0;
-  }
-
-  mc::Explorer explorer(a.cfg, a.explore);
-  const mc::ExploreStats st = explorer.explore();
-  std::printf("explore %s: %llu schedules (%llu distinct states, %llu pruned as "
-              "duplicates, %llu truncated), up to %llu choice points, %llu plans "
-              "unexplored\n",
-              a.cfg.label().c_str(), static_cast<unsigned long long>(st.schedules_run),
-              static_cast<unsigned long long>(st.distinct_states),
-              static_cast<unsigned long long>(st.duplicate_states),
-              static_cast<unsigned long long>(st.truncated),
-              static_cast<unsigned long long>(st.max_choice_points),
-              static_cast<unsigned long long>(st.frontier_left));
-  for (const mc::Violation& v : explorer.violations()) {
-    std::printf("  violation [%s] at t=%.6g s: %s (%zu choices)\n", v.oracle.c_str(),
-                v.at_s, v.detail.c_str(), v.trace.choices.size());
-  }
-  if (!explorer.violations().empty()) {
-    if (!a.explore.trace_out.empty()) {
-      if (!st.trace_written) {
-        std::fprintf(stderr, "explore: cannot write the counterexample trace to %s\n",
-                     a.explore.trace_out.c_str());
-        return 2;
-      }
-      std::printf("counterexample trace written to %s — replay with:\n"
-                  "  elephant explore --replay %s [same config flags]\n",
-                  a.explore.trace_out.c_str(), a.explore.trace_out.c_str());
-    }
-    return 1;
-  }
-  std::printf("explore: no oracle violations\n");
-  return 0;
-}
-
 int cmd_report(const Args& a) {
   if (a.manifest.empty()) {
     std::fprintf(stderr, "report: --manifest PATH is required\n");
@@ -757,14 +640,6 @@ int main(int argc, char** argv) {
       // E.g. an unwritable manifest: better a loud nonzero exit than a sweep
       // whose durable record silently went nowhere.
       std::fprintf(stderr, "sweep: fatal: %s\n", e.what());
-      return 1;
-    }
-  }
-  if (a.cmd == "explore") {
-    try {
-      return cmd_explore(a);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "explore: fatal: %s\n", e.what());
       return 1;
     }
   }
