@@ -1,8 +1,6 @@
 #include "exp/runner.hpp"
 
-#include <charconv>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <vector>
 
@@ -132,25 +130,6 @@ AveragedResult run_averaged(const ExperimentConfig& cfg, int reps) {
     runs.push_back(summarize(run_experiment(c)));
   }
   return average(cfg, runs);
-}
-
-bool parse_repetitions(std::string_view text, int* out) {
-  int v = 0;
-  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), v);
-  if (ec != std::errc() || end != text.data() + text.size() || v < 1) return false;
-  *out = v;
-  return true;
-}
-
-int default_repetitions() {
-  const char* env = std::getenv("ELEPHANT_REPS");
-  if (env == nullptr) return 1;
-  int v = 0;
-  if (!parse_repetitions(env, &v)) {
-    throw std::invalid_argument(std::string("ELEPHANT_REPS='") + env +
-                                "' is not a positive integer");
-  }
-  return v;
 }
 
 }  // namespace elephant::exp

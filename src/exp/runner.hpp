@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "aqm/queue_disc.hpp"
@@ -109,12 +108,5 @@ struct AveragedResult {
 /// sim::derive_seed(cfg.seed, r)) and average them. Throws
 /// std::invalid_argument when reps < 1.
 [[nodiscard]] AveragedResult run_averaged(const ExperimentConfig& cfg, int reps);
-
-/// Parse a repetition count: a whole positive integer, nothing else.
-[[nodiscard]] bool parse_repetitions(std::string_view text, int* out);
-
-/// Repetition count for benches: the ELEPHANT_REPS env var, default 1.
-/// Throws std::invalid_argument when it is set but not a positive integer.
-[[nodiscard]] int default_repetitions();
 
 }  // namespace elephant::exp

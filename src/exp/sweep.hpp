@@ -111,8 +111,8 @@ struct SweepOptions {
 [[nodiscard]] SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
                                               const SweepOptions& options = {});
 
-/// The shared run journal for sweeps without --manifest and for the figure
-/// programs: $ELEPHANT_RESULTS_DIR/runs.jsonl (default results/runs.jsonl).
+/// The shared run journal for sweeps without --manifest and for the claims
+/// ledger: $ELEPHANT_RESULTS_DIR/runs.jsonl (default results/runs.jsonl).
 [[nodiscard]] std::filesystem::path default_journal_path();
 
 }  // namespace elephant::exp

@@ -4,7 +4,7 @@
 # older builds took (--retries, --backoff: every run is one attempt at its
 # own seed, so they are unknown options now), with exit status 2; a valid
 # manifest sweep still runs. `run` and `sweep` both refuse a
-# --reps or ELEPHANT_REPS that is not an integer >= 1 with exit status 2. A
+# --reps that is not an integer >= 1 with exit status 2. A
 # sweep without --manifest journals to $ELEPHANT_RESULTS_DIR/runs.jsonl and
 # resumes from it. chaos_sweep refuses a numeric flag that is not a number in
 # its range with exit status 2 before it starts a worker.
@@ -24,8 +24,7 @@ function(expect_cmd_exit want)
   execute_process(COMMAND ${ELEPHANT} ${ARGN}
                   RESULT_VARIABLE got OUTPUT_QUIET ERROR_VARIABLE err)
   if(NOT got STREQUAL "${want}")
-    message(FATAL_ERROR "ELEPHANT_REPS='$ENV{ELEPHANT_REPS}' elephant ${ARGN}: "
-                        "exit ${got}, want ${want}\n${err}")
+    message(FATAL_ERROR "elephant ${ARGN}: exit ${got}, want ${want}\n${err}")
   endif()
 endfunction()
 
@@ -49,14 +48,6 @@ foreach(bad 0 -1 abc 1.5 2x "")
   expect_exit(2 ${manifest} --reps "${bad}")
   expect_cmd_exit(2 ${run} --reps "${bad}")
 endforeach()
-foreach(bad 0 abc 3x)
-  set(ENV{ELEPHANT_REPS} "${bad}")
-  expect_exit(2 ${manifest})
-  expect_cmd_exit(2 ${run})
-endforeach()
-set(ENV{ELEPHANT_REPS} 2)
-expect_cmd_exit(0 ${run})
-unset(ENV{ELEPHANT_REPS})
 expect_cmd_exit(0 ${run} --reps 2)
 
 # No --manifest: the default journal stores every run, and a second sweep is

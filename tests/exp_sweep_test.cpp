@@ -10,7 +10,7 @@
 #include <fstream>
 #include <stdexcept>
 
-#include "bench_util.hpp"
+#include "exp/claims.hpp"
 #include "exp/manifest.hpp"
 #include "sim/random.hpp"
 #include "test_util.hpp"
@@ -227,17 +227,18 @@ TEST_F(SweepJournalTest, DrainedMidCellResumesOnlyMissingRuns) {
   EXPECT_EQ(after[2].id, run_of(cfg, 2).id());
 }
 
-TEST_F(SweepJournalTest, SecondBenchRunAppendsNoCompletionLine) {
+TEST_F(SweepJournalTest, SecondLedgerRunAppendsNoCompletionLine) {
   const char* old_dir = std::getenv("ELEPHANT_RESULTS_DIR");
   const std::string saved = old_dir != nullptr ? old_dir : "";
   ::setenv("ELEPHANT_RESULTS_DIR", dir_.c_str(), 1);
-  ::unsetenv("ELEPHANT_REPS");
   const ExperimentConfig cfg = short_matrix()[0];
   const ExperimentConfig other = short_matrix()[1];
-  const std::vector<AveragedResult> first = bench::run({cfg});
-  const std::vector<AveragedResult> second = bench::run({cfg});
+  const auto first = run_seeds({cfg}, 1, 1);
+  const auto second = run_seeds({cfg}, 1, 1);
   const std::size_t lines_after_rerun = terminal_lines().size();
-  const std::vector<AveragedResult> pair = bench::run({other, cfg});
+  const auto pair = run_seeds({other, cfg}, 1, 1);
+  const std::size_t lines_after_pair = terminal_lines().size();
+  const auto seeds = run_seeds({cfg}, 2, 1);
   if (old_dir != nullptr) {
     ::setenv("ELEPHANT_RESULTS_DIR", saved.c_str(), 1);
   } else {
@@ -246,13 +247,20 @@ TEST_F(SweepJournalTest, SecondBenchRunAppendsNoCompletionLine) {
   EXPECT_EQ(lines_after_rerun, 1u);
   ASSERT_EQ(first.size(), 1u);
   ASSERT_EQ(second.size(), 1u);
-  expect_same(second[0], first[0]);
-  expect_same(first[0], run_averaged(cfg, 1));
+  ASSERT_EQ(first[0].size(), 1u);
+  expect_same(second[0][0], first[0][0]);
+  expect_same(first[0][0], run_averaged(cfg, 1));
   // A two-config list comes back in input order; only the new cell is run.
-  EXPECT_EQ(terminal_lines().size(), 2u);
+  EXPECT_EQ(lines_after_pair, 2u);
   ASSERT_EQ(pair.size(), 2u);
-  expect_same(pair[0], run_averaged(other, 1));
-  expect_same(pair[1], first[0]);
+  expect_same(pair[0][0], run_averaged(other, 1));
+  expect_same(pair[1][0], first[0][0]);
+  // Seed r is run r of `sweep --reps`: seed 0 is served, seed 1 simulated,
+  // and their fold is run_averaged's.
+  EXPECT_EQ(terminal_lines().size(), 3u);
+  ASSERT_EQ(seeds[0].size(), 2u);
+  expect_same(seeds[0][0], first[0][0]);
+  expect_same(average(cfg, seeds[0]), run_averaged(cfg, 2));
 }
 
 TEST_F(SweepJournalTest, DuplicateRunIdIsRejected) {

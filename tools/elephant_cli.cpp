@@ -13,6 +13,7 @@
 //                  [--fault-loss T:RATE:DUR] [--fault-flap T:DOWN_MS:COUNT]
 //                  [--workload PRESET] [--workload-cdf FILE]
 //                  [--stats-interval S] [--metrics FILE]
+//   elephant claims [--reps N] [--threads N] [--md FILE]
 //   elephant report --manifest PATH ...  (merge a sweep's journals)
 //   elephant list  (CCAs, AQMs, workload presets, and the paper's axis values)
 //
@@ -31,10 +32,15 @@
 // only runs without a successful journal line; a journaled failure is
 // attempted again at its own seed (each run is one attempt per sweep).
 // Without --manifest a sweep journals to $ELEPHANT_RESULTS_DIR/runs.jsonl
-// (default results/) and resumes from it, so repeated sweeps and the bench
-// programs share runs.
+// (default results/) and resumes from it, so repeated sweeps and the claims
+// ledger share runs.
 // A success line whose "reps" is not 1 is refused (exit 1): each line must
-// hold exactly one run. --reps and ELEPHANT_REPS must be integers >= 1.
+// hold exactly one run. --reps must be an integer >= 1.
+//
+// `claims` runs the paper-claims ledger (exp/claims.hpp): every claim's cells
+// at --reps seeds through the default journal, one markdown row per claim
+// with its seed vote, to stdout and to --md FILE. Exit 1 if a run fails; a
+// claim that does not hold is a row, not an error.
 //
 // A manifest always makes the sweep a crash-tolerant shared work queue:
 // start N `elephant sweep ... --manifest M --resume --worker-id wK` processes
@@ -78,6 +84,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "exp/claims.hpp"
 #include "exp/config.hpp"
 #include "exp/report.hpp"
 #include "exp/result_digest.hpp"
@@ -104,7 +111,7 @@ extern "C" void on_drain_signal(int) {
 
 [[noreturn]] void usage() {
   std::fprintf(stderr,
-               "usage: elephant <run|sweep|report|list> [options]\n"
+               "usage: elephant <run|sweep|claims|report|list> [options]\n"
                "  run   --cca1 bbr1 --cca2 cubic --aqm fifo --bdp 2 --bw 1e9\n"
                "        [--flows N] [--duration S] [--seed S] [--rtt MS]\n"
                "        [--loss P] [--ecn] [--reps N]\n"
@@ -119,6 +126,7 @@ extern "C" void on_drain_signal(int) {
                "        [--fault-loss T:RATE:DUR] [--fault-flap T:DOWN_MS:COUNT]\n"
                "        [--workload PRESET] [--workload-cdf FILE]\n"
                "        [--stats-interval S] [--metrics FILE]\n"
+               "  claims [--reps N] [--threads N] [--md FILE]\n"
                "  report --manifest PATH [--metrics FILE ...] [--json FILE]\n"
                "        [--md FILE] [--top N]\n"
                "  list\n"
@@ -138,7 +146,9 @@ extern "C" void on_drain_signal(int) {
                "--lease-s (> 0, default 60). --resume requires --manifest and\n"
                "re-attempts failed runs at their own seed. Without --manifest,\n"
                "sweep journals to $ELEPHANT_RESULTS_DIR/runs.jsonl and resumes\n"
-               "from it. --reps (or ELEPHANT_REPS) must be an integer >= 1.\n"
+               "from it. --reps must be an integer >= 1.\n"
+               "claims: vote every paper claim over --reps seeds (default 1), run\n"
+               "through the same default journal; markdown to stdout and --md.\n"
                "numeric flags are strict: a value outside the flag's range, or a\n"
                "non-integer count, seed or budget, is a usage error.\n"
                "exit codes: 0 ok, 1 failed cells or abort, 2 usage, 3 signal drain\n");
@@ -200,7 +210,7 @@ struct Args {
   std::string cmd;
   exp::ExperimentConfig cfg;
   std::string pairs = "all";
-  int reps = 0;  ///< 0 until --reps or ELEPHANT_REPS sets it
+  int reps = 1;
   int threads = 0;
   std::uint64_t event_budget = 0;
   double wall_budget_s = 0;
@@ -253,11 +263,7 @@ Args parse(int argc, char** argv) {
     } else if (!std::strcmp(arg, "--ecn")) {
       a.cfg.ecn = true;
     } else if (!std::strcmp(arg, "--reps")) {
-      const char* text = need(i);
-      if (!exp::parse_repetitions(text, &a.reps)) {
-        std::fprintf(stderr, "--reps: '%s' is not an integer >= 1\n", text);
-        std::exit(2);
-      }
+      a.reps = bounded_integer("--reps", "count", need(i), 1, std::numeric_limits<int>::max());
     } else if (!std::strcmp(arg, "--pairs")) {
       a.pairs = need(i);
     } else if (!std::strcmp(arg, "--threads")) {
@@ -363,12 +369,9 @@ Args parse(int argc, char** argv) {
       usage();
     }
   }
-  // The env knobs are read here so a junk value is a usage error, not a
+  // The env knob is read here so a junk value is a usage error, not a
   // silent default.
   try {
-    if (a.reps == 0 && (a.cmd == "run" || a.cmd == "sweep")) {
-      a.reps = exp::default_repetitions();
-    }
     (void)exp::duration_scale();
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
@@ -561,6 +564,27 @@ int cmd_sweep(const Args& a) {
   return 0;
 }
 
+/// Write `text` to `path`; false, with a message naming `cmd`, if it failed.
+bool write_file(const char* cmd, const std::string& path, const std::string& text,
+                const char* what) {
+  std::ofstream out(path, std::ios::trunc);
+  out << text;
+  out.flush();
+  if (!out.good()) {
+    std::fprintf(stderr, "%s: cannot write %s file %s\n", cmd, what, path.c_str());
+    return false;
+  }
+  return true;
+}
+
+int cmd_claims(const Args& a) {
+  const auto rows = exp::run_claims(exp::paper_claims(), a.reps, a.threads);
+  const std::string md = exp::render_claims_markdown(rows, a.reps);
+  if (!a.report_md.empty() && !write_file("claims", a.report_md, md, "markdown")) return 1;
+  std::fputs(md.c_str(), stdout);
+  return 0;
+}
+
 int cmd_report(const Args& a) {
   if (a.manifest.empty()) {
     std::fprintf(stderr, "report: --manifest PATH is required\n");
@@ -576,23 +600,12 @@ int cmd_report(const Args& a) {
     std::fprintf(stderr, "report: %s\n", error.c_str());
     return 1;
   }
-  auto write_file = [](const std::string& path, const std::string& text,
-                       const char* what) {
-    std::ofstream out(path, std::ios::trunc);
-    out << text;
-    out.flush();
-    if (!out.good()) {
-      std::fprintf(stderr, "report: cannot write %s file %s\n", what, path.c_str());
-      return false;
-    }
-    return true;
-  };
   if (!a.report_json.empty() &&
-      !write_file(a.report_json, exp::render_report_json(summary) + "\n", "json")) {
+      !write_file("report", a.report_json, exp::render_report_json(summary) + "\n", "json")) {
     return 1;
   }
   const std::string md = exp::render_report_markdown(summary);
-  if (!a.report_md.empty() && !write_file(a.report_md, md, "markdown")) return 1;
+  if (!a.report_md.empty() && !write_file("report", a.report_md, md, "markdown")) return 1;
   std::fputs(md.c_str(), stdout);
   return 0;
 }
@@ -640,6 +653,14 @@ int main(int argc, char** argv) {
       // E.g. an unwritable manifest: better a loud nonzero exit than a sweep
       // whose durable record silently went nowhere.
       std::fprintf(stderr, "sweep: fatal: %s\n", e.what());
+      return 1;
+    }
+  }
+  if (a.cmd == "claims") {
+    try {
+      return cmd_claims(a);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "claims: fatal: %s\n", e.what());
       return 1;
     }
   }
