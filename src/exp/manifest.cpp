@@ -9,58 +9,16 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <fstream>
 #include <optional>
+#include <string_view>
+#include <unordered_map>
 
 #include "obs/json.hpp"
 
 namespace elephant::exp {
 
 using obs::json::Value;
-
-SweepManifest::SweepManifest(std::filesystem::path path) : path_(std::move(path)) {
-  std::error_code ec;
-  if (path_.has_parent_path()) std::filesystem::create_directories(path_.parent_path(), ec);
-  // Raw O_APPEND fd instead of an ofstream: every append is one write(2)
-  // whose return value we can check (an ofstream swallows short writes into
-  // badbit long after the fact), and the fd doubles as the flock handle that
-  // serializes appends across worker processes.
-  // O_RDWR, not O_WRONLY: the work queue folds journal lines back through
-  // this fd (pread), and tail repair peeks at the last byte before appending.
-  fd_ = ::open(path_.c_str(), O_RDWR | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
-  if (fd_ < 0) fail(std::string("open failed: ") + std::strerror(errno));
-}
-
-SweepManifest::~SweepManifest() {
-  if (fd_ >= 0) ::close(fd_);
-}
-
-SweepManifest::ScopedLock::ScopedLock(SweepManifest& m) : m_(m) {
-  m_.mu_.lock();
-  if (m_.fd_ >= 0) {
-    while (::flock(m_.fd_, LOCK_EX) != 0 && errno == EINTR) {
-    }
-  }
-}
-
-SweepManifest::ScopedLock::~ScopedLock() {
-  if (m_.fd_ >= 0) ::flock(m_.fd_, LOCK_UN);
-  m_.mu_.unlock();
-}
-
-void SweepManifest::fail(const std::string& what) {
-  if (!failed_) error_ = what;  // keep the first failure; later ones are noise
-  failed_ = true;
-}
-
-bool SweepManifest::ok() const {
-  std::lock_guard lock(mu_);
-  return fd_ >= 0 && !failed_;
-}
-
-std::string SweepManifest::last_error() const {
-  std::lock_guard lock(mu_);
-  return error_;
-}
 
 namespace {
 
@@ -80,34 +38,95 @@ bool write_all(int fd, const char* data, std::size_t n) {
 
 }  // namespace
 
-bool SweepManifest::append_locked(const ManifestEntry& e) {
+SweepManifest::SweepManifest(std::filesystem::path path) : path_(std::move(path)) {
+  std::error_code ec;
+  if (path_.has_parent_path()) std::filesystem::create_directories(path_.parent_path(), ec);
+  // Raw O_APPEND fd instead of an ofstream: every append is one write(2)
+  // whose return value we can check (an ofstream swallows short writes into
+  // badbit long after the fact), and the fd carries the writer's flock.
+  // O_RDWR, not O_WRONLY: tail repair peeks at the last byte.
+  fd_ = ::open(path_.c_str(), O_RDWR | O_APPEND | O_CREAT | O_CLOEXEC, 0644);
   if (fd_ < 0) {
-    fail("manifest not open");
-    return false;
+    fail(std::string("open failed: ") + std::strerror(errno));
+    return;
+  }
+  int locked;
+  while ((locked = ::flock(fd_, LOCK_EX | LOCK_NB)) != 0 && errno == EINTR) {
+  }
+  if (locked != 0) {
+    fail(errno == EWOULDBLOCK ? "journal " + path_.string() + " is in use by another sweep"
+                              : std::string("flock failed: ") + std::strerror(errno));
+    return;
   }
   // Tail repair: a writer SIGKILLed mid-write leaves a partial line with no
   // newline. Appending after it would merge our line into the fragment and
   // parse_line could then stitch fields from both — terminate the fragment
   // first so it becomes one clean, unparseable (skipped) line of its own.
   struct stat st;
-  if (::fstat(fd_, &st) == 0 && st.st_size > 0) {
-    char last = '\n';
-    if (::pread(fd_, &last, 1, st.st_size - 1) == 1 && last != '\n') {
-      if (!write_all(fd_, "\n", 1)) {
-        fail(std::string("tail repair write failed: ") + std::strerror(errno));
-        return false;
-      }
-    }
+  char last = '\n';
+  if (::fstat(fd_, &st) == 0 && st.st_size > 0 &&
+      ::pread(fd_, &last, 1, st.st_size - 1) == 1 && last != '\n' &&
+      !write_all(fd_, "\n", 1)) {
+    fail(std::string("tail repair write failed: ") + std::strerror(errno));
   }
+}
+
+SweepManifest::~SweepManifest() {
+  if (fd_ >= 0) ::close(fd_);  // releases the flock
+}
+
+void SweepManifest::fail(const std::string& what) {
+  if (!failed_) error_ = what;  // keep the first failure; later ones are noise
+  failed_ = true;
+}
+
+bool SweepManifest::ok() const {
+  std::lock_guard lock(mu_);
+  return fd_ >= 0 && !failed_;
+}
+
+std::string SweepManifest::last_error() const {
+  std::lock_guard lock(mu_);
+  return error_;
+}
+
+bool SweepManifest::read_runs(const std::vector<std::string>& ids,
+                              std::vector<std::optional<ManifestEntry>>* latest,
+                              std::string* error) const {
+  std::unordered_map<std::string_view, std::size_t> slot_by_id;
+  for (std::size_t k = 0; k < ids.size(); ++k) slot_by_id.emplace(ids[k], k);
+  latest->assign(ids.size(), std::nullopt);
+  std::ifstream in(path_);
+  std::string line;
+  for (std::size_t number = 1; std::getline(in, line); ++number) {
+    ManifestEntry e;
+    if (!parse_line(line, &e)) continue;
+    const auto it = slot_by_id.find(e.id);
+    if (it == slot_by_id.end()) continue;  // another sweep's run
+    if (e.success() && e.result.repetitions != 1) {
+      *error = "refusing line " + std::to_string(number) + " of " + path_.string() +
+               ": success for \"" + e.id + "\" with reps " +
+               std::to_string(e.result.repetitions) +
+               "; each journal line must hold one run (reps 1)";
+      return false;
+    }
+    std::optional<ManifestEntry>& slot = (*latest)[it->second];
+    if (!slot || !slot->success() || e.success()) slot = std::move(e);
+  }
+  return true;
+}
+
+bool SweepManifest::append(const ManifestEntry& e) {
+  std::lock_guard lock(mu_);
+  if (failed_) return false;  // open, lock or an earlier append failed
   std::string line = format_line(e);
   line += '\n';
   if (!write_all(fd_, line.data(), line.size())) {
     fail(std::string("append failed: ") + std::strerror(errno));
     return false;
   }
-  // fsync per line: the lease protocol's correctness leans on "a journaled
-  // completion survives the writer's death". One fsync per cell (seconds of
-  // simulation) is noise.
+  // fsync per line: resume trusts that a journaled run survives the
+  // writer's death. One fsync per run (seconds of simulation) is noise.
   if (::fsync(fd_) != 0) {
     fail(std::string("fsync failed: ") + std::strerror(errno));
     return false;
@@ -128,13 +147,6 @@ std::string SweepManifest::format_line(const ManifestEntry& e) {
                "\"jain2\":%.17g,\"util\":%.17g,\"retx\":%.17g,\"rtos\":%.17g",
                e.attempts, r.repetitions, r.sender_bps[0], r.sender_bps[1], r.jain2,
                r.utilization, r.retx_segments, r.rtos);
-  if (e.status == RunStatus::kClaimed) {
-    // Lease fields ride only on claim lines so every completion line stays
-    // byte-identical to the pre-lease journal format.
-    line += ",\"worker\":\"";
-    obs::append_json_escaped(e.worker, &line);
-    obs::appendf(&line, "\",\"lease_until\":%.3f", e.lease_until_unix_s);
-  }
   if (!r.classes.empty()) {
     // Per-class block only for workload cells, so elephant-only journal
     // lines stay byte-identical to the pre-workload format.
@@ -216,14 +228,6 @@ bool SweepManifest::parse_line(const std::string& line, ManifestEntry* out) {
       !finite_at(*doc, "util", &r.utilization) || !finite_at(*doc, "retx", &r.retx_segments) ||
       !finite_at(*doc, "rtos", &r.rtos)) {
     return false;
-  }
-  if (e.status == RunStatus::kClaimed) {
-    // A claim without its lease fields is a torn line, not an old format:
-    // claims and the fields were introduced together.
-    if (!doc->string_at("worker", &e.worker) ||
-        !finite_at(*doc, "lease_until", &e.lease_until_unix_s)) {
-      return false;
-    }
   }
   if (const Value* classes = doc->find("classes")) {
     if (!classes->is(Value::Kind::kArray)) return false;

@@ -6,15 +6,13 @@
 
 namespace elephant::exp {
 
-/// Outcome of one sweep cell under the resilient engine. kClaimed is not an
-/// outcome but a lease record in the journal: a worker announcing it owns the
-/// cell until the lease expires (see work_queue.hpp). kSkipped never reaches
-/// the journal; it marks report slots for cells a drained sweep left behind.
+/// Outcome of one sweep cell under the resilient engine. kSkipped never
+/// reaches the journal; it marks report slots for cells a drained sweep left
+/// behind.
 enum class RunStatus {
   kOk,        ///< simulated to completion
   kFailed,    ///< the attempt threw (config error, invariant violation, ...)
   kTimedOut,  ///< the attempt exceeded a watchdog budget
-  kClaimed,   ///< journal only: leased by a worker, result pending
   kSkipped,   ///< report only: never attempted (graceful drain)
 };
 
@@ -26,8 +24,6 @@ enum class RunStatus {
       return "failed";
     case RunStatus::kTimedOut:
       return "timed_out";
-    case RunStatus::kClaimed:
-      return "claimed";
     case RunStatus::kSkipped:
       return "skipped";
   }
@@ -35,8 +31,7 @@ enum class RunStatus {
 }
 
 [[nodiscard]] inline bool run_status_from_string(std::string_view name, RunStatus* out) {
-  for (const RunStatus s :
-       {RunStatus::kOk, RunStatus::kFailed, RunStatus::kTimedOut, RunStatus::kClaimed}) {
+  for (const RunStatus s : {RunStatus::kOk, RunStatus::kFailed, RunStatus::kTimedOut}) {
     if (name == to_string(s)) {
       *out = s;
       return true;

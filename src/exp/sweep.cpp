@@ -1,7 +1,5 @@
 #include "exp/sweep.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -16,7 +14,6 @@
 #include <utility>
 
 #include "exp/eta.hpp"
-#include "exp/work_queue.hpp"
 #include "obs/heartbeat.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -69,21 +66,6 @@ namespace {
 
 bool cancelled(const SweepOptions& options) {
   return options.cancel != nullptr && options.cancel->load(std::memory_order_relaxed);
-}
-
-/// Sleep for `delay_s`, waking early (returning false) if the sweep is
-/// draining. 50 ms slices keep drain latency human-imperceptible.
-bool interruptible_sleep(double delay_s, const SweepOptions& options) {
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::duration<double>(delay_s);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (cancelled(options)) return false;
-    const std::chrono::duration<double> remaining =
-        deadline - std::chrono::steady_clock::now();
-    std::this_thread::sleep_for(std::min<std::chrono::duration<double>>(
-        remaining, std::chrono::milliseconds(50)));
-  }
-  return !cancelled(options);
 }
 
 /// Simulate one run once, at its own seed, under the sweep's budgets. A
@@ -150,10 +132,6 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
   if (options.manifest_path.empty()) {
     throw std::invalid_argument("sweep needs a manifest: the journal is its result store");
   }
-  if (!(options.lease_s > 0)) {
-    throw std::invalid_argument("sweep lease_s must be > 0, got " +
-                                std::to_string(options.lease_s));
-  }
   SweepReport report;
   report.records.resize(configs.size());
   if (configs.empty()) return report;
@@ -169,8 +147,8 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
     runs[k].seed = sim::derive_seed(runs[k].seed, k % reps);
     ids[k] = runs[k].id();
   }
-  // Two runs under one id would share one journal slot: the second is never
-  // marked done and the sweep waits on it forever.
+  // Two runs under one id would share one journal line: resume would serve
+  // the first run's numbers as the second's.
   {
     std::vector<std::string_view> sorted(ids.begin(), ids.end());
     std::sort(sorted.begin(), sorted.end());
@@ -180,8 +158,6 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
     }
   }
 
-  // Sweep telemetry registry is provisioned below; the queue wants it at
-  // construction, so resolve it first.
   std::optional<obs::MetricsRegistry> owned_registry;
   obs::MetricsRegistry* reg = options.metrics;
   if (reg == nullptr && options.stats_interval_s > 0) {
@@ -189,42 +165,52 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
     reg = &*owned_registry;
   }
 
-  // The sweep is a leased work queue over its journal, so any number of
-  // worker processes can share it (see work_queue.hpp).
-  std::vector<std::pair<std::size_t, std::string>> cells;
-  cells.reserve(runs.size());
-  for (std::size_t k = 0; k < runs.size(); ++k) cells.emplace_back(k, ids[k]);
-  LeasedWorkQueue::Options qopt;
-  qopt.worker_id =
-      options.worker_id.empty() ? "pid" + std::to_string(::getpid()) : options.worker_id;
-  qopt.lease_s = options.lease_s;
-  qopt.resume = options.resume;
-  qopt.metrics = reg;
-  LeasedWorkQueue queue(options.manifest_path, std::move(cells), std::move(qopt));
-  if (!queue.healthy()) {
-    // An unusable journal means no durable record of anything this sweep
-    // does — fail now, loudly, instead of simulating for hours into a void.
-    throw std::runtime_error("sweep manifest unusable (" + options.manifest_path.string() +
-                             "): " + queue.error());
+  // The sweep is the journal's one writer for as long as it runs. Resume
+  // reads it once, here: a run with a success line is served from it, every
+  // other run is pending.
+  SweepManifest journal(options.manifest_path);
+  auto unusable = [&](const std::string& why) {
+    return std::runtime_error("sweep manifest unusable (" + options.manifest_path.string() +
+                              "): " + why);
+  };
+  if (!journal.ok()) throw unusable(journal.last_error());
+  std::vector<std::optional<ManifestEntry>> prior(runs.size());
+  if (options.resume) {
+    std::string error;
+    if (!journal.read_runs(ids, &prior, &error)) throw unusable(error);
   }
+  // Guards outcomes/touched/cell_pending while threads run; the pool join is
+  // the happens-before edge for the reads after it. A run still untouched
+  // after the pool was never attempted (drain).
+  std::mutex report_mu;
+  std::vector<RunRecord> outcomes(runs.size());
+  std::vector<char> touched(runs.size(), 0);
+  std::vector<std::size_t> pending;
+  // Pending runs of each cell: it is published when its last one is in hand.
+  std::vector<std::size_t> cell_pending(configs.size(), 0);
+  for (std::size_t k = 0; k < runs.size(); ++k) {
+    if (prior[k] && prior[k]->success()) {
+      // Served: per-flow detail is not journaled, the aggregates are.
+      outcomes[k].status = prior[k]->status;
+      outcomes[k].resumed = true;
+      outcomes[k].result = prior[k]->result;
+      touched[k] = 1;
+      if (reg != nullptr) reg->counter("sweep.cells_resumed").add(1);
+    } else {
+      pending.push_back(k);
+      ++cell_pending[k / reps];
+    }
+  }
+  std::size_t cells_published = 0;
 
   int threads = options.threads;
   if (threads <= 0) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
     if (threads <= 0) threads = 1;
   }
-  threads = std::min<int>(threads, static_cast<int>(runs.size()));
+  threads = std::max(1, std::min<int>(threads, static_cast<int>(pending.size())));
 
   std::atomic<std::size_t> done{0};
-  // Guards outcomes/touched/published while workers run; the pool join is
-  // the happens-before edge for the reads after it. Runs still untouched
-  // after the pool are filled from the journal (other workers / resume) or
-  // marked kSkipped (drain).
-  std::mutex report_mu;
-  std::vector<RunRecord> outcomes(runs.size());
-  std::vector<char> touched(runs.size(), 0);
-  std::vector<char> published(configs.size(), 0);
-  std::size_t cells_published = 0;
 
   std::mutex status_mu;
   std::string current_label;
@@ -245,14 +231,8 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
     hb.interval_s = options.stats_interval_s;
     hb.jsonl_path = options.metrics_path;
     if (hb.jsonl_path.empty()) {
-      // Per-worker journals when an explicit worker id is in play: N worker
-      // processes appending one shared metrics.jsonl would interleave lines.
-      const std::string name = options.worker_id.empty()
-                                   ? "metrics.jsonl"
-                                   : "metrics-" + options.worker_id + ".jsonl";
-      hb.jsonl_path = options.manifest_path.parent_path() / name;
+      hb.jsonl_path = options.manifest_path.parent_path() / "metrics.jsonl";
     }
-    hb.worker_tag = queue.worker_id();
     // Shared-registry histograms change only under merge_from's lock, so
     // live ticks may include them.
     hb.histograms_in_ticks = true;
@@ -308,21 +288,8 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
     return rec;
   };
 
-  // A run this worker did not execute, as the journal records it: terminal
-  // lines only (per-flow detail is not journaled; the aggregates are).
-  auto from_journal = [&](std::size_t k) -> std::optional<RunRecord> {
-    const std::optional<ManifestEntry> e = queue.latest(ids[k]);
-    if (!e || !e->terminal()) return std::nullopt;
-    RunRecord rec;
-    rec.status = e->status;
-    rec.resumed = true;
-    rec.error = e->error;
-    if (e->success()) rec.result = e->result;
-    return rec;
-  };
-
-  // Record run k; once every run of its cell is in hand (run here, or a
-  // success in the journal), report the cell through on_result.
+  // Record run k; once every pending run of its cell is in hand, report the
+  // cell through on_result.
   auto publish = [&](std::size_t k, RunRecord rec) {
     done.fetch_add(1);
     if (reg != nullptr) reg->counter("sweep.cells_done").add(1);
@@ -330,55 +297,30 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
     outcomes[k] = std::move(rec);
     touched[k] = 1;
     const std::size_t cell = k / reps;
-    if (!options.on_result || published[cell]) return;
-    std::vector<RunRecord> cell_runs;
-    for (std::size_t j = cell * reps; j < (cell + 1) * reps; ++j) {
-      std::optional<RunRecord> run = touched[j] ? std::optional(outcomes[j]) : from_journal(j);
-      if (!run || !(touched[j] || run->success())) return;
-      cell_runs.push_back(*std::move(run));
-    }
-    published[cell] = 1;
-    options.on_result(fold_cell(configs[cell], cell_runs.data(), reps).result,
+    if (--cell_pending[cell] > 0 || !options.on_result) return;
+    options.on_result(fold_cell(configs[cell], &outcomes[cell * reps], reps).result,
                       ++cells_published, configs.size());
   };
 
-  // The next run for this thread, or nullopt when it should stop. Runs are
-  // leased through the shared journal, so any number of processes (and this
-  // process's threads) interleave safely.
-  auto next_run = [&]() -> std::optional<std::size_t> {
-    while (queue.healthy()) {  // a failed journal write aborts the sweep
-      std::size_t k = 0;
-      switch (queue.try_claim(&k)) {
-        case LeasedWorkQueue::Claim::kClaimed:
-          return k;
-        case LeasedWorkQueue::Claim::kAllDone:
-          return std::nullopt;
-        case LeasedWorkQueue::Claim::kWaitLeased:
-          // Other workers hold every remaining run; poll for steals or
-          // completions at a fraction of the lease so takeover is prompt.
-          if (!interruptible_sleep(std::clamp(options.lease_s / 4.0, 0.05, 0.5), options)) {
-            return std::nullopt;
-          }
-      }
-    }
-    return std::nullopt;
-  };
-
+  // Threads take pending runs in sweep order through one shared cursor.
+  std::atomic<std::size_t> next{0};
   auto worker = [&] {
-    while (!cancelled(options)) {  // drain: claim nothing further
-      const std::optional<std::size_t> k = next_run();
-      if (!k) return;
-      RunRecord rec = execute_run(*k);
+    // Drain, or a failed journal write (the sweep then aborts): start nothing.
+    while (!cancelled(options) && journal.ok()) {
+      const std::size_t at = next.fetch_add(1);
+      if (at >= pending.size()) return;
+      const std::size_t k = pending[at];
+      RunRecord rec = execute_run(k);
       ManifestEntry e;
-      e.index = *k;
-      e.id = ids[*k];
+      e.index = k;
+      e.id = ids[k];
       e.status = rec.status;
       e.attempts = rec.attempts;
       e.result = rec.result;
       e.wall_s = rec.wall_s;
       e.error = rec.error;
-      queue.complete(e);
-      publish(*k, std::move(rec));
+      journal.append(e);
+      publish(k, std::move(rec));
     }
   };
 
@@ -391,20 +333,12 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
     for (std::thread& t : pool) t.join();
   }
 
-  // Fill the runs this worker never ran: from the journal when another
-  // worker (or a prior resumed run) produced a terminal outcome, else mark
-  // kSkipped — a drained sweep must not let default-constructed records
-  // masquerade as successes.
-  queue.refresh();
+  // A drained sweep must not let default-constructed records masquerade as
+  // successes: a run no thread reached is kSkipped.
   for (std::size_t k = 0; k < runs.size(); ++k) {
     if (touched[k]) continue;
-    if (std::optional<RunRecord> served = from_journal(k)) {
-      outcomes[k] = *std::move(served);
-      if (reg != nullptr) reg->counter("sweep.cells_resumed").add(1);
-    } else {
-      outcomes[k].status = RunStatus::kSkipped;
-      outcomes[k].error = "not attempted (sweep drained)";
-    }
+    outcomes[k].status = RunStatus::kSkipped;
+    outcomes[k].error = "not attempted (sweep drained)";
   }
   for (std::size_t i = 0; i < configs.size(); ++i) {
     report.records[i] = fold_cell(configs[i], &outcomes[i * reps], reps);
@@ -416,13 +350,9 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
   if (heartbeat) heartbeat->stop();
 
   // Ghost completions are worse than a dead sweep: if any journal write
-  // failed (disk full, unlinked manifest) or a peer journaled a line this
-  // build refuses, surface it as an error rather than returning a report
-  // whose durable record is silently incomplete.
-  if (!queue.healthy()) {
-    throw std::runtime_error("sweep aborted: manifest unusable (" +
-                             options.manifest_path.string() + "): " + queue.error());
-  }
+  // failed (disk full, unlinked manifest), surface it as an error rather
+  // than returning a report whose durable record is silently incomplete.
+  if (!journal.ok()) throw unusable(journal.last_error());
   return report;
 }
 

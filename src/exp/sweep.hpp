@@ -31,7 +31,7 @@ struct RunRecord {
   RunStatus status = RunStatus::kOk;  ///< the worst status among the cell's runs
   int attempts = 0;    ///< runs simulated here (one attempt each; 0 if served)
   bool resumed = false;  ///< every run satisfied from the journal, none re-run
-  double wall_s = 0;   ///< wall seconds this worker spent on the cell's runs
+  double wall_s = 0;   ///< wall seconds the sweep spent on the cell's runs
   std::string error;
   AveragedResult result;
 
@@ -49,41 +49,36 @@ struct SweepReport {
 
 struct SweepOptions {
   /// Runs per cell; must be >= 1. Run r of a cell simulates seed
-  /// sim::derive_seed(cell seed, r) and is the unit of work: leases, budgets
-  /// and journal lines each apply to one run, and each run is simulated once
-  /// per sweep, at its own seed.
+  /// sim::derive_seed(cell seed, r) and is the unit of work: budgets and
+  /// journal lines each apply to one run, and each run is simulated once per
+  /// sweep, at its own seed.
   int repetitions = 1;
   int threads = 0;  ///< 0 → hardware concurrency
   /// Per-run watchdog budgets, applied to every run (0 = unlimited). A run
   /// that trips either budget is recorded as timed out.
   std::uint64_t run_event_budget = 0;
   double run_wall_budget_seconds = 0;
-  /// Append-only JSONL journal of run outcomes, one line per run; the only
-  /// result store, and required. The sweep is a leased work queue over it
-  /// (see work_queue.hpp): runs are claimed through the journal, so any
-  /// number of sweep processes can share one manifest and a killed worker
-  /// costs at most its in-flight runs (stolen after lease_s).
+  /// Append-only JSONL journal of run outcomes, one line per simulated run;
+  /// the only result store, and required. The sweep holds an exclusive lock
+  /// on it while it runs (a second sweep on it throws), and a killed sweep
+  /// costs at most its in-flight runs.
   std::filesystem::path manifest_path;
-  /// Satisfy runs whose id already has a *successful* manifest entry from
-  /// the journal instead of re-running them; a journaled failure is
-  /// attempted again, at the run's own seed.
+  /// Read the journal once at start-up and serve runs whose id already has a
+  /// *successful* line from it instead of re-running them; a journaled
+  /// failure is attempted again, at the run's own seed.
   bool resume = false;
-  /// Unique id of this worker process; "" derives "pid<pid>".
-  std::string worker_id;
-  /// Lease duration in seconds; must be > 0.
-  double lease_s = 60;
   /// Graceful drain flag (e.g. set from a SIGTERM handler): when it becomes
-  /// true, workers finish and journal their in-flight runs, claim nothing
+  /// true, threads finish and journal their in-flight runs, start nothing
   /// further, and return; a cell with an unattempted run is kSkipped.
   const std::atomic<bool>* cancel = nullptr;
-  /// Called once per cell when this worker finishes its last outstanding run
+  /// Called once per cell when the sweep finishes its last outstanding run
   /// (order is not guaranteed; cells served wholly from the journal are not
   /// reported); `done`/`total` count cells and enable progress reporting.
   std::function<void(const AveragedResult&, std::size_t done, std::size_t total)> on_result;
 
   /// Shared telemetry registry for the whole sweep (see obs/metrics.hpp).
   /// Each run simulates against its own thread-local registry, merged into
-  /// this one when the run finishes — workers never contend and histograms
+  /// this one when the run finishes — threads never contend and histograms
   /// stay single-writer. On top of the per-run metrics the sweep adds
   /// sweep.cells_{done,failed,resumed} and a sweep.cell_wall_s histogram,
   /// all counting units of work (one run each; a cell at reps 1). Null with
@@ -106,8 +101,9 @@ struct SweepOptions {
 /// journaled under its own config id at index i·reps + r. Records are one
 /// per cell, in input order; a cell's result is bit-identical to
 /// run_averaged(cfg, reps). Throws std::invalid_argument when reps < 1,
-/// when manifest_path is empty, when lease_s is not > 0 or when two runs
-/// share an id (a config listed twice).
+/// when manifest_path is empty or when two runs share an id (a config listed
+/// twice), and std::runtime_error when the journal cannot be opened, is in
+/// use by another sweep, holds a refused line, or an append to it failed.
 [[nodiscard]] SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
                                               const SweepOptions& options = {});
 

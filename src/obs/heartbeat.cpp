@@ -75,11 +75,6 @@ void Heartbeat::emit(bool final_snapshot) {
     line += ",\"final\":";
     line += final_snapshot ? "true" : "false";
     line += ',';
-    if (!options_.worker_tag.empty()) {
-      line += "\"worker\":\"";
-      append_json_escaped(options_.worker_tag, &line);
-      line += "\",";
-    }
     line += fields;  // caller fields, each already comma-terminated
     // Splice the registry object's members into this line's object.
     std::string reg_json;
@@ -98,13 +93,8 @@ void Heartbeat::emit(bool final_snapshot) {
                     static_cast<unsigned long long>(ticks() + 1));
       console_line = buf;
     }
-    if (options_.worker_tag.empty()) {
-      std::fprintf(options_.console, "%s%s\n", final_snapshot ? "[final] " : "",
-                   console_line.c_str());
-    } else {
-      std::fprintf(options_.console, "[%s] %s%s\n", options_.worker_tag.c_str(),
-                   final_snapshot ? "[final] " : "", console_line.c_str());
-    }
+    std::fprintf(options_.console, "%s%s\n", final_snapshot ? "[final] " : "",
+                 console_line.c_str());
     std::fflush(options_.console);
   }
   ticks_.fetch_add(1, std::memory_order_relaxed);

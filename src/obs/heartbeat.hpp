@@ -31,10 +31,6 @@ class Heartbeat {
     std::filesystem::path jsonl_path;  ///< empty = console only
     std::FILE* console = stderr;       ///< null = file only
     bool histograms_in_ticks = false;  ///< see class comment
-    /// Non-empty tags every emission with a `"worker"` JSON field and
-    /// prefixes console lines with `[id]` — disambiguates interleaved
-    /// stderr when several sweep workers share a terminal.
-    std::string worker_tag;
   };
 
   /// Injects caller context into each emission: append extra top-level JSON

@@ -73,9 +73,6 @@ bool parse_journal_line(std::string_view line, JournalSnapshot* out) {
     } else if (key == "final") {
       if (!v.is(Value::Kind::kBool)) return false;
       out->final_snapshot = v.boolean;
-    } else if (key == "worker") {
-      if (!v.is(Value::Kind::kString)) return false;
-      out->worker = v.text;
     } else if (key == "counters") {
       if (!read_number_map(v, &out->counters)) return false;
     } else if (key == "gauges") {

@@ -20,7 +20,6 @@ class MetricsRegistry;
 struct JournalSnapshot {
   double elapsed_s = 0;
   bool final_snapshot = false;
-  std::string worker;
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, double> gauges;
   std::map<std::string, LogLinHistogram> histograms;

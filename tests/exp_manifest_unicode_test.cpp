@@ -135,7 +135,6 @@ std::string heartbeat_line() {
     opts.interval_s = 3600;
     opts.jsonl_path = path;
     opts.console = nullptr;
-    opts.worker_tag = "w\"1";
     obs::Heartbeat hb(reg, opts, [](std::string* fields, std::string*) {
       *fields += "\"cells_done\":3,";
     });
@@ -257,19 +256,6 @@ TEST(ManifestFormat, LinesMatchGolden) {
             R"("fct_p99":1.5,"fct_mean":0.25,"sd_p50":2.25,"sd_p95":8.5,"sd_p99":17}],)"
             R"("wall_s":1.25,"episodes":{"count":1.5,"worst_jain":0.625,"worst_t":3.75,)"
             R"("victim":2,"cause":"rto"},"error":""})");
-
-  // Claim lines carry the numeric fields too, at their journal defaults.
-  ManifestEntry claim;
-  claim.index = 7;
-  claim.id = "cell-claim";
-  claim.status = RunStatus::kClaimed;
-  claim.attempts = 0;
-  claim.worker = "w1";
-  claim.lease_until_unix_s = 1700000060.5;
-  EXPECT_EQ(SweepManifest::format_line(claim),
-            R"({"i":7,"id":"cell-claim","status":"claimed","attempts":0,"reps":0,)"
-            R"("s1_bps":0,"s2_bps":0,"jain2":0,"util":0,"retx":0,"rtos":0,)"
-            R"("worker":"w1","lease_until":1700000060.500,"error":""})");
 
   // A failed cell journals a default-constructed result.
   RunRecord failed;

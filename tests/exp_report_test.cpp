@@ -17,15 +17,6 @@ namespace {
 
 namespace fs = std::filesystem;
 
-ManifestEntry claim(const std::string& id, const std::string& worker) {
-  ManifestEntry e;
-  e.id = id;
-  e.status = RunStatus::kClaimed;
-  e.worker = worker;
-  e.lease_until_unix_s = 1e12;
-  return e;
-}
-
 ManifestEntry done(const std::string& id, double wall_s, RunStatus status = RunStatus::kOk) {
   ManifestEntry e;
   e.id = id;
@@ -38,13 +29,12 @@ ManifestEntry done(const std::string& id, double wall_s, RunStatus status = RunS
   return e;
 }
 
-std::string journal_line(const obs::MetricsRegistry& reg, const std::string& worker,
-                         double elapsed_s) {
+std::string journal_line(const obs::MetricsRegistry& reg, double elapsed_s) {
   std::string line = "{\"elapsed_s\":";
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", elapsed_s);
   line += buf;
-  line += ",\"final\":true,\"worker\":\"" + worker + "\",";
+  line += ",\"final\":true,";
   std::string reg_json;
   obs::append_json(reg, &reg_json);
   line.append(reg_json, 1, reg_json.size() - 2);
@@ -52,8 +42,9 @@ std::string journal_line(const obs::MetricsRegistry& reg, const std::string& wor
   return line;
 }
 
-/// A synthetic two-worker sweep directory: manifest with claims, completions,
-/// a lease steal, and a failure; one metrics journal per worker.
+/// A synthetic sweep directory: manifest with completions, a re-run that
+/// supersedes a failure, a failure, an older build's claim line and a torn
+/// tail; the heartbeat journal next to it, and a second metrics file.
 class ReportTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -63,52 +54,48 @@ class ReportTest : public ::testing::Test {
     manifest_ = dir_ / "manifest.jsonl";
 
     std::ofstream out(manifest_);
-    // Cell A: claimed and completed by w1 (2 s, a mild 2-episode cell).
-    out << SweepManifest::format_line(claim("cellA", "w1")) << "\n";
+    // Cell A: 2 s, a mild 2-episode cell.
     ManifestEntry a = done("cellA", 2.0);
     a.result.episodes = 2;
     a.result.episode_worst_jain = 0.7;
     a.result.episode_victim = 1;
     a.result.episode_cause = "fault";
     out << SweepManifest::format_line(a) << "\n";
-    // Cell B: claimed and completed by w2 (4 s, the worst episode cell).
-    out << SweepManifest::format_line(claim("cellB", "w2")) << "\n";
+    // Cell B: 4 s, the worst episode cell, after an older build's claim line
+    // (no longer a status, so skipped).
+    out << R"({"i":1,"id":"cellB","status":"claimed","attempts":0,"reps":0,)"
+           R"("s1_bps":0,"s2_bps":0,"jain2":0,"util":0,"retx":0,"rtos":0,)"
+           R"("worker":"w2","lease_until":1700000060.500,"error":""})"
+        << "\n";
     ManifestEntry b = done("cellB", 4.0);
     b.result.episodes = 1;
     b.result.episode_worst_jain = 0.4;
     b.result.episode_victim = 2;
     b.result.episode_cause = "loss-burst";
     out << SweepManifest::format_line(b) << "\n";
-    // Cell C: claimed by w1, stolen and completed by w2 (1 s).
-    out << SweepManifest::format_line(claim("cellC", "w1")) << "\n";
-    out << SweepManifest::format_line(claim("cellC", "w2")) << "\n";
+    // Cell C: failed, then completed by a resumed sweep (1 s).
+    out << SweepManifest::format_line(done("cellC", 0.25, RunStatus::kFailed)) << "\n";
     out << SweepManifest::format_line(done("cellC", 1.0)) << "\n";
-    // Cell D: failed without any claim line (a pre-lease journal).
+    // Cell D: failed.
     out << SweepManifest::format_line(done("cellD", 0.5, RunStatus::kFailed)) << "\n";
     out << "{\"torn";  // crashed writer's tail must be skipped
     out.close();
 
-    obs::MetricsRegistry r1;
-    r1.histogram("sweep.cell_wall_s").record(2.0);
-    r1.histogram("prof.cell_run_s").record(1.5);
-    std::ofstream(dir_ / "metrics-w1.jsonl") << journal_line(r1, "w1", 10.0) << "\n";
+    obs::MetricsRegistry sweep;
+    sweep.histogram("sweep.cell_wall_s").record(2.0);
+    sweep.histogram("sweep.cell_wall_s").record(4.0);
+    sweep.histogram("sweep.cell_wall_s").record(1.0);
+    sweep.histogram("prof.cell_run_s").record(1.5);
+    std::ofstream(dir_ / "metrics.jsonl") << journal_line(sweep, 10.0) << "\n";
 
-    obs::MetricsRegistry r2;
-    r2.histogram("sweep.cell_wall_s").record(4.0);
-    r2.histogram("sweep.cell_wall_s").record(1.0);
-    std::ofstream(dir_ / "metrics-w2.jsonl") << journal_line(r2, "w2", 10.0) << "\n";
+    obs::MetricsRegistry other;
+    other.histogram("sweep.cell_wall_s").record(2.0);
+    std::ofstream(dir_ / "other.jsonl") << journal_line(other, 3.0) << "\n";
   }
 
   void TearDown() override {
     std::error_code ec;
     fs::remove_all(dir_, ec);
-  }
-
-  const ReportWorker* worker(const SweepSummary& s, const std::string& id) {
-    for (const ReportWorker& w : s.workers) {
-      if (w.id == id) return &w;
-    }
-    return nullptr;
   }
 
   fs::path dir_;
@@ -117,52 +104,30 @@ class ReportTest : public ::testing::Test {
 
 TEST_F(ReportTest, MergesManifestHistoryAndJournals) {
   ReportOptions opt;
-  opt.manifest_path = manifest_;  // metrics_paths empty → auto-discover
+  opt.manifest_path = manifest_;  // metrics_path empty → metrics.jsonl beside it
   SweepSummary s;
   std::string error;
   ASSERT_TRUE(build_report(opt, &s, &error)) << error;
 
   EXPECT_EQ(s.cells_total, 4u);
-  EXPECT_EQ(s.completed, 3u);
+  EXPECT_EQ(s.completed, 3u);  // cellC's later success supersedes its failure
   EXPECT_EQ(s.failed, 1u);
-  EXPECT_EQ(s.claims, 4u);
-  EXPECT_EQ(s.steals, 1u);
+  EXPECT_EQ(s.completed + s.failed, s.cells_total);
   EXPECT_DOUBLE_EQ(s.wall_s_total, 7.0);
 
-  // Per-worker cell counts must sum to the manifest's completed-cell count.
-  std::size_t attributed = 0;
-  for (const ReportWorker& w : s.workers) attributed += w.cells;
-  EXPECT_EQ(attributed, s.completed);
-
-  const ReportWorker* w1 = worker(s, "w1");
-  const ReportWorker* w2 = worker(s, "w2");
-  ASSERT_NE(w1, nullptr);
-  ASSERT_NE(w2, nullptr);
-  EXPECT_EQ(w1->cells, 1u);
-  EXPECT_EQ(w1->claims, 2u);
-  EXPECT_EQ(w1->steals, 0u);
-  EXPECT_DOUBLE_EQ(w1->wall_s, 2.0);
-  EXPECT_DOUBLE_EQ(w1->elapsed_s, 10.0);
-  EXPECT_NEAR(w1->utilization, 0.2, 1e-12);
-  EXPECT_EQ(w2->cells, 2u);  // cellB plus the stolen cellC
-  EXPECT_EQ(w2->steals, 1u);
-  EXPECT_DOUBLE_EQ(w2->wall_s, 5.0);
-
-  // The per-worker wall-time histograms folded across both journals.
-  bool saw_cell_wall = false;
-  for (const ReportPhase& p : s.phases) {
-    if (p.name == "sweep.cell_wall_s") {
-      saw_cell_wall = true;
-      EXPECT_EQ(p.count, 3u);
-      EXPECT_DOUBLE_EQ(p.total_s, 7.0);
-    }
-  }
-  EXPECT_TRUE(saw_cell_wall);
+  // The phase histograms of the heartbeat journal next to the manifest.
+  ASSERT_EQ(s.phases.size(), 2u);
+  EXPECT_EQ(s.phases[0].name, "prof.cell_run_s");
+  EXPECT_EQ(s.phases[1].name, "sweep.cell_wall_s");
+  EXPECT_EQ(s.phases[1].count, 3u);
+  EXPECT_DOUBLE_EQ(s.phases[1].total_s, 7.0);
 
   // Rankings: slowest by wall time desc; episodes by worst Jain asc.
-  ASSERT_GE(s.slowest.size(), 2u);
+  ASSERT_EQ(s.slowest.size(), 4u);
   EXPECT_EQ(s.slowest[0].id, "cellB");
-  EXPECT_EQ(s.slowest[0].worker, "w2");
+  EXPECT_EQ(s.slowest[0].status, "ok");
+  EXPECT_EQ(s.slowest[2].id, "cellC");
+  EXPECT_DOUBLE_EQ(s.slowest[2].wall_s, 1.0);
   ASSERT_EQ(s.episode_cells.size(), 2u);
   EXPECT_EQ(s.episode_cells[0].id, "cellB");
   EXPECT_EQ(s.episode_cells[0].cause, "loss-burst");
@@ -178,15 +143,16 @@ TEST_F(ReportTest, RendersSchemaTaggedJsonAndMarkdown) {
   ASSERT_TRUE(build_report(opt, &s, &error)) << error;
 
   const std::string json = render_report_json(s);
-  EXPECT_EQ(json.find("{\"schema\":\"elephant-report-v2\""), 0u);
+  EXPECT_EQ(json.find("{\"schema\":\"elephant-report-v3\""), 0u);
   EXPECT_EQ(json.find("\"cache\""), std::string::npos);  // the journal is the store
-  EXPECT_NE(json.find("\"completed\":3"), std::string::npos);
-  EXPECT_NE(json.find("\"steals\":1"), std::string::npos);
+  EXPECT_EQ(json.find("\"worker"), std::string::npos);
+  EXPECT_NE(json.find("\"cells\":{\"total\":4,\"completed\":3,\"failed\":1,"),
+            std::string::npos);
   EXPECT_NE(json.find("\"episode_cells\":[{\"id\":\"cellB\""), std::string::npos);
 
   const std::string md = render_report_markdown(s);
-  EXPECT_NE(md.find("## Workers"), std::string::npos);
-  EXPECT_NE(md.find("| w2 | 2 |"), std::string::npos);
+  EXPECT_EQ(md.find("Workers"), std::string::npos);
+  EXPECT_NE(md.find("| `cellB` | ok | 4.00 |"), std::string::npos);
   EXPECT_NE(md.find("loss-burst"), std::string::npos);
 }
 
@@ -205,16 +171,20 @@ TEST_F(ReportTest, TopNTruncatesRankings) {
 TEST_F(ReportTest, ExplicitJournalListSkipsDiscovery) {
   ReportOptions opt;
   opt.manifest_path = manifest_;
-  opt.metrics_paths = {dir_ / "metrics-w1.jsonl"};
+  opt.metrics_path = dir_ / "other.jsonl";
   SweepSummary s;
   std::string error;
   ASSERT_TRUE(build_report(opt, &s, &error)) << error;
-  // Only w1's journal was read: its one cell_wall_s sample, not w2's two.
-  ASSERT_EQ(s.phases.size(), 2u);
-  for (const ReportPhase& p : s.phases) EXPECT_EQ(p.count, 1u) << p.name;
-  const ReportWorker* w2 = worker(s, "w2");
-  ASSERT_NE(w2, nullptr);
-  EXPECT_DOUBLE_EQ(w2->elapsed_s, 0.0);  // no journal read for w2
+  // Only the named journal was read: its one sample, not metrics.jsonl's three.
+  ASSERT_EQ(s.phases.size(), 1u);
+  EXPECT_EQ(s.phases[0].name, "sweep.cell_wall_s");
+  EXPECT_EQ(s.phases[0].count, 1u);
+
+  // A missing journal leaves the phases empty; the manifest still reports.
+  opt.metrics_path = dir_ / "missing.jsonl";
+  ASSERT_TRUE(build_report(opt, &s, &error)) << error;
+  EXPECT_TRUE(s.phases.empty());
+  EXPECT_EQ(s.completed, 3u);
 }
 
 TEST(ReportErrorTest, MissingOrEmptyManifestFails) {

@@ -1,17 +1,22 @@
 #include "exp/sweep.hpp"
 
 #include <gtest/gtest.h>
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <stdexcept>
 #include <thread>
 
 #include "exp/manifest.hpp"
-#include "exp/work_queue.hpp"
 #include "test_util.hpp"
 #include "workload/workload.hpp"
 
@@ -115,11 +120,9 @@ TEST_F(ResilientSweepTest, FailedRunIsOneAttemptResumeRetriesItsOwnSeed) {
     ManifestEntry e;
     ASSERT_TRUE(SweepManifest::parse_line(line, &e)) << line;
     EXPECT_EQ(e.id, poisoned.id());
-    if (e.terminal()) {
-      EXPECT_EQ(e.status, RunStatus::kFailed);
-      EXPECT_EQ(e.attempts, 1);
-      ++failures;
-    }
+    EXPECT_EQ(e.status, RunStatus::kFailed);
+    EXPECT_EQ(e.attempts, 1);
+    ++failures;
   }
   EXPECT_EQ(failures, 2);
 }
@@ -233,16 +236,90 @@ TEST_F(ResilientSweepTest, ManifestLoadToleratesTornTailAndKeepsLatest) {
         << SweepManifest::format_line(second) << '\n'
         << R"({"i":2,"id":"cell-c","status":"ok","attempts)";  // torn mid-write
   }
-  LeasedWorkQueue::Options opt;
-  opt.worker_id = "w0";
-  opt.resume = true;
-  const LeasedWorkQueue q(manifest_path(), {{0, "cell-a"}, {1, "cell-b"}, {2, "cell-c"}},
-                          opt);
-  ASSERT_TRUE(q.latest("cell-a").has_value());
-  ASSERT_TRUE(q.latest("cell-b").has_value());
-  EXPECT_EQ(q.latest("cell-a")->status, RunStatus::kOk);
-  EXPECT_EQ(q.latest("cell-b")->status, RunStatus::kOk);
-  EXPECT_FALSE(q.latest("cell-c").has_value());
+  // Opening the journal terminates the torn line; resume's one read then
+  // skips it, and cell-a's later success supersedes its failure.
+  const SweepManifest journal(manifest_path());
+  ASSERT_TRUE(journal.ok()) << journal.last_error();
+  std::vector<std::optional<ManifestEntry>> latest;
+  std::string error;
+  ASSERT_TRUE(journal.read_runs({"cell-a", "cell-b", "cell-c"}, &latest, &error)) << error;
+  ASSERT_EQ(latest.size(), 3u);
+  ASSERT_TRUE(latest[0].has_value());
+  ASSERT_TRUE(latest[1].has_value());
+  EXPECT_EQ(latest[0]->status, RunStatus::kOk);
+  EXPECT_EQ(latest[1]->status, RunStatus::kOk);
+  EXPECT_FALSE(latest[2].has_value());
+}
+
+/// A one-run success line for `id`, as a sweep journals it.
+ManifestEntry success(std::size_t index, const std::string& id) {
+  ManifestEntry e;
+  e.index = index;
+  e.id = id;
+  e.status = RunStatus::kOk;
+  e.attempts = 1;
+  e.result.repetitions = 1;  // one run per line; other success lines are refused
+  e.result.jain2 = 0.5 + static_cast<double>(index) * 0.01;
+  return e;
+}
+
+TEST_F(ResilientSweepTest, JournalReadRefusesSuccessWithOtherRepsByLine) {
+  // A per-cell multi-rep success line (or a made-up reps:0 one) would be
+  // served as one run's numbers; the reader refuses it and names the line.
+  for (const int reps : {5, 0}) {
+    ManifestEntry multi = success(1, "cell-1");
+    multi.result.repetitions = reps;
+    {
+      std::ofstream out(manifest_path(), std::ios::trunc);
+      out << SweepManifest::format_line(success(0, "cell-0")) << '\n'
+          << SweepManifest::format_line(multi) << '\n';
+    }
+    const SweepManifest journal(manifest_path());
+    std::vector<std::optional<ManifestEntry>> latest;
+    std::string error;
+    EXPECT_FALSE(journal.read_runs({"cell-0", "cell-1", "cell-2"}, &latest, &error))
+        << "reps " << reps;
+    EXPECT_NE(error.find("line 2 of " + manifest_path().string()), std::string::npos) << error;
+    EXPECT_NE(error.find("\"cell-1\" with reps " + std::to_string(reps)), std::string::npos)
+        << error;
+  }
+
+  // A resumed sweep over such a line refuses to start: it throws naming the
+  // line and simulates (so journals) nothing.
+  auto cfg = quick_batch(1, /*duration_s=*/1)[0];
+  ManifestEntry multi = success(0, cfg.id());
+  multi.result.repetitions = 5;
+  std::ofstream(manifest_path(), std::ios::trunc) << SweepManifest::format_line(multi) << '\n';
+  const auto size = std::filesystem::file_size(manifest_path());
+  SweepOptions opts;
+  opts.threads = 1;
+  opts.manifest_path = manifest_path();
+  opts.resume = true;
+  try {
+    (void)run_sweep_resilient({cfg}, opts);
+    FAIL() << "a multi-rep success line must be refused";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("refusing line 1 of"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(std::filesystem::file_size(manifest_path()), size);
+}
+
+TEST_F(ResilientSweepTest, JournalReadRefusalIgnoresForeignIdsAndFailureLines) {
+  // Only a success the sweep would serve is refused: a multi-rep line for an
+  // id outside the sweep, or a failure line (reps 0 by format), is fine.
+  ManifestEntry foreign = success(9, "other-sweep-cell");
+  foreign.result.repetitions = 5;
+  ManifestEntry failed;
+  failed.index = 0;
+  failed.id = "cell-0";
+  failed.status = RunStatus::kFailed;
+  ASSERT_TRUE(test::append_journal(manifest_path(), {foreign, failed}));
+  const SweepManifest journal(manifest_path());
+  std::vector<std::optional<ManifestEntry>> latest;
+  std::string error;
+  ASSERT_TRUE(journal.read_runs({"cell-0"}, &latest, &error)) << error;
+  ASSERT_TRUE(latest[0].has_value());
+  EXPECT_EQ(latest[0]->status, RunStatus::kFailed);  // pending: resume re-runs it
 }
 
 TEST_F(ResilientSweepTest, SweepJournalsEveryCell) {
@@ -253,7 +330,7 @@ TEST_F(ResilientSweepTest, SweepJournalsEveryCell) {
   opts.manifest_path = manifest_path();
   (void)run_sweep_resilient(configs, opts);
 
-  const auto entries = test::terminal_entries(manifest_path());
+  const auto entries = test::latest_entries(manifest_path());
   ASSERT_EQ(entries.size(), 4u);
   int ok = 0;
   int failed = 0;
@@ -272,7 +349,7 @@ TEST_F(ResilientSweepTest, ResumeSkipsJournaledCellsAndRerunsFailures) {
 
   // Simulate a kill after two cells: keep only their journal lines, and mark
   // one surviving cell as failed so resume must re-attempt it.
-  const auto entries = test::terminal_entries(manifest_path());
+  const auto entries = test::latest_entries(manifest_path());
   std::filesystem::remove(manifest_path());
   ManifestEntry kept_failed = entries.at(configs[1].id());
   kept_failed.status = RunStatus::kFailed;
@@ -298,7 +375,7 @@ TEST_F(ResilientSweepTest, ResumeSkipsJournaledCellsAndRerunsFailures) {
   EXPECT_DOUBLE_EQ(second.records[0].result.jain2, first.records[0].result.jain2);
   EXPECT_EQ(second.records[0].result.config.id(), configs[0].id());
   // And the journal now shows the re-run superseding the failure.
-  const auto after = test::terminal_entries(manifest_path());
+  const auto after = test::latest_entries(manifest_path());
   EXPECT_EQ(after.at(configs[1].id()).status, RunStatus::kOk);
 }
 
@@ -325,19 +402,6 @@ TEST_F(ResilientSweepTest, UnusableManifestFailsLoudly) {
   EXPECT_THROW((void)run_sweep_resilient(quick_batch(1), opts), std::runtime_error);
 }
 
-TEST_F(ResilientSweepTest, NonPositiveLeaseIsRejected) {
-  // A manifest sweep always runs the leased queue; a lease that is not > 0
-  // would make every claim stealable the moment it lands.
-  SweepOptions opts;
-  opts.threads = 1;
-  opts.manifest_path = manifest_path();
-  for (const double lease_s : {0.0, -1.0}) {
-    opts.lease_s = lease_s;
-    EXPECT_THROW((void)run_sweep_resilient(quick_batch(1), opts), std::invalid_argument);
-  }
-  EXPECT_FALSE(std::filesystem::exists(manifest_path()));
-}
-
 TEST_F(ResilientSweepTest, AppendRepairsTornTailBeforeWriting) {
   // A crashed writer leaves an unterminated fragment. The next append must
   // terminate it first — otherwise the two lines merge and both are lost.
@@ -350,7 +414,7 @@ TEST_F(ResilientSweepTest, AppendRepairsTornTailBeforeWriting) {
   e.id = "cell-b";
   e.status = RunStatus::kOk;
   ASSERT_TRUE(test::append_journal(manifest_path(), {e}));
-  const auto entries = test::terminal_entries(manifest_path());
+  const auto entries = test::latest_entries(manifest_path());
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries.count("cell-b"), 1u);  // survived the torn neighbor
 }
@@ -371,42 +435,158 @@ TEST_F(ResilientSweepTest, PreSetCancelSkipsEveryCell) {
   }
 }
 
-TEST_F(ResilientSweepTest, TwoInProcessWorkersShareOneManifest) {
-  // Two run_sweep_resilient calls (distinct worker ids) attacking the same
-  // manifest concurrently: every cell exactly once across the union.
-  auto configs = quick_batch(6, /*duration_s=*/1);
-  auto run_worker = [&](const std::string& id, SweepReport* out) {
+TEST_F(ResilientSweepTest, SecondSweepOnLockedJournalThrowsAndAppendsNothing) {
+  // The journal has one writer: while a sweep (here, an open SweepManifest)
+  // holds it, a second sweep throws naming it and writes nothing, so two
+  // writers can never interleave their lines.
+  auto configs = quick_batch(2, /*duration_s=*/1);
+  ASSERT_TRUE(test::append_journal(manifest_path(), {success(0, "cell-0")}));
+  const auto size = std::filesystem::file_size(manifest_path());
+  {
+    const SweepManifest holder(manifest_path());
+    ASSERT_TRUE(holder.ok()) << holder.last_error();
     SweepOptions opts;
-    opts.threads = 1;
+    opts.threads = 2;
     opts.manifest_path = manifest_path();
-    opts.resume = true;
-    opts.worker_id = id;
-    opts.lease_s = 60;
-    *out = run_sweep_resilient(configs, opts);
-  };
-  SweepReport ra;
-  SweepReport rb;
-  std::thread ta(run_worker, "wa", &ra);
-  std::thread tb(run_worker, "wb", &rb);
-  ta.join();
-  tb.join();
+    for (const bool resume : {false, true}) {
+      opts.resume = resume;
+      try {
+        (void)run_sweep_resilient(configs, opts);
+        FAIL() << "a journal in use must be refused";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("journal " + manifest_path().string() +
+                                             " is in use"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+    EXPECT_FALSE(test::append_journal(manifest_path(), {success(1, "cell-1")}));
+    EXPECT_EQ(std::filesystem::file_size(manifest_path()), size);
+  }
+  // Released with its holder: the next sweep journals every run.
+  SweepOptions opts;
+  opts.threads = 1;
+  opts.manifest_path = manifest_path();
+  EXPECT_EQ(run_sweep_resilient(configs, opts).completed(), 2u);
+  EXPECT_EQ(test::latest_entries(manifest_path()).size(), 3u);
+}
 
-  // Both reports must surface every cell as a success (own run or folded
-  // from the journal), and the journal exactly one completion per cell.
-  for (const SweepReport* r : {&ra, &rb}) {
-    ASSERT_EQ(r->records.size(), 6u);
-    EXPECT_EQ(r->completed() , 6u);
+TEST_F(ResilientSweepTest, RunsAreJournaledInSweepOrderOnceEach) {
+  // One line per simulated run, in sweep order, and nothing else: no claim
+  // or lease lines ride along.
+  const auto configs = quick_batch(3, /*duration_s=*/1);
+  SweepOptions opts;
+  opts.threads = 1;
+  opts.manifest_path = manifest_path();
+  ASSERT_EQ(run_sweep_resilient(configs, opts).completed(), 3u);
+  std::ifstream in(manifest_path());
+  std::string line;
+  std::size_t n = 0;
+  for (; std::getline(in, line); ++n) {
+    ManifestEntry e;
+    ASSERT_TRUE(SweepManifest::parse_line(line, &e)) << line;
+    ASSERT_LT(n, configs.size());
+    EXPECT_EQ(e.index, n);
+    EXPECT_EQ(e.id, configs[n].id());
+    EXPECT_EQ(e.status, RunStatus::kOk);
   }
-  std::size_t ran_a = 0;
-  std::size_t ran_b = 0;
-  for (std::size_t i = 0; i < 6; ++i) {
-    ran_a += ra.records[i].resumed ? 0 : 1;
-    ran_b += rb.records[i].resumed ? 0 : 1;
+  EXPECT_EQ(n, configs.size());
+}
+
+TEST_F(ResilientSweepTest, FreshSweepRerunsJournaledRunsResumeServesThem) {
+  // Without resume the journal is not read: a journaled run is simulated
+  // again and appends its line. With resume it is served, simulating nothing.
+  const auto cfg = quick_batch(1, /*duration_s=*/1)[0];
+  ASSERT_TRUE(test::append_journal(manifest_path(), {success(0, cfg.id())}));
+  SweepOptions opts;
+  opts.threads = 1;
+  opts.manifest_path = manifest_path();
+  const RunRecord fresh = run_sweep_resilient({cfg}, opts).records.at(0);
+  EXPECT_FALSE(fresh.resumed);
+  EXPECT_EQ(fresh.attempts, 1);
+  EXPECT_NE(fresh.result.jain2, 0.5);  // simulated, not the journaled line
+
+  opts.resume = true;
+  const RunRecord resumed = run_sweep_resilient({cfg}, opts).records.at(0);
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_EQ(resumed.attempts, 0);
+  EXPECT_EQ(resumed.result.jain2, fresh.result.jain2);  // the latest success line
+  std::ifstream in(manifest_path());
+  EXPECT_EQ(std::count(std::istreambuf_iterator<char>(in), {}, '\n'), 2);
+}
+
+void expect_same_record(const RunRecord& got, const RunRecord& want) {
+  EXPECT_EQ(got.status, want.status);
+  EXPECT_EQ(got.result.repetitions, want.result.repetitions);
+  EXPECT_EQ(got.result.sender_bps[0], want.result.sender_bps[0]);
+  EXPECT_EQ(got.result.sender_bps[1], want.result.sender_bps[1]);
+  EXPECT_EQ(got.result.jain2, want.result.jain2);
+  EXPECT_EQ(got.result.utilization, want.result.utilization);
+  EXPECT_EQ(got.result.retx_segments, want.result.retx_segments);
+  EXPECT_EQ(got.result.rtos, want.result.rtos);
+  EXPECT_EQ(got.result.config.id(), want.result.config.id());
+}
+
+TEST_F(ResilientSweepTest, SigkilledSweepResumesOnlyUnjournaledRuns) {
+  // A real sweep in a child process, SIGKILLed once its journal holds two
+  // lines (possibly mid-write of a third). The resumed sweep simulates only
+  // the runs without a success line, leaves one success line per run, and
+  // its records equal an uninterrupted sweep's bit for bit. Runs of 20
+  // simulated seconds keep the child busy long after its second line.
+  const auto configs = quick_batch(24, /*duration_s=*/20);
+  SweepOptions opts;
+  opts.threads = 1;
+  opts.manifest_path = manifest_path();
+  opts.resume = true;
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    try {
+      (void)run_sweep_resilient(configs, opts);
+    } catch (...) {
+      ::_exit(1);
+    }
+    ::_exit(0);
   }
-  EXPECT_EQ(ran_a + ran_b, 6u);
-  const auto entries = test::terminal_entries(manifest_path());
-  ASSERT_EQ(entries.size(), 6u);
-  for (const auto& [id, e] : entries) EXPECT_TRUE(e.success()) << id;
+  auto journaled_lines = [&] {
+    std::ifstream in(manifest_path());
+    return std::count(std::istreambuf_iterator<char>(in), {}, '\n');
+  };
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  while (journaled_lines() < 2 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(::kill(child, SIGKILL), 0);
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(child, &wstatus, 0), child);
+  ASSERT_TRUE(WIFSIGNALED(wstatus)) << "the child finished before the kill";
+  const std::size_t journaled = test::latest_entries(manifest_path()).size();
+  ASSERT_GE(journaled, 2u);
+  ASSERT_LT(journaled, configs.size());
+
+  const SweepReport resumed = run_sweep_resilient(configs, opts);
+  int simulated = 0;
+  for (const RunRecord& rec : resumed.records) simulated += rec.attempts;
+  EXPECT_EQ(static_cast<std::size_t>(simulated), configs.size() - journaled);
+
+  std::map<std::string, int> successes;
+  std::ifstream in(manifest_path());
+  std::string line;
+  while (std::getline(in, line)) {
+    ManifestEntry e;
+    if (SweepManifest::parse_line(line, &e) && e.success()) ++successes[e.id];
+  }
+  ASSERT_EQ(successes.size(), configs.size());
+  for (const auto& [id, n] : successes) EXPECT_EQ(n, 1) << id;
+
+  SweepOptions ref_opts = opts;
+  ref_opts.manifest_path = dir_ / "reference.jsonl";
+  const SweepReport reference = run_sweep_resilient(configs, ref_opts);
+  ASSERT_EQ(resumed.records.size(), reference.records.size());
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    SCOPED_TRACE("cell " + std::to_string(i));
+    expect_same_record(resumed.records[i], reference.records[i]);
+  }
 }
 
 TEST_F(ResilientSweepTest, ReportCountsByStatus) {
@@ -486,7 +666,7 @@ TEST_F(CacheTest, MissOnEmptyCache) {
   const RunRecord rec = sweep(cache_config());
   EXPECT_FALSE(rec.resumed);
   EXPECT_EQ(rec.attempts, 1);
-  EXPECT_EQ(test::terminal_entries(manifest_path()).count(cache_config().id()), 1u);
+  EXPECT_EQ(test::latest_entries(manifest_path()).count(cache_config().id()), 1u);
 }
 
 TEST_F(CacheTest, StoreThenLoadRoundTrips) {
@@ -545,7 +725,7 @@ TEST_F(CacheTest, MangledNumericFieldRejectedAndDeleted) {
   const RunRecord rec = sweep(cache_config());
   EXPECT_EQ(rec.attempts, 1);
   EXPECT_NE(rec.result.sender_bps[0], 4.2e8);
-  EXPECT_NE(test::terminal_entries(manifest_path()).at(cache_config().id()).result.jain2, 0.973);
+  EXPECT_NE(test::latest_entries(manifest_path()).at(cache_config().id()).result.jain2, 0.973);
 }
 
 TEST_F(CacheTest, NonFiniteValuesRejectedAndDeleted) {
@@ -605,25 +785,20 @@ TEST_F(CacheTest, WorkloadIsPartOfTheKey) {
   ExperimentConfig more_mice = mice;
   more_mice.workload.classes[1].count += 1;  // same preset, one knob turned
 
-  // Only the elephant-only run is journaled: the queue serves it and leaves
-  // every workload variant to be claimed.
+  // Only the elephant-only run is journaled: resume's read finds it and
+  // leaves every workload variant pending.
   write_journal(fake_text(paper));
-  LeasedWorkQueue::Options opt;
-  opt.worker_id = "w0";
-  opt.resume = true;
-  LeasedWorkQueue q(manifest_path(),
-                    {{0, paper.id()}, {1, mice.id()}, {2, web.id()}, {3, more_mice.id()}}, opt);
-  for (const std::size_t want : {1u, 2u, 3u}) {
-    std::size_t got = 99;
-    ASSERT_EQ(q.try_claim(&got), LeasedWorkQueue::Claim::kClaimed);
-    EXPECT_EQ(got, want);
-  }
-  // The paper run is served and this queue holds the rest: nothing is left
-  // for it to claim or wait for.
-  std::size_t got = 99;
-  EXPECT_EQ(q.try_claim(&got), LeasedWorkQueue::Claim::kAllDone);
-  ASSERT_TRUE(q.latest(paper.id()).has_value());
-  EXPECT_TRUE(q.latest(paper.id())->success());
+  const SweepManifest journal(manifest_path());
+  std::vector<std::optional<ManifestEntry>> latest;
+  std::string error;
+  ASSERT_TRUE(journal.read_runs({paper.id(), mice.id(), web.id(), more_mice.id()}, &latest,
+                                &error))
+      << error;
+  ASSERT_TRUE(latest[0].has_value());
+  EXPECT_TRUE(latest[0]->success());
+  EXPECT_FALSE(latest[1].has_value());
+  EXPECT_FALSE(latest[2].has_value());
+  EXPECT_FALSE(latest[3].has_value());
 }
 
 TEST_F(CacheTest, ClassRowsRoundTrip) {
@@ -669,6 +844,23 @@ TEST_F(CacheTest, LegacyEntryWithoutChecksumStillLoads) {
   const RunRecord rec = sweep(cache_config());
   ASSERT_TRUE(served(rec));
   EXPECT_EQ(rec.result.jain2, 0.973);
+}
+
+TEST_F(CacheTest, ClaimLineFromOlderBuildIsSkippedAndCompletionServed) {
+  // Older builds leased runs with "claimed" lines. They no longer parse, so
+  // resume skips them and serves the completion line that followed.
+  const std::string claim = "{\"i\":0,\"id\":\"" + cache_config().id() +
+                            "\",\"status\":\"claimed\",\"attempts\":0,\"reps\":0,"
+                            "\"s1_bps\":0,\"s2_bps\":0,\"jain2\":0,\"util\":0,\"retx\":0,"
+                            "\"rtos\":0,\"worker\":\"w1\",\"lease_until\":1700000060.500,"
+                            "\"error\":\"\"}";
+  ManifestEntry unused;
+  EXPECT_FALSE(SweepManifest::parse_line(claim, &unused));
+  write_journal(claim + "\n" + fake_text(cache_config()));
+  const RunRecord rec = sweep(cache_config());
+  ASSERT_TRUE(served(rec));
+  EXPECT_EQ(rec.result.jain2, 0.973);
+  EXPECT_EQ(test::latest_entries(manifest_path()).size(), 1u);  // nothing appended
 }
 
 }  // namespace

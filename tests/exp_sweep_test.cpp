@@ -123,14 +123,14 @@ class SweepJournalTest : public ::testing::Test {
     return run_sweep_resilient(configs, opts);
   }
 
-  /// Terminal lines in journal order.
-  [[nodiscard]] std::vector<ManifestEntry> terminal_lines() const {
+  /// Parseable journal lines in order.
+  [[nodiscard]] std::vector<ManifestEntry> journal_lines() const {
     std::vector<ManifestEntry> out;
     std::ifstream in(journal());
     std::string line;
     while (std::getline(in, line)) {
       ManifestEntry e;
-      if (SweepManifest::parse_line(line, &e) && e.terminal()) out.push_back(std::move(e));
+      if (SweepManifest::parse_line(line, &e)) out.push_back(std::move(e));
     }
     return out;
   }
@@ -170,7 +170,7 @@ TEST_F(SweepJournalTest, ThreeRepSweepJournalsOneLinePerSeed) {
   const SweepReport report = sweep(configs, 3);
   ASSERT_EQ(report.records.size(), 2u);
 
-  const std::vector<ManifestEntry> lines = terminal_lines();
+  const std::vector<ManifestEntry> lines = journal_lines();
   ASSERT_EQ(lines.size(), 6u);
   for (std::size_t i = 0; i < configs.size(); ++i) {
     EXPECT_EQ(report.records[i].status, RunStatus::kOk);
@@ -195,7 +195,7 @@ TEST_F(SweepJournalTest, FiveRepResumeOverThreeRepJournalSimulatesOnlyNewSeeds) 
   EXPECT_FALSE(five.resumed);
   expect_same(five.result, run_averaged(cfg, 5));
 
-  const std::vector<ManifestEntry> lines = terminal_lines();
+  const std::vector<ManifestEntry> lines = journal_lines();
   ASSERT_EQ(lines.size(), 5u);
   EXPECT_EQ(lines[3].id, run_of(cfg, 3).id());
   EXPECT_EQ(lines[4].id, run_of(cfg, 4).id());
@@ -204,9 +204,9 @@ TEST_F(SweepJournalTest, FiveRepResumeOverThreeRepJournalSimulatesOnlyNewSeeds) 
 TEST_F(SweepJournalTest, DrainedMidCellResumesOnlyMissingRuns) {
   const ExperimentConfig cfg = short_matrix()[0];
   const RunRecord full = sweep({cfg}, 3).records[0];
-  // A worker drained (or killed) after two of the cell's three runs leaves
+  // A sweep drained (or killed) after two of the cell's three runs leaves
   // exactly their lines behind.
-  const std::vector<ManifestEntry> lines = terminal_lines();
+  const std::vector<ManifestEntry> lines = journal_lines();
   ASSERT_EQ(lines.size(), 3u);
   std::filesystem::remove(journal());
   ASSERT_TRUE(test::append_journal(journal(), {lines[0], lines[1]}));
@@ -222,7 +222,7 @@ TEST_F(SweepJournalTest, DrainedMidCellResumesOnlyMissingRuns) {
   EXPECT_EQ(resumed.status, RunStatus::kOk);
   EXPECT_EQ(resumed.attempts, 1);  // seed 2 only
   expect_same(resumed.result, full.result);
-  const std::vector<ManifestEntry> after = terminal_lines();
+  const std::vector<ManifestEntry> after = journal_lines();
   ASSERT_EQ(after.size(), 3u);
   EXPECT_EQ(after[2].id, run_of(cfg, 2).id());
 }
@@ -235,9 +235,9 @@ TEST_F(SweepJournalTest, SecondLedgerRunAppendsNoCompletionLine) {
   const ExperimentConfig other = short_matrix()[1];
   const auto first = run_seeds({cfg}, 1, 1);
   const auto second = run_seeds({cfg}, 1, 1);
-  const std::size_t lines_after_rerun = terminal_lines().size();
+  const std::size_t lines_after_rerun = journal_lines().size();
   const auto pair = run_seeds({other, cfg}, 1, 1);
-  const std::size_t lines_after_pair = terminal_lines().size();
+  const std::size_t lines_after_pair = journal_lines().size();
   const auto seeds = run_seeds({cfg}, 2, 1);
   if (old_dir != nullptr) {
     ::setenv("ELEPHANT_RESULTS_DIR", saved.c_str(), 1);
@@ -257,7 +257,7 @@ TEST_F(SweepJournalTest, SecondLedgerRunAppendsNoCompletionLine) {
   expect_same(pair[1][0], first[0][0]);
   // Seed r is run r of `sweep --reps`: seed 0 is served, seed 1 simulated,
   // and their fold is run_averaged's.
-  EXPECT_EQ(terminal_lines().size(), 3u);
+  EXPECT_EQ(journal_lines().size(), 3u);
   ASSERT_EQ(seeds[0].size(), 2u);
   expect_same(seeds[0][0], first[0][0]);
   expect_same(average(cfg, seeds[0]), run_averaged(cfg, 2));
@@ -271,8 +271,8 @@ TEST_F(SweepJournalTest, DuplicateRunIdIsRejected) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find(cfg.id()), std::string::npos) << e.what();
   }
-  // Refused before any run is claimed: the journal stays empty.
-  EXPECT_TRUE(terminal_lines().empty());
+  // Refused before any run starts: the journal stays empty.
+  EXPECT_TRUE(journal_lines().empty());
 }
 
 TEST_F(SweepJournalTest, RetriedLineFromOlderBuildIsResimulatedAtItsOwnSeed) {
@@ -281,7 +281,7 @@ TEST_F(SweepJournalTest, RetriedLineFromOlderBuildIsResimulatedAtItsOwnSeed) {
   // resumed sweep simulates that run again at its own seed.
   const ExperimentConfig cfg = short_matrix()[0];
   ASSERT_EQ(sweep({cfg}, 3).records[0].attempts, 3);
-  const std::vector<ManifestEntry> lines = terminal_lines();
+  const std::vector<ManifestEntry> lines = journal_lines();
   ASSERT_EQ(lines.size(), 3u);
   ManifestEntry reseeded = lines[1];
   reseeded.attempts = 2;
@@ -299,7 +299,7 @@ TEST_F(SweepJournalTest, RetriedLineFromOlderBuildIsResimulatedAtItsOwnSeed) {
   EXPECT_EQ(resumed.status, RunStatus::kOk);
   EXPECT_EQ(resumed.attempts, 1);  // seed 1 only
   expect_same(resumed.result, run_averaged(cfg, 3));
-  const std::vector<ManifestEntry> after = terminal_lines();
+  const std::vector<ManifestEntry> after = journal_lines();
   ASSERT_EQ(after.size(), 3u);
   EXPECT_EQ(after[2].id, run_of(cfg, 1).id());
   EXPECT_EQ(after[2].index, 1u);

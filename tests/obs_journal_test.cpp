@@ -18,13 +18,11 @@ namespace {
 /// Compose one heartbeat-shaped journal line exactly the way
 /// obs::Heartbeat::emit does: caller status fields, then the registry JSON
 /// spliced in minus its outer braces.
-std::string compose_line(const MetricsRegistry& reg, double elapsed_s, bool final,
-                         const std::string& worker = "") {
+std::string compose_line(const MetricsRegistry& reg, double elapsed_s, bool final) {
   char head[128];
   std::snprintf(head, sizeof(head), "{\"elapsed_s\":%.3f,\"final\":%s,", elapsed_s,
                 final ? "true" : "false");
   std::string line = head;
-  if (!worker.empty()) line += "\"worker\":\"" + worker + "\",";
   line += "\"cells_done\":3,";
   std::string reg_json;
   append_json(reg, &reg_json);
@@ -76,13 +74,12 @@ MetricsRegistry& fill(MetricsRegistry& reg, int scale) {
 TEST(JournalTest, HeartbeatLineRoundTripsRegistryExactly) {
   MetricsRegistry reg;
   fill(reg, 1);
-  const std::string line = compose_line(reg, 12.5, true, "w1");
+  const std::string line = compose_line(reg, 12.5, true);
 
   JournalSnapshot snap;
   ASSERT_TRUE(parse_journal_line(line, &snap));
   EXPECT_DOUBLE_EQ(snap.elapsed_s, 12.5);
   EXPECT_TRUE(snap.final_snapshot);
-  EXPECT_EQ(snap.worker, "w1");
   EXPECT_DOUBLE_EQ(snap.extra.at("cells_done"), 3.0);
   EXPECT_EQ(snap.counters.at("sweep.cache_hits"), 10u);
   EXPECT_DOUBLE_EQ(snap.gauges.at("sched.heap_depth"), 42.0);
@@ -93,14 +90,13 @@ TEST(JournalTest, HeartbeatLineRoundTripsRegistryExactly) {
 }
 
 TEST(JournalTest, JournalMergeMatchesInProcessMergeFrom) {
-  // Aggregating N workers through their journals must equal aggregating the
-  // same registries in-process — the associativity contract `elephant report`
-  // relies on when it folds per-worker metrics.jsonl files together.
+  // Aggregating registries through their journals must equal aggregating
+  // them in-process: merge_into keeps merge_from's semantics.
   MetricsRegistry r1;
   MetricsRegistry r2;
   fill(r1, 1);
   fill(r2, 7);
-  r2.counter("sweep.lease_steals").add(2);  // metric only worker 2 has
+  r2.counter("sweep.cells_failed").add(2);  // metric only r2 has
 
   MetricsRegistry direct;
   direct.merge_from(r1);
@@ -124,9 +120,9 @@ TEST(JournalTest, ReadFinalSnapshotTakesLastParseableLineAndSkipsTornTail) {
     MetricsRegistry tick2;
     tick2.counter("sweep.cache_hits").add(5);
     std::ofstream out(path);
-    out << compose_line(tick1, 1.0, false, "w2") << "\n";
-    out << compose_line(tick2, 2.0, true, "w2") << "\n";
-    out << "{\"elapsed_s\":3.0,\"cou";  // torn tail from a crashed worker
+    out << compose_line(tick1, 1.0, false) << "\n";
+    out << compose_line(tick2, 2.0, true) << "\n";
+    out << "{\"elapsed_s\":3.0,\"cou";  // torn tail from a crashed sweep
   }
 
   JournalSnapshot snap;
@@ -134,7 +130,6 @@ TEST(JournalTest, ReadFinalSnapshotTakesLastParseableLineAndSkipsTornTail) {
   ASSERT_TRUE(read_final_snapshot(path, &snap, &error)) << error;
   EXPECT_DOUBLE_EQ(snap.elapsed_s, 2.0);
   EXPECT_TRUE(snap.final_snapshot);
-  EXPECT_EQ(snap.worker, "w2");
   EXPECT_EQ(snap.counters.at("sweep.cache_hits"), 5u);
   std::filesystem::remove(path);
 }

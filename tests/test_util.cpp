@@ -58,20 +58,19 @@ exp::ExperimentResult run_uncached(const exp::ExperimentConfig& cfg) {
 bool append_journal(const std::filesystem::path& path,
                     const std::vector<exp::ManifestEntry>& entries) {
   exp::SweepManifest m(path);
-  exp::SweepManifest::ScopedLock lock(m);
   for (const exp::ManifestEntry& e : entries) {
-    if (!m.append_locked(e)) return false;
+    if (!m.append(e)) return false;
   }
   return true;
 }
 
-std::map<std::string, exp::ManifestEntry> terminal_entries(const std::filesystem::path& path) {
+std::map<std::string, exp::ManifestEntry> latest_entries(const std::filesystem::path& path) {
   std::map<std::string, exp::ManifestEntry> latest;
   std::ifstream in(path);
   std::string line;
   while (std::getline(in, line)) {
     exp::ManifestEntry e;
-    if (exp::SweepManifest::parse_line(line, &e) && e.terminal()) latest[e.id] = std::move(e);
+    if (exp::SweepManifest::parse_line(line, &e)) latest[e.id] = std::move(e);
   }
   return latest;
 }

@@ -39,14 +39,14 @@ namespace elephant::test {
 /// run_experiment: a fresh simulation, never served from a sweep journal.
 [[nodiscard]] exp::ExperimentResult run_uncached(const exp::ExperimentConfig& cfg);
 
-/// Append `entries` to the sweep journal at `path` under its cross-process
-/// lock, as a peer worker would. False if any write failed.
+/// Append `entries` to the sweep journal at `path` through SweepManifest, as
+/// a sweep would. False if any write failed (or another holds the journal).
 [[nodiscard]] bool append_journal(const std::filesystem::path& path,
                                   const std::vector<exp::ManifestEntry>& entries);
 
-/// The latest terminal (non-claim) journal line per cell id, read line by
-/// line with no lease folding; unparseable lines are skipped.
-[[nodiscard]] std::map<std::string, exp::ManifestEntry> terminal_entries(
+/// The latest journal line per cell id, read line by line; unparseable lines
+/// are skipped.
+[[nodiscard]] std::map<std::string, exp::ManifestEntry> latest_entries(
     const std::filesystem::path& path);
 
 /// A sweep journal path in a fresh temporary directory named after `tag`

@@ -1,14 +1,13 @@
 #!/usr/bin/env python3
-"""Validate an `elephant report --json` document (elephant-report-v2).
+"""Validate an `elephant report --json` document (elephant-report-v3).
 
-CI's report-smoke gate: the merged sweep report must carry the schema tag,
-every section the renderer promises, and internally consistent accounting —
-above all, per-worker attributed cell counts must sum to the manifest's
-completed-cell count (the invariant `elephant report` is built around).
+CI's report-smoke gate: the sweep report must carry the schema tag, every
+section the renderer promises, and consistent accounting: completed plus
+failed cells make up the manifest's total.
 
 Usage:
   tools/check_report_json.py report.json
-  tools/check_report_json.py report.json --min-workers 2 --min-completed 1
+  tools/check_report_json.py report.json --min-completed 1
 """
 
 import argparse
@@ -35,8 +34,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("report")
-    ap.add_argument("--min-workers", type=int, default=1,
-                    help="minimum distinct workers the report must attribute")
     ap.add_argument("--min-completed", type=int, default=1,
                     help="minimum completed cells the sweep must show")
     args = ap.parse_args()
@@ -47,13 +44,13 @@ def main():
     except (OSError, json.JSONDecodeError) as e:
         return fail(f"cannot parse {args.report}: {e}")
 
-    if doc.get("schema") != "elephant-report-v2":
-        return fail(f"schema tag is {doc.get('schema')!r}, want 'elephant-report-v2'")
+    if doc.get("schema") != "elephant-report-v3":
+        return fail(f"schema tag is {doc.get('schema')!r}, want 'elephant-report-v3'")
     if "cache" in doc:
         return fail("unexpected 'cache' block: the sweep journal is the only result store")
 
     errors = []
-    check_fields(doc, [("manifest", str), ("cells", dict), ("workers", list), ("phases", list),
+    check_fields(doc, [("manifest", str), ("cells", dict), ("phases", list),
                        ("slowest_cells", list), ("episode_cells", list)],
                  "report", errors)
     if errors:
@@ -63,21 +60,14 @@ def main():
 
     cells = doc["cells"]
     check_fields(cells, [("total", NUMBER), ("completed", NUMBER),
-                         ("failed", NUMBER), ("claims", NUMBER),
-                         ("steals", NUMBER), ("wall_s_total", NUMBER)],
+                         ("failed", NUMBER), ("wall_s_total", NUMBER)],
                  "cells", errors)
-
-    for i, w in enumerate(doc["workers"]):
-        check_fields(w, [("id", str), ("cells", NUMBER), ("claims", NUMBER),
-                         ("steals", NUMBER), ("wall_s", NUMBER),
-                         ("elapsed_s", NUMBER), ("utilization", NUMBER)],
-                     f"workers[{i}]", errors)
     for i, p in enumerate(doc["phases"]):
         check_fields(p, [("name", str), ("count", NUMBER), ("total_s", NUMBER),
                          ("mean_s", NUMBER)], f"phases[{i}]", errors)
     for section in ("slowest_cells", "episode_cells"):
         for i, row in enumerate(doc[section]):
-            check_fields(row, [("id", str), ("worker", str), ("status", str),
+            check_fields(row, [("id", str), ("status", str),
                                ("wall_s", NUMBER), ("episodes", NUMBER),
                                ("worst_jain", NUMBER), ("victim", NUMBER),
                                ("cause", str)], f"{section}[{i}]", errors)
@@ -90,10 +80,6 @@ def main():
     if cells["completed"] + cells["failed"] != cells["total"]:
         return fail(f"completed ({cells['completed']}) + failed ({cells['failed']}) "
                     f"!= total ({cells['total']})")
-    attributed = sum(w["cells"] for w in doc["workers"])
-    if attributed != cells["completed"]:
-        return fail(f"sum of per-worker cells ({attributed}) != completed "
-                    f"({cells['completed']})")
     for row in doc["episode_cells"]:
         if not row["cause"]:
             return fail(f"episode cell {row['id']} has an empty cause tag")
@@ -104,12 +90,7 @@ def main():
     if cells["completed"] < args.min_completed:
         return fail(f"only {cells['completed']} completed cells, "
                     f"want >= {args.min_completed}")
-    if len(doc["workers"]) < args.min_workers:
-        return fail(f"only {len(doc['workers'])} workers attributed, "
-                    f"want >= {args.min_workers}")
-
-    print(f"ok: {args.report}: {cells['completed']} cells over "
-          f"{len(doc['workers'])} workers, {cells['steals']} steals, "
+    print(f"ok: {args.report}: {cells['completed']} of {cells['total']} cells completed, "
           f"{len(doc['episode_cells'])} episode cells")
     return 0
 

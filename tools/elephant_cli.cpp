@@ -9,12 +9,11 @@
 //   elephant sweep [--aqm A] [--bw BPS] [--pairs inter|intra|all] [--reps N]
 //                  [--threads N] [--event-budget N]
 //                  [--wall-budget S] [--manifest PATH] [--resume]
-//                  [--worker-id ID] [--lease-s S]
 //                  [--fault-loss T:RATE:DUR] [--fault-flap T:DOWN_MS:COUNT]
 //                  [--workload PRESET] [--workload-cdf FILE]
 //                  [--stats-interval S] [--metrics FILE]
 //   elephant claims [--reps N] [--threads N] [--md FILE]
-//   elephant report --manifest PATH ...  (merge a sweep's journals)
+//   elephant report --manifest PATH ...  (summarize a sweep's journals)
 //   elephant list  (CCAs, AQMs, workload presets, and the paper's axis values)
 //
 // --workload mixes extra traffic classes (mice, Poisson web transfers, on/off
@@ -42,13 +41,15 @@
 // with its seed vote, to stdout and to --md FILE. Exit 1 if a run fails; a
 // claim that does not hold is a row, not an error.
 //
-// A manifest always makes the sweep a crash-tolerant shared work queue:
-// start N `elephant sweep ... --manifest M --resume --worker-id wK` processes
-// on one host and they divide the runs through per-run leases in the
-// journal (a SIGKILLed worker's in-flight runs are stolen after --lease-s,
-// which must be a number > 0).
+// A sweep is the only writer of its journal while it runs: a second sweep on
+// a journal in use exits 1 naming it. A killed sweep loses at most its
+// in-flight runs; --resume simulates only what the journal lacks.
 // SIGINT/SIGTERM drain gracefully: the in-flight run finishes and is
-// journaled, nothing new is claimed, and the exit code reports the drain.
+// journaled, nothing new is started, and the exit code reports the drain.
+//
+// Each command reads only its own flags: a flag another command reads (say
+// `list --reps 3`) is a usage error naming the flag and the command, as is a
+// --pairs other than inter, intra or all.
 //
 // sweep exit codes: 0 all cells succeeded; 1 some cells permanently failed
 // (or the sweep aborted, e.g. manifest unwritable); 2 usage error; 3 drained
@@ -64,6 +65,7 @@
 // --metrics file (default metrics.jsonl, next to the manifest for sweeps)
 // and a progress line is printed to stderr.
 
+#include <algorithm>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -99,7 +101,7 @@ namespace {
 using namespace elephant;
 
 /// Graceful-drain flag, set by SIGINT/SIGTERM. The sweep engine polls it:
-/// in-flight cells finish and are journaled, nothing further is claimed.
+/// in-flight runs finish and are journaled, nothing further is started.
 std::atomic<bool> g_cancel{false};
 
 extern "C" void on_drain_signal(int) {
@@ -107,6 +109,19 @@ extern "C" void on_drain_signal(int) {
     // Second signal: the user really means it. 130 = interrupted.
     ::_exit(130);
   }
+}
+
+/// The commands that read a cell flag (see parse()).
+constexpr std::string_view kCell = "run sweep";
+
+/// True when `cmd` is one of the space-separated words of `readers`.
+bool lists_command(std::string_view readers, std::string_view cmd) {
+  while (!readers.empty()) {
+    const std::size_t end = std::min(readers.find(' '), readers.size());
+    if (readers.substr(0, end) == cmd) return true;
+    readers.remove_prefix(std::min(end + 1, readers.size()));
+  }
+  return false;
 }
 
 [[noreturn]] void usage() {
@@ -122,35 +137,33 @@ extern "C" void on_drain_signal(int) {
                "  sweep --aqm fifo --bw 1e9 [--pairs inter|intra|all] [--reps N]\n"
                "        [--threads N] [--event-budget N]\n"
                "        [--wall-budget S] [--manifest PATH] [--resume]\n"
-               "        [--worker-id ID] [--lease-s S]\n"
                "        [--fault-loss T:RATE:DUR] [--fault-flap T:DOWN_MS:COUNT]\n"
                "        [--workload PRESET] [--workload-cdf FILE]\n"
                "        [--stats-interval S] [--metrics FILE]\n"
                "  claims [--reps N] [--threads N] [--md FILE]\n"
-               "  report --manifest PATH [--metrics FILE ...] [--json FILE]\n"
+               "  report --manifest PATH [--metrics FILE] [--json FILE]\n"
                "        [--md FILE] [--top N]\n"
                "  list\n"
                "fairness episodes (run and sweep): --episodes turns on the windowed\n"
                "share-imbalance detector; --episode-window S, --episode-enter J,\n"
-               "--episode-exit J tune it; --episodes-out FILE appends episodes.jsonl\n"
-               "(run only). Episode knobs are part of the cell identity (journal id).\n"
-               "report: merge a sweep's manifest + per-worker metrics journals +\n"
-               "episode summaries into one document (markdown to stdout; --json and\n"
-               "--md write files; --metrics may repeat, default: metrics*.jsonl next\n"
-               "to the manifest).\n"
+               "--episode-exit J tune it; --episodes-out FILE appends episodes.jsonl.\n"
+               "Episode knobs are part of the cell identity (journal id).\n"
+               "report: merge a sweep's manifest + metrics journal + episode\n"
+               "summaries into one document (markdown to stdout; --json and --md\n"
+               "write files; --metrics defaults to metrics.jsonl next to the\n"
+               "manifest).\n"
                "run --check-digest N: execute the cell N times and fail (exit 1) with a\n"
                "field-level diff if any repetition's metrics digest drifts.\n"
-               "sweep --manifest: runs are leased through the journal, so N sweeps\n"
-               "with the same --manifest plus --resume and unique --worker-id values\n"
-               "share the work, and a killed worker's cells are re-claimed after\n"
-               "--lease-s (> 0, default 60). --resume requires --manifest and\n"
-               "re-attempts failed runs at their own seed. Without --manifest,\n"
-               "sweep journals to $ELEPHANT_RESULTS_DIR/runs.jsonl and resumes\n"
-               "from it. --reps must be an integer >= 1.\n"
+               "sweep --manifest: one sweep at a time writes a journal (a second one\n"
+               "exits 1). --resume requires --manifest, simulates only the runs the\n"
+               "journal lacks and re-attempts failed runs at their own seed.\n"
+               "Without --manifest, sweep journals to $ELEPHANT_RESULTS_DIR/runs.jsonl\n"
+               "and resumes from it. --reps must be an integer >= 1.\n"
                "claims: vote every paper claim over --reps seeds (default 1), run\n"
                "through the same default journal; markdown to stdout and --md.\n"
                "numeric flags are strict: a value outside the flag's range, or a\n"
-               "non-integer count, seed or budget, is a usage error.\n"
+               "non-integer count, seed or budget, is a usage error; so is a flag\n"
+               "the command does not read.\n"
                "exit codes: 0 ok, 1 failed cells or abort, 2 usage, 3 signal drain\n");
   std::exit(2);
 }
@@ -216,11 +229,8 @@ struct Args {
   double wall_budget_s = 0;
   std::string manifest;
   bool resume = false;
-  std::string worker_id;
-  double lease_s = 60;
   double stats_interval_s = 0;
   std::string metrics_path;
-  std::vector<std::string> report_metrics;  ///< explicit journals for `report`
   std::string report_json;
   std::string report_md;
   std::size_t report_top = 10;
@@ -235,79 +245,94 @@ Args parse(int argc, char** argv) {
     if (i + 1 >= argc) usage();
     return argv[++i];
   };
+  if (a.cmd != "run" && a.cmd != "sweep" && a.cmd != "claims" && a.cmd != "report" &&
+      a.cmd != "list") {
+    usage();
+  }
   for (int i = 2; i < argc; ++i) {
     const char* arg = argv[i];
-    if (!std::strcmp(arg, "--cca1")) {
+    // True when arg is `name`. A command that is not among `readers` (the
+    // space-separated commands that read the flag) refuses it: exit 2
+    // naming both, rather than a silently ignored flag.
+    auto flag = [&](const char* name, std::string_view readers) {
+      if (std::strcmp(arg, name) != 0) return false;
+      if (!lists_command(readers, a.cmd)) {
+        std::fprintf(stderr, "%s: option %s is not read by this command (read by: %.*s)\n",
+                     a.cmd.c_str(), name, static_cast<int>(readers.size()), readers.data());
+        std::exit(2);
+      }
+      return true;
+    };
+    if (flag("--cca1", "run")) {
       a.cfg.cca1 = cca::cca_kind_from_string(need(i));
-    } else if (!std::strcmp(arg, "--cca2")) {
+    } else if (flag("--cca2", "run")) {
       a.cfg.cca2 = cca::cca_kind_from_string(need(i));
-    } else if (!std::strcmp(arg, "--aqm")) {
+    } else if (flag("--aqm", kCell)) {
       a.cfg.aqm = aqm::aqm_kind_from_string(need(i));
-    } else if (!std::strcmp(arg, "--bdp")) {
+    } else if (flag("--bdp", "run")) {
       a.cfg.buffer_bdp = positive_number("--bdp", "buffer", need(i), 1e6);
-    } else if (!std::strcmp(arg, "--bw")) {
+    } else if (flag("--bw", kCell)) {
       a.cfg.bottleneck_bps = positive_number("--bw", "rate", need(i), 1e13);
-    } else if (!std::strcmp(arg, "--flows")) {
+    } else if (flag("--flows", kCell)) {
       a.cfg.total_flows =
           bounded_integer<std::uint32_t>("--flows", "count", need(i), 1, 1u << 20);
-    } else if (!std::strcmp(arg, "--duration")) {
+    } else if (flag("--duration", kCell)) {
       a.cfg.duration =
           sim::Time::seconds(positive_number("--duration", "seconds", need(i), 1e9));
-    } else if (!std::strcmp(arg, "--seed")) {
+    } else if (flag("--seed", kCell)) {
       a.cfg.seed = bounded_integer<std::uint64_t>("--seed", "seed", need(i), 0, kAnyCount);
-    } else if (!std::strcmp(arg, "--rtt")) {
+    } else if (flag("--rtt", kCell)) {
       a.cfg.rtt = sim::Time::milliseconds(
           bounded_integer<std::int64_t>("--rtt", "ms", need(i), 1, 100000));
-    } else if (!std::strcmp(arg, "--loss")) {
+    } else if (flag("--loss", kCell)) {
       a.cfg.random_loss = bounded_number("--loss", "rate", need(i), 0, 1);
-    } else if (!std::strcmp(arg, "--ecn")) {
+    } else if (flag("--ecn", kCell)) {
       a.cfg.ecn = true;
-    } else if (!std::strcmp(arg, "--reps")) {
+    } else if (flag("--reps", "run sweep claims")) {
       a.reps = bounded_integer("--reps", "count", need(i), 1, std::numeric_limits<int>::max());
-    } else if (!std::strcmp(arg, "--pairs")) {
+    } else if (flag("--pairs", "sweep")) {
       a.pairs = need(i);
-    } else if (!std::strcmp(arg, "--threads")) {
+      if (a.pairs != "inter" && a.pairs != "intra" && a.pairs != "all") {
+        std::fprintf(stderr, "--pairs: '%s' is not inter, intra or all\n", a.pairs.c_str());
+        std::exit(2);
+      }
+    } else if (flag("--threads", "sweep claims")) {
       a.threads = bounded_integer("--threads", "count", need(i), 0, 1024);
-    } else if (!std::strcmp(arg, "--event-budget")) {
+    } else if (flag("--event-budget", "sweep")) {
       a.event_budget =
           bounded_integer<std::uint64_t>("--event-budget", "events", need(i), 0, kAnyCount);
-    } else if (!std::strcmp(arg, "--wall-budget")) {
+    } else if (flag("--wall-budget", "sweep")) {
       a.wall_budget_s = bounded_number("--wall-budget", "seconds", need(i), 0, 1e9);
-    } else if (!std::strcmp(arg, "--manifest")) {
+    } else if (flag("--manifest", "sweep report")) {
       a.manifest = need(i);
-    } else if (!std::strcmp(arg, "--resume")) {
+    } else if (flag("--resume", "sweep")) {
       a.resume = true;
-    } else if (!std::strcmp(arg, "--worker-id")) {
-      a.worker_id = need(i);
-    } else if (!std::strcmp(arg, "--lease-s")) {
-      a.lease_s = positive_number("--lease-s", "lease", need(i), 1e9);
-    } else if (!std::strcmp(arg, "--stats-interval")) {
+    } else if (flag("--stats-interval", kCell)) {
       a.stats_interval_s = bounded_number("--stats-interval", "seconds", need(i), 0, 1e9);
-    } else if (!std::strcmp(arg, "--metrics")) {
+    } else if (flag("--metrics", "run sweep report")) {
       a.metrics_path = need(i);
-      a.report_metrics.push_back(a.metrics_path);  // `report` accepts repeats
-    } else if (!std::strcmp(arg, "--episodes")) {
+    } else if (flag("--episodes", kCell)) {
       a.cfg.episodes.enabled = true;
-    } else if (!std::strcmp(arg, "--episode-window")) {
+    } else if (flag("--episode-window", kCell)) {
       a.cfg.episodes.enabled = true;
       a.cfg.episodes.window_s = positive_number("--episode-window", "seconds", need(i), 1e9);
-    } else if (!std::strcmp(arg, "--episode-enter")) {
+    } else if (flag("--episode-enter", kCell)) {
       a.cfg.episodes.enabled = true;
       a.cfg.episodes.enter_jain =
           bounded_number("--episode-enter", "Jain index", need(i), 0, 1);
-    } else if (!std::strcmp(arg, "--episode-exit")) {
+    } else if (flag("--episode-exit", kCell)) {
       a.cfg.episodes.enabled = true;
       a.cfg.episodes.exit_jain = bounded_number("--episode-exit", "Jain index", need(i), 0, 1);
-    } else if (!std::strcmp(arg, "--episodes-out")) {
+    } else if (flag("--episodes-out", kCell)) {
       a.cfg.episodes.enabled = true;
       a.cfg.episodes.jsonl_path = need(i);
-    } else if (!std::strcmp(arg, "--json")) {
+    } else if (flag("--json", "report")) {
       a.report_json = need(i);
-    } else if (!std::strcmp(arg, "--md")) {
+    } else if (flag("--md", "claims report")) {
       a.report_md = need(i);
-    } else if (!std::strcmp(arg, "--top")) {
+    } else if (flag("--top", "report")) {
       a.report_top = bounded_integer<std::size_t>("--top", "count", need(i), 0, 1u << 20);
-    } else if (!std::strcmp(arg, "--fault-loss")) {
+    } else if (flag("--fault-loss", kCell)) {
       // T:RATE:DUR, exactly three fields.
       const auto f = three_fields(need(i));
       const double start = bounded_number("--fault-loss", "T", f[0], 0, 1e9);
@@ -319,7 +344,7 @@ Args parse(int argc, char** argv) {
                .events) {
         a.cfg.fault_plan.add(e);
       }
-    } else if (!std::strcmp(arg, "--fault-flap")) {
+    } else if (flag("--fault-flap", kCell)) {
       // T:DOWN_MS:COUNT, exactly three fields.
       const auto f = three_fields(need(i));
       const double start = bounded_number("--fault-flap", "T", f[0], 0, 1e9);
@@ -331,9 +356,9 @@ Args parse(int argc, char** argv) {
                .events) {
         a.cfg.fault_plan.add(e);
       }
-    } else if (!std::strcmp(arg, "--check-digest")) {
+    } else if (flag("--check-digest", "run")) {
       a.check_digest = bounded_integer("--check-digest", "runs", need(i), 2, 1000000);
-    } else if (!std::strcmp(arg, "--workload")) {
+    } else if (flag("--workload", kCell)) {
       const char* name = need(i);
       if (!workload::WorkloadSpec::from_name(name, &a.cfg.workload)) {
         std::fprintf(stderr, "unknown workload preset: %s (try:", name);
@@ -343,7 +368,7 @@ Args parse(int argc, char** argv) {
         std::fprintf(stderr, ")\n");
         std::exit(2);
       }
-    } else if (!std::strcmp(arg, "--workload-cdf")) {
+    } else if (flag("--workload-cdf", kCell)) {
       const char* path = need(i);
       workload::SizeSpec spec;
       std::string error;
@@ -498,8 +523,6 @@ int cmd_sweep(const Args& a) {
   opts.manifest_path = a.manifest.empty() ? exp::default_journal_path()
                                           : std::filesystem::path(a.manifest);
   opts.resume = a.resume || a.manifest.empty();
-  opts.worker_id = a.worker_id;
-  opts.lease_s = a.lease_s;
   opts.cancel = &g_cancel;
   opts.stats_interval_s = a.stats_interval_s;
   opts.metrics_path = a.metrics_path;
@@ -592,7 +615,7 @@ int cmd_report(const Args& a) {
   }
   exp::ReportOptions opt;
   opt.manifest_path = a.manifest;
-  for (const std::string& p : a.report_metrics) opt.metrics_paths.emplace_back(p);
+  opt.metrics_path = a.metrics_path;
   opt.top_n = a.report_top;
   exp::SweepSummary summary;
   std::string error;
