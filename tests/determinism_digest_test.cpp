@@ -24,6 +24,7 @@
 #include "obs/metrics.hpp"
 #include "trace/sinks.hpp"
 #include "trace/trace.hpp"
+#include "workload/workload.hpp"
 
 namespace elephant {
 namespace {
@@ -149,6 +150,24 @@ TEST(DeterminismDigest, FaultCellMatchesGolden) {
 
 TEST(DeterminismDigest, LossyCellMatchesGolden) {
   check("kGoldenLossyCell", run_cell(lossy_cell()), kGoldenLossyCell);
+}
+
+// The mixed-traffic cell the ledger's mice claims run: the paper cell's
+// elephants plus the mice-elephants preset's 40 staggered Pareto-sized CUBIC
+// mice, run long enough that every mouse has started (arrivals span 2-22 s).
+// Traced, so each mouse's kFlowStart/kFlowEnd record (size, FCT) is hashed.
+exp::ExperimentConfig mice_cell() {
+  exp::ExperimentConfig cfg = paper_cell();
+  cfg.duration = sim::Time::seconds(25);
+  cfg.workload = workload::WorkloadSpec::mice_elephants();
+  return cfg;
+}
+
+constexpr CellDigest kGoldenMiceElephantsCell = {0x0bf1c728c0683bb0ull, 0x4b418270dc8bca08ull,
+                                                     91615ull};
+
+TEST(DeterminismDigest, MiceElephantsCellMatchesGolden) {
+  check("kGoldenMiceElephantsCell", run_cell(mice_cell()), kGoldenMiceElephantsCell);
 }
 
 // Final-metrics goldens for the other two paper AQMs, which the FIFO cells

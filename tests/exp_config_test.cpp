@@ -70,6 +70,20 @@ TEST(Config, IdLiteralForEpisodeCell) {
   EXPECT_EQ(cfg.id(), "cubic_vs_reno-fq_codel-bdp0.5-100M-f2-d200-a1-r62-s42-ep0.5,0.6,0.8");
 }
 
+TEST(Config, IdLiteralForMiceCell) {
+  ExperimentConfig cfg;
+  cfg.cca1 = cca::CcaKind::kCubic;
+  cfg.cca2 = cca::CcaKind::kBbrV1;
+  cfg.aqm = aqm::AqmKind::kFifo;
+  cfg.buffer_bdp = 1;
+  cfg.bottleneck_bps = 100e6;
+  cfg.duration = sim::Time::seconds(25);
+  cfg.workload = workload::WorkloadSpec::mice_elephants();
+  EXPECT_EQ(cfg.id(),
+            "cubic_vs_bbr1-fifo-bdp1-100M-f2-d25-a1-r62-s42-wl[elephants:elephant,pair,n0,sd-1,"
+            "stagger,o0,w0.5,r0+mice:finite,cubic,n40,sd-1,stagger,o2,w20,r0,par500000,1.5]");
+}
+
 TEST(Config, BwLabels) {
   EXPECT_EQ(bw_label(100e6), "100M");
   EXPECT_EQ(bw_label(500e6), "500M");
