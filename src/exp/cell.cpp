@@ -333,7 +333,8 @@ Cell::Cell(const ExperimentConfig& cfg)
   }
 
   // All flows — paper elephants or a full WorkloadSpec mix — come from the
-  // factory; it must outlive the run (on/off sources call back into it).
+  // factory; it must outlive the run (finite flows' completion callbacks
+  // point into it).
   factory_.emplace(sched_, *net_, cfg_, rng_,
                    cfg_.metrics != nullptr ? &tcp_metrics_ : nullptr);
 

@@ -23,19 +23,17 @@ class FlowFactory;
 /// One instantiated flow plus the workload bookkeeping the runner needs to
 /// aggregate per-class results after the run. Endpoints are raw pointers
 /// into the factory's slabs (stable for the factory's lifetime), not owned
-/// here — FlowInstance is plain data the completion/on-off thunks can use
-/// as their context without any heap-allocated closure.
+/// here — FlowInstance is plain data the completion thunk can use as its
+/// context without any heap-allocated closure.
 struct FlowInstance {
   tcp::TcpSender* sender = nullptr;
   tcp::TcpReceiver* receiver = nullptr;
-  FlowFactory* owner = nullptr;  ///< back-pointer for static callback thunks
-  const workload::TrafficClass* traffic = nullptr;  ///< null for paper elephants
+  FlowFactory* owner = nullptr;  ///< back-pointer for the completion thunk
   int side = 0;
   int cls = -1;  ///< index into WorkloadSpec::classes; -1 for paper elephants
   workload::ClassKind kind = workload::ClassKind::kElephant;
   std::uint64_t transfer_bytes = 0;  ///< 0 = unbounded
   sim::Time start_time = sim::Time::zero();
-  sim::Rng app_rng{1};  ///< on/off think-time and burst-size stream
 };
 
 /// Instantiates every flow of an experiment cell. spawn() is the only code
@@ -45,9 +43,10 @@ struct FlowInstance {
 ///    across the two senders and draws each flow's CCA seed, then its start
 ///    time, from the shared cell RNG, in the order the golden digests pin.
 ///    These flows carry no traffic class and emit no kFlowStart record.
-///  - Non-default workload: each traffic class draws arrivals, sizes, and
-///    per-flow CCA seeds from its own RNG sub-stream (sim::derive_seed of the
-///    cell seed and the class index), so adding or editing one class never
+///  - Non-default workload: each traffic class draws its flows' start times
+///    and sizes from its own RNG sub-stream and each flow's CCA seed from a
+///    further per-flow stream (sim::derive_seed of the cell seed, the class
+///    index and the flow index), so adding or editing one class never
 ///    perturbs another class's randomness. kFlowStart records are emitted per
 ///    flow, and finite flows emit kFlowEnd on completion.
 ///
@@ -57,12 +56,12 @@ struct FlowInstance {
 /// make_cca allocation plus std::function closures. The run's per-ACK walks
 /// touch slab-dense memory, and the runner iterates flows by slab index.
 ///
-/// The factory must outlive the scheduler run: on/off sources re-arm
-/// themselves through callbacks that point back into it.
+/// The factory must outlive the scheduler run: finite flows' completion
+/// callbacks point back into it.
 class FlowFactory {
  public:
-  /// `metrics` (optional) is attached to every sender — including flows
-  /// spawned lazily by Poisson arrivals mid-run — and must outlive the run.
+  /// `metrics` (optional) is attached to every sender and must outlive the
+  /// run.
   FlowFactory(sim::Scheduler& sched, net::Dumbbell& net, const ExperimentConfig& cfg,
               sim::Rng& cell_rng, const obs::TcpMetrics* metrics = nullptr);
 
@@ -98,13 +97,12 @@ class FlowFactory {
   void build_paper(sim::Rng& cell_rng);
   void build_class(int ci, const workload::TrafficClass& tc);
   /// Build and start one flow. `ci` < 0 is a paper elephant: the side's CCA
-  /// from the pair, no class fields, and `bytes`/`app_seed` unused.
+  /// from the pair, no class fields, and `bytes` unused.
   FlowInstance& spawn(int ci, int side, sim::Time start, std::uint64_t bytes,
-                      std::uint64_t cca_seed, std::uint64_t app_seed);
+                      std::uint64_t cca_seed);
 
-  /// Static callback thunks: a FlowInstance* is the whole closure.
+  /// Static completion callback: a FlowInstance* is the whole closure.
   static void flow_complete_thunk(void* ctx);
-  static void app_idle_thunk(void* ctx);
 
   sim::Scheduler& sched_;
   net::Dumbbell& net_;

@@ -195,13 +195,22 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
       outcomes[k].resumed = true;
       outcomes[k].result = prior[k]->result;
       touched[k] = 1;
-      if (reg != nullptr) reg->counter("sweep.cells_resumed").add(1);
     } else {
       pending.push_back(k);
       ++cell_pending[k / reps];
     }
   }
+  // Progress counts every run and every cell, served ones included, so a
+  // resumed sweep ends on total/total like an uninterrupted one.
+  const std::size_t served = runs.size() - pending.size();
   std::size_t cells_published = 0;
+  if (options.on_result) {
+    for (std::size_t cell = 0; cell < configs.size(); ++cell) {
+      if (cell_pending[cell] > 0) continue;
+      options.on_result(fold_cell(configs[cell], &outcomes[cell * reps], reps).result,
+                        ++cells_published, configs.size());
+    }
+  }
 
   int threads = options.threads;
   if (threads <= 0) {
@@ -210,13 +219,17 @@ SweepReport run_sweep_resilient(const std::vector<ExperimentConfig>& configs,
   }
   threads = std::max(1, std::min<int>(threads, static_cast<int>(pending.size())));
 
-  std::atomic<std::size_t> done{0};
+  std::atomic<std::size_t> done{served};
 
   std::mutex status_mu;
   std::string current_label;
   obs::Counter* events_total = nullptr;
   if (reg != nullptr) {
     reg->gauge("sweep.cells_total").set(static_cast<double>(runs.size()));
+    if (served > 0) {
+      reg->counter("sweep.cells_done").add(served);
+      reg->counter("sweep.cells_resumed").add(served);
+    }
     events_total = &reg->counter("sim.events");
   }
 

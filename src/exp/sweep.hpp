@@ -71,9 +71,10 @@ struct SweepOptions {
   /// true, threads finish and journal their in-flight runs, start nothing
   /// further, and return; a cell with an unattempted run is kSkipped.
   const std::atomic<bool>* cancel = nullptr;
-  /// Called once per cell when the sweep finishes its last outstanding run
-  /// (order is not guaranteed; cells served wholly from the journal are not
-  /// reported); `done`/`total` count cells and enable progress reporting.
+  /// Called once per cell when the sweep has its last run in hand: first, on
+  /// the calling thread, for each cell served wholly from the journal, then
+  /// as the threads finish the others (in no guaranteed order). `done`/`total`
+  /// count cells, served ones included, so the last call has done == total.
   std::function<void(const AveragedResult&, std::size_t done, std::size_t total)> on_result;
 
   /// Shared telemetry registry for the whole sweep (see obs/metrics.hpp).
@@ -81,9 +82,10 @@ struct SweepOptions {
   /// this one when the run finishes — threads never contend and histograms
   /// stay single-writer. On top of the per-run metrics the sweep adds
   /// sweep.cells_{done,failed,resumed} and a sweep.cell_wall_s histogram,
-  /// all counting units of work (one run each; a cell at reps 1). Null with
-  /// stats_interval_s > 0 provisions an internal registry for the
-  /// heartbeat's lifetime.
+  /// all counting units of work (one run each; a cell at reps 1).
+  /// cells_done counts served runs too, so it ends equal to the
+  /// sweep.cells_total gauge. Null with stats_interval_s > 0 provisions an
+  /// internal registry for the heartbeat's lifetime.
   obs::MetricsRegistry* metrics = nullptr;
   /// Wall-clock self-profiling period: > 0 runs a heartbeat thread that
   /// appends one JSON snapshot per tick to `metrics_path` and prints

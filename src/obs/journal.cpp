@@ -4,7 +4,6 @@
 #include <optional>
 
 #include "obs/json.hpp"
-#include "obs/metrics.hpp"
 
 namespace elephant::obs {
 
@@ -113,16 +112,6 @@ bool read_final_snapshot(const std::filesystem::path& path, JournalSnapshot* out
   }
   *out = std::move(last);
   return true;
-}
-
-void merge_into(const JournalSnapshot& snap, MetricsRegistry* reg) {
-  for (const auto& [name, v] : snap.counters) reg->counter(name).add(v);
-  for (const auto& [name, v] : snap.gauges) reg->gauge(name).set(v);
-  for (const auto& [name, h] : snap.histograms) {
-    LogLinHistogram& dest = reg->histogram(name);
-    std::lock_guard lock(reg->mutex());
-    dest.merge(h);
-  }
 }
 
 }  // namespace elephant::obs

@@ -10,8 +10,6 @@
 
 namespace elephant::obs {
 
-class MetricsRegistry;
-
 /// One parsed heartbeat line: the caller status fields we care about plus
 /// the full registry snapshot, with histograms reconstructed bucket-for-bucket
 /// from the sparse dump the exporter writes. This is the C++ half of the
@@ -40,11 +38,5 @@ struct JournalSnapshot {
 /// parses.
 [[nodiscard]] bool read_final_snapshot(const std::filesystem::path& path,
                                        JournalSnapshot* out, std::string* error);
-
-/// Fold a snapshot into a registry: counters add, gauges overwrite,
-/// histograms merge bucket-wise — the same semantics as
-/// MetricsRegistry::merge_from, which makes journal-mediated aggregation
-/// associative with in-process aggregation.
-void merge_into(const JournalSnapshot& snap, MetricsRegistry* reg);
 
 }  // namespace elephant::obs

@@ -1,7 +1,5 @@
 #include "sim/random.hpp"
 
-#include <cmath>
-
 namespace elephant::sim {
 namespace {
 
@@ -53,11 +51,6 @@ std::uint64_t Rng::next_below(std::uint64_t bound) {
     }
   }
   return static_cast<std::uint64_t>(m >> 64);
-}
-
-double Rng::next_exponential(double mean) {
-  if (!(mean > 0)) return 0;
-  return -mean * std::log(1.0 - next_double());
 }
 
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t stream_id) {

@@ -24,11 +24,6 @@ class Rng {
   /// Uniform integer in [0, bound) using Lemire's rejection method.
   std::uint64_t next_below(std::uint64_t bound);
 
-  /// Exponentially distributed value with the given mean; u ∈ [0, 1) so
-  /// 1−u ∈ (0, 1] keeps the log finite. A mean of 0 (or negative) returns 0
-  /// without drawing.
-  double next_exponential(double mean);
-
  private:
   std::array<std::uint64_t, 4> s_{};
 };

@@ -17,9 +17,6 @@ TcpSender::TcpSender(sim::Scheduler& sched, net::Host& local, TcpSenderConfig cf
     : sched_(sched), local_(local), cfg_(cfg), cc_(cc), rtt_(cfg.min_rto) {
   assert(cfg_.agg >= 1);
   assert(cc_ != nullptr);
-  // A finite transfer is fully available at start; combining it with
-  // app-limited mode would silently gate the transfer on offer_units().
-  assert(!(cfg_.app_limited && cfg_.transfer_units != 0));
   rto_timer_.init(sched_, [this] { rto_timer_fired(); });
   pace_timer_.init(sched_, [this] {
     pace_armed_ = false;
@@ -51,17 +48,9 @@ bool TcpSender::can_send_now() const {
 std::optional<std::uint64_t> TcpSender::pick_unit_to_send() {
   if (const auto abs = sb_.pick_retx()) return abs;
   const bool more_data =
-      !stopped_ && (cfg_.transfer_units == 0 || sb_.next_seq() < cfg_.transfer_units) &&
-      (!cfg_.app_limited || sb_.next_seq() < app_limit_units_);
+      !stopped_ && (cfg_.transfer_units == 0 || sb_.next_seq() < cfg_.transfer_units);
   if (more_data) return sb_.next_seq();
   return std::nullopt;
-}
-
-void TcpSender::offer_units(std::uint64_t units) {
-  if (!cfg_.app_limited || units == 0) return;
-  app_limit_units_ += units;
-  app_idle_notified_ = false;
-  if (started_ && sched_.now() >= cfg_.start_time) try_send();
 }
 
 void TcpSender::try_send() {
@@ -341,15 +330,6 @@ void TcpSender::on_packet(net::Packet&& p) {
   }
 
   try_send();
-
-  // App-limited idle detection: everything offered has been sent AND
-  // acknowledged. One upcall per burst; the callback typically schedules the
-  // next offer_units() after a think time.
-  if (cfg_.app_limited && !app_idle_notified_ && sb_.una() == sb_.next_seq() &&
-      sb_.next_seq() == app_limit_units_ && sb_.pipe_units() == 0) {
-    app_idle_notified_ = true;
-    if (on_app_idle_) on_app_idle_(on_app_idle_ctx_);
-  }
 }
 
 void TcpSender::teardown_after_completion() {

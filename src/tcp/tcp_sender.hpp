@@ -20,7 +20,7 @@ namespace elephant::tcp {
 
 /// Canonical bytes → transmission-units conversion (round up to whole
 /// units of `agg` segments). The single source of truth for every
-/// transfer-size and offer_bytes computation.
+/// transfer-size computation.
 [[nodiscard]] constexpr std::uint64_t bytes_to_units(std::uint64_t bytes, std::uint32_t mss,
                                                      std::uint32_t agg) {
   const std::uint64_t unit_bytes = std::uint64_t{mss} * agg;
@@ -36,12 +36,6 @@ struct TcpSenderConfig {
   std::uint32_t agg = 1;     ///< segments per transmission unit (TSO/GRO analogue)
   sim::Time start_time = sim::Time::zero();
   std::uint64_t transfer_units = 0;  ///< stop after this many units (0 = unbounded elephant)
-  /// Application-limited mode: the sender transmits only data the application
-  /// has offered via offer_units(), idling (pipe drained, timers quiescent)
-  /// in between. Used by on/off workload sources; incompatible with
-  /// transfer_units (a finite transfer is fully available at start) — the
-  /// sender asserts the combination away at construction.
-  bool app_limited = false;
   bool ecn = false;               ///< mark packets ECT
   bool pace_always = false;       ///< ablation: pace loss-based CCAs at 2*cwnd/srtt
   sim::Time min_rto = sim::Time::milliseconds(200);
@@ -91,14 +85,6 @@ class TcpSender : public net::PacketHandler {
   /// Stop offering new data (in-flight data still completes).
   void stop() { stopped_ = true; }
 
-  /// App-limited mode: make `units` more transmission units available and
-  /// (re)start transmission. No-op unless cfg.app_limited.
-  void offer_units(std::uint64_t units);
-  /// Convenience wrapper: bytes rounded up to whole transmission units.
-  void offer_bytes(std::uint64_t bytes) { offer_units(bytes_to_units(bytes, cfg_.mss, cfg_.agg)); }
-  /// Units the application has offered so far (app-limited mode).
-  [[nodiscard]] std::uint64_t offered_units() const { return app_limit_units_; }
-
   /// Invoked exactly once when a finite transfer completes (every unit
   /// cumulatively acknowledged). By the time it runs the sender has torn
   /// itself down: both timers are disarmed and the scoreboard storage is
@@ -107,12 +93,6 @@ class TcpSender : public net::PacketHandler {
   void set_on_complete(Callback cb, void* ctx) {
     on_complete_ = cb;
     on_complete_ctx_ = ctx;
-  }
-  /// Invoked each time an app-limited sender drains everything offered
-  /// (once per offer_units() burst). Drives on/off sources' think time.
-  void set_on_app_idle(Callback cb, void* ctx) {
-    on_app_idle_ = cb;
-    on_app_idle_ctx_ = ctx;
   }
 
   void on_packet(net::Packet&& p) override;  // ACK input
@@ -206,13 +186,8 @@ class TcpSender : public net::PacketHandler {
   bool stopped_ = false;
   sim::Time completion_time_ = sim::Time::zero();
 
-  // Application-limited (on/off) machinery.
-  std::uint64_t app_limit_units_ = 0;  ///< units offered by the application
-  bool app_idle_notified_ = false;     ///< one idle upcall per offered burst
   Callback on_complete_ = nullptr;
   void* on_complete_ctx_ = nullptr;
-  Callback on_app_idle_ = nullptr;
-  void* on_app_idle_ctx_ = nullptr;
 
   // Flight recorder (null = tracing off; hot paths pay one branch).
   trace::Tracer* tracer_ = nullptr;

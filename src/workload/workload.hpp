@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "cca/congestion_control.hpp"
@@ -15,53 +14,33 @@ namespace elephant::workload {
 enum class ClassKind : std::uint8_t {
   kElephant,  ///< persistent bulk transfer, never completes (the paper's flows)
   kFinite,    ///< finite-size transfer ("mouse"): completes, yields an FCT
-  kOnOff,     ///< application-limited source: bursts separated by think time
 };
 
-/// How a class's flows arrive.
-enum class Arrival : std::uint8_t {
-  kStagger,  ///< uniform within [start_offset, start_offset + start_window]
-  kPoisson,  ///< Poisson process at arrival_rate_hz from start_offset on
-};
-
-/// Flow-size (or burst-size) distribution families.
-enum class SizeDist : std::uint8_t { kFixed, kPareto, kLognormal, kEmpirical };
+/// Flow-size distribution families.
+enum class SizeDist : std::uint8_t { kFixed, kPareto };
 
 [[nodiscard]] const char* to_string(ClassKind kind);
-[[nodiscard]] const char* to_string(Arrival arrival);
 [[nodiscard]] const char* to_string(SizeDist dist);
 
-/// A flow/burst size distribution. All families are parameterized by their
-/// mean so workload intensity is comparable across families.
+/// A finite flow's size distribution, parameterized by its mean.
 struct SizeSpec {
   SizeDist dist = SizeDist::kFixed;
-  double mean_bytes = 1e6;  ///< kFixed: the size; kPareto/kLognormal: the mean
+  double mean_bytes = 1e6;  ///< kFixed: the size; kPareto: the mean
   double shape = 1.5;       ///< Pareto tail index (> 1, heavier tail as it → 1)
-  double sigma = 1.0;       ///< lognormal σ of ln(size)
-  /// kEmpirical: inverse-CDF table of (cumulative probability, bytes) points,
-  /// ascending in probability; sampled with linear interpolation.
-  std::vector<std::pair<double, double>> cdf;
 
   /// Draw one size in bytes (always ≥ 1).
   [[nodiscard]] std::uint64_t sample(sim::Rng& rng) const;
 
   [[nodiscard]] static SizeSpec fixed(double bytes);
   [[nodiscard]] static SizeSpec pareto(double mean_bytes, double shape);
-  [[nodiscard]] static SizeSpec lognormal(double mean_bytes, double sigma);
-  [[nodiscard]] static SizeSpec empirical(std::vector<std::pair<double, double>> points);
-
-  /// Load an empirical CDF from a text file of "<bytes> <cum_prob>" lines
-  /// (the ns-2 / flow-generator convention used for web and datacenter
-  /// mixes; '#' starts a comment). Probabilities must be nondecreasing in
-  /// [0, 1]; the last point is treated as the distribution's upper bound.
-  [[nodiscard]] static bool load_cdf_file(const std::string& path, SizeSpec* out,
-                                          std::string* error);
 
   /// Stable identity string (part of the experiment run id).
   [[nodiscard]] std::string signature() const;
 };
 
-/// One class of flows sharing kind, CCA, arrival process, and size law.
+/// One class of flows sharing kind, CCA, arrival window, and size law. Every
+/// class arrives staggered: its flows start uniformly at random within
+/// [start_offset, start_offset + start_window].
 struct TrafficClass {
   std::string name = "class";
   ClassKind kind = ClassKind::kElephant;
@@ -71,24 +50,18 @@ struct TrafficClass {
   cca::CcaKind cca = cca::CcaKind::kCubic;
   bool cca_from_pair = false;
 
-  /// Flows to instantiate. 0 means: for elephants, the cell's effective flow
-  /// count (paper Table 2); for Poisson classes, no cap (whatever number of
-  /// arrivals fits in the run). Stagger-arrival finite/on-off classes need an
-  /// explicit count.
+  /// Flows to instantiate. 0 means the cell's effective flow count (paper
+  /// Table 2) for elephants and no flows for a finite class.
   std::uint32_t count = 0;
 
   /// Dumbbell side (0 or 1); -1 alternates flows across both sides.
   int side = -1;
 
-  Arrival arrival = Arrival::kStagger;
-  sim::Time start_offset = sim::Time::zero();           ///< arrivals begin here
-  sim::Time start_window = sim::Time::seconds(0.5);     ///< kStagger span
-  double arrival_rate_hz = 0.0;                         ///< kPoisson mean rate
+  sim::Time start_offset = sim::Time::zero();        ///< arrivals begin here
+  sim::Time start_window = sim::Time::seconds(0.5);  ///< arrival span
 
-  /// kFinite: transfer size. kOnOff: per-burst size. Ignored for elephants.
+  /// kFinite: transfer size. Ignored for elephants.
   SizeSpec size = SizeSpec::fixed(1e6);
-  /// kOnOff: mean exponential think time between bursts.
-  sim::Time off_mean = sim::Time::seconds(1);
 
   [[nodiscard]] std::string signature() const;
 };
@@ -114,10 +87,6 @@ struct WorkloadSpec {
   [[nodiscard]] static WorkloadSpec paper();
   /// Paper elephants + 40 staggered CUBIC mice (Pareto-sized short flows).
   [[nodiscard]] static WorkloadSpec mice_elephants();
-  /// Paper elephants + Poisson arrivals of lognormal web-like transfers.
-  [[nodiscard]] static WorkloadSpec poisson_web();
-  /// Paper elephants + application-limited on/off burst sources.
-  [[nodiscard]] static WorkloadSpec onoff_bursts();
 
   /// Resolve a preset by name; false if unknown.
   [[nodiscard]] static bool from_name(const std::string& name, WorkloadSpec* out);

@@ -7,9 +7,11 @@
 # a --reps that is not an integer >= 1 with exit status 2. Every command
 # refuses a flag it does not read with exit status 2, naming the flag and the
 # command. A sweep without --manifest journals to
-# $ELEPHANT_RESULTS_DIR/runs.jsonl and resumes from it. A sweep on a journal
-# another process holds locked exits 1 naming the journal, and writes
-# nothing to it.
+# $ELEPHANT_RESULTS_DIR/runs.jsonl and resumes from it; a sweep served
+# wholly from it still ends its progress ticker on N/N cells. A sweep on a
+# journal another process holds locked exits 1 naming the journal, and writes
+# nothing to it. A workload preset other than paper or mice-elephants exits
+# 2 listing those two, and --workload-cdf is an unknown option (exit 2).
 #
 #   cmake -DELEPHANT=<path to elephant> -DWORKDIR=<scratch dir> -P cli_sweep_flags.cmake
 set(sweep sweep --pairs intra --bw 100e6 --duration 1)
@@ -42,6 +44,22 @@ expect_exit(2 ${manifest} --lease-s 5)
 expect_exit(2 ${manifest} --worker-id w1)
 expect_exit(2 --pairs bogus --aqm fifo)
 expect_exit(0 ${manifest})
+
+# The two short-flow workload presets are paper and mice-elephants.
+foreach(preset poisson-web onoff)
+  execute_process(COMMAND ${ELEPHANT} run --workload ${preset}
+                  RESULT_VARIABLE got OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT got STREQUAL "2" OR NOT err MATCHES "\\(try: paper mice-elephants\\)")
+    message(FATAL_ERROR "elephant run --workload ${preset}: exit ${got}, want 2 listing "
+                        "the presets\n${err}")
+  endif()
+endforeach()
+execute_process(COMMAND ${ELEPHANT} run --workload mice-elephants --workload-cdf f
+                RESULT_VARIABLE got OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT got STREQUAL "2" OR NOT err MATCHES "unknown option: --workload-cdf")
+  message(FATAL_ERROR "elephant run --workload-cdf f: exit ${got}, want 2 as an unknown "
+                      "option\n${err}")
+endif()
 
 # A flag the command does not read: exit 2, naming the flag and the command.
 foreach(case "claims;--aqm;red" "list;--reps;3" "run;--threads;4" "sweep;--bdp;2"
@@ -77,12 +95,18 @@ endforeach()
 expect_cmd_exit(0 ${run} --reps 2)
 
 # No --manifest: the default journal stores every run, and a second sweep is
-# served from it without appending a line.
+# served from it without appending a line; its ticker still counts every
+# cell and ends on N/N with a newline.
 set(journal "${WORKDIR}/results/runs.jsonl")
 expect_exit(0)
 file(READ "${journal}" first)
-expect_exit(0)
+execute_process(COMMAND ${ELEPHANT} ${sweep}
+                RESULT_VARIABLE got OUTPUT_QUIET ERROR_VARIABLE err)
 file(READ "${journal}" second)
-if(first STREQUAL "" OR NOT first STREQUAL second)
-  message(FATAL_ERROR "default journal ${journal} missing or grew on a resumed sweep")
+if(NOT got STREQUAL "0" OR first STREQUAL "" OR NOT first STREQUAL second)
+  message(FATAL_ERROR "default journal ${journal} missing or grew on a resumed sweep\n${err}")
+endif()
+string(REGEX MATCH "\r([0-9]+)/([0-9]+) cells\n$" ticker "${err}")
+if(NOT ticker OR NOT CMAKE_MATCH_1 STREQUAL CMAKE_MATCH_2)
+  message(FATAL_ERROR "resumed sweep's ticker does not end on N/N cells:\n${err}")
 endif()

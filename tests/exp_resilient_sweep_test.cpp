@@ -780,8 +780,14 @@ TEST_F(CacheTest, WorkloadIsPartOfTheKey) {
   const ExperimentConfig paper = cache_config();  // default workload
   ExperimentConfig mice = paper;
   mice.workload = workload::WorkloadSpec::mice_elephants();
-  ExperimentConfig web = paper;
-  web.workload = workload::WorkloadSpec::poisson_web();
+  // A finite fixed-size class alone, the many-flow benchmark's workload.
+  ExperimentConfig manyflow = paper;
+  workload::TrafficClass flows;
+  flows.name = "manyflow";
+  flows.kind = workload::ClassKind::kFinite;
+  flows.count = 1000;
+  flows.size = workload::SizeSpec::fixed(53400);
+  manyflow.workload.classes = {flows};
   ExperimentConfig more_mice = mice;
   more_mice.workload.classes[1].count += 1;  // same preset, one knob turned
 
@@ -791,8 +797,8 @@ TEST_F(CacheTest, WorkloadIsPartOfTheKey) {
   const SweepManifest journal(manifest_path());
   std::vector<std::optional<ManifestEntry>> latest;
   std::string error;
-  ASSERT_TRUE(journal.read_runs({paper.id(), mice.id(), web.id(), more_mice.id()}, &latest,
-                                &error))
+  ASSERT_TRUE(journal.read_runs({paper.id(), mice.id(), manyflow.id(), more_mice.id()},
+                                &latest, &error))
       << error;
   ASSERT_TRUE(latest[0].has_value());
   EXPECT_TRUE(latest[0]->success());

@@ -1,6 +1,6 @@
-// End-to-end tests of mixed-traffic cells: mice (finite transfers) and
-// on/off sources sharing the bottleneck with the paper's elephants, built
-// through exp::FlowFactory from a WorkloadSpec.
+// End-to-end tests of mixed-traffic cells: mice (finite transfers) sharing
+// the bottleneck with the paper's elephants, built through exp::FlowFactory
+// from a WorkloadSpec.
 
 #include <gtest/gtest.h>
 
@@ -157,31 +157,6 @@ TEST(WorkloadRunner, TraceCarriesFlowStartAndEndRecords) {
   EXPECT_EQ(starts, res.n_flows);
   const ClassResult& mice = find_class(res, "mice");
   EXPECT_EQ(ends, mice.completed);
-}
-
-TEST(WorkloadRunner, PoissonArrivalsSpawnAndComplete) {
-  ExperimentConfig cfg = mixed_cell();
-  cfg.workload = workload::WorkloadSpec::poisson_web();
-  cfg.duration = sim::Time::seconds(12);
-  const ExperimentResult res = run_experiment(cfg);
-  const ClassResult& web = find_class(res, "web");
-  // ~4 arrivals/s from t=2 over 10 s → around 40; the exact count is a
-  // deterministic function of the seed, but it is certainly not zero.
-  EXPECT_GT(web.flows, 5u);
-  EXPECT_GT(web.completed, 0u);
-  EXPECT_LE(web.fct_p50_s, web.fct_p99_s);
-}
-
-TEST(WorkloadRunner, OnOffSourcesSendButNeverComplete) {
-  ExperimentConfig cfg = mixed_cell();
-  cfg.workload = workload::WorkloadSpec::onoff_bursts();
-  cfg.duration = sim::Time::seconds(12);
-  const ExperimentResult res = run_experiment(cfg);
-  const ClassResult& onoff = find_class(res, "onoff");
-  EXPECT_EQ(onoff.flows, 8u);
-  EXPECT_EQ(onoff.completed, 0u);       // app-limited sources are unbounded
-  EXPECT_GT(onoff.throughput_bps, 0.0);  // ... but they did transmit bursts
-  EXPECT_LT(onoff.share, 1.0);
 }
 
 TEST(WorkloadRunner, AveragedRunCarriesClasses) {

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exp/sweep.hpp"
@@ -198,6 +199,63 @@ TEST_F(HeartbeatTest, SweepPublishesProgressMetricsAndJournal) {
   EXPECT_NE(last.find("\"cells_done\":3"), std::string::npos);
   EXPECT_NE(last.find("\"cells_total\":3"), std::string::npos);
   EXPECT_NE(last.find("\"sweep.cell_wall_s\""), std::string::npos);
+}
+
+// A resumed sweep counts served runs and cells in its progress, so the final
+// heartbeat and the last on_result call both read total/total. At two seeds
+// per cell, cell 0 is served wholly from the journal, cell 1 half (its first
+// seed) and cell 2 not at all.
+TEST_F(HeartbeatTest, ResumedSweepProgressReachesItsTotal) {
+  std::vector<exp::ExperimentConfig> configs;
+  for (int i = 0; i < 3; ++i) {
+    auto cfg = test::quick_config(cca::CcaKind::kCubic, cca::CcaKind::kCubic,
+                                  aqm::AqmKind::kFifo, 2.0, 100e6, 1);
+    cfg.seed = 910 + static_cast<std::uint64_t>(i);
+    configs.push_back(cfg);
+  }
+  exp::SweepOptions earlier;
+  earlier.threads = 1;
+  earlier.manifest_path = dir_ / "runs.jsonl";
+  earlier.repetitions = 2;
+  ASSERT_EQ(run_sweep_resilient({configs[0]}, earlier).completed(), 1u);
+  earlier.repetitions = 1;  // seed stream 0 is the seed: cell 1's first run
+  ASSERT_EQ(run_sweep_resilient({configs[1]}, earlier).completed(), 1u);
+
+  MetricsRegistry reg;
+  exp::SweepOptions opts;
+  opts.threads = 1;
+  opts.repetitions = 2;
+  opts.resume = true;
+  opts.metrics = &reg;
+  opts.stats_interval_s = 0.01;
+  opts.metrics_path = jsonl();
+  opts.manifest_path = dir_ / "runs.jsonl";
+  std::vector<std::pair<std::size_t, std::size_t>> progress;
+  opts.on_result = [&](const exp::AveragedResult&, std::size_t done, std::size_t total) {
+    progress.emplace_back(done, total);
+  };
+  const exp::SweepReport report = run_sweep_resilient(configs, opts);
+  ASSERT_EQ(report.completed(), 3u);
+  EXPECT_TRUE(report.records[0].resumed);
+  EXPECT_FALSE(report.records[1].resumed);
+
+  // Three runs served, three simulated, six in all.
+  EXPECT_EQ(reg.counter("sweep.cells_resumed").value(), 3u);
+  EXPECT_EQ(reg.counter("sweep.cells_done").value(), 6u);
+  EXPECT_DOUBLE_EQ(reg.gauge("sweep.cells_total").value(), 6.0);
+  EXPECT_EQ(reg.histogram("sweep.cell_wall_s").count(), 3u);
+  const auto lines = read_lines(jsonl());
+  ASSERT_FALSE(lines.empty());
+  EXPECT_NE(lines.back().find("\"cells_done\":6,\"cells_total\":6,\"eta_s\":0.0,"),
+            std::string::npos)
+      << lines.back();
+
+  // One call per cell, the wholly served one included; the last reads 3/3.
+  ASSERT_EQ(progress.size(), 3u);
+  for (std::size_t i = 0; i < progress.size(); ++i) {
+    EXPECT_EQ(progress[i].first, i + 1);
+    EXPECT_EQ(progress[i].second, 3u);
+  }
 }
 
 // stats_interval_s alone must be enough: the sweep owns a private registry

@@ -37,43 +37,20 @@ std::map<std::size_t, std::uint64_t> buckets_of(const LogLinHistogram& h) {
   return out;
 }
 
-void expect_histograms_equal(const LogLinHistogram& a, const LogLinHistogram& b) {
-  EXPECT_EQ(a.count(), b.count());
-  EXPECT_DOUBLE_EQ(a.sum(), b.sum());
-  EXPECT_DOUBLE_EQ(a.min(), b.min());
-  EXPECT_DOUBLE_EQ(a.max(), b.max());
-  EXPECT_EQ(buckets_of(a), buckets_of(b));
-}
-
-void expect_registries_equal(const MetricsRegistry& a, const MetricsRegistry& b) {
-  a.for_each_counter([&](const std::string& name, const Counter& c) {
-    EXPECT_EQ(c.value(), const_cast<MetricsRegistry&>(b).counter(name).value())
-        << "counter " << name;
-  });
-  a.for_each_gauge([&](const std::string& name, const Gauge& g) {
-    EXPECT_DOUBLE_EQ(g.value(), const_cast<MetricsRegistry&>(b).gauge(name).value())
-        << "gauge " << name;
-  });
-  a.for_each_histogram([&](const std::string& name, const LogLinHistogram& h) {
-    SCOPED_TRACE("histogram " + name);
-    expect_histograms_equal(h, const_cast<MetricsRegistry&>(b).histogram(name));
-  });
-}
-
-MetricsRegistry& fill(MetricsRegistry& reg, int scale) {
-  reg.counter("sweep.cache_hits").add(10u * scale);
-  reg.counter("sweep.cache_misses").add(3u * scale);
-  reg.gauge("sched.heap_depth").set(42.0 * scale);
+MetricsRegistry& fill(MetricsRegistry& reg) {
+  reg.counter("sweep.cache_hits").add(10u);
+  reg.counter("sweep.cache_misses").add(3u);
+  reg.gauge("sched.heap_depth").set(42.0);
   LogLinHistogram& h = reg.histogram("prof.cell_run_s");
-  for (int i = 1; i <= 50; ++i) h.record(scale * 1e-4 * i);
-  h.record(scale * 123.456);  // far bucket: exercises the sparse dump
-  reg.histogram("sweep.cell_wall_s").record(0.25 * scale);
+  for (int i = 1; i <= 50; ++i) h.record(1e-4 * i);
+  h.record(123.456);  // far bucket: exercises the sparse dump
+  reg.histogram("sweep.cell_wall_s").record(0.25);
   return reg;
 }
 
 TEST(JournalTest, HeartbeatLineRoundTripsRegistryExactly) {
   MetricsRegistry reg;
-  fill(reg, 1);
+  fill(reg);
   const std::string line = compose_line(reg, 12.5, true);
 
   JournalSnapshot snap;
@@ -81,34 +58,39 @@ TEST(JournalTest, HeartbeatLineRoundTripsRegistryExactly) {
   EXPECT_DOUBLE_EQ(snap.elapsed_s, 12.5);
   EXPECT_TRUE(snap.final_snapshot);
   EXPECT_DOUBLE_EQ(snap.extra.at("cells_done"), 3.0);
-  EXPECT_EQ(snap.counters.at("sweep.cache_hits"), 10u);
-  EXPECT_DOUBLE_EQ(snap.gauges.at("sched.heap_depth"), 42.0);
 
-  MetricsRegistry rebuilt;
-  merge_into(snap, &rebuilt);
-  expect_registries_equal(reg, rebuilt);
-}
-
-TEST(JournalTest, JournalMergeMatchesInProcessMergeFrom) {
-  // Aggregating registries through their journals must equal aggregating
-  // them in-process: merge_into keeps merge_from's semantics.
-  MetricsRegistry r1;
-  MetricsRegistry r2;
-  fill(r1, 1);
-  fill(r2, 7);
-  r2.counter("sweep.cells_failed").add(2);  // metric only r2 has
-
-  MetricsRegistry direct;
-  direct.merge_from(r1);
-  direct.merge_from(r2);
-
-  MetricsRegistry via_journal;
-  for (const MetricsRegistry* src : {&r1, &r2}) {
-    JournalSnapshot snap;
-    ASSERT_TRUE(parse_journal_line(compose_line(*src, 1.0, true), &snap));
-    merge_into(snap, &via_journal);
-  }
-  expect_registries_equal(direct, via_journal);
+  // Every metric of the registry comes back under its name with its exact
+  // value; histograms bucket for bucket.
+  std::size_t counters = 0;
+  reg.for_each_counter([&](const std::string& name, const Counter& c) {
+    ++counters;
+    ASSERT_EQ(snap.counters.count(name), 1u) << "counter " << name;
+    EXPECT_EQ(snap.counters.at(name), c.value()) << "counter " << name;
+  });
+  std::size_t gauges = 0;
+  reg.for_each_gauge([&](const std::string& name, const Gauge& g) {
+    ++gauges;
+    ASSERT_EQ(snap.gauges.count(name), 1u) << "gauge " << name;
+    EXPECT_DOUBLE_EQ(snap.gauges.at(name), g.value()) << "gauge " << name;
+  });
+  std::size_t histograms = 0;
+  reg.for_each_histogram([&](const std::string& name, const LogLinHistogram& h) {
+    ++histograms;
+    SCOPED_TRACE("histogram " + name);
+    ASSERT_EQ(snap.histograms.count(name), 1u);
+    const LogLinHistogram& got = snap.histograms.at(name);
+    EXPECT_EQ(got.count(), h.count());
+    EXPECT_DOUBLE_EQ(got.sum(), h.sum());
+    EXPECT_DOUBLE_EQ(got.min(), h.min());
+    EXPECT_DOUBLE_EQ(got.max(), h.max());
+    EXPECT_EQ(buckets_of(got), buckets_of(h));
+  });
+  EXPECT_EQ(snap.counters.size(), counters);
+  EXPECT_EQ(snap.gauges.size(), gauges);
+  EXPECT_EQ(snap.histograms.size(), histograms);
+  EXPECT_EQ(counters, 2u);
+  EXPECT_EQ(gauges, 1u);
+  EXPECT_EQ(histograms, 2u);
 }
 
 TEST(JournalTest, ReadFinalSnapshotTakesLastParseableLineAndSkipsTornTail) {

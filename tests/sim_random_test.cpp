@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <set>
 
 namespace elephant::sim {
@@ -59,28 +58,6 @@ TEST(Rng, BoundedCoversAllResidues) {
   std::set<std::uint64_t> seen;
   for (int i = 0; i < 1000; ++i) seen.insert(rng.next_below(8));
   EXPECT_EQ(seen.size(), 8u);
-}
-
-TEST(Rng, ExponentialMeanMatches) {
-  Rng rng(19);
-  double sum = 0;
-  const int n = 200000;
-  for (int i = 0; i < n; ++i) sum += rng.next_exponential(3.0);
-  EXPECT_NEAR(sum / n, 3.0, 0.05);
-}
-
-TEST(Rng, ExponentialNonNegative) {
-  Rng rng(23);
-  for (int i = 0; i < 1000; ++i) EXPECT_GE(rng.next_exponential(1.0), 0.0);
-}
-
-TEST(Rng, ExponentialIsInverseCdfOfOneUniform) {
-  Rng a(31);
-  Rng b(31);
-  EXPECT_EQ(a.next_exponential(2.0), -2.0 * std::log(1.0 - b.next_double()));
-  EXPECT_EQ(a.next_exponential(0.0), 0.0);
-  EXPECT_EQ(a.next_exponential(-1.0), 0.0);
-  EXPECT_EQ(a.next_u64(), b.next_u64());  // a mean <= 0 draws nothing
 }
 
 TEST(DeriveSeed, StreamZeroIsTheBaseSeed) {

@@ -1,5 +1,5 @@
-// Finite and application-limited transfers, run the way the cells run them:
-// a WorkloadSpec class instantiated by exp::FlowFactory inside exp::Cell.
+// Finite transfers, run the way the cells run them: a WorkloadSpec class
+// instantiated by exp::FlowFactory inside exp::Cell.
 
 #include <gtest/gtest.h>
 
@@ -97,53 +97,6 @@ TEST(FiniteTransfer, CompletionCallbackFiresOnceAndReleasesTimers) {
   // The factory's completion callback emits exactly one kFlowEnd.
   ASSERT_EQ(sink.records().size(), 1u);
   EXPECT_EQ(sink.records()[0].t, tx.completion_time());
-}
-
-/// An on/off source whose think time outlasts any run: it sends one burst.
-workload::TrafficClass one_burst(double bytes, double start_s = 0) {
-  workload::TrafficClass tc = one_flow(ClassKind::kOnOff, bytes, start_s);
-  tc.off_mean = sim::Time::seconds(1e6);
-  return tc;
-}
-
-TEST(AppLimited, SendsOnlyOfferedData) {
-  Cell cell(test::class_cell({one_burst(10 * kUnit)}, 5));
-  cell.run_chunk(0);
-  EXPECT_EQ(cell.flows().flow(0).receiver->delivered_units(), 10u);
-  EXPECT_FALSE(cell.flows().flow(0).sender->completed());  // app-limited flows are unbounded
-}
-
-TEST(AppLimited, IdleCallbackDrivesNextBurst) {
-  // The cell offers the first 5-unit burst; this test's idle callback
-  // replaces the factory's, counts each drained burst and, after a 500 ms
-  // think, offers the next one (three bursts total).
-  Cell cell(test::class_cell({one_burst(5 * kUnit)}, 20));
-  struct Source {
-    sim::Scheduler* sched;
-    tcp::TcpSender* sender;
-    int idles = 0;
-  } src{&cell.scheduler(), cell.flows().flow(0).sender, 0};
-  src.sender->set_on_app_idle(
-      [](void* ctx) {
-        auto* s = static_cast<Source*>(ctx);
-        ++s->idles;
-        if (s->idles < 3) {
-          s->sched->schedule_in(sim::Time::milliseconds(500),
-                                [s] { s->sender->offer_units(5); });
-        }
-      },
-      &src);
-  cell.run_chunk(0);
-  EXPECT_EQ(src.idles, 3);
-  EXPECT_EQ(cell.flows().flow(0).receiver->delivered_units(), 15u);
-}
-
-TEST(AppLimited, OfferBeforeStartIsHeldUntilStartTime) {
-  Cell cell(test::class_cell({one_burst(4 * kUnit, 2)}, 5));
-  cell.run_chunk(0, sim::Time::seconds(1));
-  EXPECT_EQ(cell.flows().flow(0).receiver->delivered_units(), 0u);
-  cell.run_chunk(0);
-  EXPECT_EQ(cell.flows().flow(0).receiver->delivered_units(), 4u);
 }
 
 TEST(FiniteTransfer, FctWorsensBehindBufferbloat) {

@@ -25,8 +25,7 @@ namespace elephant::test {
                                                  double bw = 100e6, double duration_s = 30);
 
 /// A one-flow traffic class: `kind` running `cca` on dumbbell `side`, starting
-/// exactly at `start_s`; `bytes` is a finite transfer's size or an on/off
-/// source's burst size.
+/// exactly at `start_s`; `bytes` is a finite transfer's size.
 [[nodiscard]] workload::TrafficClass one_flow(workload::ClassKind kind, cca::CcaKind cca,
                                               double bytes = 0, double start_s = 0,
                                               int side = 0);

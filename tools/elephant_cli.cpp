@@ -4,23 +4,22 @@
 //                  [--flows N] [--duration S] [--seed S] [--rtt MS]
 //                  [--loss P] [--ecn] [--reps N]
 //                  [--fault-loss T:RATE:DUR] [--fault-flap T:DOWN_MS:COUNT]
-//                  [--workload PRESET] [--workload-cdf FILE]
+//                  [--workload PRESET]
 //                  [--stats-interval S] [--metrics FILE]
 //   elephant sweep [--aqm A] [--bw BPS] [--pairs inter|intra|all] [--reps N]
 //                  [--threads N] [--event-budget N]
 //                  [--wall-budget S] [--manifest PATH] [--resume]
 //                  [--fault-loss T:RATE:DUR] [--fault-flap T:DOWN_MS:COUNT]
-//                  [--workload PRESET] [--workload-cdf FILE]
+//                  [--workload PRESET]
 //                  [--stats-interval S] [--metrics FILE]
 //   elephant claims [--reps N] [--threads N] [--md FILE]
 //   elephant report --manifest PATH ...  (summarize a sweep's journals)
 //   elephant list  (CCAs, AQMs, workload presets, and the paper's axis values)
 //
-// --workload mixes extra traffic classes (mice, Poisson web transfers, on/off
-// sources) in with the paper's elephants; per-class FCT percentiles and byte
-// shares are printed under the main row. --workload-cdf replaces the finite
-// classes' size distribution with an empirical CDF file of
-// "<bytes> <cum_prob>" lines.
+// --workload mice-elephants mixes 40 staggered, Pareto-sized CUBIC mice in
+// with the paper's elephants; per-class FCT percentiles and byte shares are
+// printed under the main row. --workload paper (the default) runs the
+// elephants alone.
 //
 // `run` prints one row and always simulates; `sweep` prints a table over all
 // buffer sizes for the selected slice. Sweeps run under the resilient
@@ -131,14 +130,13 @@ bool lists_command(std::string_view readers, std::string_view cmd) {
                "        [--flows N] [--duration S] [--seed S] [--rtt MS]\n"
                "        [--loss P] [--ecn] [--reps N]\n"
                "        [--fault-loss T:RATE:DUR] [--fault-flap T:DOWN_MS:COUNT]\n"
-               "        [--workload paper|mice-elephants|poisson-web|onoff]\n"
-               "        [--workload-cdf FILE]\n"
+               "        [--workload paper|mice-elephants]\n"
                "        [--stats-interval S] [--metrics FILE]\n"
                "  sweep --aqm fifo --bw 1e9 [--pairs inter|intra|all] [--reps N]\n"
                "        [--threads N] [--event-budget N]\n"
                "        [--wall-budget S] [--manifest PATH] [--resume]\n"
                "        [--fault-loss T:RATE:DUR] [--fault-flap T:DOWN_MS:COUNT]\n"
-               "        [--workload PRESET] [--workload-cdf FILE]\n"
+               "        [--workload PRESET]\n"
                "        [--stats-interval S] [--metrics FILE]\n"
                "  claims [--reps N] [--threads N] [--md FILE]\n"
                "  report --manifest PATH [--metrics FILE] [--json FILE]\n"
@@ -366,27 +364,6 @@ Args parse(int argc, char** argv) {
           std::fprintf(stderr, " %s", p.c_str());
         }
         std::fprintf(stderr, ")\n");
-        std::exit(2);
-      }
-    } else if (flag("--workload-cdf", kCell)) {
-      const char* path = need(i);
-      workload::SizeSpec spec;
-      std::string error;
-      if (!workload::SizeSpec::load_cdf_file(path, &spec, &error)) {
-        std::fprintf(stderr, "--workload-cdf: %s\n", error.c_str());
-        std::exit(2);
-      }
-      bool applied = false;
-      for (workload::TrafficClass& c : a.cfg.workload.classes) {
-        if (c.kind != workload::ClassKind::kElephant) {
-          c.size = spec;
-          applied = true;
-        }
-      }
-      if (!applied) {
-        std::fprintf(stderr,
-                     "--workload-cdf: no finite/on-off class to apply it to "
-                     "(pass --workload first)\n");
         std::exit(2);
       }
     } else {
