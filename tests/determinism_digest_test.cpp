@@ -82,10 +82,9 @@ exp::ExperimentConfig paper_cell() {
   return cfg;
 }
 
-// The same cell under a fault storm: a link flap, a bursty loss episode, and
-// a jitter spike (the jitter window drives the per-port delay line onto its
-// general-heap fallback mid-run).
-exp::ExperimentConfig fault_cell() {
+// The same cell under the two fault kinds the CLI exposes: a link flap
+// (two 120 ms outages) and a 2% loss burst.
+exp::ExperimentConfig flap_loss_cell() {
   exp::ExperimentConfig cfg = paper_cell();
   cfg.fault_plan = fault::FaultPlan::link_flap(sim::Time::seconds(1),
                                                sim::Time::milliseconds(120), 2);
@@ -94,6 +93,13 @@ exp::ExperimentConfig fault_cell() {
            .events) {
     cfg.fault_plan.add(e);
   }
+  return cfg;
+}
+
+// The flap/loss cell plus a jitter spike (the jitter window drives the
+// per-port delay line onto its general-heap fallback mid-run).
+exp::ExperimentConfig fault_cell() {
+  exp::ExperimentConfig cfg = flap_loss_cell();
   for (const fault::FaultEvent& e :
        fault::FaultPlan::jitter_spike(sim::Time::seconds(3), sim::Time::milliseconds(2),
                                       sim::Time::seconds(1))
@@ -146,6 +152,16 @@ TEST(DeterminismDigest, PaperCellMatchesPreSwapEngine) {
 
 TEST(DeterminismDigest, FaultCellMatchesGolden) {
   check("kGoldenFaultCell", run_cell(fault_cell()), kGoldenFaultCell);
+}
+
+// Captured from the build that still had rate, reorder, duplicate and
+// jitter faults (and the delay line's general-heap fallback); the link
+// model without them must reproduce it bit for bit.
+constexpr CellDigest kGoldenFlapLossCell = {0x0df4d0281b56d237ull, 0x154b1d656a752c8full,
+                                           18523ull};
+
+TEST(DeterminismDigest, FlapLossCellMatchesGolden) {
+  check("kGoldenFlapLossCell", run_cell(flap_loss_cell()), kGoldenFlapLossCell);
 }
 
 TEST(DeterminismDigest, LossyCellMatchesGolden) {

@@ -39,6 +39,15 @@ TEST(FaultPlan, SignatureIsStableAndSensitive) {
                                     sim::Time::seconds(1))
                 .events.front());
   EXPECT_EQ(mixed.signature(), "32ac2b61bd8f303b");
+  // The two kinds the CLI exposes: a two-cycle flap and a bounded loss burst.
+  FaultPlan flap_loss = FaultPlan::link_flap(sim::Time::seconds(1),
+                                             sim::Time::milliseconds(120), 2);
+  for (const FaultEvent& e :
+       FaultPlan::loss_burst(sim::Time::milliseconds(7500), 0.125, sim::Time::seconds(1))
+           .events) {
+    flap_loss.add(e);
+  }
+  EXPECT_EQ(flap_loss.signature(), "46de72169103d9d6");
 }
 
 TEST(FaultPlan, LinkFlapBuilderSpacesCycles) {
