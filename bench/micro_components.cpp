@@ -5,7 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <cstdint>
 
 #include "aqm/fifo.hpp"
@@ -104,23 +103,6 @@ void BM_HistogramRecord(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HistogramRecord);
-
-// Same churn with a capture too large for the inline buffer: exercises the
-// pooled-block fallback (the pre-swap engine heap-allocated every oversized
-// std::function exactly here).
-void BM_SchedulerLargeCapture(benchmark::State& state) {
-  sim::Scheduler sched;
-  std::array<std::uint64_t, 16> payload{};  // 128 B: bigger than the 64 B SBO
-  std::int64_t t = 0;
-  for (auto _ : state) {
-    payload[0] = static_cast<std::uint64_t>(t);
-    sched.schedule_at(sim::Time::nanoseconds(++t),
-                      [payload] { benchmark::DoNotOptimize(payload[0]); });
-    sched.run_until(sim::Time::nanoseconds(t));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SchedulerLargeCapture);
 
 // Schedule-then-cancel churn against a populated heap: the indexed heap
 // removes the entry eagerly; the pre-swap engine grew a tombstone set.

@@ -43,8 +43,8 @@ struct ExperimentConfig {
   /// Bursty two-state loss at the bottleneck (network-anomaly knob, like
   /// random_loss but with loss memory). Part of the run identity (id()).
   fault::GilbertElliottParams ge_loss{};
-  /// Timed network faults (flaps, degradation, reordering, ...) applied to
-  /// the bottleneck during the run. Part of the run identity (id()).
+  /// Timed network faults (link flaps and loss bursts) applied to the
+  /// bottleneck during the run. Part of the run identity (id()).
   fault::FaultPlan fault_plan{};
 
   /// Traffic mix for the cell. Empty = the paper's elephant-only workload

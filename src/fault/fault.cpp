@@ -1,7 +1,6 @@
 #include "fault/fault.hpp"
 
 #include <bit>
-#include <cassert>
 #include <cstdio>
 
 #include "net/port.hpp"
@@ -11,30 +10,18 @@
 
 namespace elephant::fault {
 
-namespace {
-
-constexpr const char* kKindNames[kFaultKindCount] = {
-    "link_down", "rate_scale", "loss_burst", "reorder", "duplicate", "jitter",
-};
-
-}  // namespace
-
-const char* to_string(FaultKind kind) {
-  const auto i = static_cast<std::size_t>(kind);
-  assert(i < kFaultKindCount);
-  return kKindNames[i];
-}
-
 std::string FaultPlan::signature() const {
   if (events.empty()) return "";
   // FNV-1a over the event fields; stable across platforms so run ids are.
+  // The trailing 0 fills the slot of a since-deleted per-event delay, so
+  // signatures (and the run ids built on them) did not move.
   std::uint64_t h = sim::kFnvOffset;
   for (const FaultEvent& e : events) {
     h = sim::fnv1a_fold(h, static_cast<std::uint64_t>(e.at.ns()));
     h = sim::fnv1a_fold(h, static_cast<std::uint64_t>(e.kind));
     h = sim::fnv1a_fold(h, std::bit_cast<std::uint64_t>(e.value));
     h = sim::fnv1a_fold(h, static_cast<std::uint64_t>(e.duration.ns()));
-    h = sim::fnv1a_fold(h, static_cast<std::uint64_t>(e.delay.ns()));
+    h = sim::fnv1a_fold(h, 0);
   }
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(h));
@@ -54,29 +41,11 @@ FaultPlan FaultPlan::link_flap(sim::Time at, sim::Time down_for, int flaps, sim:
   return plan;
 }
 
-FaultPlan FaultPlan::degrade(sim::Time at, double rate_factor, sim::Time for_time) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kRateScale;
-  e.value = rate_factor;
-  e.duration = for_time;
-  return FaultPlan{}.add(e);
-}
-
 FaultPlan FaultPlan::loss_burst(sim::Time at, double loss_prob, sim::Time for_time) {
   FaultEvent e;
   e.at = at;
   e.kind = FaultKind::kLossBurst;
   e.value = loss_prob;
-  e.duration = for_time;
-  return FaultPlan{}.add(e);
-}
-
-FaultPlan FaultPlan::jitter_spike(sim::Time at, sim::Time amplitude, sim::Time for_time) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kJitter;
-  e.delay = amplitude;
   e.duration = for_time;
   return FaultPlan{}.add(e);
 }
@@ -114,8 +83,7 @@ bool ArrivalLoss::drop(std::uint32_t bytes) {
 
 FaultInjector::FaultInjector(sim::Scheduler& sched, net::Port& target, std::uint64_t seed,
                              trace::Tracer* tracer)
-    : sched_(sched), target_(target), tracer_(tracer), rng_(seed),
-      nominal_rate_bps_(target.rate_bps()) {}
+    : sched_(sched), target_(target), tracer_(tracer), rng_(seed) {}
 
 void FaultInjector::install(const FaultPlan& plan) {
   target_.set_fault_rng(&rng_);
@@ -135,66 +103,33 @@ void FaultInjector::record(const FaultEvent& e, std::size_t index, bool applying
   r.type = trace::RecordType::kFault;
   r.seq = index;
   r.v0 = static_cast<double>(e.kind);
-  r.v1 = e.value != 0 ? e.value : e.delay.ms();
+  r.v1 = e.value;
   r.v2 = applying ? 1 : 0;
   tracer_->record(r);
 }
 
 void FaultInjector::apply(const FaultEvent& e, std::size_t index) {
-  net::Port::LinkPerturb p = target_.perturb();
   switch (e.kind) {
     case FaultKind::kLinkDown:
       if (++link_down_depth_ == 1) target_.set_link_up(false);
       break;
-    case FaultKind::kRateScale:
-      // No stacking: overlapping rate faults overwrite, revert restores
-      // the nominal rate.
-      target_.set_rate_bps(nominal_rate_bps_ * e.value);
-      break;
     case FaultKind::kLossBurst:
-      p.loss_prob = e.value;
-      break;
-    case FaultKind::kReorder:
-      p.reorder_prob = e.value;
-      p.reorder_delay = e.delay;
-      break;
-    case FaultKind::kDuplicate:
-      p.duplicate_prob = e.value;
-      break;
-    case FaultKind::kJitter:
-      p.jitter = e.delay;
+      target_.set_link_loss(e.value);
       break;
   }
-  target_.set_perturb(p);
   ++applied_;
   record(e, index, /*applying=*/true);
 }
 
 void FaultInjector::revert(const FaultEvent& e, std::size_t index) {
-  net::Port::LinkPerturb p = target_.perturb();
   switch (e.kind) {
     case FaultKind::kLinkDown:
       if (--link_down_depth_ == 0) target_.set_link_up(true);
       break;
-    case FaultKind::kRateScale:
-      target_.set_rate_bps(nominal_rate_bps_);
-      break;
     case FaultKind::kLossBurst:
-      p.loss_prob = 0;
-      break;
-    case FaultKind::kReorder:
-      p.reorder_prob = 0;
-      p.reorder_delay = sim::Time::zero();
-      break;
-    case FaultKind::kDuplicate:
-      p.duplicate_prob = 0;
-      break;
-    case FaultKind::kJitter:
-      p.jitter = sim::Time::zero();
+      target_.set_link_loss(0);
       break;
   }
-  target_.set_perturb(p);
-  ++reverted_;
   record(e, index, /*applying=*/false);
 }
 

@@ -20,28 +20,20 @@ class Tracer;
 namespace elephant::fault {
 
 /// The network anomalies the paper's §6 future work asks about, applied to
-/// one port (the bottleneck) on a schedule.
+/// one port (the bottleneck) on a schedule. The numbers are part of the
+/// plan signature and of kFault trace records (v0), so they never move.
 enum class FaultKind : std::uint8_t {
-  kLinkDown = 0,  ///< outage: nothing serializes for `duration`
-  kRateScale,     ///< degrade: rate = nominal × `value` for `duration`
-  kLossBurst,     ///< link corruption loss with probability `value`
-  kReorder,       ///< probability `value` of a packet landing `delay` late
-  kDuplicate,     ///< probability `value` of delivering a packet twice
-  kJitter,        ///< uniform [0, `delay`) extra latency per packet
+  kLinkDown = 0,   ///< outage: nothing serializes for `duration`
+  kLossBurst = 2,  ///< link corruption loss with probability `value`
 };
-
-inline constexpr std::size_t kFaultKindCount = 6;
-
-[[nodiscard]] const char* to_string(FaultKind kind);
 
 /// One timed perturbation. `duration` of zero means the fault persists to the
 /// end of the run; otherwise it is reverted `duration` after `at`.
 struct FaultEvent {
   sim::Time at{};
   FaultKind kind = FaultKind::kLinkDown;
-  double value = 0;     ///< kind-specific magnitude (rate factor, probability)
+  double value = 0;  ///< loss probability (kLossBurst)
   sim::Time duration{};
-  sim::Time delay{};    ///< reorder lateness / jitter amplitude
 };
 
 /// A schedule of faults for one run. Part of the experiment's identity:
@@ -65,12 +57,8 @@ struct FaultPlan {
   /// interval).
   [[nodiscard]] static FaultPlan link_flap(sim::Time at, sim::Time down_for, int flaps = 1,
                                            sim::Time period = sim::Time::zero());
-  [[nodiscard]] static FaultPlan degrade(sim::Time at, double rate_factor,
-                                         sim::Time for_time = sim::Time::zero());
   [[nodiscard]] static FaultPlan loss_burst(sim::Time at, double loss_prob,
                                             sim::Time for_time = sim::Time::zero());
-  [[nodiscard]] static FaultPlan jitter_spike(sim::Time at, sim::Time amplitude,
-                                              sim::Time for_time = sim::Time::zero());
 };
 
 /// One probabilistic fault site: a single seeded draw, true with
@@ -130,9 +118,9 @@ class ArrivalLoss {
 };
 
 /// Applies a FaultPlan to a port through the scheduler. Owns the RNG that
-/// drives probabilistic link perturbations, so the injector must outlive the
-/// run. Every apply/revert is emitted to the flight recorder as a kFault
-/// record (v0 = kind, v1 = magnitude, v2 = 1 apply / 0 revert).
+/// drives the port's link loss, so the injector must outlive the run. Every
+/// apply/revert is emitted to the flight recorder as a kFault record
+/// (v0 = kind, v1 = magnitude, v2 = 1 apply / 0 revert).
 class FaultInjector {
  public:
   FaultInjector(sim::Scheduler& sched, net::Port& target, std::uint64_t seed,
@@ -142,7 +130,6 @@ class FaultInjector {
   void install(const FaultPlan& plan);
 
   [[nodiscard]] std::uint64_t applied() const { return applied_; }
-  [[nodiscard]] std::uint64_t reverted() const { return reverted_; }
 
  private:
   void apply(const FaultEvent& e, std::size_t index);
@@ -153,10 +140,8 @@ class FaultInjector {
   net::Port& target_;
   trace::Tracer* tracer_;
   sim::Rng rng_;
-  double nominal_rate_bps_;
   int link_down_depth_ = 0;  ///< overlapping outages nest
   std::uint64_t applied_ = 0;
-  std::uint64_t reverted_ = 0;
 };
 
 }  // namespace elephant::fault

@@ -61,31 +61,19 @@ void Port::set_link_up(bool up) {
   }
 }
 
-void Port::set_rate_bps(double bps) {
-  rate_bps_ = bps > 1.0 ? bps : 1.0;
-}
-
 void Port::deliver_in(sim::Time delay, Packet&& p) {
   const sim::Time at = sched_.now() + delay;
   // The delay-line invariant: entries are delivered in push order, so `at`
-  // must be monotone. Serialization end times are strictly increasing and
-  // propagation is constant, so this holds for every unperturbed packet
-  // (rate changes included); only fault lateness lands on the general heap.
-  if (!line_.empty() && at < line_.back().at) {
-    sched_.schedule_in(delay, [this, pkt = std::move(p)]() mutable {
-      assert(peer_ != nullptr && "port not connected");
-      peer_->receive(std::move(pkt));
-    });
-    return;
-  }
+  // must be monotone. Serialization is FIFO at a fixed rate and propagation
+  // is fixed, so no packet lands before the one serialized ahead of it (a
+  // sub-nanosecond serialization can land two at the same instant).
+  assert(line_.empty() || at >= line_.back().at);
   line_.push_back(InFlight{at, std::move(p)});
   if (line_.size() == 1) line_timer_.rearm(at);
 }
 
 void Port::deliver_head() {
   assert(peer_ != nullptr && "port not connected");
-  // Drain everything due now — fault duplication can place two entries at
-  // the same instant; unperturbed traffic delivers exactly one per fire.
   while (!line_.empty() && line_.front().at <= sched_.now()) {
     Packet p = std::move(line_.front().pkt);
     line_.pop_front();
@@ -114,27 +102,14 @@ void Port::try_transmit() {
   busy_until_ = sched_.now() + tx;
   if (qdisc_->packet_length() > 0) tx_timer_.rearm(busy_until_);
 
-  sim::Time extra = sim::Time::zero();
-  if (fault_rng_ != nullptr) [[unlikely]] {
-    // Link-level perturbations act after serialization, like a flaky wire:
-    // the packet occupied the link either way.
-    if (perturb_.loss_prob > 0 && fault::chance(*fault_rng_, perturb_.loss_prob)) {
-      ++fault_lost_;
-      return;  // corrupted in flight
-    }
-    if (perturb_.jitter > sim::Time::zero()) {
-      extra += perturb_.jitter * fault_rng_->next_double();
-    }
-    if (perturb_.reorder_prob > 0 && fault::chance(*fault_rng_, perturb_.reorder_prob)) {
-      extra += perturb_.reorder_delay;
-      ++fault_reordered_;
-    }
-    if (perturb_.duplicate_prob > 0 && fault::chance(*fault_rng_, perturb_.duplicate_prob)) {
-      ++fault_duplicated_;
-      deliver_in(tx + propagation_ + extra, Packet(*next));
-    }
+  // Link loss acts after serialization, like a flaky wire: the packet
+  // occupied the link either way.
+  if (fault_rng_ != nullptr && link_loss_ > 0 &&
+      fault::chance(*fault_rng_, link_loss_)) [[unlikely]] {
+    ++fault_lost_;
+    return;  // corrupted in flight
   }
-  deliver_in(tx + propagation_ + extra, std::move(*next));
+  deliver_in(tx + propagation_, std::move(*next));
 }
 
 }  // namespace elephant::net

@@ -66,30 +66,17 @@ class Port {
 
   // --- fault-injection surface (driven by fault::FaultInjector) ---
 
-  /// Per-packet link misbehaviour applied after serialization, like a flaky
-  /// wire: corruption loss, late (reordered) delivery, duplication, jitter.
-  /// Probabilistic knobs only take effect once a fault RNG is attached.
-  struct LinkPerturb {
-    double loss_prob = 0;       ///< packet vanishes in flight
-    double reorder_prob = 0;    ///< packet lands `reorder_delay` late
-    sim::Time reorder_delay{};
-    double duplicate_prob = 0;  ///< packet is delivered twice
-    sim::Time jitter{};         ///< uniform [0, jitter) extra latency
-  };
-
   /// Take the link down or up. While down nothing serializes; arrivals keep
   /// queueing into (or being dropped by) the qdisc. Bringing it up drains.
   void set_link_up(bool up);
   [[nodiscard]] bool link_up() const { return up_; }
 
-  /// Change the serialization rate (bandwidth degradation); applies to
-  /// packets dequeued from now on. Clamped to a positive floor.
-  void set_rate_bps(double bps);
-
-  void set_perturb(const LinkPerturb& p) { perturb_ = p; }
-  [[nodiscard]] const LinkPerturb& perturb() const { return perturb_; }
-  /// RNG feeding the probabilistic perturbations; owned by the caller
-  /// (FaultInjector), which must outlive the port's activity.
+  /// Corruption loss on the wire: each serialized packet vanishes in flight
+  /// with probability `p` (it occupied the link either way). Takes effect
+  /// once a fault RNG is attached.
+  void set_link_loss(double p) { link_loss_ = p; }
+  /// RNG feeding the link-loss draws; owned by the caller (FaultInjector),
+  /// which must outlive the port's activity.
   void set_fault_rng(sim::Rng* rng) { fault_rng_ = rng; }
 
   /// Drop arrivals ahead of the qdisc (Bernoulli and Gilbert–Elliott loss).
@@ -102,8 +89,6 @@ class Port {
   }
 
   [[nodiscard]] std::uint64_t fault_lost() const { return fault_lost_; }
-  [[nodiscard]] std::uint64_t fault_reordered() const { return fault_reordered_; }
-  [[nodiscard]] std::uint64_t fault_duplicated() const { return fault_duplicated_; }
 
  private:
   void try_transmit();
@@ -118,8 +103,8 @@ class Port {
 
   sim::Scheduler& sched_;
   std::unique_ptr<aqm::QueueDisc> qdisc_;
-  double rate_bps_;
-  sim::Time propagation_;
+  const double rate_bps_;
+  const sim::Time propagation_;
   std::string name_;
   Node* peer_ = nullptr;
   trace::Tracer* tracer_ = nullptr;
@@ -135,20 +120,17 @@ class Port {
   /// Serialization-end wake; re-armable so the slot and callback persist.
   sim::TimerHandle tx_timer_;
 
-  /// Delay line of unperturbed in-flight packets. Serialization is FIFO and
-  /// propagation fixed, so delivery instants are monotone: one re-armable
-  /// timer pointed at the head replaces a heap event (and a packet-sized
-  /// callback capture) per packet. Perturbed packets (fault jitter/reorder
-  /// lateness) break monotonicity and fall back to the general heap.
+  /// Delay line of in-flight packets. Serialization is FIFO at a fixed rate
+  /// and propagation is fixed, so delivery instants are monotone: one
+  /// re-armable timer pointed at the head replaces a heap event (and a
+  /// packet-sized callback capture) per packet.
   sim::RingDeque<InFlight> line_;
   sim::TimerHandle line_timer_;
 
   std::optional<fault::ArrivalLoss> arrival_loss_;
-  LinkPerturb perturb_{};
+  double link_loss_ = 0;
   sim::Rng* fault_rng_ = nullptr;
   std::uint64_t fault_lost_ = 0;
-  std::uint64_t fault_reordered_ = 0;
-  std::uint64_t fault_duplicated_ = 0;
 
   std::uint64_t tx_packets_ = 0;
   std::uint64_t tx_bytes_ = 0;

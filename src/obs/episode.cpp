@@ -121,9 +121,9 @@ void EpisodeDetector::close_episode(double end_s) {
 }
 
 const char* EpisodeDetector::classify(const Episode& e) {
-  // Injected loss outranks the bare fault-applied counter: a GE-loss fault
-  // bumps both, and "loss-burst" is the more specific story; a link flap
-  // bumps only the fault counter and still classifies as "fault".
+  // Injected loss outranks the bare fault-applied counter: a loss_burst
+  // fault bumps both, and "loss-burst" is the more specific story; a link
+  // flap bumps only the fault counter and still classifies as "fault".
   if (e.loss_injected > 0) return "loss-burst";
   if (e.faults > 0) return "fault";
   if (e.drops_overflow > 0) return "queue-overflow";

@@ -29,7 +29,7 @@ struct EventId {
 /// so the steady-state per-event path never touches the allocator.
 ///
 /// - Callbacks are `InplaceCallback`s stored in stable slots recycled
-///   through a free list; the common `[this]`-sized captures live inline.
+///   through a free list; every capture lives inline in the slot.
 ///   Slots live in fixed-size chunks that are added, never moved, so a
 ///   100k-flow cell's slot storage is many small blocks instead of one
 ///   multi-megabyte array that is reallocated (and, above the allocator's

@@ -1,8 +1,8 @@
 // Proves the event engine's zero-allocation steady state: after warm-up
-// (slot/heap/ring growth to the high-water mark, callback pool priming), a
-// loss-free paper-style cell must run without a single call to the global
-// allocator. A regression here means some per-packet path regrew a
-// std::function, deque block, or heap node.
+// (slot/heap/ring growth to the high-water mark), a loss-free paper-style
+// cell must run without a single call to the global allocator. A regression
+// here means some per-packet path regrew a std::function, deque block, or
+// heap node.
 //
 // The counting hook (alloc_hook.cpp) replaces global operator new/delete
 // for the whole test binary; every other test runs on it too, which is

@@ -30,15 +30,6 @@ TEST(FaultPlan, SignatureIsStableAndSensitive) {
   // Signatures are journal keys that `--resume` matches, so their exact text
   // is pinned, not just their (in)equality.
   EXPECT_EQ(a.signature(), "d688058d73cc189c");
-  FaultPlan mixed = FaultPlan::degrade(sim::Time::seconds(2), 0.35, sim::Time::seconds(3));
-  for (const FaultEvent& e :
-       FaultPlan::loss_burst(sim::Time::milliseconds(7500), 0.125).events) {
-    mixed.add(e);
-  }
-  mixed.add(FaultPlan::jitter_spike(sim::Time::seconds(9), sim::Time::microseconds(250),
-                                    sim::Time::seconds(1))
-                .events.front());
-  EXPECT_EQ(mixed.signature(), "32ac2b61bd8f303b");
   // The two kinds the CLI exposes: a two-cycle flap and a bounded loss burst.
   FaultPlan flap_loss = FaultPlan::link_flap(sim::Time::seconds(1),
                                              sim::Time::milliseconds(120), 2);
@@ -279,49 +270,6 @@ TEST(FaultScenario, LinkFlapCausesRtosThenRecovers) {
   }
   EXPECT_EQ(applies, 1);
   EXPECT_EQ(reverts, 1);
-}
-
-TEST(FaultScenario, RateDegradeReducesThroughput) {
-  auto clean = test::quick_config(cca::CcaKind::kCubic, cca::CcaKind::kCubic,
-                                  aqm::AqmKind::kFifo, 2.0, 100e6, 12);
-  auto degraded = clean;
-  // 20% of nominal for the middle 8 seconds.
-  degraded.fault_plan =
-      FaultPlan::degrade(sim::Time::seconds(2), 0.2, sim::Time::seconds(8));
-  const auto res_clean = test::run_uncached(clean);
-  const auto res_degraded = test::run_uncached(degraded);
-  EXPECT_LT(res_degraded.utilization, res_clean.utilization - 0.2);
-  EXPECT_GT(res_degraded.utilization, 0.05);  // still moving, not wedged
-}
-
-TEST(FaultScenario, MildReorderingCausesNoSpuriousFastRetransmit) {
-  auto cfg = test::quick_config(cca::CcaKind::kCubic, cca::CcaKind::kCubic,
-                                aqm::AqmKind::kFifo, 16.0, 100e6, 10);
-  // 1% of packets land ~1.5 ms late: one or two packets pass each straggler,
-  // below the 3-dupACK fast-retransmit threshold. With a deep (16 BDP)
-  // buffer there is no congestive loss either, so any retransmission would
-  // be a spurious reaction to reordering.
-  FaultEvent e;
-  e.at = sim::Time::seconds(1);
-  e.kind = FaultKind::kReorder;
-  e.value = 0.01;
-  e.delay = sim::Time::microseconds(1500);
-  cfg.fault_plan.add(e);
-  const auto res = test::run_uncached(cfg);
-  EXPECT_EQ(res.retx_segments, 0u);
-  EXPECT_GT(res.utilization, 0.5);
-}
-
-TEST(FaultScenario, DuplicationIsHarmless) {
-  auto cfg = test::quick_config(cca::CcaKind::kCubic, cca::CcaKind::kCubic,
-                                aqm::AqmKind::kFifo, 2.0, 100e6, 10);
-  FaultEvent e;
-  e.at = sim::Time::seconds(1);
-  e.kind = FaultKind::kDuplicate;
-  e.value = 0.05;
-  cfg.fault_plan.add(e);
-  const auto res = test::run_uncached(cfg);
-  EXPECT_GT(res.utilization, 0.5);
 }
 
 TEST(FaultScenario, LossBurstTripsRetransmissions) {

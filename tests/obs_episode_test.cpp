@@ -183,7 +183,7 @@ exp::ExperimentConfig episode_config(double duration_s) {
 }
 
 TEST(EpisodeIntegrationTest, PlantedLossBurstYieldsAttributedEpisode) {
-  // A 40% GE loss burst over t ∈ [8, 12) on a 2-elephant cell: some window
+  // A 40% loss_burst fault over t ∈ [8, 12) on a 2-elephant cell: some window
   // inside the burst must starve one flow against the other hard enough to
   // open an episode, and the coincident injected drops must tag it.
   auto cfg = episode_config(20);

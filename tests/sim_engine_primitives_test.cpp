@@ -1,14 +1,16 @@
 // Unit tests for the event-engine building blocks introduced with the
-// allocation-free scheduler: InplaceCallback (SBO + pooled storage),
+// allocation-free scheduler: InplaceCallback (inline-only storage),
 // RingDeque (grow-only ring with deque semantics) and re-armable
 // TimerHandles.
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "sim/callback.hpp"
@@ -25,22 +27,34 @@ TEST(InplaceCallback, EmptyIsFalsey) {
   EXPECT_FALSE(static_cast<bool>(cb));
 }
 
+// The inline buffer is the only storage: a capture that fits converts, one
+// byte more does not compile.
+struct Fits {
+  std::array<std::byte, InplaceCallback::kInlineSize> payload{};
+  void operator()() const {}
+};
+struct Big {
+  std::array<std::byte, InplaceCallback::kInlineSize + 1> payload{};
+  void operator()() const {}
+};
+static_assert(std::is_constructible_v<InplaceCallback, Fits>);
+static_assert(!std::is_constructible_v<InplaceCallback, Big>);
+
 TEST(InplaceCallback, SmallCaptureStaysInline) {
   int hits = 0;
   InplaceCallback cb([&hits] { ++hits; });
-  EXPECT_TRUE(cb.is_inline());
   cb();
   cb();
   EXPECT_EQ(hits, 2);
-}
-
-TEST(InplaceCallback, LargeCaptureGoesOutOfLine) {
-  std::array<std::uint64_t, 16> payload{};  // 128 B: past inline, fits a pooled block
-  payload[15] = 42;
+  // A capture that fills the buffer survives a move intact.
+  std::array<std::uint64_t, InplaceCallback::kInlineSize / 8 - 1> payload{};
+  payload.back() = 42;
   std::uint64_t seen = 0;
-  InplaceCallback cb([payload, &seen] { seen = payload[15]; });
-  EXPECT_FALSE(cb.is_inline());
-  cb();
+  auto fill = [payload, out = &seen] { *out = payload.back(); };
+  static_assert(sizeof(fill) == InplaceCallback::kInlineSize);
+  InplaceCallback full(std::move(fill));
+  InplaceCallback moved(std::move(full));
+  moved();
   EXPECT_EQ(seen, 42u);
 }
 
@@ -64,23 +78,6 @@ TEST(InplaceCallback, DestroysCaptureExactlyOnce) {
     EXPECT_EQ(state.use_count(), 2);  // moved, not copied
   }
   EXPECT_EQ(state.use_count(), 1);
-}
-
-TEST(InplaceCallback, PooledBlocksAreRecycled) {
-  struct Big {
-    std::array<std::uint64_t, 12> payload{};  // 96 B: pooled, not inline
-    void operator()() const {}
-  };
-  // Drain + refill the pool a few times; mostly exercises that recycled
-  // blocks still invoke and destroy correctly (ASan would flag misuse).
-  for (int round = 0; round < 4; ++round) {
-    std::vector<InplaceCallback> cbs;
-    for (int i = 0; i < 64; ++i) {
-      cbs.emplace_back(Big{});
-      EXPECT_FALSE(cbs.back().is_inline());
-    }
-    for (auto& cb : cbs) cb();
-  }
 }
 
 // --- RingDeque -------------------------------------------------------------

@@ -83,8 +83,8 @@ TEST(CodecRoundTrip, FaultRecordSlotsSurviveBothCodecs) {
   TraceRecord r;
   r.t = sim::Time::seconds(2.5);
   r.type = RecordType::kFault;
-  r.v0 = 3;       // FaultKind as double
-  r.v1 = 0.02;    // magnitude (e.g. 20 ms extra delay)
+  r.v0 = 2;       // FaultKind::kLossBurst as double
+  r.v1 = 0.02;    // magnitude (loss probability)
   r.v2 = 1;       // apply
   std::string line;
   append_csv(r, &line);
