@@ -1,9 +1,9 @@
 # `elephant` must refuse malformed loss flags, and any numeric run flag that
 # is not a number in its range (an integer where a count is meant), with exit
 # status 2 instead of silently running a different cell, and still run a
-# valid lossy cell and a valid fault-burst cell. A cell whose buffer holds
-# less than one packet delivers nothing and fails the invariant checker with
-# exit status 1. An ELEPHANT_DURATION_SCALE that is not a finite number > 0
+# valid lossy cell, a valid fault-burst cell and a valid link-flap cell. A
+# cell whose buffer holds less than one packet delivers nothing and fails the
+# invariant checker with exit status 1. An ELEPHANT_DURATION_SCALE that is not a finite number > 0
 # exits 2 at start-up.
 #
 #   cmake -DELEPHANT=<path to elephant> -DWORKDIR=<scratch dir> -P cli_loss_flags.cmake
@@ -28,6 +28,13 @@ expect_exit(2 --fault-loss 1:0.1:1:1)
 expect_exit(2 --fault-flap 1:10:0)
 expect_exit(2 --fault-flap a:10:1)
 expect_exit(2 --fault-flap 1:10)
+# A zero-length outage is never reverted (a zero duration means "until the
+# run ends"), so DOWN_MS must be > 0.
+expect_exit(2 --fault-flap 1:0:1)
+expect_exit(2 --fault-flap 1:1e-9:1)
+# The last link-up, 1e9 s + 19999 x 1e6 s, is past sim::Time's int64
+# nanoseconds; wrapped instants would take the link down at t ~ 0.
+expect_exit(2 --fault-flap 1e9:1e9:10000)
 expect_exit(2 --bdp abc)
 expect_exit(2 --bdp 0)
 expect_exit(2 --bdp -1)
@@ -55,3 +62,4 @@ unset(ENV{ELEPHANT_DURATION_SCALE})
 expect_exit(1 --bdp 0.001)
 expect_exit(0 --loss 0.01)
 expect_exit(0 --fault-loss 0.2:0.05:0.5)
+expect_exit(0 --fault-flap 0.6:50:2)

@@ -217,6 +217,18 @@ std::array<std::string_view, 3> three_fields(std::string_view spec) {
   return {spec.substr(0, a1), spec.substr(a1 + 1, a2 - a1 - 1), spec.substr(a2 + 1)};
 }
 
+/// A fault spec whose last instant, `start` + `n` x `step`, does not fit in
+/// sim::Time is a usage error: its instants would wrap around int64
+/// nanoseconds and fire near t = 0.
+void require_fits(const char* flag, sim::Time start, std::int64_t n, sim::Time step) {
+  const std::int64_t room = sim::Time::max().ns() - start.ns();
+  if (step.ns() > 0 && n > room / step.ns()) {
+    std::fprintf(stderr, "%s: last instant is past the simulated clock's end (%.3g s)\n",
+                 flag, sim::Time::max().sec());
+    std::exit(2);
+  }
+}
+
 struct Args {
   std::string cmd;
   exp::ExperimentConfig cfg;
@@ -336,6 +348,7 @@ Args parse(int argc, char** argv) {
       const double start = bounded_number("--fault-loss", "T", f[0], 0, 1e9);
       const double rate = bounded_number("--fault-loss", "RATE", f[1], 0, 1);
       const double dur = bounded_number("--fault-loss", "DUR", f[2], 0, 1e9);
+      require_fits("--fault-loss", sim::Time::seconds(start), 1, sim::Time::seconds(dur));
       for (const fault::FaultEvent& e :
            fault::FaultPlan::loss_burst(sim::Time::seconds(start), rate,
                                         sim::Time::seconds(dur))
@@ -348,10 +361,18 @@ Args parse(int argc, char** argv) {
       const double start = bounded_number("--fault-flap", "T", f[0], 0, 1e9);
       const double down_ms = bounded_number("--fault-flap", "DOWN_MS", f[1], 0, 1e9);
       const int count = bounded_integer("--fault-flap", "COUNT", f[2], 1, 1000000);
+      // A zero-length outage would never be reverted (a zero duration means
+      // "until the run ends"), so the outage must last at least 1 ns.
+      const sim::Time down = sim::Time::seconds(down_ms / 1e3);
+      if (down <= sim::Time::zero()) {
+        std::fprintf(stderr, "--fault-flap: DOWN_MS must be > 0\n");
+        std::exit(2);
+      }
+      // Cycles are 2 x DOWN_MS apart; the last link-up is the plan's last instant.
+      require_fits("--fault-flap", sim::Time::seconds(start), 2 * std::int64_t{count} - 1,
+                   down);
       for (const fault::FaultEvent& e :
-           fault::FaultPlan::link_flap(sim::Time::seconds(start),
-                                       sim::Time::seconds(down_ms / 1e3), count)
-               .events) {
+           fault::FaultPlan::link_flap(sim::Time::seconds(start), down, count).events) {
         a.cfg.fault_plan.add(e);
       }
     } else if (flag("--check-digest", "run")) {
