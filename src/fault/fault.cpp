@@ -28,8 +28,8 @@ std::string FaultPlan::signature() const {
   return buf;
 }
 
-FaultPlan FaultPlan::link_flap(sim::Time at, sim::Time down_for, int flaps, sim::Time period) {
-  if (period <= sim::Time::zero()) period = 2 * down_for;
+FaultPlan FaultPlan::link_flap(sim::Time at, sim::Time down_for, int flaps) {
+  const sim::Time period = 2 * down_for;
   FaultPlan plan;
   for (int i = 0; i < flaps; ++i) {
     FaultEvent e;

@@ -53,10 +53,8 @@ struct FaultPlan {
 
   // Common scenarios.
   /// `flaps` down/up cycles of `down_for` each, the first starting at `at`,
-  /// subsequent ones `period` apart (default: back-to-back with an equal up
-  /// interval).
-  [[nodiscard]] static FaultPlan link_flap(sim::Time at, sim::Time down_for, int flaps = 1,
-                                           sim::Time period = sim::Time::zero());
+  /// back to back with an equal up interval (cycles 2 x `down_for` apart).
+  [[nodiscard]] static FaultPlan link_flap(sim::Time at, sim::Time down_for, int flaps = 1);
   [[nodiscard]] static FaultPlan loss_burst(sim::Time at, double loss_prob,
                                             sim::Time for_time = sim::Time::zero());
 };
